@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import (
     AnnotationSkippedWarning,
@@ -106,29 +107,10 @@ def _shell_mean(v: Volume3D, center: VoxelIndex, inner_mm: float, outer_mm: floa
     return float(v.intensities[cand[:, 0], cand[:, 1], cand[:, 2]].mean())
 
 
-# Precomputed 26-neighborhood for the component walk.
-_NEIGH26 = np.array(
-    [(di, dj, dk) for di in (-1, 0, 1) for dj in (-1, 0, 1) for dk in (-1, 0, 1) if (di, dj, dk) != (0, 0, 0)]
-)
-
-
 def _component_containing(candidate: np.ndarray, start: tuple[int, int, int]) -> np.ndarray:
-    """26-connected component of a boolean array containing ``start`` (flood fill)."""
-    out = np.zeros_like(candidate)
-    if not candidate[start]:
-        return out
-    stack = [start]
-    out[start] = True
-    dims = candidate.shape
-    while stack:
-        p = stack.pop()
-        for d in _NEIGH26:
-            q = (p[0] + d[0], p[1] + d[1], p[2] + d[2])
-            if 0 <= q[0] < dims[0] and 0 <= q[1] < dims[1] and 0 <= q[2] < dims[2]:
-                if candidate[q] and not out[q]:
-                    out[q] = True
-                    stack.append(q)
-    return out
+    """26-connected component of a boolean array containing ``start`` (empty if ``start`` is unset)."""
+    labeled, _ = ndimage.label(candidate, structure=np.ones((3, 3, 3), dtype=bool))
+    return (labeled == labeled[start]) & candidate
 
 
 def synthesize_mask(

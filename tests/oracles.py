@@ -103,3 +103,60 @@ def sphere_voxel_volume(radius_mm, h_mm):
     ax = np.arange(-m, m + 1) * h_mm
     r2 = ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2
     return int((r2 <= radius_mm**2).sum()) * h_mm**3
+
+
+def components_oracle(m, connectivity=26):
+    """Per-component reference labelling: each component's voxels one at a time.
+
+    Returns ``(id, centroid_mm, volume_mm3, voxel_count, bbox, voxels)``
+    tuples, ordered by each component's smallest (k, j, i) voxel; ``voxels``
+    is the frozenset of its C-order flat indices.
+    """
+    from scipy import ndimage
+
+    structure = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
+    labeled, n = ndimage.label(m.labels, structure=structure)
+    raw = []
+    for slices, label in zip(ndimage.find_objects(labeled), range(1, n + 1)):
+        li, lj, lk = np.nonzero(labeled[slices] == label)
+        i = li + slices[0].start
+        j = lj + slices[1].start
+        k = lk + slices[2].start
+        first = np.lexsort((i, j, k))[0]
+        key = (int(k[first]), int(j[first]), int(i[first]))
+        centroid_vox = (float(i.mean()), float(j.mean()), float(k.mean()))
+        bbox = (
+            (int(i.min()), int(j.min()), int(k.min())),
+            (int(i.max()), int(j.max()), int(k.max())),
+        )
+        flat = frozenset(np.ravel_multi_index((i, j, k), m.dims).tolist())
+        raw.append((key, centroid_vox, bbox, len(i), flat))
+    raw.sort(key=lambda item: item[0])
+    origin, spacing = np.asarray(m.origin), np.asarray(m.spacing)
+    out = []
+    for comp_id, (_, centroid_vox, bbox, count, flat) in enumerate(raw, start=1):
+        w = origin + np.asarray(centroid_vox, dtype=np.float64) * spacing
+        out.append((comp_id, tuple(float(x) for x in w), count * m.voxel_volume_mm3, count, bbox, flat))
+    return out
+
+
+def match_oracle(pred, gt, max_dist_mm, overlaps=frozenset()):
+    """All-pairs greedy matching: every (pred, gt) pair's distance, then ascending (dist, pred id, gt id).
+
+    ``pred`` and ``gt`` are ``(id, centroid_mm)`` pairs; a pair in
+    ``overlaps`` is a candidate at any distance. Returns the pairing.
+    """
+    candidates = []
+    for pid, pc in pred:
+        for gid, gc in gt:
+            dist = float(np.linalg.norm(np.asarray(pc) - np.asarray(gc)))
+            if dist <= max_dist_mm or (pid, gid) in overlaps:
+                candidates.append((dist, pid, gid))
+    candidates.sort()
+    used_p, used_g, pairs = set(), set(), []
+    for _, pid, gid in candidates:
+        if pid not in used_p and gid not in used_g:
+            used_p.add(pid)
+            used_g.add(gid)
+            pairs.append((pid, gid))
+    return tuple(pairs)

@@ -206,6 +206,19 @@ class TestConfigAndErrors:
             == 2
         )
 
+    def test_bad_match_distance_exit_1(self, tmp_path):
+        data = make_phantom_data(tmp_path, count=1, dims=24)
+        for bad in ("-1", "nan"):
+            code = run(
+                "eval",
+                "--manifest", data / "manifest.jsonl",
+                "--pred-dir", data / "gt_masks",
+                "--gt-dir", data / "gt_masks",
+                "--out", tmp_path / "o",
+                "--match-dist", bad,
+            )
+            assert code == 1
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"phantom": {"count": 3, "dims": 24, "noise_sigma": 0.0}}))

@@ -17,7 +17,7 @@ from cmbpipe.detect import (
 from cmbpipe.errors import ConfigError, GeometryMismatchError
 from cmbpipe.volume import LabelMask, WorldPoint
 
-from oracles import sphere_voxel_volume
+from oracles import components_oracle, match_oracle, sphere_voxel_volume
 
 
 def mask_from_voxels(voxels, dims=(16, 16, 16), spacing=(1.0, 1.0, 1.0)):
@@ -94,14 +94,13 @@ class TestFilterBySize:
 
 
 class TestMatching:
-    def mk(self, det_id, centroid, voxels=frozenset()):
+    def mk(self, det_id, centroid):
         return DetectedCMB(
             id=det_id,
             centroid_mm=WorldPoint(*centroid),
             volume_mm3=1.0,
             voxel_count=1,
             bbox=((0, 0, 0), (0, 0, 0)),
-            voxels=voxels,
         )
 
     def test_centroid_distance_match(self):
@@ -123,11 +122,46 @@ class TestMatching:
         assert res.pairing == ((2, 1),)
 
     def test_overlap_matches_beyond_distance(self):
-        shared = frozenset({42})
-        res = match_detections(
-            [self.mk(1, (0.0, 0, 0), shared)], [self.mk(1, (10.0, 0, 0), shared)], 2.5
-        )
-        assert res.tp == 1
+        # two rods sharing voxel (9, 3, 3); centroids 9.5 mm apart
+        pred = mask_from_voxels([(i, 3, 3) for i in range(10)], dims=(24, 8, 8))
+        gt = mask_from_voxels([(i, 3, 3) for i in range(9, 20)], dims=(24, 8, 8))
+        res, (p,), (g,) = evaluate_scan(pred, gt, min_volume_mm3=0.0, max_dist_mm=2.5)
+        assert abs(p.centroid_mm.x - g.centroid_mm.x) > 2.5
+        assert (res.tp, res.fp, res.fn) == (1, 0, 0)
+        assert match_detections([p], [g], 2.5, overlaps={(p.id, g.id)}).tp == 1
+        assert match_detections([p], [g], 2.5).tp == 0
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_match_distance_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            match_detections([self.mk(1, (0.0, 0, 0))], [self.mk(1, (1.0, 0, 0))], bad)
+        mask = mask_from_voxels([(3, 3, 3)])
+        with pytest.raises(ConfigError):
+            evaluate_scan(mask, mask, max_dist_mm=bad)
+
+    def test_matches_all_pairs_oracle(self, rng):
+        # dense enough for several candidates per detection, plus planted
+        # exact ties and a pair exactly at the match distance
+        pred = [(i + 1, tuple(rng.uniform(0, 40, 3))) for i in range(300)]
+        gt = [(i + 1, tuple(rng.uniform(0, 40, 3))) for i in range(300)]
+        pred += [(301, (100.0, 100.0, 100.0)), (302, (104.0, 100.0, 100.0))]
+        gt += [(301, (102.0, 100.0, 100.0))]  # equidistant from preds 301 and 302
+        pred += [(303, (200.0, 200.0, 200.0))]
+        gt += [(302, (198.0, 201.0, 200.0)), (303, (202.0, 199.0, 200.0))]  # equidistant from pred 303
+        pred += [(304, (10.5, 300.0, 300.0))]
+        gt += [(304, (12.0, 302.0, 300.0))]  # exactly 2.5 mm apart
+        overlaps = {(int(p), int(g)) for p, g in rng.integers(1, 301, (40, 2))}
+        preds = [self.mk(i, c) for i, c in pred]
+        gts = [self.mk(i, c) for i, c in gt]
+        for max_dist, ov in ((0.0, frozenset()), (2.5, frozenset()), (2.5, overlaps), (6.0, overlaps)):
+            res = match_detections(preds, gts, max_dist, overlaps=ov)
+            assert res.pairing == match_oracle(pred, gt, max_dist, ov)
+            assert res.tp == len(res.pairing)
+        # the same pairs given as the (n, 2) array evaluate_scan passes
+        res = match_detections(preds, gts, 6.0, overlaps=np.array(sorted(overlaps)))
+        assert res.pairing == match_oracle(pred, gt, 6.0, overlaps)
+        pairing = set(match_detections(preds, gts, 2.5).pairing)
+        assert {(301, 301), (303, 302), (304, 304)} <= pairing
 
     def test_invariant_counts(self, rng):
         for _ in range(20):
@@ -238,7 +272,64 @@ class TestAggregation:
             aggregate_metrics([], [])
 
 
+def detection_fields(dets):
+    return [(d.id, tuple(d.centroid_mm), d.volume_mm3, d.voxel_count, d.bbox) for d in dets]
+
+
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_speckle_components_match_oracle(self, connectivity):
+        rng = np.random.default_rng(2024)
+        arr = (rng.uniform(0, 1, (128, 128, 128)) < 0.005).astype(np.uint8)
+        m = LabelMask(arr, (0.5, 0.7, 1.3), (-10.0, 3.5, 7.25))
+        got = detection_fields(connected_components(m, connectivity))
+        want = [c[:5] for c in components_oracle(m, connectivity)]
+        assert len(got) > 9000
+        assert got == want
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    @pytest.mark.parametrize("min_volume", [0.0, 4.2])
+    def test_evaluate_scan_matches_oracle(self, rng, monkeypatch, connectivity, min_volume):
+        matches = []
+
+        def recording_match(*args, **kwargs):
+            matches.append(match_detections(*args, **kwargs))
+            return matches[-1]
+
+        monkeypatch.setattr("cmbpipe.detect.match_detections", recording_match)
+        for _ in range(2):
+            gt_arr = (rng.uniform(0, 1, (16, 18, 14)) < 0.12).astype(np.uint8)
+            pred_arr = gt_arr ^ (rng.uniform(0, 1, gt_arr.shape) < 0.06).astype(np.uint8)
+            pred = LabelMask(pred_arr, (0.8, 1.0, 1.2))
+            gt = LabelMask(gt_arr, (0.8, 1.0, 1.2))
+            metrics, kept_pred, kept_gt = evaluate_scan(pred, gt, connectivity, min_volume, 2.5)
+
+            p_all = [c for c in components_oracle(pred, connectivity) if c[2] >= min_volume]
+            g_all = [c for c in components_oracle(gt, connectivity) if c[2] >= min_volume]
+            overlaps = {(p[0], g[0]) for p in p_all for g in g_all if not p[5].isdisjoint(g[5])}
+            pairing = match_oracle([p[:2] for p in p_all], [g[:2] for g in g_all], 2.5, overlaps)
+            assert detection_fields(kept_pred) == [c[:5] for c in p_all]
+            assert detection_fields(kept_gt) == [c[:5] for c in g_all]
+            assert matches[-1].pairing == pairing
+            assert (metrics.tp, metrics.fp, metrics.fn) == (
+                len(pairing),
+                len(p_all) - len(pairing),
+                len(g_all) - len(pairing),
+            )
+
+
 class TestEvaluateScan:
+    def test_geometry_checked_first(self):
+        a = mask_from_voxels([(3, 3, 3)], dims=(8, 8, 8))
+        for b in (
+            mask_from_voxels([(3, 3, 3)], dims=(8, 8, 9)),
+            mask_from_voxels([(3, 3, 3)], dims=(8, 8, 8), spacing=(1.0, 1.0, 2.0)),
+        ):
+            with pytest.raises(GeometryMismatchError):
+                evaluate_scan(a, b)
+            with pytest.raises(GeometryMismatchError):
+                evaluate_scan(a, b, connectivity=18)  # before any parameter or labelling work
+
     def test_size_filter_never_increases_counts(self, rng):
         for trial in range(10):
             arr_p = (rng.uniform(0, 1, (20, 20, 20)) > 0.9).astype(np.uint8)
