@@ -21,7 +21,7 @@ from .detect import (
 )
 from .phantom import PhantomSpec, generate_phantom, random_phantom_spec
 from .scanio import ScanManifestEntry, read_manifest, read_volume, write_manifest, write_volume
-from .segmenter import ExternalSegmenter, OracleSegmenter, ReferenceSegmenter, SegmenterConfig
+from .segmenter import ExternalSegmenter, OracleSegmenter, ReferenceSegmenter
 from .stats import compare_groups, fisher_exact_2x2, size_sweep, wilcoxon_signed_rank
 from .triplanar import (
     SliceSegmenter,

@@ -1,12 +1,16 @@
 """Command-line front end wiring the modules into reproducible batch runs.
 
 One subcommand per pipeline stage: phantom, mask-synth, augment, segment,
-fuse, detect, eval, compare-groups, sweep, partition. Parameters come from
-built-in defaults, overlaid by a JSON run-config file (one section per
-command), overlaid by explicit flags. Every run writes a run-record
-(resolved config + content hashes of inputs and outputs) under the output
-directory; with a fixed seed, reruns are byte-identical apart from the
-record's timestamp.
+fuse, detect, eval, compare-groups, sweep, partition. Each command declares
+its parameters once, in one table; the table generates the flags, the
+defaults and the checks on config values. A parameter's value comes from
+its default, overlaid by a JSON run-config file (top-level keys, then the
+"common" section, then the command's own section), overlaid by an explicit
+flag. A config key no command declares, or a value of the wrong type or
+outside the allowed choices, is a config error. Every run writes a
+run-record (resolved parameters + content hashes of inputs and outputs)
+under the output directory; with a fixed seed, reruns are byte-identical
+apart from the record's timestamp.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
 """
@@ -19,18 +23,14 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import annotation, augment, detect, phantom, scanio, stats, triplanar, volume
 from .errors import CMBPipeError, ConfigError, DataError
-from .segmenter import (
-    ExternalConfig,
-    ReferenceConfig,
-    SegmenterConfig,
-    OracleSegmenter,
-    ReferenceSegmenter,
-    segmenters_from_config,
-)
+from .segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
 from .triplanar import VIEWS
 
 EXIT_OK = 0
@@ -56,6 +56,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+# Parameters naming input files whose hashes go into the run-record.
+_INPUT_FILES = ("manifest", "detections_a", "detections_b")
+
+
 def _write_run_record(out_dir: Path, command: str, params: dict, inputs, outputs) -> None:
     record = {
         "command": command,
@@ -64,15 +68,104 @@ def _write_run_record(out_dir: Path, command: str, params: dict, inputs, outputs
         "outputs": {str(p): _sha256(Path(p)) for p in outputs if Path(p).is_file()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"run_record_{command.replace('-', '_')}.json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _load_config(path: str | None, command: str) -> dict:
+# ---------------------------------------------------------------------------
+# Parameter tables
+# ---------------------------------------------------------------------------
+
+class Param(NamedTuple):
+    """One command parameter: flag ``--<name with dashes>``, config key ``name``."""
+
+    name: str
+    type: type  # int, float, str, list (of numbers) or dict (tag -> number)
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    help: str = ""
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+class Command(NamedTuple):
+    run: Callable[[dict], list]  # resolved params -> output files
+    help: str
+    params: tuple[Param, ...]
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def _command(name: str, help: str, *params: Param):
+    def register(run):
+        COMMANDS[name] = Command(run, help, params)
+        return run
+
+    return register
+
+
+def _number(value, kind: type):
+    """Flag text, or a JSON number of the right kind (no bools, no float for an int)."""
+    if isinstance(value, str):
+        return kind(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise TypeError(value)
+    return kind(value)
+
+
+def _numbers(value) -> list:
+    items = [t for t in value.split(",") if t.strip()] if isinstance(value, str) else value
+    if not isinstance(items, list):
+        raise TypeError(value)
+    return [_number(t, float) for t in items]
+
+
+def _tag_map(value) -> dict:
+    table = json.loads(value) if isinstance(value, str) else value
+    if not isinstance(table, dict):
+        raise TypeError(value)
+    return {tag: _number(t, float) for tag, t in table.items()}
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+# Each converter takes the flag's text or a JSON value from the config file.
+_TYPES = {
+    int: (lambda v: _number(v, int), "an integer"),
+    float: (lambda v: _number(v, float), "a number"),
+    str: (_text, "a string"),
+    list: (_numbers, "a list of numbers (comma-separated as a flag)"),
+    dict: (_tag_map, "an object of numbers (JSON text as a flag)"),
+}
+
+
+def _convert(command: str, p: Param, value, source: str):
+    if value is None and p.default is None:
+        return None
+    convert, kind = _TYPES[p.type]
+    try:
+        value = convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{command}: {p.name} must be {kind}, got {value!r} (from {source})") from None
+    if p.choices and value not in p.choices:
+        allowed = ", ".join(map(str, p.choices))
+        raise ConfigError(f"{command}: {p.name} must be one of {allowed}, got {value!r} (from {source})")
+    return value
+
+
+def _config_layers(path: str | None, command: str) -> list[dict]:
+    """The config file's top level, "common" and ``command`` sections, lowest precedence first."""
     if not path:
-        return {}
+        return []
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -82,35 +175,39 @@ def _load_config(path: str | None, command: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    section = cfg.get(command, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section '{command}' must be an object")
-    merged = {k: v for k, v in cfg.items() if not isinstance(v, dict) or k == "common"}
-    merged.pop("common", None)
-    merged.update(cfg.get("common", {}))
-    merged.update(section)
-    return merged
+    sections = {k: v for k, v in cfg.items() if k in COMMANDS or k == "common"}
+    top = {k: v for k, v in cfg.items() if k not in sections}
+    declared = {name: {p.name for p in cmd.params} for name, cmd in COMMANDS.items()}
+    anywhere = set().union(*declared.values())
+    for where, layer in [("the top level", top), *sections.items()]:
+        if not isinstance(layer, dict):
+            raise ConfigError(f"config section '{where}' must be an object")
+        unknown = sorted(set(layer) - declared.get(where, anywhere))
+        if unknown:
+            raise ConfigError(f"config file {path}: unknown key(s) {', '.join(unknown)} in {where}")
+    return [top, sections.get("common", {}), sections.get(command, {})]
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, command: str) -> dict:
-    """defaults <- config file section <- explicit CLI flags."""
-    cfg = _load_config(getattr(args, "config", None), command)
-    resolved = dict(defaults)
-    for key, value in cfg.items():
-        if key in resolved:
-            resolved[key] = value
-    for key in defaults:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-    return resolved
+def _resolve(args: argparse.Namespace) -> dict:
+    """default < config top level < config "common" < config command section < flag."""
+    command, table = args.command, COMMANDS[args.command].params
+    params = {p.name: p.default for p in table}
+    layers = [(layer, f"config file {args.config}") for layer in _config_layers(args.config, command)]
+    layers.append(({k: v for k, v in vars(args).items() if v is not None}, "the command line"))
+    for layer, source in layers:
+        for p in table:
+            if p.name in layer:
+                params[p.name] = _convert(command, p, layer[p.name], source)
+    missing = [p.flag for p in table if p.required and params[p.name] in (None, "")]
+    if missing:
+        raise ConfigError(f"{command}: {', '.join(missing)} {'is' if len(missing) == 1 else 'are'} required")
+    return params
 
 
 def _jobs(params: dict) -> int:
-    jobs = params.get("jobs")
+    jobs = params["jobs"]
     if jobs is None:
-        jobs = int(os.environ.get("CMBPIPE_JOBS", "1"))
-    jobs = int(jobs)
+        jobs = _convert("CMBPIPE_JOBS", JOBS, os.environ.get("CMBPIPE_JOBS", "1"), "the environment")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -169,48 +266,56 @@ def _det_to_json(scan_id: str, dets) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
-PHANTOM_DEFAULTS = {
-    "out": None,
-    "count": 5,
-    "dims": 64,
-    "spacing": 1.0,
-    "n_cmbs_min": 1,
-    "n_cmbs_max": 10,
-    "diameter_min": 2.0,
-    "diameter_max": 10.0,
-    "contrast_min": 0.5,
-    "contrast_max": 0.9,
-    "vessels": 0,
-    "calcifications": 0,
-    "base": 100.0,
-    "smooth_amplitude": 2.0,
-    "noise_sigma": 2.0,
-    "seed": 0,
-}
+# Parameters that several commands share.
+OUT = Param("out", str, required=True, help="output directory")
+MANIFEST = Param("manifest", str, required=True, help="scan manifest (JSON lines)")
+MASKS_DIR = Param("masks_dir", str, required=True, help="directory of <scan_id>.nii.gz binary masks")
+SEED = Param("seed", int, 0, help="random seed")
+JOBS = Param("jobs", int, help="worker threads (default: $CMBPIPE_JOBS, else 1)")
+CONNECTIVITY = Param("connectivity", int, 26, choices=(6, 26), help="3D voxel connectivity of components")
+MIN_SIZE = Param("min_size", float, detect.DEFAULT_MIN_VOLUME_MM3, help="smallest kept component in mm^3")
+DETECTIONS_A = Param("detections_a", str, required=True, help="detections.jsonl of group A")
+DETECTIONS_B = Param("detections_b", str, required=True, help="detections.jsonl of group B")
+ILLNESS = Param("illness_threshold", int, stats.DEFAULT_ILLNESS_THRESHOLD, help="CMBs per scan that count as ill")
 
 
-def cmd_phantom(args) -> int:
-    params = _resolve(args, PHANTOM_DEFAULTS, "phantom")
-    if not params["out"]:
-        raise ConfigError("phantom: --out is required")
+@_command(
+    "phantom",
+    "generate synthetic phantoms with ground truth",
+    OUT,
+    Param("count", int, 5, help="number of phantoms"),
+    Param("dims", int, 64, help="cube edge in voxels"),
+    Param("spacing", float, 1.0, help="isotropic voxel spacing in mm"),
+    Param("n_cmbs_min", int, 1, help="fewest CMBs per phantom"),
+    Param("n_cmbs_max", int, 10, help="most CMBs per phantom"),
+    Param("diameter_min", float, 2.0, help="smallest CMB diameter in mm"),
+    Param("diameter_max", float, 10.0, help="largest CMB diameter in mm"),
+    Param("contrast_min", float, 0.5, help="weakest CMB contrast"),
+    Param("contrast_max", float, 0.9, help="strongest CMB contrast"),
+    Param("vessels", int, 0, help="vessel mimics per phantom"),
+    Param("calcifications", int, 0, help="calcification mimics per phantom"),
+    Param("base", float, 100.0, help="background intensity"),
+    Param("smooth_amplitude", float, 2.0, help="amplitude of the smooth background field"),
+    Param("noise_sigma", float, 2.0, help="Gaussian noise sigma"),
+    SEED,
+)
+def cmd_phantom(params: dict) -> list[Path]:
     out = Path(params["out"])
-    (out / "volumes").mkdir(parents=True, exist_ok=True)
-    (out / "gt_masks").mkdir(parents=True, exist_ok=True)
     entries, outputs = [], []
-    for idx in range(int(params["count"])):
+    for idx in range(params["count"]):
         spec = phantom.random_phantom_spec(
-            seed=int(params["seed"]) + idx,
-            dims=(int(params["dims"]),) * 3,
-            spacing=float(params["spacing"]),
-            n_cmbs_range=(int(params["n_cmbs_min"]), int(params["n_cmbs_max"])),
-            diameter_range=(float(params["diameter_min"]), float(params["diameter_max"])),
-            contrast_range=(float(params["contrast_min"]), float(params["contrast_max"])),
-            n_vessels=int(params["vessels"]),
-            n_calcifications=int(params["calcifications"]),
+            seed=params["seed"] + idx,
+            dims=(params["dims"],) * 3,
+            spacing=params["spacing"],
+            n_cmbs_range=(params["n_cmbs_min"], params["n_cmbs_max"]),
+            diameter_range=(params["diameter_min"], params["diameter_max"]),
+            contrast_range=(params["contrast_min"], params["contrast_max"]),
+            n_vessels=params["vessels"],
+            n_calcifications=params["calcifications"],
             background=phantom.BackgroundSpec(
-                base=float(params["base"]),
-                smooth_amplitude=float(params["smooth_amplitude"]),
-                noise_sigma=float(params["noise_sigma"]),
+                base=params["base"],
+                smooth_amplitude=params["smooth_amplitude"],
+                noise_sigma=params["noise_sigma"],
             ),
         )
         scan_id = f"phantom-{idx:04d}"
@@ -222,78 +327,64 @@ def cmd_phantom(args) -> int:
     manifest_path = out / "manifest.jsonl"
     scanio.write_manifest(entries, manifest_path)
     outputs.append(manifest_path)
-    _write_run_record(out, "phantom", params, [], outputs)
     print(f"phantom: wrote {len(entries)} phantoms under {out}")
-    return EXIT_OK
+    return outputs
 
 
-MASK_SYNTH_DEFAULTS = {
-    "manifest": None,
-    "out": None,
-    "alpha_threshold": annotation.DEFAULT_ALPHA_THRESHOLD,
-    "alpha_by_tag": "{}",
-    "patch_halfwidth_mm": annotation.DEFAULT_PATCH_HALFWIDTH_MM,
-    "snap_radius_mm": annotation.SNAP_RADIUS_MM,
-    "shell_inner_mm": annotation.SHELL_INNER_MM,
-    "shell_outer_mm": annotation.SHELL_OUTER_MM,
-}
-
-
-def cmd_mask_synth(args) -> int:
-    params = _resolve(args, MASK_SYNTH_DEFAULTS, "mask-synth")
-    if not params["manifest"] or not params["out"]:
-        raise ConfigError("mask-synth: --manifest and --out are required")
-    by_tag = json.loads(params["alpha_by_tag"]) if isinstance(params["alpha_by_tag"], str) else params["alpha_by_tag"]
+@_command(
+    "mask-synth",
+    "synthesize volumetric masks from point annotations",
+    MANIFEST,
+    OUT,
+    Param("alpha_threshold", float, annotation.DEFAULT_ALPHA_THRESHOLD, help="partial-volume fraction cut"),
+    Param("alpha_by_tag", dict, {}, help='per-dataset alpha thresholds, e.g. \'{"DS2": 0.52}\''),
+    Param("patch_halfwidth_mm", float, annotation.DEFAULT_PATCH_HALFWIDTH_MM, help="half-width of the mask patch"),
+    Param("snap_radius_mm", float, annotation.SNAP_RADIUS_MM, help="search radius for the darkest voxel"),
+    Param("shell_inner_mm", float, annotation.SHELL_INNER_MM, help="inner radius of the background shell"),
+    Param("shell_outer_mm", float, annotation.SHELL_OUTER_MM, help="outer radius of the background shell"),
+)
+def cmd_mask_synth(params: dict) -> list[Path]:
     out = Path(params["out"])
-    (out / "synth_masks").mkdir(parents=True, exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
     outputs = []
     for entry in entries:
         vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))
-        threshold = float(by_tag.get(entry.dataset_tag, params["alpha_threshold"]))
-        annotations = [
-            annotation.CMBAnnotation(c, threshold, float(params["patch_halfwidth_mm"]))
-            for c in entry.cmb_centers
-        ]
+        threshold = params["alpha_by_tag"].get(entry.dataset_tag, params["alpha_threshold"])
+        annotations = [annotation.CMBAnnotation(c, threshold, params["patch_halfwidth_mm"]) for c in entry.cmb_centers]
         mask = annotation.synthesize_mask(
             vol,
             annotations,
-            snap_radius_mm=float(params["snap_radius_mm"]),
-            shell_inner_mm=float(params["shell_inner_mm"]),
-            shell_outer_mm=float(params["shell_outer_mm"]),
+            snap_radius_mm=params["snap_radius_mm"],
+            shell_inner_mm=params["shell_inner_mm"],
+            shell_outer_mm=params["shell_outer_mm"],
         )
         path = out / "synth_masks" / f"{entry.scan_id}.nii.gz"
         scanio.write_mask(mask, path)
         outputs.append(path)
-    _write_run_record(out, "mask-synth", params, [params["manifest"]], outputs)
     print(f"mask-synth: wrote {len(outputs)} masks under {out / 'synth_masks'}")
-    return EXIT_OK
+    return outputs
 
 
-AUGMENT_DEFAULTS = {
-    "manifest": None,
-    "out": None,
-    "masks_dir": None,
-    "spec": None,
-    "master_seed": None,
-    "jobs": None,
-}
-
-
-def cmd_augment(args) -> int:
-    params = _resolve(args, AUGMENT_DEFAULTS, "augment")
-    if not params["manifest"] or not params["out"] or not params["masks_dir"]:
-        raise ConfigError("augment: --manifest, --masks-dir and --out are required")
+@_command(
+    "augment",
+    "apply the MRI augmentation stack to volumes and masks",
+    MANIFEST,
+    OUT,
+    MASKS_DIR,
+    Param("spec", str, help="AugmentSpec JSON file (default: every transform at its default)"),
+    Param("master_seed", int, help="override the spec's master seed"),
+    JOBS,
+)
+def cmd_augment(params: dict) -> list[Path]:
     if params["spec"]:
         with open(params["spec"]) as fh:
             spec = augment.AugmentSpec.from_json(json.load(fh))
     else:
         spec = augment.AugmentSpec()
     if params["master_seed"] is not None:
-        spec = augment.AugmentSpec.from_json({**spec.to_json(), "master_seed": int(params["master_seed"])})
+        spec = augment.AugmentSpec.from_json({**spec.to_json(), "master_seed": params["master_seed"]})
     out = Path(params["out"])
-    for sub in ("aug_volumes", "aug_masks", "aug_params"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+    (out / "aug_params").mkdir(exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
     jobs = _jobs(params)
 
@@ -312,193 +403,140 @@ def cmd_augment(args) -> int:
             out / "aug_params" / f"{entry.scan_id}.json",
         ]
 
-    outputs = []
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for paths in pool.map(one, entries):
-                outputs += paths
-    else:
-        for entry in entries:
-            outputs += one(entry)
-    _write_run_record(out, "augment", {**params, "augment_spec": spec.to_json()}, [params["manifest"]], outputs)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # one job runs on this thread: on a lone worker thread, peak RSS rose about 18 % at 128^3
+        per_entry = pool.map(one, entries) if jobs > 1 else map(one, entries)
+        outputs = [path for paths in per_entry for path in paths]
+    params["augment_spec"] = spec.to_json()  # recorded with the parameters
     print(f"augment: processed {len(entries)} scans under {out}")
-    return EXIT_OK
+    return outputs
 
 
-SEGMENT_DEFAULTS = {
-    "manifest": None,
-    "out": None,
-    "segmenter": "reference",
-    "gt_dir": None,
-    "corruption_rate": 0.0,
-    "oracle_seed": 0,
-    "scale_min_mm": 1.0,
-    "scale_max_mm": 4.0,
-    "darkness_weight": None,
-    "symmetry_weight": None,
-    "logistic_gain": None,
-    "score_offset": None,
-    "prob_dir": None,
-    "lo_pct": 1.0,
-    "hi_pct": 99.0,
-    "gamma": 1.0,
-    "target_dims": 256,
-    "target_spacing": 1.0,
-    "jobs": None,
-}
-
-
-def _canonicalize(vol: volume.Volume3D, params: dict) -> volume.Volume3D:
-    if len(set(vol.dims)) == 1 and len(set(vol.spacing)) == 1:
-        return vol
-    return volume.resample_isotropic(
-        vol, float(params["target_spacing"]), (int(params["target_dims"]),) * 3
-    )
-
-
-def cmd_segment(args) -> int:
-    params = _resolve(args, SEGMENT_DEFAULTS, "segment")
-    if not params["manifest"] or not params["out"]:
-        raise ConfigError("segment: --manifest and --out are required")
+@_command(
+    "segment",
+    "per-view slice segmentation to probability volumes",
+    MANIFEST,
+    OUT,
+    Param("segmenter", str, "reference", choices=("oracle", "reference", "external"), help="slice segmenter"),
+    Param("gt_dir", str, help="oracle: directory of ground-truth masks"),
+    Param("corruption_rate", float, 0.0, help="oracle: share of pixels flipped"),
+    Param("oracle_seed", int, 0, help="oracle: corruption seed"),
+    Param("scale_min_mm", float, ReferenceConfig.scale_min_mm, help="reference: inner band-pass scale"),
+    Param("scale_max_mm", float, ReferenceConfig.scale_max_mm, help="reference: outer band-pass scale"),
+    Param("darkness_weight", float, ReferenceConfig.darkness_weight, help="reference: weight of the band-pass score"),
+    Param("symmetry_weight", float, ReferenceConfig.symmetry_weight, help="reference: weight of the radial symmetry"),
+    Param("logistic_gain", float, ReferenceConfig.logistic_gain, help="reference: logistic gain"),
+    Param("score_offset", float, ReferenceConfig.score_offset, help="reference: logistic offset"),
+    Param("prob_dir", str, help="external: directory of <scan_id>_<view>.nii.gz probabilities"),
+    Param("lo_pct", float, 0.0, help="reference: intensity percentile mapped to 0"),
+    Param("hi_pct", float, 100.0, help="reference: intensity percentile mapped to 1"),
+    Param("gamma", float, 1.0, help="reference: contrast gamma"),
+    Param("target_dims", int, 256, help="cube edge for resampling non-cubic volumes"),
+    Param("target_spacing", float, 1.0, help="spacing in mm for resampling non-cubic volumes"),
+    JOBS,
+)
+def cmd_segment(params: dict) -> list[Path]:
     kind = params["segmenter"]
+    needed = {"oracle": "gt_dir", "external": "prob_dir"}.get(kind)
+    if needed and not params[needed]:
+        raise ConfigError(f"segment: --{needed.replace('_', '-')} is required for the {kind} segmenter")
     out = Path(params["out"])
-    (out / "prob").mkdir(parents=True, exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
     jobs = _jobs(params)
-    ref_kwargs = {}
-    for key in ("darkness_weight", "symmetry_weight", "logistic_gain", "score_offset"):
-        if params[key] is not None:
-            ref_kwargs[key] = float(params[key])
-
     outputs = []
     for entry in entries:
-        vol = _canonicalize(scanio.read_volume(_entry_volume_path(entry, params["manifest"])), params)
+        vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))
+        if len(set(vol.dims)) > 1 or len(set(vol.spacing)) > 1:
+            vol = volume.resample_isotropic(vol, params["target_spacing"], (params["target_dims"],) * 3)
         if kind == "oracle":
-            if not params["gt_dir"]:
-                raise ConfigError("segment: --gt-dir is required for the oracle segmenter")
             gt = scanio.read_mask(Path(params["gt_dir"]) / f"{entry.scan_id}.nii.gz")
-            seg = OracleSegmenter(gt, float(params["corruption_rate"]), int(params["oracle_seed"]))
-            segmenters = {view: seg for view in VIEWS}
+            segmenters = dict.fromkeys(VIEWS, OracleSegmenter(gt, params["corruption_rate"], params["oracle_seed"]))
         elif kind == "reference":
-            vol = volume.normalize_intensity(vol, float(params["lo_pct"]), float(params["hi_pct"]))
-            if float(params["gamma"]) != 1.0:
-                vol = volume.adjust_contrast(vol, float(params["gamma"]))
-            cfg = ReferenceConfig(
-                scale_min_mm=float(params["scale_min_mm"]),
-                scale_max_mm=float(params["scale_max_mm"]),
-                pixel_spacing_mm=float(vol.spacing[0]),
-                **ref_kwargs,
-            )
-            seg = ReferenceSegmenter(cfg)
-            segmenters = {view: seg for view in VIEWS}
-        elif kind == "external":
-            if not params["prob_dir"]:
-                raise ConfigError("segment: --prob-dir is required for the external segmenter")
-            cfg = SegmenterConfig(
-                kind="external",
-                external=ExternalConfig(
-                    axial_path=str(Path(params["prob_dir"]) / f"{entry.scan_id}_axial.nii.gz"),
-                    sagittal_path=str(Path(params["prob_dir"]) / f"{entry.scan_id}_sagittal.nii.gz"),
-                    coronal_path=str(Path(params["prob_dir"]) / f"{entry.scan_id}_coronal.nii.gz"),
-                ),
-            )
-            segmenters = segmenters_from_config(cfg)
+            vol = volume.normalize_intensity(vol, params["lo_pct"], params["hi_pct"])
+            if params["gamma"] != 1.0:
+                vol = volume.adjust_contrast(vol, params["gamma"])
+            # the reference parameters are named after ReferenceConfig fields
+            tuned = {f.name: params[f.name] for f in fields(ReferenceConfig) if f.name in params}
+            cfg = ReferenceConfig(pixel_spacing_mm=float(vol.spacing[0]), **tuned)
+            segmenters = dict.fromkeys(VIEWS, ReferenceSegmenter(cfg))
         else:
-            raise ConfigError(f"segment: unknown segmenter kind '{kind}'")
+            prob_dir = Path(params["prob_dir"])
+            segmenters = {
+                view: ExternalSegmenter(scanio.read_probability(prob_dir / f"{entry.scan_id}_{view}.nii.gz"))
+                for view in VIEWS
+            }
         probs = triplanar.segment_volume(vol, segmenters, jobs=jobs)
         for view in VIEWS:
             path = out / "prob" / f"{entry.scan_id}_{view}.nii.gz"
             scanio.write_probability(probs[view], path)
             outputs.append(path)
-    _write_run_record(out, "segment", params, [params["manifest"]], outputs)
     print(f"segment: wrote {len(outputs)} probability volumes under {out / 'prob'}")
-    return EXIT_OK
+    return outputs
 
 
-FUSE_DEFAULTS = {
-    "manifest": None,
-    "prob_dir": None,
-    "out": None,
-    "tau": 0.125,
-}
-
-
-def cmd_fuse(args) -> int:
-    params = _resolve(args, FUSE_DEFAULTS, "fuse")
-    if not params["manifest"] or not params["prob_dir"] or not params["out"]:
-        raise ConfigError("fuse: --manifest, --prob-dir and --out are required")
+@_command(
+    "fuse",
+    "multiply per-view probabilities and binarize",
+    MANIFEST,
+    OUT,
+    Param("prob_dir", str, required=True, help="directory of <scan_id>_<view>.nii.gz probabilities"),
+    Param("tau", float, 0.125, help="threshold on the fused probability (0.125 = 0.5^3)"),
+)
+def cmd_fuse(params: dict) -> list[Path]:
     out = Path(params["out"])
-    (out / "fused").mkdir(parents=True, exist_ok=True)
-    (out / "pred_masks").mkdir(parents=True, exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
     outputs = []
     for entry in entries:
-        probs = {
-            view: scanio.read_probability(Path(params["prob_dir"]) / f"{entry.scan_id}_{view}.nii.gz")
-            for view in VIEWS
-        }
-        fused = triplanar.fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
-        mask = triplanar.binarize_fused(fused, float(params["tau"]))
+        prob_paths = [Path(params["prob_dir"]) / f"{entry.scan_id}_{view}.nii.gz" for view in VIEWS]
+        fused = triplanar.fuse_views(*map(scanio.read_probability, prob_paths))
+        mask = triplanar.binarize_fused(fused, params["tau"])
         fused_path = out / "fused" / f"{entry.scan_id}.nii.gz"
         mask_path = out / "pred_masks" / f"{entry.scan_id}.nii.gz"
         scanio.write_probability(fused, fused_path)
         scanio.write_mask(mask, mask_path)
         outputs += [fused_path, mask_path]
-    _write_run_record(out, "fuse", params, [params["manifest"]], outputs)
     print(f"fuse: wrote fused volumes and masks for {len(entries)} scans under {out}")
-    return EXIT_OK
+    return outputs
 
 
-DETECT_DEFAULTS = {
-    "manifest": None,
-    "masks_dir": None,
-    "out": None,
-    "connectivity": 26,
-    "min_size": 0.0,
-}
-
-
-def cmd_detect(args) -> int:
-    params = _resolve(args, DETECT_DEFAULTS, "detect")
-    if not params["manifest"] or not params["masks_dir"] or not params["out"]:
-        raise ConfigError("detect: --manifest, --masks-dir and --out are required")
+@_command(
+    "detect",
+    "connected components + size filter over binary masks",
+    MANIFEST,
+    MASKS_DIR,
+    OUT,
+    CONNECTIVITY,
+    MIN_SIZE,
+)
+def cmd_detect(params: dict) -> list[Path]:
     out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
     det_path = out / "detections.jsonl"
     with open(det_path, "w") as fh:
         for entry in entries:
             mask = scanio.read_mask(Path(params["masks_dir"]) / f"{entry.scan_id}.nii.gz")
-            dets = detect.connected_components(mask, int(params["connectivity"]))
-            dets = detect.filter_by_size(dets, float(params["min_size"]))
+            dets = detect.connected_components(mask, params["connectivity"])
+            dets = detect.filter_by_size(dets, params["min_size"])
             fh.write(json.dumps(_det_to_json(entry.scan_id, dets), sort_keys=True) + "\n")
-    _write_run_record(out, "detect", params, [params["manifest"]], [det_path])
     print(f"detect: wrote detections for {len(entries)} scans to {det_path}")
-    return EXIT_OK
+    return [det_path]
 
 
-EVAL_DEFAULTS = {
-    "manifest": None,
-    "pred_dir": None,
-    "gt_dir": None,
-    "out": None,
-    "connectivity": 26,
-    "min_size": 0.0,
-    "match_dist": detect.DEFAULT_MATCH_DISTANCE_MM,
-}
-
-
-def cmd_eval(args) -> int:
-    params = _resolve(args, EVAL_DEFAULTS, "eval")
-    for key in ("manifest", "pred_dir", "gt_dir", "out"):
-        if not params[key]:
-            raise ConfigError(f"eval: --{key.replace('_', '-')} is required")
+@_command(
+    "eval",
+    "per-scan and per-dataset detection metrics",
+    MANIFEST,
+    Param("pred_dir", str, required=True, help="directory of predicted <scan_id>.nii.gz masks"),
+    Param("gt_dir", str, required=True, help="directory of ground-truth <scan_id>.nii.gz masks"),
+    OUT,
+    CONNECTIVITY,
+    MIN_SIZE,
+    Param("match_dist", float, detect.DEFAULT_MATCH_DISTANCE_MM, help="largest centroid distance of a match in mm"),
+)
+def cmd_eval(params: dict) -> list[Path]:
     out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
-    per_scan, tags = [], []
+    per_scan = []
     with open(out / "per_scan_metrics.jsonl", "w") as fh:
         for entry in entries:
             pred = scanio.read_mask(Path(params["pred_dir"]) / f"{entry.scan_id}.nii.gz")
@@ -506,73 +544,46 @@ def cmd_eval(args) -> int:
             metrics, _, _ = detect.evaluate_scan(
                 pred,
                 gt,
-                connectivity=int(params["connectivity"]),
-                min_volume_mm3=float(params["min_size"]),
-                max_dist_mm=float(params["match_dist"]),
+                connectivity=params["connectivity"],
+                min_volume_mm3=params["min_size"],
+                max_dist_mm=params["match_dist"],
             )
             per_scan.append(metrics)
-            tags.append(entry.dataset_tag)
-            fh.write(
-                json.dumps(
-                    {
-                        "scan_id": entry.scan_id,
-                        "dataset": entry.dataset_tag,
-                        "tp": metrics.tp,
-                        "fp": metrics.fp,
-                        "fn": metrics.fn,
-                        "dsc": metrics.dsc,
-                        "sensitivity": metrics.sensitivity,
-                        "precision": metrics.precision,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    rows = detect.aggregate_metrics(per_scan, tags)
+            row = {k: getattr(metrics, k) for k in ("tp", "fp", "fn", "dsc", "sensitivity", "precision")}
+            row.update(scan_id=entry.scan_id, dataset=entry.dataset_tag)
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    rows = detect.aggregate_metrics(per_scan, [e.dataset_tag for e in entries])
     table = detect.format_metrics_table(rows)
     (out / "metrics_table.txt").write_text(table + "\n")
     with open(out / "metrics_rows.jsonl", "w") as fh:
         for row in rows:
             fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
     print(table)
-    _write_run_record(
-        out,
-        "eval",
-        params,
-        [params["manifest"]],
-        [out / "per_scan_metrics.jsonl", out / "metrics_table.txt", out / "metrics_rows.jsonl"],
-    )
-    return EXIT_OK
+    return [out / "per_scan_metrics.jsonl", out / "metrics_table.txt", out / "metrics_rows.jsonl"]
 
 
-COMPARE_DEFAULTS = {
-    "detections_a": None,
-    "detections_b": None,
-    "out": None,
-    "size_filter": stats.DEFAULT_SIZE_FILTER_MM3,
-    "illness_threshold": stats.DEFAULT_ILLNESS_THRESHOLD,
-    "alternative": "two_sided",
-    "zero_method": "drop",
-}
-
-
-def cmd_compare_groups(args) -> int:
-    params = _resolve(args, COMPARE_DEFAULTS, "compare-groups")
-    for key in ("detections_a", "detections_b", "out"):
-        if not params[key]:
-            raise ConfigError(f"compare-groups: --{key.replace('_', '-')} is required")
-    group_a = _read_detections_file(params["detections_a"])
-    group_b = _read_detections_file(params["detections_b"])
+@_command(
+    "compare-groups",
+    "Wilcoxon + Fisher group analysis of detection counts",
+    DETECTIONS_A,
+    DETECTIONS_B,
+    OUT,
+    Param("size_filter", float, stats.DEFAULT_SIZE_FILTER_MM3, help="count only CMBs of at least this volume in mm^3"),
+    ILLNESS,
+    Param("alternative", str, "two_sided", choices=stats.ALTERNATIVES, help="alternative hypothesis"),
+    Param("zero_method", str, "drop", choices=stats.ZERO_METHODS, help="Wilcoxon handling of zero differences"),
+)
+def cmd_compare_groups(params: dict) -> list[Path]:
+    group_a, group_b = (_read_detections_file(params[k]) for k in ("detections_a", "detections_b"))
     comparison = stats.compare_groups(
         group_a,
         group_b,
-        size_filter_mm3=float(params["size_filter"]),
-        illness_threshold=int(params["illness_threshold"]),
+        size_filter_mm3=params["size_filter"],
+        illness_threshold=params["illness_threshold"],
         alternative=params["alternative"],
         zero_method=params["zero_method"],
     )
     out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "group_comparison.json", "w") as fh:
         json.dump(comparison.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -583,220 +594,89 @@ def cmd_compare_groups(args) -> int:
         f"contingency (>= {comparison.illness_threshold}): {comparison.contingency.rows()}\n"
         f"Fisher exact p = {comparison.fisher_p:.6f}"
     )
-    _write_run_record(
-        out,
-        "compare-groups",
-        params,
-        [params["detections_a"], params["detections_b"]],
-        [out / "group_comparison.json"],
-    )
-    return EXIT_OK
+    return [out / "group_comparison.json"]
 
 
-SWEEP_DEFAULTS = {
-    "detections_a": None,
-    "detections_b": None,
-    "out": None,
-    "thresholds": "0,1,2,3,4.2,5,7,10,15,20",
-    "illness_threshold": stats.DEFAULT_ILLNESS_THRESHOLD,
-}
-
-
-def cmd_sweep(args) -> int:
-    params = _resolve(args, SWEEP_DEFAULTS, "sweep")
-    for key in ("detections_a", "detections_b", "out"):
-        if not params[key]:
-            raise ConfigError(f"sweep: --{key.replace('_', '-')} is required")
-    if isinstance(params["thresholds"], str):
-        thresholds = [float(t) for t in params["thresholds"].split(",") if t.strip()]
-    else:
-        thresholds = [float(t) for t in params["thresholds"]]
-    group_a = _read_detections_file(params["detections_a"])
-    group_b = _read_detections_file(params["detections_b"])
-    rows = stats.size_sweep(group_a, group_b, thresholds, int(params["illness_threshold"]))
+@_command(
+    "sweep",
+    "group comparison across size-filter thresholds",
+    DETECTIONS_A,
+    DETECTIONS_B,
+    OUT,
+    Param("thresholds", list, [0.0, 1.0, 2.0, 3.0, 4.2, 5.0, 7.0, 10.0, 15.0, 20.0], help="mm^3 thresholds, ascending"),
+    ILLNESS,
+)
+def cmd_sweep(params: dict) -> list[Path]:
+    group_a, group_b = (_read_detections_file(params[k]) for k in ("detections_a", "detections_b"))
+    rows = stats.size_sweep(group_a, group_b, params["thresholds"], params["illness_threshold"])
     out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
     table = stats.format_sweep_table(rows)
     (out / "size_sweep.txt").write_text(table + "\n")
     with open(out / "size_sweep.jsonl", "w") as fh:
         for row in rows:
             fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
     print(table)
-    _write_run_record(
-        out,
-        "sweep",
-        params,
-        [params["detections_a"], params["detections_b"]],
-        [out / "size_sweep.txt", out / "size_sweep.jsonl"],
-    )
-    return EXIT_OK
+    return [out / "size_sweep.txt", out / "size_sweep.jsonl"]
 
 
-PARTITION_DEFAULTS = {
-    "manifest": None,
-    "out": None,
-    "seed": 0,
-    "fractions": "0.7,0.1,0.2",
-}
-
-
-def cmd_partition(args) -> int:
-    params = _resolve(args, PARTITION_DEFAULTS, "partition")
-    if not params["manifest"] or not params["out"]:
-        raise ConfigError("partition: --manifest and --out are required")
+@_command(
+    "partition",
+    "subject-level train/validation/test split",
+    MANIFEST,
+    OUT,
+    SEED,
+    Param("fractions", list, [0.7, 0.1, 0.2], help="train, validation and test fractions summing to 1"),
+)
+def cmd_partition(params: dict) -> list[Path]:
     entries = scanio.read_manifest(params["manifest"])
-    if isinstance(params["fractions"], str):
-        fractions = tuple(float(f) for f in params["fractions"].split(","))
-    else:
-        fractions = tuple(float(f) for f in params["fractions"])
     subjects = sorted({e.subject_id for e in entries})
-    train, val, test = annotation.partition_subjects(subjects, int(params["seed"]), fractions)
+    train, val, test = annotation.partition_subjects(subjects, params["seed"], params["fractions"])
     out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for name, split in (("train", train), ("validation", val), ("test", test)):
         ids_path = out / f"{name}_subjects.txt"
         ids_path.write_text("".join(s + "\n" for s in sorted(split)))
         scanio.write_manifest([e for e in entries if e.subject_id in split], out / f"{name}_manifest.jsonl")
         outputs += [ids_path, out / f"{name}_manifest.jsonl"]
-    _write_run_record(out, "partition", params, [params["manifest"]], outputs)
     print(
         f"partition: {len(train)} train / {len(val)} validation / {len(test)} test subjects "
         f"({len(entries)} scans) under {out}"
     )
-    return EXIT_OK
+    return outputs
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON run-config file; flags override its values")
-    sub.add_argument("--out", help="output directory")
-
-
 def build_parser() -> _Parser:
+    """Flags come from the command tables; their text is converted and checked by ``_resolve``."""
     parser = _Parser(prog="cmbpipe", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("phantom", help="generate synthetic phantoms with ground truth")
-    _add_common(p)
-    for flag in ("count", "dims", "vessels", "calcifications", "seed", "n-cmbs-min", "n-cmbs-max"):
-        p.add_argument(f"--{flag}", type=int, dest=flag.replace("-", "_"))
-    for flag in (
-        "spacing",
-        "diameter-min",
-        "diameter-max",
-        "contrast-min",
-        "contrast-max",
-        "base",
-        "smooth-amplitude",
-        "noise-sigma",
-    ):
-        p.add_argument(f"--{flag}", type=float, dest=flag.replace("-", "_"))
-    p.set_defaults(func=cmd_phantom)
-
-    p = subs.add_parser("mask-synth", help="synthesize volumetric masks from point annotations")
-    _add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--alpha-threshold", type=float, dest="alpha_threshold")
-    p.add_argument("--alpha-by-tag", dest="alpha_by_tag", help='JSON map tag -> threshold, e.g. \'{"DS2": 0.52}\'')
-    p.add_argument("--patch-halfwidth-mm", type=float, dest="patch_halfwidth_mm")
-    p.add_argument("--snap-radius-mm", type=float, dest="snap_radius_mm")
-    p.add_argument("--shell-inner-mm", type=float, dest="shell_inner_mm")
-    p.add_argument("--shell-outer-mm", type=float, dest="shell_outer_mm")
-    p.set_defaults(func=cmd_mask_synth)
-
-    p = subs.add_parser("augment", help="apply the MRI augmentation stack to volumes and masks")
-    _add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--masks-dir", dest="masks_dir")
-    p.add_argument("--spec", help="AugmentSpec JSON file")
-    p.add_argument("--master-seed", type=int, dest="master_seed")
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=cmd_augment)
-
-    p = subs.add_parser("segment", help="per-view slice segmentation to probability volumes")
-    _add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--segmenter", choices=("oracle", "reference", "external"))
-    p.add_argument("--gt-dir", dest="gt_dir")
-    p.add_argument("--corruption-rate", type=float, dest="corruption_rate")
-    p.add_argument("--oracle-seed", type=int, dest="oracle_seed")
-    p.add_argument("--scale-min-mm", type=float, dest="scale_min_mm")
-    p.add_argument("--scale-max-mm", type=float, dest="scale_max_mm")
-    p.add_argument("--darkness-weight", type=float, dest="darkness_weight")
-    p.add_argument("--symmetry-weight", type=float, dest="symmetry_weight")
-    p.add_argument("--logistic-gain", type=float, dest="logistic_gain")
-    p.add_argument("--score-offset", type=float, dest="score_offset")
-    p.add_argument("--prob-dir", dest="prob_dir")
-    p.add_argument("--lo-pct", type=float, dest="lo_pct")
-    p.add_argument("--hi-pct", type=float, dest="hi_pct")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--target-dims", type=int, dest="target_dims")
-    p.add_argument("--target-spacing", type=float, dest="target_spacing")
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=cmd_segment)
-
-    p = subs.add_parser("fuse", help="multiply per-view probabilities and binarize")
-    _add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--prob-dir", dest="prob_dir")
-    p.add_argument("--tau", type=float)
-    p.set_defaults(func=cmd_fuse)
-
-    p = subs.add_parser("detect", help="connected components + size filter over binary masks")
-    _add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--masks-dir", dest="masks_dir")
-    p.add_argument("--connectivity", type=int, choices=(6, 26))
-    p.add_argument("--min-size", type=float, dest="min_size")
-    p.set_defaults(func=cmd_detect)
-
-    p = subs.add_parser("eval", help="per-scan and per-dataset detection metrics")
-    _add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--pred-dir", dest="pred_dir")
-    p.add_argument("--gt-dir", dest="gt_dir")
-    p.add_argument("--connectivity", type=int, choices=(6, 26))
-    p.add_argument("--min-size", type=float, dest="min_size")
-    p.add_argument("--match-dist", type=float, dest="match_dist")
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("compare-groups", help="Wilcoxon + Fisher group analysis of detection counts")
-    _add_common(p)
-    p.add_argument("--detections-a", dest="detections_a")
-    p.add_argument("--detections-b", dest="detections_b")
-    p.add_argument("--size-filter", type=float, dest="size_filter")
-    p.add_argument("--illness-threshold", type=int, dest="illness_threshold")
-    p.add_argument("--alternative", choices=stats.ALTERNATIVES)
-    p.add_argument("--zero-method", choices=("drop", "pratt"), dest="zero_method")
-    p.set_defaults(func=cmd_compare_groups)
-
-    p = subs.add_parser("sweep", help="group comparison across size-filter thresholds")
-    _add_common(p)
-    p.add_argument("--detections-a", dest="detections_a")
-    p.add_argument("--detections-b", dest="detections_b")
-    p.add_argument("--thresholds", help="comma-separated mm^3 thresholds, ascending")
-    p.add_argument("--illness-threshold", type=int, dest="illness_threshold")
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("partition", help="subject-level train/validation/test split")
-    _add_common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fractions", help="comma-separated fractions summing to 1, e.g. 0.7,0.1,0.2")
-    p.set_defaults(func=cmd_partition)
-
+    for name, cmd in COMMANDS.items():
+        sub = subs.add_parser(name, help=cmd.help, description=cmd.help)
+        sub.add_argument("--config", help="JSON run-config file; flags override its values")
+        for p in cmd.params:
+            note = "required" if p.required else None if p.default is None else f"default: {p.default}"
+            sub.add_argument(
+                p.flag,
+                dest=p.name,
+                metavar="{" + ",".join(map(str, p.choices)) + "}" if p.choices else None,
+                help=f"{p.help} ({note})" if note else p.help,
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        params = _resolve(args)
+        out = Path(params["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = COMMANDS[args.command].run(params)
+        inputs = [params[k] for k in _INPUT_FILES if k in params]
+        _write_run_record(out, args.command, params, inputs, outputs)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

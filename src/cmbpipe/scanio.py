@@ -184,21 +184,24 @@ def _read_nifti(path: str | Path) -> Volume3D:
     return Volume3D(arr, spacing, origin)
 
 
+def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
+    """Intensities cast to ``datatype``; integer types round and refuse to wrap."""
+    dt = DTYPES[DTYPE_CODES[datatype]]
+    if dt is np.float32:
+        return v.intensities.astype(np.float32)
+    rounded = np.rint(v.intensities)
+    info = np.iinfo(dt)
+    lo, hi = rounded.min(), rounded.max()
+    if lo < info.min or hi > info.max:
+        raise QuantizationOverflowError(
+            f"{path}: values [{lo}, {hi}] do not fit {datatype} range [{info.min}, {info.max}]"
+        )
+    return rounded.astype(dt)
+
+
 def _write_nifti(v: Volume3D, path: str | Path, datatype: str) -> None:
     code = DTYPE_CODES[datatype]
-    dt = DTYPES[code]
-    arr = v.intensities
-    if datatype in ("uint8", "int16"):
-        rounded = np.rint(arr)
-        info = np.iinfo(dt)
-        lo, hi = rounded.min(), rounded.max()
-        if lo < info.min or hi > info.max:
-            raise QuantizationOverflowError(
-                f"{path}: values [{lo}, {hi}] do not fit {datatype} range [{info.min}, {info.max}]"
-            )
-        cast = rounded.astype(dt)
-    else:
-        cast = arr.astype(np.float32)
+    cast = _quantize(v, path, datatype)
 
     header = bytearray(HEADER_SIZE)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
@@ -264,16 +267,7 @@ def _read_raw(path: str | Path) -> Volume3D:
 
 
 def _write_raw(v: Volume3D, path: str | Path, datatype: str) -> None:
-    dt = DTYPES[DTYPE_CODES[datatype]]
-    arr = v.intensities
-    if datatype in ("uint8", "int16"):
-        rounded = np.rint(arr)
-        info = np.iinfo(dt)
-        if rounded.min() < info.min or rounded.max() > info.max:
-            raise QuantizationOverflowError(f"{path}: values do not fit {datatype}")
-        cast = rounded.astype(dt)
-    else:
-        cast = arr.astype(np.float32)
+    cast = _quantize(v, path, datatype)
     header = "\n".join(
         [
             "dims: " + " ".join(str(d) for d in v.dims),
@@ -284,7 +278,7 @@ def _write_raw(v: Volume3D, path: str | Path, datatype: str) -> None:
         ]
     )
     _raw_header_path(path).write_text(header + "\n")
-    Path(path).write_bytes(cast.astype(np.dtype(dt).newbyteorder("<")).tobytes())
+    Path(path).write_bytes(cast.astype(cast.dtype.newbyteorder("<")).tobytes())
 
 
 # ---------------------------------------------------------------------------

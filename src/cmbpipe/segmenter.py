@@ -11,14 +11,14 @@ trained models can be evaluated through the same pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, GeometryMismatchError, RejectedInputError
 from .rng import derive_rng
-from .triplanar import VIEWS, ThickSlice
+from .triplanar import ThickSlice
 from .volume import LabelMask, ProbabilityVolume
 
 # Gain and offset tuned on a held-out phantom batch (dark discs, CNR >= 5):
@@ -30,17 +30,6 @@ DEFAULT_SCORE_OFFSET = 0.05
 DEFAULT_DARKNESS_WEIGHT = 1.0
 DEFAULT_SYMMETRY_WEIGHT = 1.0
 SYMMETRY_RADII_MM = (1.0, 2.0, 3.0, 4.0, 5.0)
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    mask_path: str = ""
-    corruption_rate: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.corruption_rate < 1.0):
-            raise ConfigError(f"corruption_rate must be in [0, 1), got {self.corruption_rate}")
 
 
 @dataclass(frozen=True)
@@ -62,28 +51,6 @@ class ReferenceConfig:
             raise ConfigError("score_offset must be non-negative")
         if self.pixel_spacing_mm <= 0:
             raise ConfigError("pixel_spacing_mm must be positive")
-
-
-@dataclass(frozen=True)
-class ExternalConfig:
-    axial_path: str = ""
-    sagittal_path: str = ""
-    coronal_path: str = ""
-
-    def path_for(self, view: str) -> str:
-        return {"axial": self.axial_path, "sagittal": self.sagittal_path, "coronal": self.coronal_path}[view]
-
-
-@dataclass(frozen=True)
-class SegmenterConfig:
-    kind: str = "reference"
-    oracle: OracleConfig = field(default_factory=OracleConfig)
-    reference: ReferenceConfig = field(default_factory=ReferenceConfig)
-    external: ExternalConfig = field(default_factory=ExternalConfig)
-
-    def __post_init__(self):
-        if self.kind not in ("oracle", "reference", "external"):
-            raise ConfigError(f"segmenter kind must be oracle/reference/external, got '{self.kind}'")
 
 
 class OracleSegmenter:
@@ -184,29 +151,3 @@ class ExternalSegmenter:
         sel: list = [slice(None)] * 3
         sel[thick_slice.axis] = thick_slice.index
         return self.prob.values[tuple(sel)]
-
-
-def segmenters_from_config(cfg: SegmenterConfig) -> dict:
-    """Build the per-view segmenter handles a pipeline run carries.
-
-    Oracle and reference kinds share one instance across views; the
-    external kind loads one stored probability volume per view.
-    """
-    from . import scanio
-
-    if cfg.kind == "oracle":
-        if not cfg.oracle.mask_path:
-            raise ConfigError("oracle segmenter needs oracle.mask_path")
-        gt = scanio.read_mask(cfg.oracle.mask_path)
-        seg = OracleSegmenter(gt, cfg.oracle.corruption_rate, cfg.oracle.seed)
-        return {view: seg for view in VIEWS}
-    if cfg.kind == "reference":
-        seg = ReferenceSegmenter(cfg.reference)
-        return {view: seg for view in VIEWS}
-    out = {}
-    for view in VIEWS:
-        path = cfg.external.path_for(view)
-        if not path:
-            raise ConfigError(f"external segmenter needs a probability path for the {view} view")
-        out[view] = ExternalSegmenter(scanio.read_probability(path))
-    return out

@@ -27,6 +27,7 @@ from .errors import (
 )
 
 ALTERNATIVES = ("two_sided", "greater", "less")
+ZERO_METHODS = ("drop", "pratt")
 DEFAULT_SIZE_FILTER_MM3 = 4.2
 DEFAULT_ILLNESS_THRESHOLD = 5  # scans with >= 5 CMBs count as diseased
 EXACT_WILCOXON_MAX_N = 20
@@ -100,7 +101,7 @@ def wilcoxon_signed_rank(
     falls back to the tie- and continuity-corrected normal approximation.
     """
     _check_alternative(alternative)
-    if zero_method not in ("drop", "pratt"):
+    if zero_method not in ZERO_METHODS:
         raise ConfigError(f"zero_method must be 'drop' or 'pratt', got '{zero_method}'")
     diffs = np.asarray([float(a) - float(b) for a, b in pairs])
     if len(diffs) == 0:
@@ -244,6 +245,13 @@ def count_filtered(detections_per_scan, size_filter_mm3: float) -> list[int]:
     return [len(filter_by_size(dets, size_filter_mm3)) for dets in detections_per_scan]
 
 
+def _illness_table(counts_a, counts_b, illness_threshold: int) -> Contingency2x2:
+    """Scans per group with >= / < ``illness_threshold`` CMBs."""
+    a_ge = sum(1 for c in counts_a if c >= illness_threshold)
+    b_ge = sum(1 for c in counts_b if c >= illness_threshold)
+    return Contingency2x2(a_ge, len(counts_a) - a_ge, b_ge, len(counts_b) - b_ge)
+
+
 def compare_groups(
     group_a,
     group_b,
@@ -279,9 +287,7 @@ def compare_groups(
             note = f"degenerate Wilcoxon: {exc}"
             warnings.warn(note, PairingMismatchWarning, stacklevel=2)
 
-    a_ge = sum(1 for c in counts_a if c >= illness_threshold)
-    b_ge = sum(1 for c in counts_b if c >= illness_threshold)
-    table = Contingency2x2(a_ge, len(counts_a) - a_ge, b_ge, len(counts_b) - b_ge)
+    table = _illness_table(counts_a, counts_b, illness_threshold)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateContingencyWarning)
         fisher_p = fisher_exact_2x2(table, alternative=alternative)
@@ -332,9 +338,7 @@ def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_IL
     for t in thresholds:
         counts_a = count_filtered(group_a, t)
         counts_b = count_filtered(group_b, t)
-        a_ge = sum(1 for c in counts_a if c >= illness_threshold)
-        b_ge = sum(1 for c in counts_b if c >= illness_threshold)
-        table = Contingency2x2(a_ge, len(counts_a) - a_ge, b_ge, len(counts_b) - b_ge)
+        table = _illness_table(counts_a, counts_b, illness_threshold)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateContingencyWarning)
             p = fisher_exact_2x2(table)
@@ -343,8 +347,8 @@ def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_IL
                 threshold_mm3=t,
                 mean_count_a=float(np.mean(counts_a)),
                 mean_count_b=float(np.mean(counts_b)),
-                n_ge_a=a_ge,
-                n_ge_b=b_ge,
+                n_ge_a=table.a,
+                n_ge_b=table.c,
                 fisher_p=p,
             )
         )

@@ -1,9 +1,16 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from cmbpipe.cli import main
-from cmbpipe.scanio import read_manifest, read_mask, read_volume
+from cmbpipe.cli import COMMANDS, _resolve, build_parser, main
+from cmbpipe.scanio import read_manifest, read_mask, read_volume, write_mask
+from cmbpipe.volume import LabelMask
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -182,6 +189,53 @@ class TestPipelineCommands:
         assert rows[0]["mean_count_b"] >= rows[-1]["mean_count_b"]
 
 
+def all_row(eval_dir):
+    rows = [json.loads(line) for line in (eval_dir / "metrics_rows.jsonl").read_text().splitlines()]
+    return [r for r in rows if r["dataset"] == "All"][0]
+
+
+class TestDefaults:
+    def test_default_segment_run(self, tmp_path):
+        """phantom -> segment -> fuse -> eval with no segmenter, window or size flags."""
+        data, work = tmp_path / "data", tmp_path / "work"
+        manifest = data / "manifest.jsonl"
+        assert run("phantom", "--out", data, "--count", 2, "--dims", 96, "--seed", 7) == 0
+        assert run("segment", "--manifest", manifest, "--out", work) == 0
+        assert run("fuse", "--manifest", manifest, "--prob-dir", work / "prob", "--out", work) == 0
+        assert run(
+            "eval", "--manifest", manifest, "--pred-dir", work / "pred_masks", "--gt-dir", data / "gt_masks",
+            "--out", work / "eval",
+        ) == 0
+        row = all_row(work / "eval")
+        assert row["fp_per_scan"] <= 2.0
+        assert row["precision"] >= 0.5
+
+    def test_eval_min_size_default_is_clinical(self, tmp_path):
+        """A 1 mm^3 speck is filtered by default, as with --min-size 4.2."""
+        data = make_phantom_data(tmp_path, count=1, dims=32)
+        gt = read_mask(data / "gt_masks" / "phantom-0000.nii.gz")
+        labels = gt.labels.copy()
+        assert not labels[0:3, 0:3, 0:3].any()
+        labels[1, 1, 1] = 1
+        write_mask(LabelMask(labels, gt.spacing, gt.origin), tmp_path / "pred" / "phantom-0000.nii.gz")
+        per_scan = []
+        for extra in ((), ("--min-size", 4.2)):
+            out = tmp_path / f"eval{len(extra)}"
+            assert run(
+                "eval", "--manifest", data / "manifest.jsonl", "--pred-dir", tmp_path / "pred",
+                "--gt-dir", data / "gt_masks", "--out", out, *extra,
+            ) == 0
+            per_scan.append((out / "per_scan_metrics.jsonl").read_text())
+        assert per_scan[0] == per_scan[1]
+        assert json.loads(per_scan[0])["fp"] == 0
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestConfigAndErrors:
     def test_usage_error_exit_1(self, capsys):
         assert run("segment") == 1  # missing required params
@@ -235,3 +289,76 @@ class TestConfigAndErrors:
         assert rec["params"]["count"] == 1
         assert any("manifest.jsonl" in k for k in rec["outputs"])
         assert all(len(v) == 64 for v in rec["outputs"].values())
+
+    def test_config_precedence(self, tmp_path):
+        """default < top level < common < command section < flag; other commands' keys may be shared."""
+        cfg = {
+            "count": 2, "dims": 12, "seed": 1, "tau": 0.5,
+            "common": {"dims": 14, "seed": 2, "min_size": 1.0},
+            "phantom": {"dims": 16},
+        }
+        out = tmp_path / "out"
+        assert run("phantom", "--config", write_config(tmp_path, cfg), "--out", out, "--seed", 3) == 0
+        params = json.loads((out / "run_record_phantom.json").read_text())["params"]
+        assert (params["count"], params["dims"], params["seed"], params["spacing"]) == (2, 16, 3, 1.0)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"phantom": {"cuont": 1}}, {"common": {"cuont": 1}}, {"cuont": 1}, {"phantm": {"count": 1}}],
+        ids=["own-section", "common", "top-level", "section-name"],
+    )
+    def test_unknown_config_key_exit_1(self, tmp_path, cfg):
+        out = tmp_path / "out"
+        assert run("phantom", "--config", write_config(tmp_path, cfg), "--out", out, "--dims", 12, "--count", 1) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", [{"count": "three"}, {"count": 2.5}, {"count": True}, {"spacing": [1.0]}])
+    def test_ill_typed_config_value_exit_1(self, tmp_path, section):
+        cfg = write_config(tmp_path, {"phantom": {"dims": 12, **section}})
+        assert run("phantom", "--config", cfg, "--out", tmp_path / "out") == 1
+
+    def test_bad_jobs_environment_exit_1(self, tmp_path, monkeypatch):
+        data = make_phantom_data(tmp_path, count=1, dims=16)
+        monkeypatch.setenv("CMBPIPE_JOBS", "x")
+        assert run(
+            "segment", "--manifest", data / "manifest.jsonl", "--out", tmp_path / "out",
+            "--segmenter", "oracle", "--gt-dir", data / "gt_masks",
+        ) == 1
+
+    @pytest.mark.parametrize(
+        "command, key, value, inputs",
+        [
+            ("segment", "segmenter", "magic", ("--manifest",)),
+            ("detect", "connectivity", 8, ("--manifest", "--masks-dir")),
+            ("compare-groups", "alternative", "sideways", ("--detections-a", "--detections-b")),
+            ("compare-groups", "zero_method", "wilcox", ("--detections-a", "--detections-b")),
+        ],
+    )
+    def test_config_choices_checked_before_data(self, tmp_path, command, key, value, inputs):
+        """A value outside the choices is a config error (1), found before the missing inputs (2)."""
+        cfg = write_config(tmp_path, {command: {key: value}})
+        flags = [arg for flag in inputs for arg in (flag, tmp_path / "missing.jsonl")]
+        assert run(command, "--config", cfg, "--out", tmp_path / "out", *flags) == 1
+
+
+def readme_commands():
+    """Every ``cmbpipe ...`` line in README code blocks, continuation lines joined."""
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", README.read_text(), re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("cmbpipe ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        _resolve(build_parser().parse_args(argv[1:]))  # converts and checks every value; runs nothing
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_every_parameter(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    for p in COMMANDS[command].params:
+        assert p.flag in text

@@ -3,16 +3,8 @@ import pytest
 
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
 from cmbpipe.phantom import generate_phantom, random_phantom_spec
-from cmbpipe.scanio import write_probability
-from cmbpipe.segmenter import (
-    ExternalConfig,
-    ExternalSegmenter,
-    OracleSegmenter,
-    ReferenceConfig,
-    ReferenceSegmenter,
-    SegmenterConfig,
-    segmenters_from_config,
-)
+from cmbpipe.scanio import read_probability, write_probability
+from cmbpipe.segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
 from cmbpipe.triplanar import VIEWS, ThickSlice, binarize_fused, fuse_views, segment_volume
 from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D
 
@@ -132,15 +124,7 @@ class TestExternal:
         for view in VIEWS:
             paths[view] = tmp_path / f"scan_{view}.nii.gz"
             write_probability(probs[view], paths[view])
-        cfg = SegmenterConfig(
-            kind="external",
-            external=ExternalConfig(
-                axial_path=str(paths["axial"]),
-                sagittal_path=str(paths["sagittal"]),
-                coronal_path=str(paths["coronal"]),
-            ),
-        )
-        replay = segment_volume(vol, segmenters_from_config(cfg))
+        replay = segment_volume(vol, {v: ExternalSegmenter(read_probability(paths[v])) for v in VIEWS})
         for view in VIEWS:
             assert np.array_equal(replay[view].values, probs[view].values)
 
