@@ -15,7 +15,9 @@ output exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -222,180 +224,173 @@ def noise_add_mult(v: Volume3D, sigma_add: float, sigma_mult: float, seed: int =
 
 
 # ---------------------------------------------------------------------------
-# Spec-driven application
+# Spec-driven application: one table row per transform
 # ---------------------------------------------------------------------------
 
-def _check_prob(p: float) -> float:
-    if not (0.0 <= p <= 1.0):
-        raise ConfigError(f"probability must be in [0, 1], got {p}")
-    return float(p)
+class Transform(NamedTuple):
+    """One row of the augmentation table.
+
+    ``params`` maps each spec key (after "enabled" and "probability", which
+    every row has) to ``(default, bound)``. A bound is an interval such as
+    "(0, 1]", applied to a number or to both ends of a pair, which must also be
+    in order; or a tuple of choices, for a list of distinct members.
+    """
+
+    name: str
+    params: dict
+    draw: Callable  # (rng, settings, field_seed) -> recorded params, drawing from rng in a fixed order
+    replay: Callable  # (volume, mask, recorded params) -> (volume, mask)
 
 
-@dataclass(frozen=True)
-class ElasticSpec:
-    enabled: bool = True
-    probability: float = 0.5
-    control_spacing_mm: float = 32.0
-    max_displacement_mm: float = 3.0
+SWITCH = {"enabled": (True, None), "probability": (0.5, "[0, 1]")}
 
-    def __post_init__(self):
-        _check_prob(self.probability)
-        if self.control_spacing_mm <= 0 or self.max_displacement_mm < 0:
-            raise ConfigError("elastic ranges must be non-negative (control spacing positive)")
-
-
-@dataclass(frozen=True)
-class RotationSpec:
-    enabled: bool = True
-    probability: float = 0.5
-    max_degrees: float = 10.0
-
-    def __post_init__(self):
-        _check_prob(self.probability)
-        if self.max_degrees < 0:
-            raise ConfigError("rotation range must be non-negative")
-
-
-@dataclass(frozen=True)
-class FlipSpec:
-    enabled: bool = True
-    probability: float = 0.5
-    axes: tuple[int, ...] = (0, 1, 2)
-
-    def __post_init__(self):
-        _check_prob(self.probability)
-        if any(a not in AXES for a in self.axes):
-            raise ConfigError(f"flip axes must be in {AXES}")
-
-
-@dataclass(frozen=True)
-class BiasFieldSpec:
-    enabled: bool = True
-    probability: float = 0.5
-    order: int = 3
-    max_amplitude: float = 0.2
-
-    def __post_init__(self):
-        _check_prob(self.probability)
-        if self.order < 1 or self.max_amplitude < 0:
-            raise ConfigError("bias field needs order >= 1 and non-negative amplitude")
-
-
-@dataclass(frozen=True)
-class BlurSpec:
-    enabled: bool = True
-    probability: float = 0.5
-    sigma_range_mm: tuple[float, float] = (0.5, 1.5)
-
-    def __post_init__(self):
-        _check_prob(self.probability)
-        if self.sigma_range_mm[0] < 0 or self.sigma_range_mm[1] < self.sigma_range_mm[0]:
-            raise ConfigError("blur sigma range must be non-negative and ordered")
-
-
-@dataclass(frozen=True)
-class GhostSpec:
-    enabled: bool = True
-    probability: float = 0.5
-    n_ghosts_range: tuple[int, int] = (2, 4)
-    max_intensity: float = 0.3
-
-    def __post_init__(self):
-        _check_prob(self.probability)
-        if self.n_ghosts_range[0] < 2 or self.n_ghosts_range[1] < self.n_ghosts_range[0]:
-            raise ConfigError("n_ghosts range must start at >= 2 and be ordered")
-        if not (0.0 <= self.max_intensity <= 1.0):
-            raise ConfigError("ghost intensity must be in [0, 1]")
+# Fixed composition order: spatial transforms first, then intensity. Each step
+# names its transform function at call time, so a wrapped module attribute is
+# the one that runs.
+TRANSFORMS = (
+    Transform(
+        "elastic",
+        {"control_spacing_mm": (32.0, "(0, inf)"), "max_displacement_mm": (3.0, "[0, inf)")},
+        lambda rng, s, seed: {
+            "control_spacing_mm": s["control_spacing_mm"],
+            "displacement_mm": float(rng.uniform(0.0, s["max_displacement_mm"])),
+            "seed": seed,
+        },
+        lambda v, m, p: elastic_deform(v, m, p["control_spacing_mm"], p["displacement_mm"], seed=p["seed"])[:2],
+    ),
+    Transform(
+        "rotation",
+        {"max_degrees": (10.0, "[0, inf)")},
+        lambda rng, s, seed: {"angles_deg": [float(a) for a in rng.uniform(-s["max_degrees"], s["max_degrees"], 3)]},
+        lambda v, m, p: rotate_volume(v, m, p["angles_deg"]),
+    ),
+    Transform(
+        "flip",
+        {"axes": (AXES, AXES)},
+        lambda rng, s, seed: {"axes": [int(a) for a in s["axes"] if rng.uniform() < 0.5]},
+        lambda v, m, p: flip_volume(v, m, tuple(p["axes"])),
+    ),
+    Transform(
+        "bias_field",
+        {"order": (3, "[1, inf)"), "max_amplitude": (0.2, "[0, inf)")},
+        lambda rng, s, seed: {
+            "order": s["order"],
+            "amplitude": float(rng.uniform(0.0, s["max_amplitude"])),
+            "seed": seed,
+        },
+        lambda v, m, p: (bias_field(v, p["order"], p["amplitude"], seed=p["seed"]), m),
+    ),
+    Transform(
+        "blur",
+        {"sigma_range_mm": ((0.5, 1.5), "[0, inf)")},
+        lambda rng, s, seed: {"sigma_mm": float(rng.uniform(*s["sigma_range_mm"]))},
+        lambda v, m, p: (blur_volume(v, p["sigma_mm"]), m),
+    ),
+    Transform(
+        "motion_ghost",
+        {"n_ghosts_range": ((2, 4), "[2, inf)"), "max_intensity": (0.3, "[0, 1]")},
+        lambda rng, s, seed: {
+            "n_ghosts": int(rng.integers(s["n_ghosts_range"][0], s["n_ghosts_range"][1] + 1)),
+            "intensity": float(rng.uniform(0.0, s["max_intensity"])),
+            "axis": int(rng.integers(0, 3)),
+        },
+        lambda v, m, p: (motion_ghost(v, p["n_ghosts"], p["intensity"], p["axis"]), m),
+    ),
+    Transform(
+        "gibbs_ringing",
+        {"retain_range": ((0.6, 1.0), "(0, 1]")},
+        lambda rng, s, seed: {"retain_fraction": float(rng.uniform(*s["retain_range"]))},
+        lambda v, m, p: (gibbs_ringing(v, p["retain_fraction"]), m),
+    ),
+    Transform(
+        "noise",
+        {"max_additive_sigma": (0.05, "[0, inf)"), "max_multiplicative_sigma": (0.05, "[0, inf)")},
+        lambda rng, s, seed: {
+            "sigma_add": float(rng.uniform(0.0, s["max_additive_sigma"])),
+            "sigma_mult": float(rng.uniform(0.0, s["max_multiplicative_sigma"])),
+            "seed": seed,
+        },
+        lambda v, m, p: (noise_add_mult(v, p["sigma_add"], p["sigma_mult"], seed=p["seed"]), m),
+    ),
+)
+TRANSFORM_ORDER = tuple(t.name for t in TRANSFORMS)
 
 
-@dataclass(frozen=True)
-class GibbsSpec:
-    enabled: bool = True
-    probability: float = 0.5
-    retain_range: tuple[float, float] = (0.6, 1.0)
-
-    def __post_init__(self):
-        _check_prob(self.probability)
-        lo, hi = self.retain_range
-        if not (0.0 < lo <= hi <= 1.0):
-            raise ConfigError("k-space retention range must lie in (0, 1]")
+def _within(interval: str, x) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (lo < x if interval[0] == "(" else lo <= x) and (x < hi if interval[-1] == ")" else x <= hi)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    enabled: bool = True
-    probability: float = 0.5
-    max_additive_sigma: float = 0.05
-    max_multiplicative_sigma: float = 0.05
+def _checked(where: str, default, bound, value):
+    """``value`` if it has the JSON type of ``default`` and lies within ``bound``; a list becomes a tuple."""
+    if isinstance(default, tuple):
+        pair = isinstance(bound, str)
+        if not isinstance(value, (list, tuple)) or (pair and len(value) != len(default)):
+            raise ConfigError(f"{where} must be a list of {len(default) if pair else 'distinct'} values, got {value!r}")
+        value = tuple(_checked(where, default[0], bound if pair else None, x) for x in value)
+        if pair and value[0] > value[1]:
+            raise ConfigError(f"{where} must be in order (low, high), got {list(value)}")
+        if not pair and (len(set(value)) < len(value) or not set(value) <= set(bound)):
+            raise ConfigError(f"{where} must hold distinct values out of {list(bound)}, got {list(value)}")
+        return value
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        kind = "a finite number"
+    if not ok:
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    if bound is not None and not _within(bound, value):
+        raise ConfigError(f"{where} must lie in {bound}, got {value!r}")
+    return value
 
-    def __post_init__(self):
-        _check_prob(self.probability)
-        if self.max_additive_sigma < 0 or self.max_multiplicative_sigma < 0:
-            raise ConfigError("noise sigmas must be non-negative")
 
-
-@dataclass(frozen=True)
+@dataclass(init=False)
 class AugmentSpec:
-    elastic: ElasticSpec = field(default_factory=ElasticSpec)
-    rotation: RotationSpec = field(default_factory=RotationSpec)
-    flip: FlipSpec = field(default_factory=FlipSpec)
-    bias_field: BiasFieldSpec = field(default_factory=BiasFieldSpec)
-    blur: BlurSpec = field(default_factory=BlurSpec)
-    motion_ghost: GhostSpec = field(default_factory=GhostSpec)
-    gibbs_ringing: GibbsSpec = field(default_factory=GibbsSpec)
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    master_seed: int = 0
+    """Checked settings for every transform: ``settings[name][key]``, every default filled in.
+
+    ``AugmentSpec(master_seed, **sections)`` takes the spec JSON's sections
+    (one per transform name, each a subset of that row's keys) and rejects
+    an unknown section or key, a value of the wrong JSON type, and a value
+    outside its bound.
+    """
+
+    settings: dict
+    master_seed: int
+
+    def __init__(self, master_seed: int = 0, **sections):
+        unknown = sorted(set(sections) - set(TRANSFORM_ORDER))
+        if unknown:
+            known = ", ".join(TRANSFORM_ORDER)
+            raise ConfigError(f"augment spec: unknown section(s) {', '.join(unknown)} (known: {known})")
+        self.master_seed = _checked("augment spec: master_seed", 0, None, master_seed)
+        self.settings = {}
+        for t in TRANSFORMS:
+            given, table = sections.get(t.name, {}), {**SWITCH, **t.params}
+            if not isinstance(given, dict):
+                raise ConfigError(f"augment spec: section {t.name} must be an object, got {given!r}")
+            unknown = sorted(set(given) - set(table))
+            if unknown:
+                raise ConfigError(f"augment spec: unknown key(s) {', '.join(unknown)} in {t.name}")
+            self.settings[t.name] = {
+                key: _checked(f"augment spec: {t.name}.{key}", default, bound, given.get(key, default))
+                for key, (default, bound) in table.items()
+            }
 
     @classmethod
     def disabled(cls, master_seed: int = 0) -> "AugmentSpec":
-        spec = cls(master_seed=master_seed)
-        return replace(
-            spec,
-            **{
-                name: replace(getattr(spec, name), enabled=False)
-                for name in TRANSFORM_ORDER
-            },
-        )
+        return cls(master_seed, **{name: {"enabled": False} for name in TRANSFORM_ORDER})
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**{name: dict(s) for name, s in self.settings.items()}, "master_seed": self.master_seed}
 
     @classmethod
     def from_json(cls, rec: dict) -> "AugmentSpec":
-        kwargs = {}
-        builders = {
-            "elastic": ElasticSpec,
-            "rotation": RotationSpec,
-            "flip": FlipSpec,
-            "bias_field": BiasFieldSpec,
-            "blur": BlurSpec,
-            "motion_ghost": GhostSpec,
-            "gibbs_ringing": GibbsSpec,
-            "noise": NoiseSpec,
-        }
-        for name, builder in builders.items():
-            if name in rec:
-                sub = dict(rec[name])
-                for key, value in sub.items():
-                    if isinstance(value, list):
-                        sub[key] = tuple(value)
-                kwargs[name] = builder(**sub)
-        if "master_seed" in rec:
-            kwargs["master_seed"] = int(rec["master_seed"])
-        return cls(**kwargs)
-
-
-# Fixed composition order: spatial transforms first, then intensity.
-TRANSFORM_ORDER = (
-    "elastic",
-    "rotation",
-    "flip",
-    "bias_field",
-    "blur",
-    "motion_ghost",
-    "gibbs_ringing",
-    "noise",
-)
+        if not isinstance(rec, dict):
+            raise ConfigError(f"augment spec must be a JSON object, got {type(rec).__name__}")
+        return cls(**rec)
 
 
 def apply_augmentation(v: Volume3D, m: LabelMask, spec: AugmentSpec, scan_id: str):
@@ -407,56 +402,13 @@ def apply_augmentation(v: Volume3D, m: LabelMask, spec: AugmentSpec, scan_id: st
     """
     require_same_geometry(v, m, "image and mask")
     record = []
-
-    def fires(index: int, sub) -> tuple[bool, np.random.Generator]:
+    for index, t in enumerate(TRANSFORMS):
+        s = spec.settings[t.name]
         rng = derive_rng(spec.master_seed, scan_id, index)
-        return bool(sub.enabled and rng.uniform() < sub.probability), rng
-
-    for index, name in enumerate(TRANSFORM_ORDER):
-        sub = getattr(spec, name)
-        applied, rng = fires(index, sub)
-        params: dict = {}
-        if name == "elastic" and applied:
-            displacement = float(rng.uniform(0.0, sub.max_displacement_mm))
-            sub_seed = derive_seed(spec.master_seed, scan_id, index, "field")
-            v, m, _ = elastic_deform(v, m, sub.control_spacing_mm, displacement, seed=sub_seed)
-            params = {
-                "control_spacing_mm": sub.control_spacing_mm,
-                "displacement_mm": displacement,
-                "seed": sub_seed,
-            }
-        elif name == "rotation" and applied:
-            angles = [float(a) for a in rng.uniform(-sub.max_degrees, sub.max_degrees, 3)]
-            v, m = rotate_volume(v, m, angles)
-            params = {"angles_deg": angles}
-        elif name == "flip" and applied:
-            axes = tuple(int(a) for a in sub.axes if rng.uniform() < 0.5)
-            v, m = flip_volume(v, m, axes)
-            params = {"axes": list(axes)}
-        elif name == "bias_field" and applied:
-            amplitude = float(rng.uniform(0.0, sub.max_amplitude))
-            sub_seed = derive_seed(spec.master_seed, scan_id, index, "field")
-            v = bias_field(v, sub.order, amplitude, seed=sub_seed)
-            params = {"order": sub.order, "amplitude": amplitude, "seed": sub_seed}
-        elif name == "blur" and applied:
-            sigma = float(rng.uniform(*sub.sigma_range_mm))
-            v = blur_volume(v, sigma)
-            params = {"sigma_mm": sigma}
-        elif name == "motion_ghost" and applied:
-            n_ghosts = int(rng.integers(sub.n_ghosts_range[0], sub.n_ghosts_range[1] + 1))
-            intensity = float(rng.uniform(0.0, sub.max_intensity))
-            axis = int(rng.integers(0, 3))
-            v = motion_ghost(v, n_ghosts, intensity, axis)
-            params = {"n_ghosts": n_ghosts, "intensity": intensity, "axis": axis}
-        elif name == "gibbs_ringing" and applied:
-            retain = float(rng.uniform(*sub.retain_range))
-            v = gibbs_ringing(v, retain)
-            params = {"retain_fraction": retain}
-        elif name == "noise" and applied:
-            sigma_add = float(rng.uniform(0.0, sub.max_additive_sigma))
-            sigma_mult = float(rng.uniform(0.0, sub.max_multiplicative_sigma))
-            sub_seed = derive_seed(spec.master_seed, scan_id, index, "field")
-            v = noise_add_mult(v, sigma_add, sigma_mult, seed=sub_seed)
-            params = {"sigma_add": sigma_add, "sigma_mult": sigma_mult, "seed": sub_seed}
-        record.append({"transform": name, "applied": applied, "params": params})
+        applied = bool(s["enabled"] and rng.uniform() < s["probability"])
+        params = {}
+        if applied:
+            params = t.draw(rng, s, derive_seed(spec.master_seed, scan_id, index, "field"))
+            v, m = t.replay(v, m, params)
+        record.append({"transform": t.name, "applied": applied, "params": params})
     return v, m, record

@@ -162,19 +162,27 @@ def _convert(command: str, p: Param, value, source: str):
     return value
 
 
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``; a missing or unreadable file or other JSON is a config error."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return obj
+
+
 def _config_layers(path: str | None, command: str) -> list[dict]:
     """The config file's top level, "common" and ``command`` sections, lowest precedence first."""
     if not path:
         return []
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+    cfg = _json_object(path, "config file")
     sections = {k: v for k, v in cfg.items() if k in COMMANDS or k == "common"}
     top = {k: v for k, v in cfg.items() if k not in sections}
     declared = {name: {p.name for p in cmd.params} for name, cmd in COMMANDS.items()}
@@ -376,13 +384,10 @@ def cmd_mask_synth(params: dict) -> list[Path]:
     JOBS,
 )
 def cmd_augment(params: dict) -> list[Path]:
-    if params["spec"]:
-        with open(params["spec"]) as fh:
-            spec = augment.AugmentSpec.from_json(json.load(fh))
-    else:
-        spec = augment.AugmentSpec()
+    rec = _json_object(params["spec"], "augment spec file") if params["spec"] else {}
     if params["master_seed"] is not None:
-        spec = augment.AugmentSpec.from_json({**spec.to_json(), "master_seed": params["master_seed"]})
+        rec = {**rec, "master_seed": params["master_seed"]}
+    spec = augment.AugmentSpec.from_json(rec)
     out = Path(params["out"])
     (out / "aug_params").mkdir(exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmbpipe.augment import (
+    TRANSFORM_ORDER,
     AugmentSpec,
     apply_augmentation,
     bias_field,
@@ -18,6 +19,40 @@ from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phant
 from cmbpipe.volume import LabelMask, Volume3D, WorldPoint
 
 from oracles import ghost_delta_1d, truncated_spectrum_1d
+
+
+# Spec JSON that must be rejected with ConfigError: unknown sections and keys,
+# values of the wrong JSON type, and values outside their bounds.
+BAD_SPECS = {
+    "unknown-section": {"elastc": {}},
+    "not-an-object": [],
+    "section-not-an-object": {"blur": 3},
+    "unknown-key": {"elastic": {"probabilty": 1}},
+    "enabled-as-text": {"rotation": {"enabled": "false"}},
+    "seed-bool": {"master_seed": True},
+    "seed-float": {"master_seed": 2.7},
+    "probability-as-text": {"rotation": {"probability": "0.5"}},
+    "order-float": {"bias_field": {"order": 2.5}},
+    "degrees-inf": {"rotation": {"max_degrees": float("inf")}},
+    "displacement-inf": {"elastic": {"max_displacement_mm": float("inf")}},
+    "sigma-nan": {"noise": {"max_additive_sigma": float("nan")}},
+    "range-of-three": {"blur": {"sigma_range_mm": [0.5, 1.0, 1.5]}},
+    "ghosts-float": {"motion_ghost": {"n_ghosts_range": [2.0, 4.0]}},
+    "axes-repeated": {"flip": {"axes": [0, 0]}},
+}
+
+# What users write and the run record stores; a change here moves every spec file.
+DEFAULT_SPEC_JSON = {
+    "elastic": {"enabled": True, "probability": 0.5, "control_spacing_mm": 32.0, "max_displacement_mm": 3.0},
+    "rotation": {"enabled": True, "probability": 0.5, "max_degrees": 10.0},
+    "flip": {"enabled": True, "probability": 0.5, "axes": (0, 1, 2)},
+    "bias_field": {"enabled": True, "probability": 0.5, "order": 3, "max_amplitude": 0.2},
+    "blur": {"enabled": True, "probability": 0.5, "sigma_range_mm": (0.5, 1.5)},
+    "motion_ghost": {"enabled": True, "probability": 0.5, "n_ghosts_range": (2, 4), "max_intensity": 0.3},
+    "gibbs_ringing": {"enabled": True, "probability": 0.5, "retain_range": (0.6, 1.0)},
+    "noise": {"enabled": True, "probability": 0.5, "max_additive_sigma": 0.05, "max_multiplicative_sigma": 0.05},
+    "master_seed": 0,
+}
 
 
 def blob_pair(n=48, diameter=8.0, contrast=0.8):
@@ -209,11 +244,18 @@ class TestApplyAugmentation:
         assert a1[2] == a2[2]
         assert not np.array_equal(a1[0].intensities, b[0].intensities)
 
-    def test_record_replays_exactly(self, rng):
+    @pytest.mark.parametrize(
+        "sections",
+        [{}, {name: {"probability": 1.0} for name in TRANSFORM_ORDER}],
+        ids=["default", "every-transform"],
+    )
+    def test_record_replays_exactly(self, rng, sections):
         v = Volume3D(np.clip(rng.normal(0.5, 0.1, (24, 24, 24)), 0, 1))
         m = LabelMask((rng.uniform(0, 1, (24, 24, 24)) > 0.9).astype(np.uint8))
-        spec = AugmentSpec(master_seed=21)
+        spec = AugmentSpec.from_json({**sections, "master_seed": 21})
         out_v, out_m, record = apply_augmentation(v, m, spec, "scan-replay")
+        if sections:
+            assert all(step["applied"] for step in record)
         rv, rm = v, m
         for step in record:
             if not step["applied"]:
@@ -240,21 +282,15 @@ class TestApplyAugmentation:
         assert np.array_equal(rm.labels, out_m.labels)
 
     def test_intensity_transforms_leave_mask_untouched(self, rng):
-        from dataclasses import replace
-
         v = Volume3D(rng.normal(100, 10, (20, 20, 20)))
         m = LabelMask((rng.uniform(0, 1, (20, 20, 20)) > 0.9).astype(np.uint8))
-        spec = AugmentSpec(master_seed=2)
-        spec = replace(
-            spec,
-            elastic=replace(spec.elastic, enabled=False),
-            rotation=replace(spec.rotation, enabled=False),
-            flip=replace(spec.flip, enabled=False),
-            bias_field=replace(spec.bias_field, probability=1.0),
-            blur=replace(spec.blur, probability=1.0),
-            motion_ghost=replace(spec.motion_ghost, probability=1.0),
-            gibbs_ringing=replace(spec.gibbs_ringing, probability=1.0),
-            noise=replace(spec.noise, probability=1.0),
+        spatial = ("elastic", "rotation", "flip")
+        spec = AugmentSpec.from_json(
+            {
+                **{name: {"enabled": False} for name in spatial},
+                **{name: {"probability": 1.0} for name in TRANSFORM_ORDER if name not in spatial},
+                "master_seed": 2,
+            }
         )
         out_v, out_m, record = apply_augmentation(v, m, spec, "scan-int")
         assert any(r["applied"] for r in record)
@@ -266,16 +302,23 @@ class TestApplyAugmentation:
         back = AugmentSpec.from_json(spec.to_json())
         assert back == spec
 
-    def test_spec_validates_ranges(self):
-        from cmbpipe.augment import BlurSpec, GhostSpec, GibbsSpec, RotationSpec
+    def test_spec_json_format_frozen(self):
+        assert AugmentSpec().to_json() == DEFAULT_SPEC_JSON
+        disabled = {name: {**DEFAULT_SPEC_JSON[name], "enabled": False} for name in TRANSFORM_ORDER}
+        assert AugmentSpec.disabled(4).to_json() == {**disabled, "master_seed": 4}
 
+    def test_spec_validates_ranges(self):
+        for section in (
+            {"rotation": {"probability": 1.5}},
+            {"rotation": {"max_degrees": -1.0}},
+            {"blur": {"sigma_range_mm": [2.0, 1.0]}},
+            {"motion_ghost": {"n_ghosts_range": [1, 4]}},
+            {"gibbs_ringing": {"retain_range": [0.0, 1.0]}},
+        ):
+            with pytest.raises(ConfigError):
+                AugmentSpec.from_json(section)
+
+    @pytest.mark.parametrize("rec", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+    def test_spec_rejects_bad_json(self, rec):
         with pytest.raises(ConfigError):
-            RotationSpec(probability=1.5)
-        with pytest.raises(ConfigError):
-            RotationSpec(max_degrees=-1.0)
-        with pytest.raises(ConfigError):
-            BlurSpec(sigma_range_mm=(2.0, 1.0))
-        with pytest.raises(ConfigError):
-            GhostSpec(n_ghosts_range=(1, 4))
-        with pytest.raises(ConfigError):
-            GibbsSpec(retain_range=(0.0, 1.0))
+            AugmentSpec.from_json(rec)

@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cmbpipe.augment import TRANSFORMS
 from cmbpipe.cli import COMMANDS, _resolve, build_parser, main
 from cmbpipe.scanio import read_manifest, read_mask, read_volume, write_mask
 from cmbpipe.volume import LabelMask
+
+from test_augment import BAD_SPECS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -341,6 +344,37 @@ class TestConfigAndErrors:
         assert run(command, "--config", cfg, "--out", tmp_path / "out", *flags) == 1
 
 
+@pytest.fixture(scope="module")
+def augment_data(tmp_path_factory):
+    return make_phantom_data(tmp_path_factory.mktemp("augment"), count=1, dims=16)
+
+
+class TestAugmentSpecFile:
+    @pytest.mark.parametrize("content", [None, "{bad", "dir"], ids=["missing", "invalid-json", "directory"])
+    def test_unreadable_spec_file_exit_1(self, tmp_path, content):
+        """Found before the manifest is read: with none there, a data error would exit 2."""
+        spec = tmp_path / "spec.json"
+        if content == "dir":
+            spec.mkdir()
+        elif content is not None:
+            spec.write_text(content)
+        assert run(
+            "augment", "--manifest", tmp_path / "missing.jsonl", "--masks-dir", tmp_path,
+            "--out", tmp_path / "out", "--spec", spec,
+        ) == 1
+
+    @pytest.mark.parametrize("rec", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+    def test_bad_spec_value_exit_1(self, tmp_path, augment_data, rec):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(rec))
+        out = tmp_path / "out"
+        assert run(
+            "augment", "--manifest", augment_data / "manifest.jsonl", "--masks-dir", augment_data / "gt_masks",
+            "--out", out, "--spec", spec,
+        ) == 1
+        assert not (out / "aug_params").exists()
+
+
 def readme_commands():
     """Every ``cmbpipe ...`` line in README code blocks, continuation lines joined."""
     blocks = re.findall(r"```[a-z]*\n(.*?)```", README.read_text(), re.S)
@@ -353,6 +387,15 @@ def test_readme_commands_parse():
     assert len(commands) >= 5
     for argv in commands:
         _resolve(build_parser().parse_args(argv[1:]))  # converts and checks every value; runs nothing
+
+
+def test_readme_documents_every_spec_key():
+    rows = {line.split("|")[1].strip(" `"): line for line in README.read_text().splitlines() if line.startswith("| `")}
+    for t in TRANSFORMS:
+        for key, (default, bound) in t.params.items():
+            shown = json.dumps(list(default) if isinstance(default, tuple) else default)
+            assert f"`{key}` {shown}" in rows[t.name]
+            assert not isinstance(bound, str) or bound in rows[t.name]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
