@@ -3,8 +3,9 @@
 Mask synthesis from point annotations, MRI augmentation, tri-planar
 probability fusion, connected-component detection with clinical size
 filtering, detection metrics, and group-level statistics — with the neural
-slice segmenter abstracted behind a per-slice probability interface so the
-whole pipeline is verifiable on synthetic phantoms.
+segmenter abstracted behind a whole-view probability interface (per-slice
+models plug in through an adapter) so the whole pipeline is verifiable on
+synthetic phantoms.
 """
 
 from .annotation import CMBAnnotation, alpha_fraction, partition_subjects, synthesize_mask
@@ -24,8 +25,10 @@ from .scanio import ScanManifestEntry, read_manifest, read_volume, write_manifes
 from .segmenter import ExternalSegmenter, OracleSegmenter, ReferenceSegmenter
 from .stats import compare_groups, fisher_exact_2x2, size_sweep, wilcoxon_signed_rank
 from .triplanar import (
+    SliceAdapter,
     SliceSegmenter,
     ThickSlice,
+    ViewSegmenter,
     binarize_fused,
     extract_thick_slices,
     fuse_views,

@@ -123,8 +123,8 @@ def flip_volume(v: Volume3D, m: LabelMask | None, axes):
     if m is not None:
         require_same_geometry(v, m, "image and mask")
     axes = tuple(int(a) for a in axes)
-    if any(a not in AXES for a in axes):
-        raise ConfigError(f"flip axes must be in {AXES}, got {axes}")
+    if any(a not in AXES for a in axes) or len(set(axes)) != len(axes):
+        raise ConfigError(f"flip axes must be distinct values in {AXES}, got {axes}")
     flipped_v = v.with_intensities(np.flip(v.intensities, axes) if axes else v.intensities)
     flipped_m = m.with_labels(np.flip(m.labels, axes)) if (m is not None and axes) else m
     return flipped_v, flipped_m

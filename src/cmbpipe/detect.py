@@ -226,6 +226,11 @@ def scan_metrics(pred_mask: LabelMask, gt_mask: LabelMask, match: MatchResult) -
     p = int(pred_mask.labels.sum())
     g = int(gt_mask.labels.sum())
     inter = int(np.logical_and(pred_mask.labels, gt_mask.labels).sum())
+    return _metrics(p, g, inter, match)
+
+
+def _metrics(p: int, g: int, inter: int, match: MatchResult) -> ScanMetrics:
+    """Metrics from the predicted, ground-truth and shared foreground voxel counts and a match."""
     dsc = 1.0 if p + g == 0 else 2.0 * inter / (p + g)
     sens = match.tp / (match.tp + match.fn) if match.tp + match.fn > 0 else None
     prec = match.tp / (match.tp + match.fp) if match.tp + match.fp > 0 else None
@@ -251,12 +256,12 @@ def evaluate_scan(
     _require_match_distance(max_dist_mm)
     pred, pred_fg, pred_ids = _label(pred_mask, connectivity)
     gt, gt_fg, gt_ids = _label(gt_mask, connectivity)
-    _, in_pred, in_gt = np.intersect1d(pred_fg, gt_fg, assume_unique=True, return_indices=True)
+    shared, in_pred, in_gt = np.intersect1d(pred_fg, gt_fg, assume_unique=True, return_indices=True)
     overlaps = np.unique(np.stack((pred_ids[in_pred], gt_ids[in_gt]), axis=1), axis=0)
     pred = filter_by_size(pred, min_volume_mm3)
     gt = filter_by_size(gt, min_volume_mm3)
     match = match_detections(pred, gt, max_dist_mm, overlaps)
-    return scan_metrics(pred_mask, gt_mask, match), pred, gt
+    return _metrics(len(pred_fg), len(gt_fg), len(shared), match), pred, gt
 
 
 # ---------------------------------------------------------------------------

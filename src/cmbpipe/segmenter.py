@@ -1,25 +1,28 @@
-"""Slice segmenters: ground-truth oracle, classical reference, external maps.
+"""Whole-view segmenters: ground-truth oracle, classical reference, external maps.
 
-These stand in for the trained per-view networks behind the SliceSegmenter
-contract. The oracle replays ground truth (optionally corrupted) and is
-the pipeline's self-consistency probe; the reference segmenter is a
-deterministic classical detector of dark round blobs, good enough to
-exercise detection, metrics and statistics with a real imperfect signal;
-the external segmenter replays stored probability volumes so externally
-trained models can be evaluated through the same pipeline.
+These stand in for the trained per-view networks behind the ViewSegmenter
+contract: one call turns a volume and a view into that view's whole
+probability volume. The oracle replays ground truth (optionally
+corrupted) and is the pipeline's self-consistency probe; the reference
+segmenter is a deterministic classical detector of dark round blobs, good
+enough to exercise detection, metrics and statistics with a real
+imperfect signal; the external segmenter replays stored probability
+volumes so externally trained models can be evaluated through the same
+pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError, GeometryMismatchError, RejectedInputError
 from .rng import derive_rng
-from .triplanar import ThickSlice
-from .volume import LabelMask, ProbabilityVolume
+from .triplanar import VIEW_AXIS, map_plane_blocks
+from .volume import LabelMask, ProbabilityVolume, Volume3D
 
 # Gain and offset tuned on a held-out phantom batch (dark discs, CNR >= 5):
 # gain 40 pushes a 4 mm disc's peak probability above 0.9 while the offset
@@ -30,6 +33,11 @@ DEFAULT_SCORE_OFFSET = 0.05
 DEFAULT_DARKNESS_WEIGHT = 1.0
 DEFAULT_SYMMETRY_WEIGHT = 1.0
 SYMMETRY_RADII_MM = (1.0, 2.0, 3.0, 4.0, 5.0)
+# The reference segmenter works on blocks of about this many voxels: 4 planes
+# at 128^3, 1 at 256^3. On a 2-vCPU VM at 128^3, 4-plane blocks were the
+# fastest of 1 to 128 planes; 16 planes were 1.4x slower and a whole view
+# at once 1.5x slower, with a 0.4 GiB peak of allocations.
+BLOCK_VOXELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,10 @@ class ReferenceConfig:
     pixel_spacing_mm: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not (0.0 < self.scale_min_mm < self.scale_max_mm):
             raise ConfigError(
                 f"need 0 < scale_min < scale_max, got ({self.scale_min_mm}, {self.scale_max_mm})"
@@ -51,6 +63,8 @@ class ReferenceConfig:
             raise ConfigError("score_offset must be non-negative")
         if self.pixel_spacing_mm <= 0:
             raise ConfigError("pixel_spacing_mm must be positive")
+        if self.logistic_gain <= 0:
+            raise ConfigError(f"logistic_gain must be positive, got {self.logistic_gain}")
 
 
 class OracleSegmenter:
@@ -63,47 +77,65 @@ class OracleSegmenter:
         self.corruption_rate = corruption_rate
         self.seed = seed
 
-    def segment(self, thick_slice: ThickSlice) -> np.ndarray:
-        if self.gt.dims != thick_slice.parent.shape:
-            raise GeometryMismatchError(
-                f"ground truth dims {self.gt.dims} do not match volume dims {thick_slice.parent.shape}"
-            )
-        sel: list = [slice(None)] * 3
-        sel[thick_slice.axis] = thick_slice.index
-        plane = self.gt.labels[tuple(sel)].astype(np.float32)
+    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+        if self.gt.dims != v.dims:
+            raise GeometryMismatchError(f"ground truth dims {self.gt.dims} do not match volume dims {v.dims}")
+        out = self.gt.labels.astype(np.float32)
         if self.corruption_rate > 0.0:
-            rng = derive_rng(self.seed, "oracle", thick_slice.view, thick_slice.index)
-            flips = rng.uniform(size=plane.shape) < self.corruption_rate
-            plane = np.where(flips, 1.0 - plane, plane)
-        return plane
+            # one stream per plane of the view, so each plane's flips are fixed by (seed, view, plane)
+            for k, plane in enumerate(np.moveaxis(out, VIEW_AXIS[view], 0)):
+                rng = derive_rng(self.seed, "oracle", view, k)
+                np.subtract(1.0, plane, out=plane, where=rng.uniform(size=plane.shape) < self.corruption_rate)
+        return out
 
 
-def _radial_symmetry(plane: np.ndarray, radii_px) -> np.ndarray:
-    """Antisymmetric dark-center vote map (fast-radial-symmetry flavor).
+def _smooth(planes: np.ndarray, sigma: float) -> np.ndarray:
+    """In-plane Gaussian of each plane of a ``(b, h, w)`` block; a zero sigma leaves the plane axis alone."""
+    return ndimage.gaussian_filter(planes, (0.0, sigma, sigma))
 
-    Each pixel votes +|grad| one radius against its gradient (towards a dark
-    center) and -|grad| one radius along it, so inverting the image flips
-    the sign of the response exactly.
+
+def _vote_coordinate(pos: np.ndarray, unit: np.ndarray, step: float, size: int) -> np.ndarray:
+    """``clip(rint(pos + step * unit), 0, size - 1)`` in float64, computed in place with the same rounding."""
+    out = unit * step
+    out += pos
+    np.rint(out, out=out)
+    np.maximum(out, 0, out=out)
+    return np.minimum(out, size - 1, out=out)
+
+
+def _radial_symmetry(planes: np.ndarray, radii_px) -> np.ndarray:
+    """Antisymmetric dark-center vote maps of a ``(b, h, w)`` block (fast-radial-symmetry flavor).
+
+    Each pixel votes +|grad| one radius against its in-plane gradient
+    (towards a dark center) and -|grad| one radius along it, so inverting
+    the image flips the sign of the response exactly. Votes stay in their
+    own plane. Each radius is one ``bincount`` over the block with every
+    +|grad| vote before every -|grad| vote, so each bin adds its votes in
+    the order of the per-plane ``np.add.at`` definition.
     """
-    gi, gj = np.gradient(plane)
+    _, h, w = planes.shape
+    gi, gj = np.gradient(planes, axis=(1, 2))
     mag = np.hypot(gi, gj)
-    nz = mag > 0
-    if not nz.any():
-        return np.zeros_like(plane)
-    ii, jj = np.nonzero(nz)
-    m = mag[ii, jj]
-    ui = gi[ii, jj] / m
-    uj = gj[ii, jj] / m
-    h, w = plane.shape
-    acc = np.zeros_like(plane)
+    src = np.flatnonzero(mag)
+    m = mag.ravel()[src]
+    ui = gi.ravel()[src] / m
+    uj = gj.ravel()[src] / m
+    row, jj = np.divmod(src, w)
+    ii = row % h
+    plane_start = ((row - ii) * w).astype(np.float64)
+    ii, jj = ii.astype(np.float64), jj.astype(np.float64)
+    weights = np.concatenate((m, -m))
+    acc = np.zeros_like(planes)
     for r in radii_px:
-        votes = np.zeros_like(plane)
-        for sign in (-1.0, 1.0):
-            ti = np.clip(np.rint(ii + sign * r * ui).astype(int), 0, h - 1)
-            tj = np.clip(np.rint(jj + sign * r * uj).astype(int), 0, w - 1)
-            np.add.at(votes, (ti, tj), -sign * m)
+        targets = np.concatenate(
+            [
+                _vote_coordinate(ii, ui, sign * r, h) * w + _vote_coordinate(jj, uj, sign * r, w) + plane_start
+                for sign in (-1.0, 1.0)
+            ]
+        ).astype(np.intp)
+        votes = np.bincount(targets, weights, minlength=planes.size).reshape(planes.shape)
         # normalize by ring size so the response tracks contrast, not radius
-        acc += ndimage.gaussian_filter(votes, sigma=max(r / 2.0, 0.5)) / (2.0 * np.pi * r)
+        acc += _smooth(votes, max(r / 2.0, 0.5)) / (2.0 * np.pi * r)
     return acc / len(radii_px)
 
 
@@ -116,38 +148,39 @@ class ReferenceSegmenter:
     through a logistic centered at ``score_offset`` so featureless
     background lands well below 0.5 and cannot ride the fusion threshold.
     Inverting the image maps the score to its negative about zero, so
-    bright blobs score symmetrically low.
+    bright blobs score symmetrically low. Every plane of the view is scored
+    on its own; ``jobs`` threads share the view's blocks of planes.
     """
 
     def __init__(self, cfg: ReferenceConfig = ReferenceConfig()):
         self.cfg = cfg
 
-    def segment(self, thick_slice: ThickSlice) -> np.ndarray:
-        plane = thick_slice.central.astype(np.float64)
-        lo, hi = float(plane.min()), float(plane.max())
+    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+        lo, hi = float(v.intensities.min()), float(v.intensities.max())
         if lo < 0.0 or hi > 1.0:
             raise RejectedInputError(f"reference segmenter needs intensities in [0, 1], got [{lo}, {hi}]")
-        px = self.cfg.pixel_spacing_mm
-        band = ndimage.gaussian_filter(plane, self.cfg.scale_max_mm / px) - ndimage.gaussian_filter(
-            plane, self.cfg.scale_min_mm / px
-        )
-        radii_px = [max(r / px, 1.0) for r in SYMMETRY_RADII_MM]
-        symmetry = _radial_symmetry(plane, radii_px)
-        score = self.cfg.darkness_weight * band + self.cfg.symmetry_weight * symmetry
-        return 1.0 / (1.0 + np.exp(-self.cfg.logistic_gain * (score - self.cfg.score_offset)))
+        plane_size = v.intensities.size // v.dims[VIEW_AXIS[view]]
+        return map_plane_blocks(self._probability, v, view, max(BLOCK_VOXELS // plane_size, 1), jobs)
+
+    def _probability(self, planes: np.ndarray, start: int) -> np.ndarray:
+        cfg = self.cfg
+        planes = np.ascontiguousarray(planes)
+        px = cfg.pixel_spacing_mm
+        band = _smooth(planes, cfg.scale_max_mm / px) - _smooth(planes, cfg.scale_min_mm / px)
+        symmetry = _radial_symmetry(planes, [max(r / px, 1.0) for r in SYMMETRY_RADII_MM])
+        score = cfg.darkness_weight * band + cfg.symmetry_weight * symmetry
+        return 1.0 / (1.0 + np.exp(-cfg.logistic_gain * (score - cfg.score_offset)))
 
 
 class ExternalSegmenter:
-    """Replays planes of a stored per-view probability volume."""
+    """Replays a stored per-view probability volume."""
 
     def __init__(self, prob: ProbabilityVolume):
         self.prob = prob
 
-    def segment(self, thick_slice: ThickSlice) -> np.ndarray:
-        if self.prob.dims != thick_slice.parent.shape:
+    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+        if self.prob.dims != v.dims:
             raise GeometryMismatchError(
-                f"stored probability dims {self.prob.dims} do not match volume dims {thick_slice.parent.shape}"
+                f"stored probability dims {self.prob.dims} do not match volume dims {v.dims}"
             )
-        sel: list = [slice(None)] * 3
-        sel[thick_slice.axis] = thick_slice.index
-        return self.prob.values[tuple(sel)]
+        return self.prob.values

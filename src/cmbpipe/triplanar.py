@@ -2,8 +2,9 @@
 
 A canonical (cubic, isotropic) volume is cut into thickened 2D slices —
 each plane stacked with its two neighbors as 3 channels — along the axial,
-sagittal and coronal views. Per-slice probability predictions are
-reassembled into one probability volume per view and fused voxel-wise by
+sagittal and coronal views. A segmenter turns each view into one
+probability volume in a single call (a per-slice model plugs in through
+:class:`SliceAdapter`), and the three are fused voxel-wise by
 multiplication: a detection survives only where all three views agree, so
 any view near zero vetoes it.
 """
@@ -120,27 +121,78 @@ def binarize_fused(p: ProbabilityVolume, tau: float = 0.125) -> LabelMask:
     return LabelMask((p.values > tau).astype(np.uint8), p.spacing, p.origin)
 
 
+class ViewSegmenter(Protocol):
+    """Contract for per-view probability predictors (the trained-model seam)."""
+
+    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+        """Probability volume of one view, in ``v``'s own (i, j, k) layout, values in [0, 1]."""
+        ...
+
+
 class SliceSegmenter(Protocol):
-    """Contract for per-slice probability predictors (the trained-model seam)."""
+    """Contract for per-slice predictors such as a 2D model; plug one in with :class:`SliceAdapter`."""
 
     def segment(self, thick_slice: ThickSlice) -> np.ndarray:
         """Probability plane for the central slice, same in-plane dims, values in [0, 1]."""
         ...
 
 
-def segment_view(v: Volume3D, view: str, segmenter: SliceSegmenter, jobs: int = 1) -> ProbabilityVolume:
-    """Run a segmenter over every thick slice of a view and reassemble.
+def map_plane_blocks(fn, v: Volume3D, view: str, planes_per_block: int, jobs: int = 1) -> np.ndarray:
+    """Float32 volume, in ``v``'s layout, of ``fn`` applied to consecutive blocks of a view's planes.
 
-    Slices are independent work items; results are gathered in slice order,
-    so the output is identical for any ``jobs`` count.
+    ``fn(planes, start)`` gets planes ``start, start + 1, ...`` of the view as
+    one ``(b, H, W)`` array, plane axis first, and returns values of that
+    shape, which are written straight into one preallocated output. With
+    ``jobs > 1`` the blocks run on a thread pool; each block writes only its
+    own planes, so the output is the same for any ``jobs``.
     """
-    slices = extract_thick_slices(v, view)
+    axis = _require_view(view)
+    src = np.moveaxis(v.intensities, axis, 0)
+    out = np.empty(v.dims, dtype=np.float32)
+    dst = np.moveaxis(out, axis, 0)
+
+    def run(start: int) -> None:
+        stop = start + planes_per_block
+        dst[start:stop] = fn(src[start:stop], start)
+
+    starts = range(0, len(src), planes_per_block)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            planes = list(pool.map(segmenter.segment, slices))
+            list(pool.map(run, starts))  # reading every result re-raises a block's error
     else:
-        planes = [segmenter.segment(s) for s in slices]
-    return reassemble_view(planes, view, v.spacing, v.origin)
+        for start in starts:
+            run(start)
+    return out
+
+
+class SliceAdapter:
+    """Runs a per-slice segmenter (``segment(ThickSlice) -> plane``) behind the whole-view seam."""
+
+    def __init__(self, slice_segmenter: SliceSegmenter):
+        self.slice_segmenter = slice_segmenter
+
+    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+        def one_plane(planes: np.ndarray, k: int) -> np.ndarray:
+            plane = np.asarray(self.slice_segmenter.segment(ThickSlice(view, k, v.intensities)))
+            if plane.shape != planes.shape[1:]:
+                raise RejectedInputError(f"plane {k} has shape {plane.shape}, expected {planes.shape[1:]}")
+            return plane[None]
+
+        return map_plane_blocks(one_plane, v, view, 1, jobs)
+
+
+def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter, jobs: int = 1) -> ProbabilityVolume:
+    """One view's probability volume from one whole-view segmenter call.
+
+    The segmenter decides how ``jobs`` spreads its work; its output must be
+    identical for any ``jobs`` count.
+    """
+    _require_view(view)
+    _require_canonical(v)
+    values = np.asarray(segmenter.segment(v, view, jobs))
+    if values.shape != v.dims:
+        raise RejectedInputError(f"{view} probabilities have shape {values.shape}, expected {v.dims}")
+    return ProbabilityVolume(values, v.spacing, v.origin)
 
 
 def segment_volume(v: Volume3D, segmenters: dict, jobs: int = 1) -> dict:

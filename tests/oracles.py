@@ -160,3 +160,63 @@ def match_oracle(pred, gt, max_dist_mm, overlaps=frozenset()):
             used_g.add(gid)
             pairs.append((pid, gid))
     return tuple(pairs)
+
+
+VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
+
+
+def radial_symmetry_oracle(plane, radii_px):
+    """Per-plane dark-center vote map with one ``np.add.at`` per vote sign."""
+    from scipy import ndimage
+
+    gi, gj = np.gradient(plane)
+    mag = np.hypot(gi, gj)
+    nz = mag > 0
+    if not nz.any():
+        return np.zeros_like(plane)
+    ii, jj = np.nonzero(nz)
+    m = mag[ii, jj]
+    ui = gi[ii, jj] / m
+    uj = gj[ii, jj] / m
+    h, w = plane.shape
+    acc = np.zeros_like(plane)
+    for r in radii_px:
+        votes = np.zeros_like(plane)
+        for sign in (-1.0, 1.0):
+            ti = np.clip(np.rint(ii + sign * r * ui).astype(int), 0, h - 1)
+            tj = np.clip(np.rint(jj + sign * r * uj).astype(int), 0, w - 1)
+            np.add.at(votes, (ti, tj), -sign * m)
+        acc += ndimage.gaussian_filter(votes, sigma=max(r / 2.0, 0.5)) / (2.0 * np.pi * r)
+    return acc / len(radii_px)
+
+
+def reference_plane_oracle(plane, cfg, radii_mm=(1.0, 2.0, 3.0, 4.0, 5.0)):
+    """The reference segmenter's probability for one plane, computed on that plane alone."""
+    from scipy import ndimage
+
+    plane = np.asarray(plane, dtype=np.float64)
+    px = cfg.pixel_spacing_mm
+    band = ndimage.gaussian_filter(plane, cfg.scale_max_mm / px) - ndimage.gaussian_filter(plane, cfg.scale_min_mm / px)
+    symmetry = radial_symmetry_oracle(plane, [max(r / px, 1.0) for r in radii_mm])
+    score = cfg.darkness_weight * band + cfg.symmetry_weight * symmetry
+    return 1.0 / (1.0 + np.exp(-cfg.logistic_gain * (score - cfg.score_offset)))
+
+
+def oracle_plane(labels, view, index, corruption_rate=0.0, seed=0):
+    """The oracle segmenter's plane ``index`` of a view, drawn plane by plane."""
+    from cmbpipe.rng import derive_rng
+
+    axis = VIEW_AXIS[view]
+    plane = np.take(labels, index, axis=axis).astype(np.float32)
+    if corruption_rate > 0.0:
+        rng = derive_rng(seed, "oracle", view, index)
+        flips = rng.uniform(size=plane.shape) < corruption_rate
+        plane = np.where(flips, 1.0 - plane, plane)
+    return plane
+
+
+def per_plane_view(plane_fn, arr, view):
+    """A view's float32 volume assembled from ``plane_fn(central_plane, index)``, one plane at a time."""
+    axis = VIEW_AXIS[view]
+    planes = [plane_fn(np.take(arr, k, axis=axis), k) for k in range(arr.shape[axis])]
+    return np.stack(planes, axis=axis, dtype=np.float32)

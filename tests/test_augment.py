@@ -93,6 +93,8 @@ class TestSpatialTransforms:
         v2, m2 = flip_volume(*flip_volume(v, m, (1,)), (1,))
         assert np.array_equal(v2.intensities, v.intensities)
         assert np.array_equal(m2.labels, m.labels)
+        with pytest.raises(ConfigError, match=r"\(0, 2, 0\)"):
+            flip_volume(v, m, (0, 2, 0))
 
     def test_zero_rotation_identity(self, rng):
         v = Volume3D(rng.normal(0, 1, (16, 16, 16)))

@@ -276,6 +276,19 @@ class TestConfigAndErrors:
             )
             assert code == 1
 
+    def test_bad_reference_parameter_exit_1(self, tmp_path):
+        data = make_phantom_data(tmp_path, count=1, dims=16)
+        for flag, bad in (
+            ("--score-offset", "nan"),
+            ("--logistic-gain", "nan"),
+            ("--scale-max-mm", "inf"),
+            ("--darkness-weight", "inf"),
+            ("--logistic-gain", "-40"),
+        ):
+            out = tmp_path / f"out{flag}{bad}"
+            assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out, flag, bad) == 1
+            assert not (out / "prob").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"phantom": {"count": 3, "dims": 24, "noise_sigma": 0.0}}))

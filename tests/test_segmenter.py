@@ -1,19 +1,24 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from oracles import oracle_plane, per_plane_view, reference_plane_oracle
 
+from cmbpipe import segmenter
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
-from cmbpipe.phantom import generate_phantom, random_phantom_spec
+from cmbpipe.phantom import BackgroundSpec, generate_phantom, random_phantom_spec
 from cmbpipe.scanio import read_probability, write_probability
 from cmbpipe.segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
-from cmbpipe.triplanar import VIEWS, ThickSlice, binarize_fused, fuse_views, segment_volume
-from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D
+from cmbpipe.triplanar import VIEW_AXIS, VIEWS, binarize_fused, fuse_views, segment_view, segment_volume
+from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, normalize_intensity
 
 
-def slice_of(arr, view="axial", index=None):
-    arr = np.ascontiguousarray(arr)
-    if index is None:
-        index = arr.shape[2] // 2
-    return ThickSlice(view, index, arr)
+def plane_of(seg, arr, view="axial", index=None):
+    """Plane ``index`` (default: the middle axial one) of the view's probability volume."""
+    values = seg.segment(Volume3D(arr), view)
+    axis = VIEW_AXIS[view]
+    return np.take(values, arr.shape[2] // 2 if index is None else index, axis=axis)
 
 
 class TestOracle:
@@ -23,17 +28,17 @@ class TestOracle:
         vol = rng.uniform(0, 1, (16, 16, 16))
         seg = OracleSegmenter(gt)
         for view, axis in (("axial", 2), ("sagittal", 0), ("coronal", 1)):
-            plane = seg.segment(slice_of(vol, view, 7))
+            plane = plane_of(seg, vol, view, 7)
             assert np.array_equal(plane, np.take(labels, 7, axis=axis).astype(np.float32))
 
     def test_empty_gt_all_zero(self, rng):
         seg = OracleSegmenter(LabelMask(np.zeros((8, 8, 8), dtype=np.uint8)))
-        assert seg.segment(slice_of(rng.uniform(0, 1, (8, 8, 8)))).sum() == 0
+        assert plane_of(seg, rng.uniform(0, 1, (8, 8, 8))).sum() == 0
 
     def test_misaligned_gt_rejected(self, rng):
         seg = OracleSegmenter(LabelMask(np.zeros((9, 9, 9), dtype=np.uint8)))
         with pytest.raises(GeometryMismatchError):
-            seg.segment(slice_of(rng.uniform(0, 1, (8, 8, 8))))
+            plane_of(seg, rng.uniform(0, 1, (8, 8, 8)))
 
     def test_corruption_rate_validated(self, rng):
         with pytest.raises(ConfigError):
@@ -42,9 +47,9 @@ class TestOracle:
     def test_corruption_deterministic(self, rng):
         gt = LabelMask((rng.uniform(0, 1, (16, 16, 16)) > 0.8).astype(np.uint8))
         vol = rng.uniform(0, 1, (16, 16, 16))
-        a = OracleSegmenter(gt, 0.3, seed=5).segment(slice_of(vol))
-        b = OracleSegmenter(gt, 0.3, seed=5).segment(slice_of(vol))
-        c = OracleSegmenter(gt, 0.3, seed=6).segment(slice_of(vol))
+        a = plane_of(OracleSegmenter(gt, 0.3, seed=5), vol)
+        b = plane_of(OracleSegmenter(gt, 0.3, seed=5), vol)
+        c = plane_of(OracleSegmenter(gt, 0.3, seed=6), vol)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -63,11 +68,11 @@ class TestReference:
     def test_constant_plane_uniform_below_fusion_threshold(self):
         cfg = ReferenceConfig()
         seg = ReferenceSegmenter(cfg)
-        plane = seg.segment(slice_of(np.full((24, 24, 24), 0.5)))
+        plane = plane_of(seg, np.full((24, 24, 24), 0.5))
         vals = np.unique(plane)
         assert len(vals) == 1
         expected = 1.0 / (1.0 + np.exp(cfg.logistic_gain * cfg.score_offset))
-        assert vals[0] == pytest.approx(expected, rel=1e-12)
+        assert vals[0] == np.float32(expected)  # the seam returns the stored float32 values
         assert vals[0] ** 3 <= 0.125
 
     def test_dark_disc_scores_high_bright_disc_low(self, rng):
@@ -79,40 +84,49 @@ class TestReference:
         plane = np.clip(disc + noise, 0, 1)
         vol = np.repeat(plane[:, :, None], 3, axis=2)
         seg = ReferenceSegmenter(ReferenceConfig())
-        p_dark = seg.segment(ThickSlice("axial", 1, np.ascontiguousarray(vol)))
+        p_dark = plane_of(seg, vol, "axial", 1)
         assert p_dark[r < 2.0].max() >= 0.9
         inverted = np.clip(1.0 - plane, 0, 1)
         vol_inv = np.repeat(inverted[:, :, None], 3, axis=2)
-        p_bright = seg.segment(ThickSlice("axial", 1, np.ascontiguousarray(vol_inv)))
+        p_bright = plane_of(seg, vol_inv, "axial", 1)
         assert p_bright[r < 2.0].max() <= 0.1
 
     def test_rejects_out_of_range_intensities(self, rng):
         seg = ReferenceSegmenter(ReferenceConfig())
         with pytest.raises(RejectedInputError):
-            seg.segment(slice_of(rng.normal(100, 10, (16, 16, 16))))
+            plane_of(seg, rng.normal(100, 10, (16, 16, 16)))
 
     def test_deterministic(self, rng):
         vol = rng.uniform(0, 1, (24, 24, 24))
         seg = ReferenceSegmenter(ReferenceConfig())
-        assert np.array_equal(seg.segment(slice_of(vol)), seg.segment(slice_of(vol)))
+        assert np.array_equal(plane_of(seg, vol), plane_of(seg, vol))
 
     def test_scale_order_validated(self):
         with pytest.raises(ConfigError):
             ReferenceConfig(scale_min_mm=4.0, scale_max_mm=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f.name, bad) for f in fields(ReferenceConfig) for bad in (math.nan, math.inf, -math.inf)]
+        + [("logistic_gain", -40.0), ("logistic_gain", 0.0)],
+    )
+    def test_non_finite_or_non_positive_gain_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ReferenceConfig(**{field: value})
 
 
 class TestExternal:
     def test_replays_stored_planes(self, rng):
         stored = ProbabilityVolume(np.full((16, 16, 16), 0.5, dtype=np.float32))
         seg = ExternalSegmenter(stored)
-        plane = seg.segment(slice_of(rng.uniform(0, 1, (16, 16, 16)), "coronal", 3))
+        plane = plane_of(seg, rng.uniform(0, 1, (16, 16, 16)), "coronal", 3)
         assert np.all(plane == 0.5)
 
     def test_misaligned_volume_rejected(self, rng):
         stored = ProbabilityVolume(np.zeros((128, 128, 128), dtype=np.float32))
         seg = ExternalSegmenter(stored)
         with pytest.raises(GeometryMismatchError):
-            seg.segment(slice_of(rng.uniform(0, 1, (16, 16, 16))))
+            plane_of(seg, rng.uniform(0, 1, (16, 16, 16)))
 
     def test_external_matches_oracle_run(self, rng, tmp_path):
         """Stored oracle outputs drive the pipeline to identical results."""
@@ -139,3 +153,62 @@ class TestOracleEndToEnd:
         fused = fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
         pred = binarize_fused(fused, 0.125)
         assert np.array_equal(pred.labels, gt.labels)
+
+
+def reference_style_phantom(dims):
+    """A ``reference-128``-style phantom (CMBs, vessel and calcification mimics), normalized to [0, 1]."""
+    spec = random_phantom_spec(
+        501,
+        dims=(dims,) * 3,
+        n_cmbs_range=(2, 6),
+        diameter_range=(5.0, 9.0),
+        contrast_range=(0.6, 0.9),
+        n_vessels=2,
+        n_calcifications=2,
+        background=BackgroundSpec(100.0, 2.0, 4.0),
+    )
+    vol, gt, _ = generate_phantom(spec)
+    return normalize_intensity(vol, 0.0, 100.0), gt
+
+
+class TestWholeViewEqualsPerPlane:
+    """Each whole-view segmenter against the per-plane definition it replaced, bit for bit."""
+
+    CASES = {
+        "random-24-px0.7": lambda rng: Volume3D(rng.uniform(0, 1, (24, 24, 24)), (0.7, 0.7, 0.7)),
+        "constant-24": lambda rng: Volume3D(np.full((24, 24, 24), 0.5)),
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("planes_per_block", [None, 1, 5])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_reference(self, rng, monkeypatch, case, view, planes_per_block, jobs):
+        v = self.CASES[case](rng)
+        if planes_per_block is not None:  # several blocks, the last one short at 5
+            monkeypatch.setattr(segmenter, "BLOCK_VOXELS", planes_per_block * 24 * 24)
+        cfg = ReferenceConfig(pixel_spacing_mm=v.spacing[0])
+        got = segment_view(v, view, ReferenceSegmenter(cfg), jobs).values
+        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg), v.intensities, view)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_reference_on_128_phantom(self):
+        vol, _ = reference_style_phantom(128)
+        cfg = ReferenceConfig()
+        serial = segment_volume(vol, dict.fromkeys(VIEWS, ReferenceSegmenter(cfg)), jobs=1)
+        parallel = segment_volume(vol, dict.fromkeys(VIEWS, ReferenceSegmenter(cfg)), jobs=2)
+        for view in VIEWS:
+            want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg), vol.intensities, view)
+            assert np.array_equal(serial[view].values, want)
+            assert np.array_equal(parallel[view].values, want)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_oracle(self, rng, view, rate, jobs):
+        labels = (rng.uniform(0, 1, (20, 20, 20)) > 0.8).astype(np.uint8)
+        seg = OracleSegmenter(LabelMask(labels), rate, seed=11)
+        got = segment_view(Volume3D(rng.uniform(0, 1, (20, 20, 20))), view, seg, jobs).values
+        want = per_plane_view(lambda plane, k: oracle_plane(labels, view, k, rate, seed=11), labels, view)
+        assert np.array_equal(got, want)

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmbpipe import segmenter
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
+from cmbpipe.segmenter import ReferenceConfig, ReferenceSegmenter
 from cmbpipe.triplanar import (
     VIEWS,
+    SliceAdapter,
     binarize_fused,
     extract_thick_slices,
     fuse_views,
@@ -145,16 +148,60 @@ class _HalfSegmenter:
         return np.full(thick_slice.central.shape, 0.5, dtype=np.float32)
 
 
+class _CentralSegmenter:
+    """Per-slice identity: returns the central channel, so the view must reassemble the volume."""
+
+    def segment(self, thick_slice):
+        return thick_slice.channels[1]
+
+
+class _ShapeOf:
+    def __init__(self, shape):
+        self.shape = shape
+
+    def segment(self, v, view, jobs=1):
+        return np.zeros(self.shape, dtype=np.float32)
+
+
 class TestSegmentDriver:
-    def test_jobs_do_not_change_output(self, cube):
-        seg = _HalfSegmenter()
-        serial = segment_view(cube, "axial", seg, jobs=1)
-        parallel = segment_view(cube, "axial", seg, jobs=8)
-        assert np.array_equal(serial.values, parallel.values)
+    def test_jobs_do_not_change_output(self, cube, monkeypatch):
+        monkeypatch.setattr(segmenter, "BLOCK_VOXELS", 5 * 32 * 32)  # 7 blocks, the last one short
+        for seg in (SliceAdapter(_HalfSegmenter()), ReferenceSegmenter(ReferenceConfig())):
+            for view in VIEWS:
+                serial = segment_view(cube, view, seg, jobs=1)
+                parallel = segment_view(cube, view, seg, jobs=8)
+                assert np.array_equal(serial.values, parallel.values)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_slice_adapter_assembles_the_same_volume(self, cube, jobs):
+        for view in VIEWS:
+            half = segment_view(cube, view, SliceAdapter(_HalfSegmenter()), jobs)
+            planes = [_HalfSegmenter().segment(s) for s in extract_thick_slices(cube, view)]
+            assert np.array_equal(half.values, reassemble_view(planes, view, cube.spacing, cube.origin).values)
+            central = segment_view(cube, view, SliceAdapter(_CentralSegmenter()), jobs)
+            assert np.array_equal(central.values, cube.intensities.astype(np.float32))
+
+    def test_slice_adapter_rejects_wrong_plane_shape(self, cube):
+        class Short:
+            def segment(self, thick_slice):
+                return np.zeros((32, 31))
+
+        with pytest.raises(RejectedInputError, match="plane 0"):
+            segment_view(cube, "axial", SliceAdapter(Short()))
+
+    def test_wrong_view_shape_rejected(self, cube):
+        with pytest.raises(RejectedInputError, match="axial probabilities have shape"):
+            segment_view(cube, "axial", _ShapeOf((32, 32, 31)))
+
+    def test_unknown_view_and_non_canonical_rejected(self, rng, cube):
+        with pytest.raises(ConfigError):
+            segment_view(cube, "oblique", _ShapeOf(cube.dims))
+        with pytest.raises(RejectedInputError):
+            segment_view(Volume3D(rng.uniform(0, 1, (16, 16, 8))), "axial", _ShapeOf((16, 16, 8)))
 
     def test_missing_view_rejected(self, cube):
         with pytest.raises(ConfigError):
-            segment_volume(cube, {"axial": _HalfSegmenter()})
+            segment_volume(cube, {"axial": SliceAdapter(_HalfSegmenter())})
 
 
 @settings(deadline=None, max_examples=50)
