@@ -48,6 +48,56 @@ def _warp(v: Volume3D, m: LabelMask | None, coords: np.ndarray):
     return warped_v, warped_m
 
 
+def _tensor_product(coeffs: np.ndarray, w0: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """``sum coeffs[a, b, c] * w0[i, a] * w1[j, b] * w2[k, c]`` over a, b, c, one axis at a time."""
+    t = w1 @ (coeffs @ w2.T)  # (a, j, k)
+    return (w0 @ t.reshape(len(t), -1)).reshape(len(w0), len(w1), len(w2))
+
+
+# map_coordinates(mode="nearest") edge-pads its input by this much before prefiltering
+_SPLINE_PAD = 12
+
+
+def _bspline_weights(n: int, grid_points: int) -> tuple[np.ndarray, slice]:
+    """Cubic B-spline weights that sample a ``grid_points`` control axis at ``n`` voxels.
+
+    Voxel i sits at control coordinate ``float32(i) * float32((grid_points - 1) / (n - 1))``.
+    Returns the (n, k) weight matrix and the slice of the padded control axis
+    that its k columns read.
+    """
+    x = np.arange(n, dtype=np.float32) * np.float32((grid_points - 1) / max(n - 1, 1))
+    x = x.astype(np.float64) + _SPLINE_PAD
+    knot = np.floor(x)
+    y = x - knot
+    z = 1.0 - y
+    w = np.empty((n, 4))
+    w[:, 0] = z * z * z / 6.0
+    w[:, 1] = (y * y * (y - 2.0) * 3.0 + 4.0) / 6.0
+    w[:, 2] = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+    w[:, 3] = 1.0 - w[:, 0] - w[:, 1] - w[:, 2]
+    first = knot.astype(np.intp) - 1  # the four control points read are first .. first + 3
+    lo, hi = first.min(), first.max() + 4
+    weights = np.zeros((n, hi - lo))
+    weights[np.arange(n)[:, None], first[:, None] - lo + np.arange(4)] = w
+    return weights, slice(lo, hi)
+
+
+def _bspline_field(control: np.ndarray, dims) -> np.ndarray:
+    """Each control component of ``control`` (3, *grid) interpolated at every voxel, float32 (3, *dims).
+
+    Equals ``map_coordinates(control[a], sample, order=3, mode="nearest")`` at
+    the voxel positions of ``_bspline_weights``, evaluated as a tensor product
+    of three 1-D weight matrices (the free-form-deformation form).
+    """
+    weights, used = zip(*(_bspline_weights(n, g) for n, g in zip(dims, control.shape[1:])))
+    field = np.empty(control.shape[:1] + tuple(dims), dtype=np.float32)
+    for a, component in enumerate(control):
+        padded = np.pad(component, _SPLINE_PAD, mode="edge")
+        coeffs = ndimage.spline_filter(padded, order=3, output=np.float64, mode="nearest")[used]
+        field[a] = _tensor_product(coeffs, *weights)
+    return field
+
+
 def elastic_deform(
     v: Volume3D,
     m: LabelMask | None,
@@ -55,7 +105,7 @@ def elastic_deform(
     displacement_mm: float = 3.0,
     seed: int = 0,
 ):
-    """Smooth random displacement field (B-spline upsampled control grid).
+    """Smooth random displacement field: a cubic B-spline on a random control grid.
 
     The field is scaled so its largest displacement vector has length
     ``displacement_mm`` exactly.
@@ -74,18 +124,16 @@ def elastic_deform(
         max(2, int(np.ceil((n - 1) * s / control_spacing_mm)) + 1) for n, s in zip(dims, v.spacing)
     )
     control = rng.standard_normal((3,) + grid_shape).astype(np.float32)
-    scale = [(gs - 1) / max(n - 1, 1) for gs, n in zip(grid_shape, dims)]
-    sample = np.stack([coords[a] * scale[a] for a in range(3)]).astype(np.float32)
-    disp = np.stack(
-        [ndimage.map_coordinates(control[a], sample, order=3, mode="nearest") for a in range(3)]
-    )
+    disp = _bspline_field(control, dims)
     norm = np.sqrt(np.sum(disp**2, axis=0)).max()
     if norm > 0:
         disp *= displacement_mm / norm
     # displacement is in mm; convert to voxel units per axis
     for a in range(3):
         disp[a] /= v.spacing[a]
-    warped = _warp(v, m, coords + disp)
+    coords += disp
+    del disp  # released before the warp allocates its outputs
+    warped = _warp(v, m, coords)
     return (*warped, {"displacement_mm": float(displacement_mm)})
 
 
@@ -137,17 +185,15 @@ def bias_field(v: Volume3D, order: int = 3, amplitude: float = 0.2, seed: int = 
     if amplitude == 0.0:
         return v
     rng = derive_rng(seed, "bias")
-    axes = [np.linspace(-1.0, 1.0, n) for n in v.dims]
-    fld = np.zeros(v.dims)
+    coeffs = np.zeros((order + 1,) * 3)
     for p in range(order + 1):
         for q in range(order + 1 - p):
             for r in range(order + 1 - p - q):
                 if p == q == r == 0:
                     continue
-                coeff = rng.standard_normal()
-                fld += coeff * np.multiply.outer(
-                    np.multiply.outer(axes[0] ** p, axes[1] ** q), axes[2] ** r
-                )
+                coeffs[p, q, r] = rng.standard_normal()
+    powers = [np.linspace(-1.0, 1.0, n)[:, None] ** np.arange(order + 1) for n in v.dims]
+    fld = _tensor_product(coeffs, *powers)
     peak = np.abs(fld).max()
     if peak > 0:
         fld = 1.0 + amplitude * fld / peak

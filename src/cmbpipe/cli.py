@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -445,6 +445,9 @@ def cmd_segment(params: dict) -> list[Path]:
     needed = {"oracle": "gt_dir", "external": "prob_dir"}.get(kind)
     if needed and not params[needed]:
         raise ConfigError(f"segment: --{needed.replace('_', '-')} is required for the {kind} segmenter")
+    if kind == "reference":
+        # the reference parameters are named after ReferenceConfig fields; the pixel spacing is set per scan
+        cfg = ReferenceConfig(**{f.name: params[f.name] for f in fields(ReferenceConfig) if f.name in params})
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     jobs = _jobs(params)
@@ -460,10 +463,8 @@ def cmd_segment(params: dict) -> list[Path]:
             vol = volume.normalize_intensity(vol, params["lo_pct"], params["hi_pct"])
             if params["gamma"] != 1.0:
                 vol = volume.adjust_contrast(vol, params["gamma"])
-            # the reference parameters are named after ReferenceConfig fields
-            tuned = {f.name: params[f.name] for f in fields(ReferenceConfig) if f.name in params}
-            cfg = ReferenceConfig(pixel_spacing_mm=float(vol.spacing[0]), **tuned)
-            segmenters = dict.fromkeys(VIEWS, ReferenceSegmenter(cfg))
+            scan_cfg = replace(cfg, pixel_spacing_mm=float(vol.spacing[0]))
+            segmenters = dict.fromkeys(VIEWS, ReferenceSegmenter(scan_cfg))
         else:
             prob_dir = Path(params["prob_dir"])
             segmenters = {

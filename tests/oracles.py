@@ -220,3 +220,37 @@ def per_plane_view(plane_fn, arr, view):
     axis = VIEW_AXIS[view]
     planes = [plane_fn(np.take(arr, k, axis=axis), k) for k in range(arr.shape[axis])]
     return np.stack(planes, axis=axis, dtype=np.float32)
+
+
+def bspline_field_oracle(control, dims):
+    """Each control component of ``control`` (3, *grid) sampled at every voxel by ``map_coordinates``.
+
+    Voxel i of an axis sits at control coordinate i * (grid - 1) / (n - 1),
+    computed in float32; each sample is a per-voxel cubic B-spline
+    evaluation (order 3, mode "nearest").
+    """
+    from scipy import ndimage
+
+    coords = np.indices(dims, dtype=np.float32)
+    scale = [(gs - 1) / max(n - 1, 1) for gs, n in zip(control.shape[1:], dims)]
+    sample = np.stack([coords[a] * scale[a] for a in range(3)]).astype(np.float32)
+    return np.stack([ndimage.map_coordinates(c, sample, order=3, mode="nearest") for c in control])
+
+
+def bias_field_oracle(dims, order, amplitude, seed):
+    """The multiplicative bias field, summed as one full-volume outer product per monomial."""
+    from cmbpipe.rng import derive_rng
+
+    rng = derive_rng(seed, "bias")
+    axes = [np.linspace(-1.0, 1.0, n) for n in dims]
+    fld = np.zeros(dims)
+    for p in range(order + 1):
+        for q in range(order + 1 - p):
+            for r in range(order + 1 - p - q):
+                if p == q == r == 0:
+                    continue
+                coeff = rng.standard_normal()
+                fld += coeff * np.multiply.outer(np.multiply.outer(axes[0] ** p, axes[1] ** q), axes[2] ** r)
+    peak = np.abs(fld).max()
+    fld = 1.0 + amplitude * fld / peak if peak > 0 else np.ones(dims)
+    return fld / fld.mean()

@@ -4,6 +4,7 @@ import pytest
 from cmbpipe.augment import (
     TRANSFORM_ORDER,
     AugmentSpec,
+    _bspline_field,
     apply_augmentation,
     bias_field,
     blur_volume,
@@ -18,7 +19,7 @@ from cmbpipe.errors import ConfigError, GeometryMismatchError
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
 from cmbpipe.volume import LabelMask, Volume3D, WorldPoint
 
-from oracles import ghost_delta_1d, truncated_spectrum_1d
+from oracles import bias_field_oracle, bspline_field_oracle, ghost_delta_1d, truncated_spectrum_1d
 
 
 # Spec JSON that must be rejected with ConfigError: unknown sections and keys,
@@ -126,7 +127,38 @@ class TestSpatialTransforms:
             flip_volume(v, m, (0,))
 
 
+class TestElasticField:
+    @pytest.mark.parametrize(
+        "dims, spacing, control_spacing_mm",
+        [
+            ((128, 128, 128), (1.0, 1.0, 1.0), 32.0),
+            ((64, 80, 48), (1.0, 1.0, 2.5), 32.0),
+            ((40, 3, 30), (1.0, 1.0, 1.0), 8.0),  # 2-point control axis
+            ((20, 1, 16), (1.0, 1.0, 1.0), 6.0),  # axis of one voxel
+            ((10, 12, 8), (1.0, 1.0, 1.0), 0.4),  # control grid larger than dims
+        ],
+    )
+    def test_matches_per_voxel_spline_evaluation(self, dims, spacing, control_spacing_mm):
+        """The separable field equals map_coordinates(order=3) to 1e-6 voxel once scaled as elastic_deform does."""
+        grid = tuple(max(2, int(np.ceil((n - 1) * s / control_spacing_mm)) + 1) for n, s in zip(dims, spacing))
+        control = np.random.default_rng(11).standard_normal((3,) + grid).astype(np.float32)
+        expected = bspline_field_oracle(control, dims)
+        got = _bspline_field(control, dims)
+        assert got.shape == expected.shape and got.dtype == np.float32
+        # mm per field unit for a largest displacement of 3 mm, then voxels per mm on each axis
+        to_voxels = 3.0 / np.sqrt(np.sum(expected.astype(np.float64) ** 2, axis=0)).max()
+        to_voxels /= np.asarray(spacing).reshape(3, 1, 1, 1)
+        assert np.abs((got.astype(np.float64) - expected) * to_voxels).max() < 1e-6
+
+
 class TestBiasField:
+    @pytest.mark.parametrize("dims, order", [((24, 20, 16), 3), ((9, 1, 7), 1), ((16, 16, 16), 5)])
+    def test_matches_outer_product_sum(self, dims, order):
+        for seed in range(3):
+            out = bias_field(Volume3D(np.ones(dims)), order=order, amplitude=0.2, seed=seed)
+            expected = bias_field_oracle(dims, order, 0.2, seed)
+            assert np.abs(out.intensities / expected - 1.0).max() < 1e-12
+
     def test_mean_preserved(self, rng):
         v = Volume3D(np.full((24, 24, 24), 50.0))
         out = bias_field(v, order=3, amplitude=0.2, seed=5)

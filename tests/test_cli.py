@@ -278,6 +278,8 @@ class TestConfigAndErrors:
 
     def test_bad_reference_parameter_exit_1(self, tmp_path):
         data = make_phantom_data(tmp_path, count=1, dims=16)
+        empty = tmp_path / "empty.jsonl"  # no scan: the parameters are checked before any volume is read
+        empty.write_text("")
         for flag, bad in (
             ("--score-offset", "nan"),
             ("--logistic-gain", "nan"),
@@ -285,9 +287,10 @@ class TestConfigAndErrors:
             ("--darkness-weight", "inf"),
             ("--logistic-gain", "-40"),
         ):
-            out = tmp_path / f"out{flag}{bad}"
-            assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out, flag, bad) == 1
-            assert not (out / "prob").exists()
+            for manifest in (data / "manifest.jsonl", empty):
+                out = tmp_path / f"out{flag}{bad}{manifest.stem}"
+                assert run("segment", "--manifest", manifest, "--out", out, flag, bad) == 1
+                assert not (out / "prob").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
