@@ -78,20 +78,24 @@ def _foreground(labels: np.ndarray) -> np.ndarray:
 def _label(m: LabelMask, connectivity: int) -> tuple[list[DetectedCMB], np.ndarray, np.ndarray]:
     """Components of ``m`` plus its foreground voxels and the component id of each.
 
-    Everything is computed from one ``ndimage.label`` image, read only at
-    the foreground voxels; the image is freed before returning.
+    Everything is computed from one ``ndimage.label`` image of the
+    foreground's bounding box, read only at the foreground voxels; the
+    image is freed before returning. No component crosses the box, and
+    every field is taken from full-grid coordinates.
     """
     if connectivity not in (6, 26):
         raise ConfigError(f"connectivity must be 6 or 26, got {connectivity}")
     structure = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
     fg = _foreground(m.labels)
-    labeled, n = ndimage.label(m.labels, structure=structure)
-    lab = labeled.reshape(-1)[fg]
-    del labeled
-    if n == 0:
-        return [], fg, lab
+    if len(fg) == 0:
+        return [], fg, np.zeros(0, dtype=np.int64)
 
     ijk = np.stack(np.unravel_index(fg, m.dims), axis=1)
+    box_lo = ijk.min(axis=0)
+    box = tuple(slice(a, b + 1) for a, b in zip(box_lo.tolist(), ijk.max(axis=0).tolist()))
+    labeled, n = ndimage.label(m.labels[box], structure=structure)
+    lab = labeled.reshape(-1)[np.ravel_multi_index((ijk - box_lo).T, labeled.shape)]
+    del labeled
     order = np.argsort(lab, kind="stable")
     counts = np.bincount(lab, minlength=n + 1)[1:]
     starts = np.cumsum(counts) - counts

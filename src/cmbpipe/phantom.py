@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PhantomSpecError
 from .rng import derive_rng
 from .scanio import Acquisition, ScanManifestEntry
-from .volume import LabelMask, Volume3D, WorldPoint
+from .volume import LabelMask, Volume3D, WorldPoint, plane_blocks
 
 DIAMETER_RANGE_MM = (2.0, 10.0)  # clinical CMB size range
 MIN_CMB_SEPARATION_MM = 4.0  # surface-to-surface
@@ -146,8 +146,10 @@ def _smooth_field(spec: PhantomSpec) -> np.ndarray:
         freq = np.arange(3)[:, None] * np.pi / extent
         basis.append(np.cos(freq * xs[axis][None, :]))
     fld = np.einsum("pqr,pi,qj,rk->ijk", coeff, basis[0], basis[1], basis[2], optimize=True)
-    peak = np.abs(fld).max()
-    return fld * (amp / peak) if peak > 0 else fld
+    peak = max(fld.max(), -fld.min())  # the largest |value|, without an np.abs copy
+    if peak > 0:
+        fld *= amp / peak
+    return fld
 
 
 def _gaussian_dip(arr: np.ndarray, spec: PhantomSpec, center, sigma_mm: float, contrast: float) -> None:
@@ -209,7 +211,10 @@ def generate_phantom(
     for vessel in spec.vessels:
         _tube_dip(arr, spec, vessel)
     if spec.background.noise_sigma > 0:
-        arr += derive_rng(spec.seed, "noise").normal(0.0, spec.background.noise_sigma, spec.dims)
+        # C-order blocks of one stream draw the same values as one whole-volume draw.
+        rng = derive_rng(spec.seed, "noise")
+        for block in plane_blocks(spec.dims):
+            arr[block] += rng.normal(0.0, spec.background.noise_sigma, arr[block].shape)
 
     labels = np.zeros(spec.dims, dtype=np.uint8)
     for cmb in spec.cmbs:

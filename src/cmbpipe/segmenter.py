@@ -68,7 +68,11 @@ class ReferenceConfig:
 
 
 class OracleSegmenter:
-    """Replays the ground-truth mask, flipping each pixel with ``corruption_rate``."""
+    """Replays the ground-truth mask, flipping each pixel with ``corruption_rate``.
+
+    A clean oracle (rate 0) converts the ground truth to float32 once and
+    returns that one read-only array for every view.
+    """
 
     def __init__(self, gt: LabelMask, corruption_rate: float = 0.0, seed: int = 0):
         if not (0.0 <= corruption_rate < 1.0):
@@ -76,16 +80,21 @@ class OracleSegmenter:
         self.gt = gt
         self.corruption_rate = corruption_rate
         self.seed = seed
+        self._clean = None
+        if corruption_rate == 0.0:
+            self._clean = gt.labels.astype(np.float32)
+            self._clean.flags.writeable = False
 
     def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
         if self.gt.dims != v.dims:
             raise GeometryMismatchError(f"ground truth dims {self.gt.dims} do not match volume dims {v.dims}")
+        if self._clean is not None:
+            return self._clean
         out = self.gt.labels.astype(np.float32)
-        if self.corruption_rate > 0.0:
-            # one stream per plane of the view, so each plane's flips are fixed by (seed, view, plane)
-            for k, plane in enumerate(np.moveaxis(out, VIEW_AXIS[view], 0)):
-                rng = derive_rng(self.seed, "oracle", view, k)
-                np.subtract(1.0, plane, out=plane, where=rng.uniform(size=plane.shape) < self.corruption_rate)
+        # one stream per plane of the view, so each plane's flips are fixed by (seed, view, plane)
+        for k, plane in enumerate(np.moveaxis(out, VIEW_AXIS[view], 0)):
+            rng = derive_rng(self.seed, "oracle", view, k)
+            np.subtract(1.0, plane, out=plane, where=rng.uniform(size=plane.shape) < self.corruption_rate)
         return out
 
 

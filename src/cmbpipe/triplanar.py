@@ -18,7 +18,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ConfigError, RejectedInputError
-from .volume import LabelMask, ProbabilityVolume, Volume3D, require_same_geometry
+from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, require_same_geometry
 
 VIEWS = ("axial", "sagittal", "coronal")
 VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
@@ -106,11 +106,22 @@ def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: Probabi
     """Per-voxel product of the three view probabilities (full-agreement fusion).
 
     The product is accumulated in float64 so the result is exactly
-    symmetric in its arguments; any zero vetoes the voxel.
+    symmetric in its arguments; any zero vetoes the voxel. It is computed
+    in blocks of planes through one reused float64 buffer and rounded into
+    one float32 volume, with the same arithmetic as
+    ``(a.astype(float64) * b * c).astype(float32)``.
     """
     require_same_geometry(p_ax, p_sag, "view probability volumes")
     require_same_geometry(p_ax, p_cor, "view probability volumes")
-    fused = p_ax.values.astype(np.float64) * p_sag.values * p_cor.values
+    a, b, c = p_ax.values, p_sag.values, p_cor.values
+    blocks = plane_blocks(a.shape)
+    fused = np.empty(a.shape, dtype=np.float32)
+    buf = np.empty((blocks[0].stop,) + a.shape[1:], dtype=np.float64)
+    for block in blocks:
+        prod = buf[: block.stop - block.start]
+        np.multiply(a[block], b[block], out=prod, dtype=np.float64)
+        np.multiply(prod, c[block], out=prod)
+        fused[block] = prod
     return ProbabilityVolume(fused, p_ax.spacing, p_ax.origin)
 
 
@@ -118,7 +129,7 @@ def binarize_fused(p: ProbabilityVolume, tau: float = 0.125) -> LabelMask:
     """Label voxels with fused probability strictly above tau (default 0.5^3)."""
     if not (0.0 < tau < 1.0):
         raise ConfigError(f"tau must be in (0, 1), got {tau}")
-    return LabelMask((p.values > tau).astype(np.uint8), p.spacing, p.origin)
+    return LabelMask(np.greater(p.values, tau).view(np.uint8), p.spacing, p.origin)
 
 
 class ViewSegmenter(Protocol):

@@ -25,6 +25,12 @@ from .errors import (
 
 Triple = tuple[float, float, float]
 
+# Whole-volume elementwise passes (fusion, phantom noise) run on blocks of
+# axis-0 planes of about this many voxels, 2 MiB of float64: on a 2-vCPU VM
+# at 256^3, blocks of 2^16 to 2^20 voxels fused within 10% of each other
+# and blocks of 2^22 were about 1.35x slower.
+_BLOCK_VOXELS = 1 << 18
+
 
 class VoxelIndex(NamedTuple):
     i: int
@@ -44,6 +50,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
+
+
+def plane_blocks(shape: tuple[int, ...]) -> list[slice]:
+    """Consecutive slices of axis 0 of ``shape`` that together cover it, each about ``_BLOCK_VOXELS`` voxels."""
+    step = max(_BLOCK_VOXELS // int(np.prod(shape[1:])), 1)
+    return [slice(start, min(start + step, shape[0])) for start in range(0, shape[0], step)]
 
 
 def _check_geometry_fields(spacing, origin) -> tuple[Triple, Triple]:

@@ -318,6 +318,79 @@ class TestOracleEquivalence:
             )
 
 
+def boxed_masks():
+    """Masks whose foreground bounding box is a strict part of the grid, the whole grid, one voxel or empty."""
+    rng = np.random.default_rng(77)
+    dims, spacing, origin = (23, 17, 29), (0.6, 1.1, 1.7), (-4.0, 2.5, 10.0)
+    lo, hi = (5, 4, 9), (14, 11, 21)  # inclusive corners of the off-origin box
+    box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+    speckle = np.zeros(dims, dtype=np.uint8)
+    speckle[box] = rng.uniform(0, 1, speckle[box].shape) < 0.15
+    mid = [(a + b) // 2 for a, b in zip(lo, hi)]
+    for axis in range(3):
+        for end in (lo[axis], hi[axis]):
+            face = list(mid)
+            face[axis] = end
+            speckle[tuple(face)] = 1  # a component on every face of the box
+    other = speckle.copy()
+    other[box] ^= (rng.uniform(0, 1, other[box].shape) < 0.05).astype(np.uint8)
+    other[lo[0] + 1, lo[1], hi[2] + 2] = 1  # so the two boxes differ
+    corners = np.zeros((9, 12, 7), dtype=np.uint8)
+    corners[np.ix_((0, -1), (0, -1), (0, -1))] = 1
+    single = np.zeros((10, 8, 12), dtype=np.uint8)
+    single[6, 0, 11] = 1
+    empty = np.zeros((6, 7, 5), dtype=np.uint8)
+    return {
+        "off-origin box": (speckle, other, spacing, origin),
+        "grid corners": (corners, corners[::-1].copy(), (1.0, 0.8, 1.3), (0.0, 0.0, 0.0)),
+        "single voxel": (single, single, (0.5, 0.5, 0.5), (1.0, -1.0, 0.0)),
+        "empty": (empty, empty, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+    }
+
+
+class TestBoundingBoxLabelling:
+    """Labelling only the foreground's bounding box gives whole-grid results."""
+
+    def test_off_origin_box_touches_every_face(self):
+        arr = boxed_masks()["off-origin box"][0]
+        nz = np.nonzero(arr)
+        assert [(int(a.min()), int(a.max())) for a in nz] == [(5, 14), (4, 11), (9, 21)]
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    @pytest.mark.parametrize("case", list(boxed_masks()))
+    def test_components_match_oracle(self, case, connectivity):
+        pred_arr, gt_arr, spacing, origin = boxed_masks()[case]
+        for arr in (pred_arr, gt_arr):
+            m = LabelMask(arr, spacing, origin)
+            got = detection_fields(connected_components(m, connectivity))
+            assert got == [c[:5] for c in components_oracle(m, connectivity)]
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    @pytest.mark.parametrize("case", list(boxed_masks()))
+    def test_evaluate_scan_matches_whole_grid_labels(self, monkeypatch, case, connectivity):
+        calls = []
+
+        def recording_match(pred, gt, max_dist_mm, overlaps):
+            calls.append({tuple(pair) for pair in np.asarray(overlaps).tolist()})
+            return match_detections(pred, gt, max_dist_mm, overlaps)
+
+        monkeypatch.setattr("cmbpipe.detect.match_detections", recording_match)
+        pred_arr, gt_arr, spacing, origin = boxed_masks()[case]
+        pred, gt = LabelMask(pred_arr, spacing, origin), LabelMask(gt_arr, spacing, origin)
+        metrics, _, _ = evaluate_scan(pred, gt, connectivity, 0.0, 2.5)
+
+        # components_oracle labels the whole grid with one ndimage.label call
+        p_all, g_all = components_oracle(pred, connectivity), components_oracle(gt, connectivity)
+        overlaps = {(p[0], g[0]) for p in p_all for g in g_all if not p[5].isdisjoint(g[5])}
+        pairing = match_oracle([p[:2] for p in p_all], [g[:2] for g in g_all], 2.5, overlaps)
+        assert calls == [overlaps]
+        assert (metrics.tp, metrics.fp, metrics.fn) == (
+            len(pairing),
+            len(p_all) - len(pairing),
+            len(g_all) - len(pairing),
+        )
+
+
 class TestEvaluateScan:
     def test_geometry_checked_first(self):
         a = mask_from_voxels([(3, 3, 3)], dims=(8, 8, 8))

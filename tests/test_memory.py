@@ -1,0 +1,65 @@
+"""Allocation guards for the whole-volume steps of a scan.
+
+Each guard traces one call with ``tracemalloc``, which sees numpy's array
+allocations, and bounds its peak in units of the volume it works on. The
+call runs once untraced first, so lazy imports (``scipy.spatial``) and
+first-call caches are not counted. Arrays the call returns are counted:
+they are allocated while tracing.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from cmbpipe.detect import evaluate_scan
+from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
+from cmbpipe.triplanar import binarize_fused, fuse_views
+from cmbpipe.volume import LabelMask, ProbabilityVolume, WorldPoint
+
+
+def traced_peak_bytes(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs, after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+def test_evaluate_scan_labels_only_the_foreground_box():
+    n = 128
+    arr = np.zeros((n,) * 3, dtype=np.uint8)
+    arr[100:110, 100:110, 100:110] = 1  # far from the origin, so a box from (0, 0, 0) is most of the grid
+    mask = LabelMask(arr)
+    peak = traced_peak_bytes(lambda: evaluate_scan(mask, mask, min_volume_mm3=4.2))
+    assert peak < 0.25 * n**3 * np.dtype(np.int32).itemsize
+
+
+def test_generate_phantom_adds_noise_in_blocks():
+    n = 96
+    spec = PhantomSpec(
+        dims=(n,) * 3,
+        background=BackgroundSpec(100.0, 2.0, 2.0),
+        cmbs=(CMBSpec(WorldPoint(48.0, 48.0, 48.0), 6.0, 0.8),),
+        seed=3,
+    )
+    peak = traced_peak_bytes(lambda: generate_phantom(spec))
+    assert peak < 1.5 * n**3 * np.dtype(np.float64).itemsize
+
+
+def test_fuse_views_writes_float32_in_blocks():
+    n = 96
+    views = [ProbabilityVolume(np.full((n,) * 3, p, dtype=np.float32)) for p in (0.9, 0.6, 0.3)]
+    peak = traced_peak_bytes(lambda: fuse_views(*views))
+    assert peak < 1.0 * n**3 * np.dtype(np.float64).itemsize
+
+
+def test_binarize_fused_makes_one_byte_mask():
+    n = 96
+    fused = ProbabilityVolume(np.linspace(0, 1, n**3, dtype=np.float32).reshape((n,) * 3))
+    peak = traced_peak_bytes(lambda: binarize_fused(fused, 0.125))
+    assert peak < 1.5 * n**3

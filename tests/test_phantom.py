@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from cmbpipe.phantom import (
     CMBSpec,
     PhantomSpec,
     VesselSpec,
+    _smooth_field,
     generate_phantom,
     gt_radius_mm,
     random_phantom_spec,
 )
-from cmbpipe.volume import WorldPoint
+from cmbpipe.rng import derive_rng
+from cmbpipe.volume import WorldPoint, plane_blocks
 
 from oracles import alpha_ball_voxels
 
@@ -158,3 +162,42 @@ def test_random_spec_respects_separation():
                 - b.diameter_mm / 2
             )
             assert gap >= 4.0
+
+
+BLOCKED_DIMS = (37, 11, 5)  # 37 planes: no block size used below divides it
+
+
+@pytest.mark.parametrize("block_voxels", [1, 4 * 11 * 5, None])
+def test_blocked_noise_equals_one_whole_volume_draw(monkeypatch, block_voxels):
+    if block_voxels is not None:
+        monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", block_voxels)
+        assert len(plane_blocks(BLOCKED_DIMS)) > 1
+    spec = PhantomSpec(
+        dims=BLOCKED_DIMS,
+        background=BackgroundSpec(100.0, 2.0, 3.0),
+        cmbs=(CMBSpec(WorldPoint(18.0, 5.0, 2.0), 3.0, 0.7),),
+        seed=5,
+    )
+    vol, _, _ = generate_phantom(spec)
+    clean, _, _ = generate_phantom(replace(spec, background=BackgroundSpec(100.0, 2.0, 0.0)))
+    want = clean.intensities + derive_rng(5, "noise").normal(0.0, 3.0, BLOCKED_DIMS)
+    assert np.array_equal(vol.intensities, want)
+
+
+def test_smooth_field_scaled_by_its_largest_magnitude(monkeypatch):
+    raw = []
+    einsum = np.einsum
+
+    def recording_einsum(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        raw.append(out.copy())
+        return out
+
+    monkeypatch.setattr(np, "einsum", recording_einsum)
+    peak_signs = set()
+    for seed in range(8):
+        got = _smooth_field(PhantomSpec(dims=BLOCKED_DIMS, background=BackgroundSpec(100.0, 2.5, 0.0), seed=seed))
+        fld = raw.pop()
+        assert np.array_equal(got, fld * (2.5 / np.abs(fld).max()))
+        peak_signs.add(bool(fld.max() > -fld.min()))
+    assert peak_signs == {True, False}  # the peak came from the maximum and from the minimum

@@ -53,6 +53,26 @@ class TestOracle:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_clean_oracle_returns_one_read_only_array(self, rng):
+        labels = (rng.uniform(0, 1, (37, 11, 5)) > 0.7).astype(np.uint8)
+        seg = OracleSegmenter(LabelMask(labels))
+        vol = Volume3D(rng.uniform(0, 1, labels.shape))
+        outs = [seg.segment(vol, view) for view in VIEWS]
+        for out in outs:
+            assert out is outs[0]
+            assert out.dtype == np.float32
+            assert np.array_equal(out, labels.astype(np.float32))
+        assert not outs[0].flags.writeable
+        with pytest.raises(ValueError):
+            outs[0][0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_corrupted_oracle_planes_on_non_cubic_grid(self, rng, view):
+        labels = (rng.uniform(0, 1, (37, 11, 5)) > 0.7).astype(np.uint8)
+        got = OracleSegmenter(LabelMask(labels), 0.3, seed=4).segment(Volume3D(rng.uniform(0, 1, labels.shape)), view)
+        want = per_plane_view(lambda plane, k: oracle_plane(labels, view, k, 0.3, seed=4), labels, view)
+        assert np.array_equal(got, want)
+
     def test_corrupted_view_vetoed_by_fusion(self, rng):
         """Corruption on one view cannot create detections where the others say 0."""
         gt = LabelMask(np.zeros((24, 24, 24), dtype=np.uint8))

@@ -123,6 +123,36 @@ class TestFuse:
         assert np.all(f0 <= np.minimum(np.minimum(vals[0], vals[1]), vals[2]))
 
 
+def near_tau_probabilities(rng, shape):
+    """Float32 views drawn from zeros, ones, 0.5 and its neighbours, so products land on and beside 0.125."""
+    half = np.float32(0.5)
+    pool = np.array(
+        [0.0, 1.0, half, np.nextafter(half, np.float32(0)), np.nextafter(half, np.float32(1)), 0.37, 0.93],
+        dtype=np.float32,
+    )
+    return rng.choice(pool, shape)
+
+
+class TestBlockedFusion:
+    SHAPE = (37, 11, 5)  # 37 planes: no block size used below divides it
+
+    @pytest.mark.parametrize("block_voxels", [1, 4 * 11 * 5, None])
+    def test_equals_whole_volume_float64_product(self, rng, monkeypatch, block_voxels):
+        if block_voxels is not None:
+            monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", block_voxels)
+        a, b, c = (near_tau_probabilities(rng, self.SHAPE) for _ in range(3))
+        got = fuse_views(ProbabilityVolume(a), ProbabilityVolume(b), ProbabilityVolume(c)).values
+        want = (a.astype(np.float64) * b * c).astype(np.float32)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+        assert {0.0, 1.0, 0.125} <= set(np.unique(want).tolist())
+        assert np.any((want > 0.12) & (want < 0.125)) and np.any((want > 0.125) & (want < 0.13))
+
+        mask = binarize_fused(ProbabilityVolume(got), 0.125).labels
+        assert mask.dtype == np.uint8
+        assert np.array_equal(mask, (got > 0.125).astype(np.uint8))
+
+
 class TestBinarize:
     def test_strict_inequality_at_boundary(self):
         p = ProbabilityVolume(np.full((2, 2, 2), 0.125, dtype=np.float32))
