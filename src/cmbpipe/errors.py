@@ -30,7 +30,7 @@ class VolumeLoadError(DataError):
 
 
 class BadMagicError(VolumeLoadError):
-    """File is not NIfTI-1 (magic field mismatch) and not a known raw volume."""
+    """File is not NIfTI-1 (magic field mismatch)."""
 
 
 class UnsupportedDatatypeError(VolumeLoadError):

@@ -1,14 +1,12 @@
 """Volume and manifest I/O.
 
-Two on-disk volume formats are supported:
-
-* a NIfTI-1 subset: single ``.nii``/``.nii.gz`` files, magic ``n+1\\0``,
-  datatypes uint8/int16/float32, honoring dim[0..4], datatype, bitpix,
-  pixdim[1..3], vox_offset, scl_slope/scl_inter and the sform/qform
-  permutation+sign part (residual oblique rotation is ignored with a
-  warning — volumes are axis-aligned by design);
-* a raw format: flat little-endian binary payload plus a ``<path>.hdr``
-  text sidecar carrying dims, spacing, origin and dtype.
+Volumes are a NIfTI-1 subset: single ``.nii``/``.nii.gz`` files, magic
+``n+1\\0``, datatypes uint8/int16/float32, honoring dim[0..4], datatype,
+bitpix, pixdim[1..3], vox_offset, scl_slope/scl_inter and the sform/qform
+permutation+sign part (residual oblique rotation is ignored with a
+warning — volumes are axis-aligned by design). ``.nii.gz`` files are
+written as one gzip member deflated at level 1 in fixed chunks on every
+available CPU; their bytes depend only on the volume.
 
 Dataset manifests are newline-delimited JSON records, one scan per line.
 """
@@ -17,8 +15,11 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import struct
 import warnings
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .errors import (
 from .volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint
 
 HEADER_SIZE = 348
+DATA_OFFSET = 352  # the header plus the 4-byte extension flag, all zero
 MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
 
@@ -44,6 +46,11 @@ MAGIC_PAIR = b"ni1\x00"
 DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32}
 DTYPE_CODES = {"uint8": 2, "int16": 4, "float32": 16}
 BITPIX = {2: 8, 4: 16, 16: 32}
+
+# gzip member header (RFC 1952): deflate, no flags or file name, mtime 0,
+# XFL 4 (fastest level), OS unknown.
+GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
+GZIP_CHUNK = 256 * 1024
 
 DATASET_TAGS = ("DS1r", "DS1s", "DS2", "DS3", "DS3n", "PHANTOM", "OTHER")
 
@@ -53,13 +60,19 @@ DATASET_TAGS = ("DS1r", "DS1s", "DS2", "DS3", "DS3n", "PHANTOM", "OTHER")
 # ---------------------------------------------------------------------------
 
 def _read_bytes(path: str | Path) -> bytes:
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-        rest = fh.read()
-    raw = head + rest
-    if head == b"\x1f\x8b":
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError as exc:
+        raise VolumeLoadError(f"{path}: no such file") from exc
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
         return gzip.decompress(raw)
-    return raw
+    except EOFError as exc:
+        raise TruncatedPayloadError(f"{path}: gzip stream ends early ({exc})") from exc
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise VolumeLoadError(f"{path}: corrupt gzip stream ({exc})") from exc
 
 
 def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
@@ -128,8 +141,8 @@ def _parse_nifti_header(blob: bytes, path: str):
 def _canonical_orientation(arr: np.ndarray, spacing, rot: np.ndarray, trans: np.ndarray, path: str):
     """Reorder/flip data axes so axis i runs along world axis i, increasing.
 
-    Only the permutation+sign part of the affine is honored; a residual
-    oblique rotation triggers a warning and is dropped.
+    Returns a view of ``arr``. Only the permutation+sign part of the affine
+    is honored; a residual oblique rotation triggers a warning and is dropped.
     """
     norms = np.linalg.norm(rot, axis=0)
     if np.any(norms == 0):
@@ -159,36 +172,48 @@ def _canonical_orientation(arr: np.ndarray, spacing, rot: np.ndarray, trans: np.
         else:
             out_origin.append(float(trans[i]))
         out_spacing.append(float(spacing[j]))
-    return np.ascontiguousarray(arr), tuple(out_spacing), tuple(out_origin)
+    return arr, tuple(out_spacing), tuple(out_origin)
 
 
-def _read_nifti(path: str | Path) -> Volume3D:
+def _read_nifti(path: str | Path) -> tuple[np.ndarray, tuple, tuple]:
+    """The canonical C-contiguous data of ``path`` with its spacing and origin.
+
+    An unscaled uint8 payload stays uint8 (masks); every other payload is
+    cast to float64 in the same copy that reorients it.
+    """
     blob = _read_bytes(path)
     (endian, dims, spacing, datatype, vox_offset, scl_slope, scl_inter, rot, trans) = _parse_nifti_header(
         blob, str(path)
     )
     dt = np.dtype(DTYPES[datatype]).newbyteorder(endian)
     offset = max(int(vox_offset), HEADER_SIZE)
-    nbytes = int(np.prod(dims)) * dt.itemsize
-    payload = blob[offset : offset + nbytes]
-    if len(payload) < nbytes:
+    count = int(np.prod(dims))
+    nbytes = count * dt.itemsize
+    if len(blob) < offset + nbytes:
         raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, dim/bitpix imply {nbytes} after vox_offset {offset}"
+            f"{path}: payload holds {max(len(blob) - offset, 0)} bytes, "
+            f"dim/bitpix imply {nbytes} after vox_offset {offset}"
         )
-    arr = np.frombuffer(payload, dtype=dt).reshape(dims, order="F").astype(np.float64)
-    if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
-        arr = arr * scl_slope + scl_inter
+    stored = np.frombuffer(blob, dt, count, offset).reshape(dims, order="F")
+    view, spacing, origin = _canonical_orientation(stored, spacing, rot, trans, str(path))
+    scaled = scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0)
+    if datatype == DTYPE_CODES["uint8"] and not scaled:
+        return np.ascontiguousarray(view), spacing, origin
+    arr = np.ascontiguousarray(view, dtype=np.float64)
+    if scaled:
+        arr *= scl_slope
+        arr += scl_inter
     if not np.isfinite(arr).all():
         raise NonFiniteDataError(f"{path}: decoded intensities contain NaN/Inf")
-    arr, spacing, origin = _canonical_orientation(arr, spacing, rot, trans, str(path))
-    return Volume3D(arr, spacing, origin)
+    return arr, spacing, origin
 
 
 def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
-    """Intensities cast to ``datatype``; integer types round and refuse to wrap."""
-    dt = DTYPES[DTYPE_CODES[datatype]]
-    if dt is np.float32:
-        return v.intensities.astype(np.float32)
+    """Intensities as little-endian ``datatype`` in NIfTI's F order (a C-contiguous cast of their
+    transpose); integer types round and refuse to wrap."""
+    dt = np.dtype(DTYPES[DTYPE_CODES[datatype]]).newbyteorder("<")
+    if dt.kind == "f":
+        return np.ascontiguousarray(v.intensities.T, dtype=dt)
     rounded = np.rint(v.intensities)
     info = np.iinfo(dt)
     lo, hi = rounded.min(), rounded.max()
@@ -196,89 +221,68 @@ def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
         raise QuantizationOverflowError(
             f"{path}: values [{lo}, {hi}] do not fit {datatype} range [{info.min}, {info.max}]"
         )
-    return rounded.astype(dt)
+    return np.ascontiguousarray(rounded.T, dtype=dt)
 
 
-def _write_nifti(v: Volume3D, path: str | Path, datatype: str) -> None:
-    code = DTYPE_CODES[datatype]
-    cast = _quantize(v, path, datatype)
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    header = bytearray(HEADER_SIZE)
+
+def _deflate(chunk, last: bool) -> bytes:
+    c = zlib.compressobj(1, zlib.DEFLATED, -15)
+    return c.compress(chunk) + c.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
+
+
+def _write_gzip(path: str | Path, header: bytearray, payload: memoryview) -> None:
+    """Write ``header`` then ``payload`` as one gzip member.
+
+    The header and each fixed chunk of the payload are deflated on their
+    own and end on a byte boundary (a sync flush; the last chunk finishes
+    the stream), so they concatenate to one deflate stream whose bytes do
+    not depend on the number of threads. zlib releases the GIL, so the
+    chunks compress in parallel; they are written in order.
+    """
+    chunks = [header] + [payload[i : i + GZIP_CHUNK] for i in range(0, len(payload), GZIP_CHUNK)]
+    last = [False] * (len(chunks) - 1) + [True]
+    crc = 0
+    with open(path, "wb") as fh, ThreadPoolExecutor(min(len(chunks), _cpu_count())) as pool:
+        fh.write(GZIP_HEADER)
+        for chunk, deflated in zip(chunks, pool.map(_deflate, chunks, last)):
+            crc = zlib.crc32(chunk, crc)
+            fh.write(deflated)
+        fh.write(struct.pack("<2I", crc, (len(header) + len(payload)) & 0xFFFFFFFF))
+
+
+def _write_nifti(path: str | Path, data: np.ndarray, spacing, origin) -> None:
+    """Write ``data``, a C-contiguous little-endian array with axes (k, j, i), as NIfTI-1."""
+    code = DTYPE_CODES[data.dtype.name]
+    header = bytearray(DATA_OFFSET)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
-    struct.pack_into("<8h", header, 40, 3, *v.dims, 1, 1, 1, 1)
+    struct.pack_into("<8h", header, 40, 3, *data.shape[::-1], 1, 1, 1, 1)
     struct.pack_into("<h", header, 70, code)
     struct.pack_into("<h", header, 72, BITPIX[code])
-    struct.pack_into("<8f", header, 76, 1.0, *v.spacing, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", header, 108, 352.0)
+    struct.pack_into("<8f", header, 76, 1.0, *spacing, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into("<f", header, 108, float(DATA_OFFSET))
     struct.pack_into("<2f", header, 112, 0.0, 0.0)  # scl unset
     struct.pack_into("<80s", header, 148, b"cmbpipe")
     struct.pack_into("<2h", header, 252, 0, 1)  # qform off, sform on
     srow = np.zeros((3, 4))
-    srow[:, :3] = np.diag(v.spacing)
-    srow[:, 3] = v.origin
+    srow[:, :3] = np.diag(spacing)
+    srow[:, 3] = origin
     struct.pack_into("<12f", header, 280, *srow.ravel())
     struct.pack_into("<4s", header, 344, MAGIC_SINGLE)
 
-    blob = bytes(header) + b"\x00" * 4 + cast.tobytes(order="F")
+    payload = data.reshape(-1).view(np.uint8).data
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     if str(path).endswith(".gz"):
-        # mtime pinned so identical volumes give byte-identical files
-        with gzip.GzipFile(path, "wb", mtime=0) as fh:
-            fh.write(blob)
+        _write_gzip(path, header, payload)
     else:
-        Path(path).write_bytes(blob)
-
-
-# ---------------------------------------------------------------------------
-# Raw format
-# ---------------------------------------------------------------------------
-
-def _raw_header_path(path: str | Path) -> Path:
-    return Path(str(path) + ".hdr")
-
-
-def _read_raw(path: str | Path) -> Volume3D:
-    hdr_path = _raw_header_path(path)
-    fields = {}
-    for line in hdr_path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
-    for key in ("dims", "spacing", "origin", "dtype", "byteorder"):
-        if key not in fields:
-            raise VolumeLoadError(f"{hdr_path}: missing field '{key}'")
-    if fields["byteorder"] != "little":
-        raise VolumeLoadError(f"{hdr_path}: byteorder must be 'little', got '{fields['byteorder']}'")
-    if fields["dtype"] not in DTYPE_CODES:
-        raise UnsupportedDatatypeError(f"{hdr_path}: dtype '{fields['dtype']}' unsupported")
-    dims = tuple(int(x) for x in fields["dims"].split())
-    spacing = tuple(float(x) for x in fields["spacing"].split())
-    origin = tuple(float(x) for x in fields["origin"].split())
-    dt = np.dtype(DTYPES[DTYPE_CODES[fields["dtype"]]]).newbyteorder("<")
-    payload = Path(path).read_bytes()
-    nbytes = int(np.prod(dims)) * dt.itemsize
-    if len(payload) < nbytes:
-        raise TruncatedPayloadError(f"{path}: payload holds {len(payload)} bytes, header implies {nbytes}")
-    arr = np.frombuffer(payload[:nbytes], dtype=dt).reshape(dims).astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise NonFiniteDataError(f"{path}: decoded intensities contain NaN/Inf")
-    return Volume3D(arr, spacing, origin)
-
-
-def _write_raw(v: Volume3D, path: str | Path, datatype: str) -> None:
-    cast = _quantize(v, path, datatype)
-    header = "\n".join(
-        [
-            "dims: " + " ".join(str(d) for d in v.dims),
-            "spacing: " + " ".join(repr(s) for s in v.spacing),
-            "origin: " + " ".join(repr(o) for o in v.origin),
-            f"dtype: {datatype}",
-            "byteorder: little",
-        ]
-    )
-    _raw_header_path(path).write_text(header + "\n")
-    Path(path).write_bytes(cast.astype(cast.dtype.newbyteorder("<")).tobytes())
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -286,46 +290,35 @@ def _write_raw(v: Volume3D, path: str | Path, datatype: str) -> None:
 # ---------------------------------------------------------------------------
 
 def read_volume(path: str | Path) -> Volume3D:
-    """Load a volume, dispatching on content (NIfTI magic / raw sidecar)."""
-    path = Path(path)
-    if not path.exists():
-        raise VolumeLoadError(f"{path}: no such file")
-    if _raw_header_path(path).exists() and not str(path).endswith((".nii", ".nii.gz")):
-        return _read_raw(path)
-    return _read_nifti(path)
+    """Load a NIfTI-1 volume; gzip compression is detected from the content."""
+    return Volume3D(*_read_nifti(path))
 
 
 def write_volume(v: Volume3D, path: str | Path, datatype: str = "float32") -> None:
-    """Write a volume; ``.raw`` paths use the raw format, everything else NIfTI-1.
+    """Write a volume as NIfTI-1, gzip-compressed when ``path`` ends in ``.gz``.
 
     Integer datatypes round to the nearest step and refuse to wrap:
     out-of-range values raise :class:`QuantizationOverflowError`.
     """
     if datatype not in DTYPE_CODES:
         raise UnsupportedDatatypeError(f"datatype '{datatype}' unsupported (allowed: {sorted(DTYPE_CODES)})")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    if str(path).endswith(".raw"):
-        _write_raw(v, path, datatype)
-    else:
-        _write_nifti(v, path, datatype)
+    _write_nifti(path, _quantize(v, path, datatype), v.spacing, v.origin)
 
 
 def read_mask(path: str | Path) -> LabelMask:
-    v = read_volume(path)
-    return LabelMask(v.intensities, v.spacing, v.origin)
+    return LabelMask(*_read_nifti(path))
 
 
 def write_mask(m: LabelMask, path: str | Path) -> None:
-    write_volume(Volume3D(m.labels, m.spacing, m.origin), path, datatype="uint8")
+    _write_nifti(path, np.ascontiguousarray(m.labels.T), m.spacing, m.origin)
 
 
 def read_probability(path: str | Path) -> ProbabilityVolume:
-    v = read_volume(path)
-    return ProbabilityVolume(v.intensities, v.spacing, v.origin)
+    return ProbabilityVolume(*_read_nifti(path))
 
 
 def write_probability(p: ProbabilityVolume, path: str | Path) -> None:
-    write_volume(Volume3D(p.values, p.spacing, p.origin), path, datatype="float32")
+    _write_nifti(path, np.ascontiguousarray(p.values.T, dtype="<f4"), p.spacing, p.origin)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,20 @@ class TestConfigAndErrors:
             == 2
         )
 
+    @pytest.mark.parametrize("damage", ["truncated", "bad-crc"])
+    def test_corrupt_gzip_volume_exit_2(self, tmp_path, capsys, damage):
+        data = make_phantom_data(tmp_path, count=1, dims=24)
+        volume = data / read_manifest(data / "manifest.jsonl")[0].path
+        blob = bytearray(volume.read_bytes())
+        if damage == "truncated":
+            blob = blob[: len(blob) // 2]
+        else:
+            blob[-8] ^= 0xFF  # first byte of the CRC-32 in the gzip trailer
+        volume.write_bytes(bytes(blob))
+        assert run("mask-synth", "--manifest", data / "manifest.jsonl", "--out", tmp_path / "synth") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(volume) in err
+
     def test_bad_match_distance_exit_1(self, tmp_path):
         data = make_phantom_data(tmp_path, count=1, dims=24)
         for bad in ("-1", "nan"):

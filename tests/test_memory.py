@@ -13,8 +13,9 @@ import numpy as np
 
 from cmbpipe.detect import evaluate_scan
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
+from cmbpipe.scanio import read_volume, write_mask, write_volume
 from cmbpipe.triplanar import binarize_fused, fuse_views
-from cmbpipe.volume import LabelMask, ProbabilityVolume, WorldPoint
+from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint
 
 
 def traced_peak_bytes(fn) -> int:
@@ -63,3 +64,31 @@ def test_binarize_fused_makes_one_byte_mask():
     fused = ProbabilityVolume(np.linspace(0, 1, n**3, dtype=np.float32).reshape((n,) * 3))
     peak = traced_peak_bytes(lambda: binarize_fused(fused, 0.125))
     assert peak < 1.5 * n**3
+
+
+def _noise_volume(n):
+    return Volume3D(np.random.default_rng(5).normal(100.0, 20.0, (n,) * 3))
+
+
+def test_write_volume_casts_once_and_streams_the_gzip(tmp_path):
+    n = 128
+    v = _noise_volume(n)
+    peak = traced_peak_bytes(lambda: write_volume(v, tmp_path / "vol.nii.gz", "float32"))
+    assert peak < 1.5 * n**3 * np.dtype(np.float32).itemsize
+
+
+def test_write_mask_writes_its_uint8_labels(tmp_path):
+    n = 128
+    arr = np.zeros((n,) * 3, dtype=np.uint8)
+    arr[40:60, 50:80, 30:90] = 1
+    mask = LabelMask(arr)
+    peak = traced_peak_bytes(lambda: write_mask(mask, tmp_path / "mask.nii.gz"))
+    assert peak < 3.0 * n**3
+
+
+def test_read_volume_casts_and_reorients_in_one_copy(tmp_path):
+    n = 128
+    path = tmp_path / "vol.nii.gz"
+    write_volume(_noise_volume(n), path, "float32")
+    peak = traced_peak_bytes(lambda: read_volume(path))
+    assert peak < 2.25 * n**3 * np.dtype(np.float64).itemsize

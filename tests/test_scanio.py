@@ -1,10 +1,13 @@
 import gzip
+import hashlib
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from cmbpipe import scanio
 from cmbpipe.errors import (
     BadMagicError,
     ManifestError,
@@ -126,6 +129,15 @@ class TestNiftiHeaderHandling:
         with pytest.raises(TruncatedPayloadError, match="payload"):
             read_volume(path)
 
+    def test_raw_payload_with_sidecar_is_not_a_volume(self, rng, tmp_path):
+        path = tmp_path / "vol.raw"
+        path.write_bytes(rng.normal(0, 1, (12, 10, 14)).astype("<f4").tobytes())
+        (tmp_path / "vol.raw.hdr").write_text(
+            "dims: 12 10 14\nspacing: 1 1 1\norigin: 0 0 0\ndtype: float32\nbyteorder: little\n"
+        )
+        with pytest.raises(BadMagicError, match="magic"):
+            read_volume(path)
+
     def test_non_finite_payload(self, tmp_path, rng):
         v = make_volume(rng, dims=(4, 4, 4))
         path = tmp_path / "vol.nii"
@@ -207,25 +219,65 @@ class TestNiftiHeaderHandling:
             read_volume(path)
 
 
-class TestRawFormat:
-    def test_round_trip(self, rng, tmp_path):
-        v = make_volume(rng)
-        path = tmp_path / "vol.raw"
-        write_volume(v, path, "float32")
-        assert (tmp_path / "vol.raw.hdr").exists()
-        back = read_volume(path)
-        assert back.dims == v.dims
-        assert np.allclose(back.spacing, v.spacing)
-        assert np.allclose(back.origin, v.origin)
-        assert np.allclose(back.intensities, v.intensities.astype(np.float32), atol=0)
+# A fixed volume whose values are exact in float32 and int16, and a mask on its grid.
+FROZEN_DIMS = (64, 70, 33)
+FROZEN_INDEX = np.arange(np.prod(FROZEN_DIMS), dtype=np.int64).reshape(FROZEN_DIMS)
+FROZEN_GEOMETRY = ((0.93, 0.93, 1.75), (-5.0, 3.0, 0.0))
+# sha256 of the decoded (gunzipped) files, frozen from the level-9 single-stream writer.
+FROZEN_DECODED_SHA256 = {
+    "float32": "ff40fdddabcb04d02cde7108fff7dd8606dc80bfc9cbe3d4263bea511a144622",
+    "int16": "9403153390516e2cefed54fd9cd097a05e134f203bd7e40dcdfb0ecbff479063",
+    "mask": "bd884df6d3bf58ce552cd8a725d7f07013d4f0caa81b553526040b248b34311d",
+}
 
-    def test_truncated(self, rng, tmp_path):
-        v = make_volume(rng)
-        path = tmp_path / "vol.raw"
-        write_volume(v, path, "float32")
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(TruncatedPayloadError):
-            read_volume(path)
+
+def write_frozen(kind, path):
+    if kind == "mask":
+        write_mask(LabelMask((FROZEN_INDEX * 7919 % 13 < 3).astype(np.uint8), *FROZEN_GEOMETRY), path)
+    else:
+        write_volume(Volume3D((FROZEN_INDEX * 7919 % 65521) / 8.0 - 1000.0, *FROZEN_GEOMETRY), path, kind)
+
+
+def gunzip_one_member(blob):
+    """The decoded stream of ``blob``, which must be exactly one gzip member."""
+    d = zlib.decompressobj(wbits=31)
+    out = d.decompress(blob)
+    assert d.eof and d.unused_data == b""
+    return out
+
+
+class TestGzipWriter:
+    @pytest.mark.parametrize("kind", sorted(FROZEN_DECODED_SHA256))
+    def test_decoded_bytes_frozen(self, kind, tmp_path):
+        path = tmp_path / "vol.nii.gz"
+        write_frozen(kind, path)
+        blob = path.read_bytes()
+        assert blob[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"  # mtime 0, no name, XFL 4
+        decoded = gunzip_one_member(blob)
+        assert hashlib.sha256(decoded).hexdigest() == FROZEN_DECODED_SHA256[kind]
+        with gzip.open(path) as fh:
+            assert fh.read() == decoded
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(64, 64, 64), (64, 64, 128), (65, 37, 109), (5, 5, 5)],
+        ids=["one-chunk", "two-chunks", "one-chunk-plus-1-byte", "under-one-chunk"],
+    )
+    def test_payload_sizes_round_trip(self, dims, rng, tmp_path):
+        m = LabelMask((rng.uniform(0, 1, dims) > 0.7).astype(np.uint8))
+        path = tmp_path / "mask.nii.gz"
+        write_mask(m, path)
+        assert len(gunzip_one_member(path.read_bytes())) == 352 + int(np.prod(dims))
+        assert np.array_equal(read_mask(path).labels, m.labels)
+
+    def test_bytes_independent_of_worker_count(self, monkeypatch, tmp_path):
+        blobs = []
+        for workers in (1, 4, 4):
+            monkeypatch.setattr(scanio, "_cpu_count", lambda: workers)
+            path = tmp_path / f"vol-{len(blobs)}.nii.gz"
+            write_frozen("float32", path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
 
 def entry(scan_id="s1", subject="p1", centers=(), p_cmb=None):
