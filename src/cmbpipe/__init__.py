@@ -30,9 +30,7 @@ from .triplanar import (
     ThickSlice,
     ViewSegmenter,
     binarize_fused,
-    extract_thick_slices,
     fuse_views,
-    reassemble_view,
     segment_volume,
 )
 from .volume import (

@@ -212,10 +212,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     return params
 
 
-def _jobs(params: dict) -> int:
+def _jobs(params: dict, default: int | None) -> int | None:
+    """--jobs (or the config), else $CMBPIPE_JOBS, else ``default``; the run record keeps only the request."""
     jobs = params["jobs"]
+    if jobs is None and "CMBPIPE_JOBS" in os.environ:
+        jobs = _convert("CMBPIPE_JOBS", JOBS, os.environ["CMBPIPE_JOBS"], "the environment")
     if jobs is None:
-        jobs = _convert("CMBPIPE_JOBS", JOBS, os.environ.get("CMBPIPE_JOBS", "1"), "the environment")
+        return default
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     return jobs
@@ -279,7 +282,7 @@ OUT = Param("out", str, required=True, help="output directory")
 MANIFEST = Param("manifest", str, required=True, help="scan manifest (JSON lines)")
 MASKS_DIR = Param("masks_dir", str, required=True, help="directory of <scan_id>.nii.gz binary masks")
 SEED = Param("seed", int, 0, help="random seed")
-JOBS = Param("jobs", int, help="worker threads (default: $CMBPIPE_JOBS, else 1)")
+JOBS = Param("jobs", int, help="worker threads (default: $CMBPIPE_JOBS, else 1 for augment, every CPU for segment)")
 CONNECTIVITY = Param("connectivity", int, 26, choices=(6, 26), help="3D voxel connectivity of components")
 MIN_SIZE = Param("min_size", float, detect.DEFAULT_MIN_VOLUME_MM3, help="smallest kept component in mm^3")
 DETECTIONS_A = Param("detections_a", str, required=True, help="detections.jsonl of group A")
@@ -391,7 +394,7 @@ def cmd_augment(params: dict) -> list[Path]:
     out = Path(params["out"])
     (out / "aug_params").mkdir(exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
-    jobs = _jobs(params)
+    jobs = _jobs(params, 1)
 
     def one(entry):
         vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))
@@ -450,7 +453,7 @@ def cmd_segment(params: dict) -> list[Path]:
         cfg = ReferenceConfig(**{f.name: params[f.name] for f in fields(ReferenceConfig) if f.name in params})
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
-    jobs = _jobs(params)
+    jobs = _jobs(params, None)  # None: the segmenter decides (the reference one uses every CPU)
     outputs = []
     for entry in entries:
         vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))

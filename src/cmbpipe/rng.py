@@ -3,8 +3,9 @@
 Every stochastic operation draws from a generator derived by hashing a
 master seed together with string/int keys naming the work item (scan id,
 transform index, view, ...). Streams are therefore independent of thread
-count, call order, and platform — the property the ``--jobs N`` CLI knob
-relies on.
+count, call order, and platform, so ``augment`` and ``segment`` write the
+same bytes for any worker count: ``--jobs``, ``$CMBPIPE_JOBS``, or by
+default 1 for ``augment`` and every CPU for ``segment``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import os
 import struct
 import warnings
 import zlib
@@ -35,7 +34,7 @@ from .errors import (
     UnsupportedDatatypeError,
     VolumeLoadError,
 )
-from .volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint
+from .volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, cpu_count
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # the header plus the 4-byte extension flag, all zero
@@ -67,12 +66,19 @@ def _read_bytes(path: str | Path) -> bytes:
         raise VolumeLoadError(f"{path}: no such file") from exc
     if raw[:2] != b"\x1f\x8b":
         return raw
+    # one inflate pass for a single member (as written here); gzip.decompress for anything after it
+    inflater = zlib.decompressobj(wbits=31)
     try:
-        return gzip.decompress(raw)
+        data = inflater.decompress(raw)
+        if inflater.unused_data:
+            data = gzip.decompress(raw)
     except EOFError as exc:
         raise TruncatedPayloadError(f"{path}: gzip stream ends early ({exc})") from exc
     except (gzip.BadGzipFile, zlib.error) as exc:
         raise VolumeLoadError(f"{path}: corrupt gzip stream ({exc})") from exc
+    if not inflater.eof:
+        raise TruncatedPayloadError(f"{path}: gzip stream ends early")
+    return data
 
 
 def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
@@ -224,13 +230,6 @@ def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
     return np.ascontiguousarray(rounded.T, dtype=dt)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _deflate(chunk, last: bool) -> bytes:
     c = zlib.compressobj(1, zlib.DEFLATED, -15)
     return c.compress(chunk) + c.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
@@ -248,7 +247,7 @@ def _write_gzip(path: str | Path, header: bytearray, payload: memoryview) -> Non
     chunks = [header] + [payload[i : i + GZIP_CHUNK] for i in range(0, len(payload), GZIP_CHUNK)]
     last = [False] * (len(chunks) - 1) + [True]
     crc = 0
-    with open(path, "wb") as fh, ThreadPoolExecutor(min(len(chunks), _cpu_count())) as pool:
+    with open(path, "wb") as fh, ThreadPoolExecutor(min(len(chunks), cpu_count())) as pool:
         fh.write(GZIP_HEADER)
         for chunk, deflated in zip(chunks, pool.map(_deflate, chunks, last)):
             crc = zlib.crc32(chunk, crc)

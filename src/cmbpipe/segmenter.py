@@ -33,11 +33,12 @@ DEFAULT_SCORE_OFFSET = 0.05
 DEFAULT_DARKNESS_WEIGHT = 1.0
 DEFAULT_SYMMETRY_WEIGHT = 1.0
 SYMMETRY_RADII_MM = (1.0, 2.0, 3.0, 4.0, 5.0)
-# The reference segmenter works on blocks of about this many voxels: 4 planes
-# at 128^3, 1 at 256^3. On a 2-vCPU VM at 128^3, 4-plane blocks were the
-# fastest of 1 to 128 planes; 16 planes were 1.4x slower and a whole view
-# at once 1.5x slower, with a 0.4 GiB peak of allocations.
-BLOCK_VOXELS = 1 << 16
+# The reference segmenter works on blocks of about this many voxels: 2 planes
+# at 128^3, 1 at 256^3. A block's traced working set is about 12 times its
+# float64 size (3 MiB at 128^3). On a 2-vCPU VM at 128^3 with both CPUs
+# busy, blocks of 32k and 64k voxels were equally fast and 16k 1.3x slower;
+# 128k held 14 MiB more peak RSS for no gain.
+BLOCK_VOXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class OracleSegmenter:
             self._clean = gt.labels.astype(np.float32)
             self._clean.flags.writeable = False
 
-    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
         if self.gt.dims != v.dims:
             raise GeometryMismatchError(f"ground truth dims {self.gt.dims} do not match volume dims {v.dims}")
         if self._clean is not None:
@@ -98,18 +99,17 @@ class OracleSegmenter:
         return out
 
 
-def _smooth(planes: np.ndarray, sigma: float) -> np.ndarray:
-    """In-plane Gaussian of each plane of a ``(b, h, w)`` block; a zero sigma leaves the plane axis alone."""
-    return ndimage.gaussian_filter(planes, (0.0, sigma, sigma))
+def _smooth(planes: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """In-plane Gaussian of each plane of a ``(b, h, w)`` block, into ``out`` if given (``planes`` itself works)."""
+    return ndimage.gaussian_filter(planes, (0.0, sigma, sigma), output=out)
 
 
-def _vote_coordinate(pos: np.ndarray, unit: np.ndarray, step: float, size: int) -> np.ndarray:
-    """``clip(rint(pos + step * unit), 0, size - 1)`` in float64, computed in place with the same rounding."""
-    out = unit * step
+def _vote_coordinate(pos: np.ndarray, unit: np.ndarray, step: float, size: int, out: np.ndarray) -> np.ndarray:
+    """``clip(rint(pos + step * unit), 0, size - 1)`` in float64, written to ``out`` with the same rounding."""
+    np.multiply(unit, step, out=out)
     out += pos
     np.rint(out, out=out)
-    np.maximum(out, 0, out=out)
-    return np.minimum(out, size - 1, out=out)
+    return np.clip(out, 0, size - 1, out=out)
 
 
 def _radial_symmetry(planes: np.ndarray, radii_px) -> np.ndarray:
@@ -120,32 +120,42 @@ def _radial_symmetry(planes: np.ndarray, radii_px) -> np.ndarray:
     the image flips the sign of the response exactly. Votes stay in their
     own plane. Each radius is one ``bincount`` over the block with every
     +|grad| vote before every -|grad| vote, so each bin adds its votes in
-    the order of the per-plane ``np.add.at`` definition.
+    the order of the per-plane ``np.add.at`` definition. Every radius
+    refills one vote-target buffer, so about 12 block-sized arrays are live.
     """
     _, h, w = planes.shape
     gi, gj = np.gradient(planes, axis=(1, 2))
     mag = np.hypot(gi, gj)
     src = np.flatnonzero(mag)
-    m = mag.ravel()[src]
-    ui = gi.ravel()[src] / m
-    uj = gj.ravel()[src] / m
+    n = src.size
+    if n == 0:
+        return np.zeros_like(planes)  # no pixel votes (bincount of nothing would be an int array)
+    weights = np.empty(2 * n)  # +|grad| for the votes against the gradient, then -|grad|
+    m = np.take(mag.ravel(), src, out=weights[:n])
+    np.negative(m, out=weights[n:])
+    ui, uj = gi.ravel()[src] / m, gj.ravel()[src] / m
+    del gi, gj, mag
     row, jj = np.divmod(src, w)
-    ii = row % h
-    plane_start = ((row - ii) * w).astype(np.float64)
-    ii, jj = ii.astype(np.float64), jj.astype(np.float64)
-    weights = np.concatenate((m, -m))
+    plane_start, ii = np.divmod(row, h)
+    plane_start *= h * w
+    del src, row
+    targets = np.empty(2 * n, dtype=np.intp)
+    scratch = np.empty(n)
     acc = np.zeros_like(planes)
     for r in radii_px:
-        targets = np.concatenate(
-            [
-                _vote_coordinate(ii, ui, sign * r, h) * w + _vote_coordinate(jj, uj, sign * r, w) + plane_start
-                for sign in (-1.0, 1.0)
-            ]
-        ).astype(np.intp)
+        for half, sign in ((slice(None, n), -1.0), (slice(n, None), 1.0)):
+            # flat target = i * w + j + plane start; every term is an exact integer
+            np.multiply(_vote_coordinate(ii, ui, sign * r, h, scratch), w, out=targets[half], casting="unsafe")
+            np.add(targets[half], _vote_coordinate(jj, uj, sign * r, w, scratch), out=targets[half], casting="unsafe")
+            targets[half] += plane_start
         votes = np.bincount(targets, weights, minlength=planes.size).reshape(planes.shape)
         # normalize by ring size so the response tracks contrast, not radius
-        acc += _smooth(votes, max(r / 2.0, 0.5)) / (2.0 * np.pi * r)
-    return acc / len(radii_px)
+        votes = _smooth(votes, max(r / 2.0, 0.5), out=votes)
+        votes /= 2.0 * np.pi * r
+        acc += votes
+        del votes  # before the next radius's bincount
+    acc /= len(radii_px)
+    return acc
 
 
 class ReferenceSegmenter:
@@ -158,13 +168,14 @@ class ReferenceSegmenter:
     background lands well below 0.5 and cannot ride the fusion threshold.
     Inverting the image maps the score to its negative about zero, so
     bright blobs score symmetrically low. Every plane of the view is scored
-    on its own; ``jobs`` threads share the view's blocks of planes.
+    on its own; ``jobs`` threads share the view's blocks of planes, one
+    thread per CPU the process may run on unless ``jobs`` is set.
     """
 
     def __init__(self, cfg: ReferenceConfig = ReferenceConfig()):
         self.cfg = cfg
 
-    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
         lo, hi = float(v.intensities.min()), float(v.intensities.max())
         if lo < 0.0 or hi > 1.0:
             raise RejectedInputError(f"reference segmenter needs intensities in [0, 1], got [{lo}, {hi}]")
@@ -175,10 +186,18 @@ class ReferenceSegmenter:
         cfg = self.cfg
         planes = np.ascontiguousarray(planes)
         px = cfg.pixel_spacing_mm
-        band = _smooth(planes, cfg.scale_max_mm / px) - _smooth(planes, cfg.scale_min_mm / px)
-        symmetry = _radial_symmetry(planes, [max(r / px, 1.0) for r in SYMMETRY_RADII_MM])
-        score = cfg.darkness_weight * band + cfg.symmetry_weight * symmetry
-        return 1.0 / (1.0 + np.exp(-cfg.logistic_gain * (score - cfg.score_offset)))
+        # the symmetry map first, so its peak working set is not stacked on the band-pass
+        score = _radial_symmetry(planes, [max(r / px, 1.0) for r in SYMMETRY_RADII_MM])
+        score *= cfg.symmetry_weight
+        band = _smooth(planes, cfg.scale_max_mm / px)
+        band -= _smooth(planes, cfg.scale_min_mm / px)
+        score += np.multiply(band, cfg.darkness_weight, out=band)
+        # 1 / (1 + exp(-gain * (score - offset))), in place
+        score -= cfg.score_offset
+        score *= -cfg.logistic_gain
+        np.exp(score, out=score)
+        score += 1.0
+        return np.divide(1.0, score, out=score)
 
 
 class ExternalSegmenter:
@@ -187,7 +206,7 @@ class ExternalSegmenter:
     def __init__(self, prob: ProbabilityVolume):
         self.prob = prob
 
-    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
         if self.prob.dims != v.dims:
             raise GeometryMismatchError(
                 f"stored probability dims {self.prob.dims} do not match volume dims {v.dims}"

@@ -11,6 +11,7 @@ any view near zero vetoes it.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -18,7 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ConfigError, RejectedInputError
-from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, require_same_geometry
+from .volume import LabelMask, ProbabilityVolume, Volume3D, cpu_count, plane_blocks, require_same_geometry
 
 VIEWS = ("axial", "sagittal", "coronal")
 VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
@@ -37,12 +38,6 @@ def _require_canonical(v: Volume3D | LabelMask) -> None:
         )
 
 
-def _plane(arr: np.ndarray, axis: int, index: int) -> np.ndarray:
-    sel: list = [slice(None)] * arr.ndim
-    sel[axis] = index
-    return arr[tuple(sel)]  # a view; callers copy if they mutate
-
-
 @dataclass(frozen=True)
 class ThickSlice:
     """One plane plus its two neighbors, stacked as 3 channels.
@@ -57,49 +52,17 @@ class ThickSlice:
     parent: np.ndarray = field(repr=False)
 
     @property
-    def axis(self) -> int:
-        return VIEW_AXIS[self.view]
-
-    @property
-    def n_planes(self) -> int:
-        return self.parent.shape[self.axis]
+    def _planes(self) -> np.ndarray:
+        return np.moveaxis(self.parent, VIEW_AXIS[self.view], 0)
 
     @property
     def central(self) -> np.ndarray:
-        return _plane(self.parent, self.axis, self.index)
+        return self._planes[self.index]  # a view; callers copy if they mutate
 
     @property
     def channels(self) -> np.ndarray:
-        axis, k, n = self.axis, self.index, self.n_planes
-        below = _plane(self.parent, axis, max(k - 1, 0))
-        above = _plane(self.parent, axis, min(k + 1, n - 1))
-        return np.stack([below, self.central, above])
-
-
-def extract_thick_slices(v: Volume3D, view: str) -> list[ThickSlice]:
-    """One ThickSlice per plane of the chosen view, in plane order."""
-    axis = _require_view(view)
-    _require_canonical(v)
-    n = v.dims[axis]
-    return [ThickSlice(view, k, v.intensities) for k in range(n)]
-
-
-def reassemble_view(planes, view: str, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)) -> ProbabilityVolume:
-    """Stack per-slice central predictions back into a probability volume."""
-    axis = _require_view(view)
-    planes = list(planes)
-    n = len(planes)
-    if n == 0:
-        raise RejectedInputError("no planes to reassemble")
-    planes = [np.asarray(p) for p in planes]
-    shape = planes[0].shape
-    for k, p in enumerate(planes):
-        if p.ndim != 2 or p.shape != shape:
-            raise RejectedInputError(f"plane {k} has shape {p.shape}, expected {shape}")
-    if shape != (n, n):
-        raise RejectedInputError(f"{n} planes of shape {shape} do not assemble into a canonical cube")
-    arr = np.stack(planes, axis=axis, dtype=np.float32)
-    return ProbabilityVolume(arr, spacing, origin)
+        k, last = self.index, len(self._planes) - 1
+        return self._planes[[max(k - 1, 0), k, min(k + 1, last)]]
 
 
 def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: ProbabilityVolume) -> ProbabilityVolume:
@@ -135,7 +98,7 @@ def binarize_fused(p: ProbabilityVolume, tau: float = 0.125) -> LabelMask:
 class ViewSegmenter(Protocol):
     """Contract for per-view probability predictors (the trained-model seam)."""
 
-    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
         """Probability volume of one view, in ``v``'s own (i, j, k) layout, values in [0, 1]."""
         ...
 
@@ -148,55 +111,70 @@ class SliceSegmenter(Protocol):
         ...
 
 
-def map_plane_blocks(fn, v: Volume3D, view: str, planes_per_block: int, jobs: int = 1) -> np.ndarray:
+def map_plane_blocks(fn, v: Volume3D, view: str, planes_per_block: int, jobs: int | None = None) -> np.ndarray:
     """Float32 volume, in ``v``'s layout, of ``fn`` applied to consecutive blocks of a view's planes.
 
     ``fn(planes, start)`` gets planes ``start, start + 1, ...`` of the view as
     one ``(b, H, W)`` array, plane axis first, and returns values of that
-    shape, which are written straight into one preallocated output. With
-    ``jobs > 1`` the blocks run on a thread pool; each block writes only its
-    own planes, so the output is the same for any ``jobs``.
+    shape, which are written straight into one preallocated output. The
+    blocks are shared by ``jobs`` threads (``None``: one per CPU the process
+    may run on), the calling thread among them, and never by more threads
+    than there are blocks. Each block writes only its own planes, so the
+    output is the same for any ``jobs``.
     """
     axis = _require_view(view)
     src = np.moveaxis(v.intensities, axis, 0)
     out = np.empty(v.dims, dtype=np.float32)
     dst = np.moveaxis(out, axis, 0)
 
-    def run(start: int) -> None:
-        stop = start + planes_per_block
-        dst[start:stop] = fn(src[start:stop], start)
+    blocks = range(0, len(src), planes_per_block)
+    starts = iter(blocks)
+    lock = threading.Lock()
 
-    starts = range(0, len(src), planes_per_block)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run, starts))  # reading every result re-raises a block's error
-    else:
-        for start in starts:
-            run(start)
+    def drain() -> None:
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            dst[start : start + planes_per_block] = fn(src[start : start + planes_per_block], start)
+
+    workers = min(cpu_count() if jobs is None else jobs, len(blocks))
+    # The calling thread drains blocks too: each thread allocates from its own malloc arena, which
+    # keeps its high-water mark, so every extra thread holds about one more block working set.
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # starts no thread for one worker
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()  # re-raises a block's error
     return out
 
 
 class SliceAdapter:
-    """Runs a per-slice segmenter (``segment(ThickSlice) -> plane``) behind the whole-view seam."""
+    """Runs a per-slice segmenter (``segment(ThickSlice) -> plane``) behind the whole-view seam.
+
+    The planes run on the calling thread unless ``jobs`` is set, since a
+    model need not be safe to call from several threads at once.
+    """
 
     def __init__(self, slice_segmenter: SliceSegmenter):
         self.slice_segmenter = slice_segmenter
 
-    def segment(self, v: Volume3D, view: str, jobs: int = 1) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
         def one_plane(planes: np.ndarray, k: int) -> np.ndarray:
             plane = np.asarray(self.slice_segmenter.segment(ThickSlice(view, k, v.intensities)))
             if plane.shape != planes.shape[1:]:
                 raise RejectedInputError(f"plane {k} has shape {plane.shape}, expected {planes.shape[1:]}")
             return plane[None]
 
-        return map_plane_blocks(one_plane, v, view, 1, jobs)
+        return map_plane_blocks(one_plane, v, view, 1, 1 if jobs is None else jobs)
 
 
-def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter, jobs: int = 1) -> ProbabilityVolume:
+def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter, jobs: int | None = None) -> ProbabilityVolume:
     """One view's probability volume from one whole-view segmenter call.
 
-    The segmenter decides how ``jobs`` spreads its work; its output must be
-    identical for any ``jobs`` count.
+    The segmenter decides how ``jobs`` spreads its work, and what ``None``
+    (the default) means; its output must be identical for any ``jobs``.
     """
     _require_view(view)
     _require_canonical(v)
@@ -206,7 +184,7 @@ def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter, jobs: int = 1
     return ProbabilityVolume(values, v.spacing, v.origin)
 
 
-def segment_volume(v: Volume3D, segmenters: dict, jobs: int = 1) -> dict:
+def segment_volume(v: Volume3D, segmenters: dict, jobs: int | None = None) -> dict:
     """Per-view probability volumes from per-view segmenters (keys: axial/sagittal/coronal)."""
     missing = set(VIEWS) - set(segmenters)
     if missing:

@@ -10,6 +10,7 @@ the stored arrays are read-only.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,6 +57,11 @@ def plane_blocks(shape: tuple[int, ...]) -> list[slice]:
     """Consecutive slices of axis 0 of ``shape`` that together cover it, each about ``_BLOCK_VOXELS`` voxels."""
     step = max(_BLOCK_VOXELS // int(np.prod(shape[1:])), 1)
     return [slice(start, min(start + step, shape[0])) for start in range(0, shape[0], step)]
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: the default thread count of block pools and of gzip writes."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _check_geometry_fields(spacing, origin) -> tuple[Triple, Triple]:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cmbpipe import segmenter
 from cmbpipe.augment import TRANSFORMS
 from cmbpipe.cli import COMMANDS, _resolve, build_parser, main
 from cmbpipe.scanio import read_manifest, read_mask, read_volume, write_mask
@@ -357,6 +358,28 @@ class TestConfigAndErrors:
             "segment", "--manifest", data / "manifest.jsonl", "--out", tmp_path / "out",
             "--segmenter", "oracle", "--gt-dir", data / "gt_masks",
         ) == 1
+
+    def test_segment_bytes_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
+        """Reference `segment` writes the same bytes with every CPU, $CMBPIPE_JOBS 1 or 2, and --jobs 2."""
+        monkeypatch.setattr(segmenter, "BLOCK_VOXELS", 3 * 24 * 24)  # 8 blocks per view
+        data = make_phantom_data(tmp_path, count=1, dims=24)
+        runs = {}
+        for env, flags in ((None, ()), ("1", ()), ("2", ()), (None, ("--jobs", 2))):
+            if env is None:
+                monkeypatch.delenv("CMBPIPE_JOBS", raising=False)
+            else:
+                monkeypatch.setenv("CMBPIPE_JOBS", env)
+            out = tmp_path / f"out-{env}-{len(flags)}"
+            assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out, *flags) == 0
+            probs = {p.name: p.read_bytes() for p in sorted((out / "prob").iterdir())}
+            params = json.loads((out / "run_record_segment.json").read_text())["params"]
+            runs[env, flags] = probs, params
+        (default, recorded), *others = runs.values()
+        assert len(default) == 3
+        assert recorded["jobs"] is None  # the record keeps the requested value, not the CPU count
+        for (probs, params), jobs in zip(others, (None, None, 2)):
+            assert probs == default
+            assert params["jobs"] == jobs
 
     @pytest.mark.parametrize(
         "command, key, value, inputs",

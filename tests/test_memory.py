@@ -14,6 +14,7 @@ import numpy as np
 from cmbpipe.detect import evaluate_scan
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
 from cmbpipe.scanio import read_volume, write_mask, write_volume
+from cmbpipe.segmenter import ReferenceSegmenter
 from cmbpipe.triplanar import binarize_fused, fuse_views
 from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint
 
@@ -91,4 +92,12 @@ def test_read_volume_casts_and_reorients_in_one_copy(tmp_path):
     path = tmp_path / "vol.nii.gz"
     write_volume(_noise_volume(n), path, "float32")
     peak = traced_peak_bytes(lambda: read_volume(path))
-    assert peak < 2.25 * n**3 * np.dtype(np.float64).itemsize
+    assert peak < 1.9 * n**3 * np.dtype(np.float64).itemsize
+
+
+def test_reference_block_working_set():
+    """One reference block's working set, in units of its float64 size: every thread holds one at a time."""
+    block = np.random.default_rng(7).uniform(0.0, 1.0, (4, 128, 128))  # a gradient at almost every pixel
+    segmenter = ReferenceSegmenter()
+    peak = traced_peak_bytes(lambda: segmenter._probability(block, 0))
+    assert peak < 13.5 * block.nbytes

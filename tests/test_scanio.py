@@ -16,6 +16,7 @@ from cmbpipe.errors import (
     QuantizationOverflowError,
     TruncatedPayloadError,
     UnsupportedDatatypeError,
+    VolumeLoadError,
 )
 from cmbpipe.scanio import (
     Acquisition,
@@ -273,7 +274,7 @@ class TestGzipWriter:
     def test_bytes_independent_of_worker_count(self, monkeypatch, tmp_path):
         blobs = []
         for workers in (1, 4, 4):
-            monkeypatch.setattr(scanio, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(scanio, "cpu_count", lambda: workers)
             path = tmp_path / f"vol-{len(blobs)}.nii.gz"
             write_frozen("float32", path)
             blobs.append(path.read_bytes())
@@ -290,6 +291,31 @@ def entry(scan_id="s1", subject="p1", centers=(), p_cmb=None):
         p_cmb=p_cmb,
         acquisition=Acquisition(3.0, 20.0, 1.75, "SIM"),
     )
+
+
+class TestGzipReader:
+    def test_multi_member_file_reads_like_one_member(self, tmp_path):
+        one = tmp_path / "one.nii.gz"
+        write_frozen("float32", one)
+        decoded = gunzip_one_member(one.read_bytes())
+        two = tmp_path / "two.nii.gz"
+        two.write_bytes(gzip.compress(decoded[:1000]) + gzip.compress(decoded[1000:]))
+        assert np.array_equal(read_volume(two).intensities, read_volume(one).intensities)
+
+    @pytest.mark.parametrize("cut", [4, 8, 9])  # inside the size, inside the CRC, into the deflate stream
+    def test_cut_stream_is_truncated(self, tmp_path, cut):
+        path = tmp_path / "vol.nii.gz"
+        write_frozen("float32", path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(TruncatedPayloadError):
+            read_volume(path)
+
+    def test_garbage_after_the_member_is_corrupt(self, tmp_path):
+        path = tmp_path / "vol.nii.gz"
+        write_frozen("float32", path)
+        path.write_bytes(path.read_bytes() + b"not gzip")
+        with pytest.raises(VolumeLoadError, match="corrupt gzip stream"):
+            read_volume(path)
 
 
 class TestManifest:

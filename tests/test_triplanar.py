@@ -1,7 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import per_plane_view
 
 from cmbpipe import segmenter
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
@@ -9,10 +13,9 @@ from cmbpipe.segmenter import ReferenceConfig, ReferenceSegmenter
 from cmbpipe.triplanar import (
     VIEWS,
     SliceAdapter,
+    ThickSlice,
     binarize_fused,
-    extract_thick_slices,
     fuse_views,
-    reassemble_view,
     segment_view,
     segment_volume,
 )
@@ -24,71 +27,51 @@ def cube(rng):
     return Volume3D(rng.uniform(0, 1, (32, 32, 32)))
 
 
+class _Recorder:
+    """Per-slice model that records each slice it scores and the thread it ran on."""
+
+    def __init__(self):
+        self.calls = []
+
+    def segment(self, thick_slice):
+        self.calls.append((thick_slice.view, thick_slice.index, threading.get_ident()))
+        return np.zeros(thick_slice.central.shape, dtype=np.float32)
+
+
 class TestExtract:
     def test_counts(self, cube):
-        total = 0
+        model = _Recorder()
         for view in VIEWS:
-            slices = extract_thick_slices(cube, view)
-            assert len(slices) == 32
-            total += len(slices)
-        assert total == 96  # 3 * n, equals 768 for a 256-cube
+            segment_view(cube, view, SliceAdapter(model))
+        assert [(view, k) for view, k, _ in model.calls] == [(view, k) for view in VIEWS for k in range(32)]
+        assert len(model.calls) == 96  # 3 * n, equals 768 for a 256-cube
 
     def test_edge_replication(self, cube):
-        slices = extract_thick_slices(cube, "axial")
-        first = slices[0].channels
+        first = ThickSlice("axial", 0, cube.intensities).channels
         assert np.array_equal(first[0], first[1])
         assert np.array_equal(first[2], cube.intensities[:, :, 1])
-        last = slices[-1].channels
+        last = ThickSlice("axial", 31, cube.intensities).channels
         assert np.array_equal(last[1], last[2])
 
     def test_central_channel_exact(self, cube):
         for view, axis in (("axial", 2), ("sagittal", 0), ("coronal", 1)):
-            s = extract_thick_slices(cube, view)[7]
+            s = ThickSlice(view, 7, cube.intensities)
             assert np.array_equal(s.channels[1], np.take(cube.intensities, 7, axis=axis))
             assert np.array_equal(s.central, s.channels[1])
 
     def test_non_canonical_rejected(self, rng):
+        model = _Recorder()
         with pytest.raises(RejectedInputError):
-            extract_thick_slices(Volume3D(rng.uniform(0, 1, (16, 16, 8))), "axial")
+            segment_view(Volume3D(rng.uniform(0, 1, (16, 16, 8))), "axial", SliceAdapter(model))
         with pytest.raises(RejectedInputError):
-            extract_thick_slices(Volume3D(rng.uniform(0, 1, (16, 16, 16)), (1.0, 1.0, 2.0)), "axial")
+            segment_view(Volume3D(rng.uniform(0, 1, (16, 16, 16)), (1.0, 1.0, 2.0)), "axial", SliceAdapter(model))
+        assert model.calls == []
 
     def test_unknown_view_rejected(self, cube):
+        model = _Recorder()
         with pytest.raises(ConfigError):
-            extract_thick_slices(cube, "oblique")
-
-
-class TestReassemble:
-    def test_all_zero(self):
-        planes = [np.zeros((16, 16)) for _ in range(16)]
-        out = reassemble_view(planes, "coronal")
-        assert out.values.sum() == 0
-
-    def test_extract_then_reassemble_is_identity(self, rng):
-        mask = (rng.uniform(0, 1, (24, 24, 24)) > 0.8).astype(np.float32)
-        v = Volume3D(mask)
-        for view in VIEWS:
-            planes = [s.central for s in extract_thick_slices(v, view)]
-            out = reassemble_view(planes, view, v.spacing, v.origin)
-            assert np.array_equal(out.values, mask)
-
-    def test_single_hot_plane(self):
-        planes = [np.zeros((16, 16)) for _ in range(16)]
-        planes[5] = np.ones((16, 16))
-        out = reassemble_view(planes, "sagittal")
-        assert np.all(out.values[5] == 1.0)
-        assert out.values.sum() == 16 * 16
-
-    def test_count_mismatch(self):
-        planes = [np.zeros((16, 16)) for _ in range(15)]
-        with pytest.raises(RejectedInputError):
-            reassemble_view(planes, "axial")
-
-    def test_out_of_range_rejected(self):
-        planes = [np.zeros((4, 4)) for _ in range(4)]
-        planes[2] = np.full((4, 4), 1.5)
-        with pytest.raises(RejectedInputError):
-            reassemble_view(planes, "axial")
+            SliceAdapter(model).segment(cube, "oblique")
+        assert model.calls == []
 
 
 class TestFuse:
@@ -189,7 +172,7 @@ class _ShapeOf:
     def __init__(self, shape):
         self.shape = shape
 
-    def segment(self, v, view, jobs=1):
+    def segment(self, v, view, jobs=None):
         return np.zeros(self.shape, dtype=np.float32)
 
 
@@ -199,17 +182,23 @@ class TestSegmentDriver:
         for seg in (SliceAdapter(_HalfSegmenter()), ReferenceSegmenter(ReferenceConfig())):
             for view in VIEWS:
                 serial = segment_view(cube, view, seg, jobs=1)
-                parallel = segment_view(cube, view, seg, jobs=8)
-                assert np.array_equal(serial.values, parallel.values)
+                for jobs in (None, 2, 8):
+                    assert np.array_equal(serial.values, segment_view(cube, view, seg, jobs).values)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_slice_adapter_assembles_the_same_volume(self, cube, jobs):
         for view in VIEWS:
             half = segment_view(cube, view, SliceAdapter(_HalfSegmenter()), jobs)
-            planes = [_HalfSegmenter().segment(s) for s in extract_thick_slices(cube, view)]
-            assert np.array_equal(half.values, reassemble_view(planes, view, cube.spacing, cube.origin).values)
+            want = per_plane_view(lambda plane, k: np.full(plane.shape, 0.5), cube.intensities, view)
+            assert np.array_equal(half.values, want)
             central = segment_view(cube, view, SliceAdapter(_CentralSegmenter()), jobs)
             assert np.array_equal(central.values, cube.intensities.astype(np.float32))
+
+    def test_slice_adapter_stays_on_the_calling_thread_by_default(self, cube):
+        model = _Recorder()
+        for view in VIEWS:
+            segment_view(cube, view, SliceAdapter(model))
+        assert {ident for _, _, ident in model.calls} == {threading.get_ident()}
 
     def test_slice_adapter_rejects_wrong_plane_shape(self, cube):
         class Short:
