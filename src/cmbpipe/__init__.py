@@ -12,6 +12,7 @@ from .annotation import CMBAnnotation, alpha_fraction, partition_subjects, synth
 from .augment import AugmentSpec, apply_augmentation
 from .detect import (
     DetectedCMB,
+    Detections,
     ScanMetrics,
     aggregate_metrics,
     connected_components,

@@ -28,6 +28,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import annotation, augment, detect, phantom, scanio, stats, triplanar, volume
 from .errors import CMBPipeError, ConfigError, DataError
 from .segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
@@ -229,46 +231,49 @@ def _entry_volume_path(entry: scanio.ScanManifestEntry, manifest_path: str) -> P
     return p if p.is_absolute() else Path(manifest_path).parent / p
 
 
-def _read_detections_file(path: str) -> list[list[detect.DetectedCMB]]:
-    """Per-scan detection lists from a `detect` output file."""
+def _detections(records: list) -> detect.Detections:
+    """The columns of one scan's ``detect`` records; a misshapen or impossible value is a ValueError."""
+    n = len(records)
+
+    def column(key: str, dtype, row: tuple = ()) -> np.ndarray:
+        col = np.array([d[key] for d in records], dtype=dtype)
+        if n and col.shape != (n, *row):
+            raise ValueError(f"{key} must have shape {row} per detection, got {col.shape[1:]}")
+        return col.reshape(n, *row)
+
+    ids, voxel_count = column("id", np.int64), column("voxel_count", np.int64)
+    centroid, volume_mm3 = column("centroid_mm", np.float64, (3,)), column("volume_mm3", np.float64)
+    if not np.isfinite(centroid).all():
+        raise ValueError("centroid_mm must be finite")
+    if not (np.isfinite(volume_mm3) & (volume_mm3 > 0)).all():
+        raise ValueError("volume_mm3 must be finite and positive")
+    if (voxel_count < 1).any():
+        raise ValueError("voxel_count must be at least 1")
+    return detect.Detections(ids, centroid, volume_mm3, voxel_count, column("bbox", np.int64, (2, 3)))
+
+
+def _read_detections_file(path: str) -> list[detect.Detections]:
+    """Per-scan detections from a `detect` output file."""
     per_scan = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                dets = [
-                    detect.DetectedCMB(
-                        id=int(d["id"]),
-                        centroid_mm=volume.WorldPoint(*d["centroid_mm"]),
-                        volume_mm3=float(d["volume_mm3"]),
-                        voxel_count=int(d["voxel_count"]),
-                        bbox=(
-                            volume.VoxelIndex(*d["bbox"][0]),
-                            volume.VoxelIndex(*d["bbox"][1]),
-                        ),
-                    )
-                    for d in rec["detections"]
-                ]
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                per_scan.append(_detections(json.loads(line)["detections"]))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path} line {lineno}: bad detections record ({exc})") from exc
-            per_scan.append(dets)
     return per_scan
 
 
-def _det_to_json(scan_id: str, dets) -> dict:
+def _det_to_json(scan_id: str, dets: detect.Detections) -> dict:
+    columns = zip(
+        dets.ids.tolist(), dets.centroid_mm.tolist(), dets.volume_mm3.tolist(), dets.voxel_count.tolist(), dets.bbox.tolist()
+    )
     return {
         "scan_id": scan_id,
         "detections": [
-            {
-                "id": d.id,
-                "centroid_mm": [d.centroid_mm.x, d.centroid_mm.y, d.centroid_mm.z],
-                "volume_mm3": d.volume_mm3,
-                "voxel_count": d.voxel_count,
-                "bbox": [list(d.bbox[0]), list(d.bbox[1])],
-            }
-            for d in dets
+            {"id": i, "centroid_mm": c, "volume_mm3": v, "voxel_count": n, "bbox": b} for i, c, v, n, b in columns
         ],
     }
 
@@ -518,6 +523,7 @@ def cmd_fuse(params: dict) -> list[Path]:
     MIN_SIZE,
 )
 def cmd_detect(params: dict) -> list[Path]:
+    detect.require_size_threshold(params["min_size"], "min_size")
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     det_path = out / "detections.jsonl"
@@ -543,6 +549,7 @@ def cmd_detect(params: dict) -> list[Path]:
     Param("match_dist", float, detect.DEFAULT_MATCH_DISTANCE_MM, help="largest centroid distance of a match in mm"),
 )
 def cmd_eval(params: dict) -> list[Path]:
+    detect.require_size_threshold(params["min_size"], "min_size")
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     per_scan = []
@@ -583,6 +590,7 @@ def cmd_eval(params: dict) -> list[Path]:
     Param("zero_method", str, "drop", choices=stats.ZERO_METHODS, help="Wilcoxon handling of zero differences"),
 )
 def cmd_compare_groups(params: dict) -> list[Path]:
+    detect.require_size_threshold(params["size_filter"], "size_filter")
     group_a, group_b = (_read_detections_file(params[k]) for k in ("detections_a", "detections_b"))
     comparison = stats.compare_groups(
         group_a,
@@ -616,6 +624,8 @@ def cmd_compare_groups(params: dict) -> list[Path]:
     ILLNESS,
 )
 def cmd_sweep(params: dict) -> list[Path]:
+    for t in params["thresholds"]:
+        detect.require_size_threshold(t, "thresholds")
     group_a, group_b = (_read_detections_file(params[k]) for k in ("detections_a", "detections_b"))
     rows = stats.size_sweep(group_a, group_b, params["thresholds"], params["illness_threshold"])
     out = Path(params["out"])

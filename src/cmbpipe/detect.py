@@ -1,25 +1,26 @@
 """Connected-component detection, clinical size filtering, and metrics.
 
-A fused binary mask becomes a list of discrete detections (connected
-components with centroid, volume and bounding box), detections are matched
-one-to-one against ground-truth components, and per-scan TP/FP/FN/DSC roll
-up into per-dataset rows: TP/FP/FN per scan are means, DSC is the mean of
-per-scan DSC, and sensitivity/precision are pooled over scans
-(sum TP / (sum TP + sum FN), sum TP / (sum TP + sum FP)). Undefined values
-render as "NA" and never enter a mean.
+A fused binary mask becomes a table of discrete detections (connected
+components with centroid, volume and bounding box, one column per field),
+detections are matched one-to-one against ground-truth components, and
+per-scan TP/FP/FN/DSC roll up into per-dataset rows: TP/FP/FN per scan
+are means, DSC is the mean of per-scan DSC, and sensitivity/precision are
+pooled over scans (sum TP / (sum TP + sum FN), sum TP / (sum TP + sum FP)).
+Undefined values render as "NA" and never enter a mean.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError
-from .volume import LabelMask, VoxelIndex, WorldPoint, require_same_geometry
+from .volume import LabelMask, VoxelIndex, WorldPoint, _freeze, require_same_geometry
 
 DEFAULT_MIN_VOLUME_MM3 = 4.2  # minimum clinical CMB size (2 mm diameter sphere)
 DEFAULT_MATCH_DISTANCE_MM = 2.5  # radius of the largest "small" CMB
@@ -39,6 +40,86 @@ class DetectedCMB:
     def __post_init__(self):
         if self.voxel_count < 1:
             raise ConfigError("a detection must contain at least one voxel")
+
+
+def _row(comp_id: int, centroid: list, volume_mm3: float, voxel_count: int, bbox: list) -> DetectedCMB:
+    lo, hi = bbox
+    return DetectedCMB(comp_id, WorldPoint(*centroid), volume_mm3, voxel_count, (VoxelIndex(*lo), VoxelIndex(*hi)))
+
+
+# Column name -> (dtype, shape of one row).
+_COLUMNS = {
+    "ids": (np.int64, ()),
+    "centroid_mm": (np.float64, (3,)),
+    "volume_mm3": (np.float64, ()),
+    "voxel_count": (np.int64, ()),
+    "bbox": (np.int64, (2, 3)),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Connected components as read-only columns, one row per component.
+
+    Row ``r`` is component ``ids[r]``: its world centroid ``centroid_mm[r]``
+    (x, y, z), ``volume_mm3[r]``, ``voxel_count[r]`` and inclusive
+    bounding box ``bbox[r] = ((i, j, k) low, (i, j, k) high)``. ``len``,
+    iteration and integer indexing give ``DetectedCMB`` rows, built only
+    when accessed. A ``Detections`` equals another with the same columns,
+    and a list or tuple of the same rows, so an empty one ``== []``.
+    """
+
+    ids: np.ndarray
+    centroid_mm: np.ndarray
+    volume_mm3: np.ndarray
+    voxel_count: np.ndarray
+    bbox: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.ids)
+        for name, (dtype, row) in _COLUMNS.items():
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            if col.shape != (n, *row):
+                raise ConfigError(f"detection column {name} has shape {col.shape}, expected {(n, *row)}")
+            object.__setattr__(self, name, _freeze(col))
+        if n and self.voxel_count.min() < 1:
+            raise ConfigError("a detection must contain at least one voxel")
+
+    @classmethod
+    def of(cls, dets) -> "Detections":
+        """``dets`` itself if it is a ``Detections``, else the columns of a sequence of ``DetectedCMB``."""
+        if isinstance(dets, cls):
+            return dets
+        rows = list(dets)
+        n = len(rows)
+        return cls(
+            ids=[d.id for d in rows],
+            centroid_mm=np.array([d.centroid_mm for d in rows], dtype=np.float64).reshape(n, 3),
+            volume_mm3=[d.volume_mm3 for d in rows],
+            voxel_count=[d.voxel_count for d in rows],
+            bbox=np.array([d.bbox for d in rows], dtype=np.int64).reshape(n, 2, 3),
+        )
+
+    def select(self, keep: np.ndarray) -> "Detections":
+        """The rows where the boolean array ``keep`` is true, in order."""
+        return Detections(*(getattr(self, name)[keep] for name in _COLUMNS))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, r) -> DetectedCMB:
+        r = operator.index(r)
+        return _row(*(getattr(self, name)[r].tolist() for name in _COLUMNS))
+
+    def __iter__(self):
+        return itertools.starmap(_row, zip(*(getattr(self, name).tolist() for name in _COLUMNS)))
+
+    def __eq__(self, other):
+        if isinstance(other, Detections):
+            return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -75,7 +156,7 @@ def _foreground(labels: np.ndarray) -> np.ndarray:
     return candidates[flat[candidates] != 0]
 
 
-def _label(m: LabelMask, connectivity: int) -> tuple[list[DetectedCMB], np.ndarray, np.ndarray]:
+def _label(m: LabelMask, connectivity: int) -> tuple[Detections, np.ndarray, np.ndarray]:
     """Components of ``m`` plus its foreground voxels and the component id of each.
 
     Everything is computed from one ``ndimage.label`` image of the
@@ -88,7 +169,7 @@ def _label(m: LabelMask, connectivity: int) -> tuple[list[DetectedCMB], np.ndarr
     structure = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
     fg = _foreground(m.labels)
     if len(fg) == 0:
-        return [], fg, np.zeros(0, dtype=np.int64)
+        return Detections.of([]), fg, np.zeros(0, dtype=np.int64)
 
     ijk = np.stack(np.unravel_index(fg, m.dims), axis=1)
     box_lo = ijk.min(axis=0)
@@ -111,27 +192,19 @@ def _label(m: LabelMask, connectivity: int) -> tuple[list[DetectedCMB], np.ndarr
     ids = np.zeros(n + 1, dtype=np.int64)
     ids[1 + rank] = np.arange(1, n + 1)
 
-    voxel_volume = m.voxel_volume_mm3
-    dets = [
-        DetectedCMB(
-            id=comp_id,
-            centroid_mm=WorldPoint(*c),
-            volume_mm3=count * voxel_volume,
-            voxel_count=count,
-            bbox=(VoxelIndex(*a), VoxelIndex(*b)),
-        )
-        for comp_id, c, count, a, b in zip(
-            range(1, n + 1),
-            centroid_mm[rank].tolist(),
-            counts[rank].tolist(),
-            lo[rank].tolist(),
-            hi[rank].tolist(),
-        )
-    ]
+    counts = counts[rank]
+    dets = Detections(
+        ids=np.arange(1, n + 1),
+        centroid_mm=centroid_mm[rank],
+        # the same float64 product as count * voxel_volume_mm3 for one component
+        volume_mm3=counts * m.voxel_volume_mm3,
+        voxel_count=counts,
+        bbox=np.stack((lo[rank], hi[rank]), axis=1),
+    )
     return dets, fg, ids[lab]
 
 
-def connected_components(m: LabelMask, connectivity: int = 26) -> list[DetectedCMB]:
+def connected_components(m: LabelMask, connectivity: int = 26) -> Detections:
     """Maximal connected sets of the mask under 6- or 26-connectivity.
 
     Components are ordered by the lexicographically smallest (k, j, i)
@@ -141,21 +214,22 @@ def connected_components(m: LabelMask, connectivity: int = 26) -> list[DetectedC
     return _label(m, connectivity)[0]
 
 
-def filter_by_size(dets, min_volume_mm3: float = DEFAULT_MIN_VOLUME_MM3) -> list[DetectedCMB]:
+def require_size_threshold(value: float, name: str = "min_volume_mm3") -> None:
+    """A size threshold in mm^3 must be finite and non-negative: NaN would silently keep nothing."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+
+
+def filter_by_size(dets, min_volume_mm3: float = DEFAULT_MIN_VOLUME_MM3) -> Detections:
     """Keep components at least as large as the minimum clinical size."""
-    if min_volume_mm3 < 0:
-        raise ConfigError(f"min_volume_mm3 must be non-negative, got {min_volume_mm3}")
-    return [d for d in dets if d.volume_mm3 >= min_volume_mm3]
+    require_size_threshold(min_volume_mm3)
+    dets = Detections.of(dets)
+    return dets.select(dets.volume_mm3 >= min_volume_mm3)
 
 
 def _require_match_distance(max_dist_mm: float) -> None:
     if not (math.isfinite(max_dist_mm) and max_dist_mm >= 0):
         raise ConfigError(f"max_dist_mm must be finite and non-negative, got {max_dist_mm}")
-
-
-def _centroids_and_ids(dets) -> tuple[np.ndarray, np.ndarray]:
-    xyz = np.fromiter(itertools.chain.from_iterable(d.centroid_mm for d in dets), np.float64, count=3 * len(dets))
-    return xyz.reshape(-1, 3), np.fromiter((d.id for d in dets), np.int64, count=len(dets))
 
 
 def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -180,8 +254,9 @@ def match_detections(
     id. Unmatched predictions count as FP, unmatched ground truth as FN.
     """
     _require_match_distance(max_dist_mm)
-    pred_xyz, pred_ids = _centroids_and_ids(pred)
-    gt_xyz, gt_ids = _centroids_and_ids(gt_components)
+    pred, gt = Detections.of(pred), Detections.of(gt_components)
+    pred_xyz, pred_ids = pred.centroid_mm, pred.ids
+    gt_xyz, gt_ids = gt.centroid_mm, gt.ids
     n_gt = len(gt_ids)
 
     # Imported here so that CLI commands that never match do not pay
@@ -217,7 +292,7 @@ def match_detections(
         used_g.add(g)
         pairs.append((p, g))
     tp = len(pairs)
-    return MatchResult(tp=tp, fp=len(pred) - tp, fn=len(gt_components) - tp, pairing=tuple(pairs))
+    return MatchResult(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp, pairing=tuple(pairs))
 
 
 def scan_metrics(pred_mask: LabelMask, gt_mask: LabelMask, match: MatchResult) -> ScanMetrics:
@@ -254,10 +329,12 @@ def evaluate_scan(
     components, so a perfect segmenter scores perfectly: sub-clinical
     ground-truth components are excluded from the task rather than counted
     as misses. A predicted and a ground-truth component overlap when they
-    share a foreground voxel.
+    share a foreground voxel. Returns the metrics and the kept predicted
+    and ground-truth ``Detections``.
     """
     require_same_geometry(pred_mask, gt_mask, "prediction and ground-truth masks")
     _require_match_distance(max_dist_mm)
+    require_size_threshold(min_volume_mm3)
     pred, pred_fg, pred_ids = _label(pred_mask, connectivity)
     gt, gt_fg, gt_ids = _label(gt_mask, connectivity)
     shared, in_pred, in_gt = np.intersect1d(pred_fg, gt_fg, assume_unique=True, return_indices=True)

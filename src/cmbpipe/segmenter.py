@@ -91,12 +91,13 @@ class OracleSegmenter:
             raise GeometryMismatchError(f"ground truth dims {self.gt.dims} do not match volume dims {v.dims}")
         if self._clean is not None:
             return self._clean
-        out = self.gt.labels.astype(np.float32)
+        axis = VIEW_AXIS[view]
+        flips = np.empty(np.moveaxis(self.gt.labels, axis, 0).shape, dtype=bool)
         # one stream per plane of the view, so each plane's flips are fixed by (seed, view, plane)
-        for k, plane in enumerate(np.moveaxis(out, VIEW_AXIS[view], 0)):
-            rng = derive_rng(self.seed, "oracle", view, k)
-            np.subtract(1.0, plane, out=plane, where=rng.uniform(size=plane.shape) < self.corruption_rate)
-        return out
+        for k, flip in enumerate(flips):
+            np.less(derive_rng(self.seed, "oracle", view, k).uniform(size=flip.shape), self.corruption_rate, out=flip)
+        # On {0, 1}, 1 - x where flipped is x XOR flip: one pass in grid order, then one contiguous cast.
+        return np.not_equal(self.gt.labels, np.moveaxis(flips, 0, axis)).astype(np.float32)
 
 
 def _smooth(planes: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:

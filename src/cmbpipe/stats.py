@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detect import filter_by_size
+from .detect import Detections, require_size_threshold
 
 from .errors import (
     ConfigError,
@@ -242,7 +242,10 @@ class GroupComparison:
 
 def count_filtered(detections_per_scan, size_filter_mm3: float) -> list[int]:
     """CMBs per scan after the clinical size filter."""
-    return [len(filter_by_size(dets, size_filter_mm3)) for dets in detections_per_scan]
+    require_size_threshold(size_filter_mm3, "size_filter_mm3")
+    return [
+        int(np.count_nonzero(Detections.of(dets).volume_mm3 >= size_filter_mm3)) for dets in detections_per_scan
+    ]
 
 
 def _illness_table(counts_a, counts_b, illness_threshold: int) -> Contingency2x2:
@@ -332,8 +335,11 @@ class SweepRow:
 def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_ILLNESS_THRESHOLD) -> list[SweepRow]:
     """Group CMB frequency and Fisher significance per size-filter threshold."""
     thresholds = [float(t) for t in thresholds]
+    for t in thresholds:
+        require_size_threshold(t, "thresholds")
     if sorted(thresholds) != thresholds:
         raise ConfigError("thresholds must be sorted ascending")
+    group_a, group_b = ([Detections.of(dets) for dets in group] for group in (group_a, group_b))
     rows = []
     for t in thresholds:
         counts_a = count_filtered(group_a, t)

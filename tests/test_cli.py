@@ -397,6 +397,50 @@ class TestConfigAndErrors:
         assert run(command, "--config", cfg, "--out", tmp_path / "out", *flags) == 1
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["detect", "eval", "compare-groups", "sweep"])
+    def test_bad_size_threshold_exit_1_before_reading(self, tmp_path, command, bad):
+        """NaN would keep no component; the threshold is checked before any input is read (else 2) or output written."""
+        data = make_phantom_data(tmp_path, count=1, dims=24)
+        manifest, masks = data / "manifest.jsonl", data / "gt_masks"
+        assert run("detect", "--manifest", manifest, "--masks-dir", masks, "--out", tmp_path / "det") == 0
+        found = tmp_path / "det" / "detections.jsonl"
+        assert json.loads(found.read_text())["detections"]
+        detections = {"--detections-a": found, "--detections-b": found}
+        args = {
+            "detect": ({"--manifest": manifest, "--masks-dir": masks}, "--min-size", bad),
+            "eval": ({"--manifest": manifest, "--pred-dir": masks, "--gt-dir": masks}, "--min-size", bad),
+            "compare-groups": (detections, "--size-filter", bad),
+            "sweep": (detections, "--thresholds", f"0,{bad}"),
+        }
+        inputs, *threshold = args[command]
+        for paths in (inputs, dict.fromkeys(inputs, tmp_path / "missing.jsonl")):
+            out = tmp_path / "out"
+            assert run(command, *(a for item in paths.items() for a in item), *threshold, "--out", out) == 1
+            assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["compare-groups", "sweep"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("voxel_count", 0),
+            ("volume_mm3", float("nan")),
+            ("volume_mm3", -3.0),
+            ("centroid_mm", [float("nan"), 0.0, 0.0]),
+            ("centroid_mm", [0.0, float("inf"), 0.0]),
+            ("centroid_mm", [1.0, 2.0]),
+            ("id", [2]),
+        ],
+    )
+    def test_bad_detection_record_exit_2(self, tmp_path, capsys, command, key, value):
+        good = {"id": 1, "centroid_mm": [1.0, 2.0, 3.0], "volume_mm3": 8.0, "voxel_count": 8, "bbox": [[0, 0, 0], [1, 1, 1]]}
+        records = [{"scan_id": "s0", "detections": [good]}, {"scan_id": "s1", "detections": [good, {**good, key: value}]}]
+        path = tmp_path / "detections.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert run(command, "--detections-a", path, "--detections-b", path, "--out", tmp_path / "out") == 2
+        assert f"{path} line 2: bad detections record" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def augment_data(tmp_path_factory):
     return make_phantom_data(tmp_path_factory.mktemp("augment"), count=1, dims=16)

@@ -3,6 +3,7 @@ import pytest
 
 from cmbpipe.detect import (
     DetectedCMB,
+    Detections,
     aggregate_metrics,
     connected_components,
     evaluate_scan,
@@ -15,7 +16,7 @@ from cmbpipe.detect import (
     ScanMetrics,
 )
 from cmbpipe.errors import ConfigError, GeometryMismatchError
-from cmbpipe.volume import LabelMask, WorldPoint
+from cmbpipe.volume import LabelMask, VoxelIndex, WorldPoint
 
 from oracles import components_oracle, match_oracle, sphere_voxel_volume
 
@@ -65,6 +66,55 @@ class TestConnectedComponents:
             connected_components(mask_from_voxels([]), 18)
 
 
+class TestDetections:
+    def columns(self, n=3):
+        return dict(
+            ids=np.arange(1, n + 1),
+            centroid_mm=np.arange(3.0 * n).reshape(n, 3),
+            volume_mm3=np.full(n, 2.5),
+            voxel_count=np.full(n, 2),
+            bbox=np.zeros((n, 2, 3), dtype=np.int64),
+        )
+
+    def test_rows_are_built_on_access(self):
+        dets = Detections(**self.columns())
+        assert len(dets) == 3
+        row = dets[1]
+        assert row == DetectedCMB(2, WorldPoint(3.0, 4.0, 5.0), 2.5, 2, (VoxelIndex(0, 0, 0), VoxelIndex(0, 0, 0)))
+        assert type(row.id) is int and type(row.volume_mm3) is float
+        assert type(row.centroid_mm) is WorldPoint and type(row.bbox[1]) is VoxelIndex
+        assert dets[-1] == list(dets)[2]
+        with pytest.raises(IndexError):
+            dets[3]
+        with pytest.raises(TypeError):
+            dets[0:2]
+
+    def test_equality_with_rows_and_columns(self):
+        dets = Detections(**self.columns())
+        assert dets == list(dets) and list(dets) == dets and dets == tuple(dets)
+        assert dets == Detections(**self.columns())
+        assert dets != list(dets)[:2] and dets != Detections(**self.columns(2))
+        assert Detections.of([]) == [] and Detections.of(dets) is dets
+        assert Detections.of(list(dets)) == dets
+
+    def test_columns_are_read_only(self):
+        dets = Detections(**self.columns())
+        with pytest.raises(ValueError):
+            dets.volume_mm3[0] = 100.0
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("ids", np.arange(2)), ("centroid_mm", np.zeros((3, 2))), ("bbox", np.zeros((3, 3, 2)))],
+    )
+    def test_columns_must_agree(self, column, value):
+        with pytest.raises(ConfigError):
+            Detections(**{**self.columns(), column: value})
+
+    def test_empty_component_rejected(self):
+        with pytest.raises(ConfigError):
+            Detections(**{**self.columns(), "voxel_count": np.array([2, 0, 2])})
+
+
 class TestFilterBySize:
     def test_three_voxel_component_removed_at_clinical_threshold(self):
         m = mask_from_voxels([(3, 3, 3), (3, 3, 4), (3, 3, 5)])
@@ -91,6 +141,14 @@ class TestFilterBySize:
             bbox=((0, 0, 0), (1, 1, 1)),
         )
         assert filter_by_size([det], 4.2) == []
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_threshold_rejected(self, bad):
+        m = mask_from_voxels([(3, 3, k) for k in range(3, 8)])
+        with pytest.raises(ConfigError):
+            filter_by_size(connected_components(m), bad)
+        with pytest.raises(ConfigError):
+            evaluate_scan(m, m, min_volume_mm3=bad)
 
 
 class TestMatching:
@@ -288,6 +346,17 @@ class TestOracleEquivalence:
         assert got == want
 
     @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_speckle_rows_equal_oracle_rows(self, connectivity):
+        rng = np.random.default_rng(2025)
+        arr = (rng.uniform(0, 1, (128, 128, 128)) < 0.005).astype(np.uint8)
+        m = LabelMask(arr, (0.7, 1.3, 0.5), (4.5, -8.0, 12.75))
+        dets = connected_components(m, connectivity)
+        want = [DetectedCMB(*c[:5]) for c in components_oracle(m, connectivity)]
+        assert len(want) > 9000
+        assert dets == want
+        assert [dets[r] for r in (0, len(want) // 2, -1)] == [want[0], want[len(want) // 2], want[-1]]
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
     @pytest.mark.parametrize("min_volume", [0.0, 4.2])
     def test_evaluate_scan_matches_oracle(self, rng, monkeypatch, connectivity, min_volume):
         matches = []
@@ -316,6 +385,35 @@ class TestOracleEquivalence:
                 len(p_all) - len(pairing),
                 len(g_all) - len(pairing),
             )
+
+
+class TestColumnsAndRowsAgree:
+    """The public entry points give the same results on ``Detections`` and on lists of ``DetectedCMB``."""
+
+    @pytest.fixture
+    def scans(self, rng):
+        gt_arr = (rng.uniform(0, 1, (24, 20, 18)) < 0.1).astype(np.uint8)
+        pred_arr = gt_arr ^ (rng.uniform(0, 1, gt_arr.shape) < 0.05).astype(np.uint8)
+        spacing = (0.8, 1.0, 1.2)
+        return connected_components(LabelMask(pred_arr, spacing)), connected_components(LabelMask(gt_arr, spacing))
+
+    def test_filter_by_size(self, scans):
+        for dets in scans:
+            for threshold in (0.0, 0.96, 2.0, 4.2, 1e6):
+                kept = filter_by_size(dets, threshold)
+                assert isinstance(kept, Detections)
+                assert kept == filter_by_size(list(dets), threshold)
+                assert list(kept) == [d for d in dets if d.volume_mm3 >= threshold]
+
+    def test_match_detections(self, scans, rng):
+        pred, gt = scans
+        overlaps = {(int(p), int(g)) for p, g in rng.integers(1, 40, (30, 2))}
+        for max_dist, ov in ((0.0, frozenset()), (2.5, frozenset()), (2.5, overlaps)):
+            want = match_detections(list(pred), list(gt), max_dist, ov)
+            assert want.tp > 0
+            assert match_detections(pred, gt, max_dist, ov) == want
+            assert match_detections(pred, list(gt), max_dist, ov) == want
+            assert match_detections(list(pred), gt, max_dist, ov) == want
 
 
 def boxed_masks():

@@ -41,6 +41,23 @@ def test_evaluate_scan_labels_only_the_foreground_box():
     assert peak < 0.25 * n**3 * np.dtype(np.int32).itemsize
 
 
+def test_evaluate_scan_returns_detections_as_columns():
+    """What the kept detections hold per component, from a mask of about 15k one-voxel components."""
+    arr = np.zeros((128,) * 3, dtype=np.uint8)
+    arr[::5, ::5, ::5] = 1
+    pred, gt = LabelMask(arr, (0.5, 0.6, 0.7)), LabelMask(arr[::-1].copy(), (0.5, 0.6, 0.7))
+    evaluate_scan(pred, gt, min_volume_mm3=0.0)
+    tracemalloc.start()
+    try:
+        _, kept_pred, kept_gt = evaluate_scan(pred, gt, min_volume_mm3=0.0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = len(kept_pred) + len(kept_gt)
+    assert n == 2 * 26**3
+    assert held < 160 * n
+
+
 def test_generate_phantom_adds_noise_in_blocks():
     n = 96
     spec = PhantomSpec(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmbpipe.detect import DetectedCMB
+from cmbpipe.detect import DetectedCMB, Detections
 from cmbpipe.errors import (
     ConfigError,
     DegenerateContingencyWarning,
@@ -193,6 +193,20 @@ class TestCompareGroups:
         cmp = compare_groups(scans_with_counts(counts_a), scans_with_counts(counts_b))
         assert cmp.mean_count_b > cmp.mean_count_a
 
+    def test_columns_count_like_rows(self):
+        group_a = [[det(2.0), det(8.0)], [det(4.2)], []] * 2
+        group_b = [[det(9.0)] * 3, [det(1.0)], [det(5.0), det(6.0)]] * 2
+        as_columns = [[Detections.of(scan) for scan in group] for group in (group_a, group_b)]
+        assert compare_groups(*as_columns, illness_threshold=2) == compare_groups(group_a, group_b, illness_threshold=2)
+        thresholds = [0.0, 4.2, 8.0]
+        assert size_sweep(*as_columns, thresholds) == size_sweep(group_a, group_b, thresholds)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_size_filter_rejected(self, bad):
+        group = scans_with_counts([1, 2])
+        with pytest.raises(ConfigError):
+            compare_groups(group, group, size_filter_mm3=bad)
+
 
 class TestSizeSweep:
     def test_threshold_zero_counts_everything(self):
@@ -223,6 +237,11 @@ class TestSizeSweep:
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(ConfigError):
             size_sweep([[det(1.0)]], [[det(1.0)]], [5.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_threshold_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            size_sweep([[det(1.0)]], [[det(1.0)]], [0.0, bad])
 
     def test_table_renders(self):
         group = [[det(5.0)]] * 3
