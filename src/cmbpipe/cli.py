@@ -252,18 +252,42 @@ def _detections(records: list) -> detect.Detections:
     return detect.Detections(ids, centroid, volume_mm3, voxel_count, column("bbox", np.int64, (2, 3)))
 
 
-def _read_detections_file(path: str) -> list[detect.Detections]:
-    """Per-scan detections from a `detect` output file."""
-    per_scan = []
+def _read_detections_file(path: str) -> dict[str, detect.Detections]:
+    """Per-scan detections from a `detect` output file, by scan id in file order."""
+    per_scan = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                per_scan.append(_detections(json.loads(line)["detections"]))
+                record = json.loads(line)
+                scan_id, dets = record["scan_id"], _detections(record["detections"])
+                if not isinstance(scan_id, str):
+                    raise TypeError(f"scan_id must be a string, got {scan_id!r}")
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path} line {lineno}: bad detections record ({exc})") from exc
+            if scan_id in per_scan:
+                raise DataError(f"{path} line {lineno}: scan_id {scan_id!r} appears twice")
+            per_scan[scan_id] = dets
     return per_scan
+
+
+def _read_groups(params: dict) -> tuple[list[detect.Detections], list[detect.Detections]]:
+    """Groups A and B, B in A's scan order, so that a paired test pairs each scan with itself.
+
+    Files with as many scans must hold the same scan ids. Files of
+    different lengths are not paired and keep their own order.
+    """
+    path_a, path_b = params["detections_a"], params["detections_b"]
+    group_a, group_b = _read_detections_file(path_a), _read_detections_file(path_b)
+    if len(group_a) == len(group_b):
+        for scan_id in group_a:
+            if scan_id not in group_b:
+                raise DataError(
+                    f"scan_id {scan_id!r} of {path_a} is not in {path_b}; groups of equal size pair by scan_id"
+                )
+        group_b = {scan_id: group_b[scan_id] for scan_id in group_a}
+    return list(group_a.values()), list(group_b.values())
 
 
 def _det_to_json(scan_id: str, dets: detect.Detections) -> dict:
@@ -550,6 +574,7 @@ def cmd_detect(params: dict) -> list[Path]:
 )
 def cmd_eval(params: dict) -> list[Path]:
     detect.require_size_threshold(params["min_size"], "min_size")
+    detect.require_match_distance(params["match_dist"], "match_dist")
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     per_scan = []
@@ -591,7 +616,7 @@ def cmd_eval(params: dict) -> list[Path]:
 )
 def cmd_compare_groups(params: dict) -> list[Path]:
     detect.require_size_threshold(params["size_filter"], "size_filter")
-    group_a, group_b = (_read_detections_file(params[k]) for k in ("detections_a", "detections_b"))
+    group_a, group_b = _read_groups(params)
     comparison = stats.compare_groups(
         group_a,
         group_b,
@@ -626,7 +651,7 @@ def cmd_compare_groups(params: dict) -> list[Path]:
 def cmd_sweep(params: dict) -> list[Path]:
     for t in params["thresholds"]:
         detect.require_size_threshold(t, "thresholds")
-    group_a, group_b = (_read_detections_file(params[k]) for k in ("detections_a", "detections_b"))
+    group_a, group_b = _read_groups(params)
     rows = stats.size_sweep(group_a, group_b, params["thresholds"], params["illness_threshold"])
     out = Path(params["out"])
     table = stats.format_sweep_table(rows)

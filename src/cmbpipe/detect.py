@@ -156,13 +156,30 @@ def _foreground(labels: np.ndarray) -> np.ndarray:
     return candidates[flat[candidates] != 0]
 
 
+def _packed(coords: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Positions of ``coords`` (on an axis of ``n`` planes) once empty planes are dropped, and the planes left.
+
+    The planes before the first and after the last occupied one go, and
+    each run of empty planes between occupied ones shrinks to one plane.
+    So two coordinates are equal, adjacent or further apart exactly when
+    their positions are.
+    """
+    occupied = np.zeros(n, dtype=bool)
+    occupied[coords] = True
+    planes = np.flatnonzero(occupied)
+    position = np.zeros(n, dtype=np.intp)
+    position[planes] = np.arange(len(planes))
+    position[planes[1:]] += np.cumsum(np.diff(planes) > 1)
+    return position[coords], int(position[planes[-1]]) + 1
+
+
 def _label(m: LabelMask, connectivity: int) -> tuple[Detections, np.ndarray, np.ndarray]:
     """Components of ``m`` plus its foreground voxels and the component id of each.
 
-    Everything is computed from one ``ndimage.label`` image of the
-    foreground's bounding box, read only at the foreground voxels; the
-    image is freed before returning. No component crosses the box, and
-    every field is taken from full-grid coordinates.
+    ``ndimage.label`` runs on the packed grid: the foreground with every
+    empty plane of each axis dropped, except one between occupied runs,
+    so which voxels touch is unchanged. Its labels are read back at the
+    foreground voxels, and every field is taken from full-grid coordinates.
     """
     if connectivity not in (6, 26):
         raise ConfigError(f"connectivity must be 6 or 26, got {connectivity}")
@@ -172,11 +189,12 @@ def _label(m: LabelMask, connectivity: int) -> tuple[Detections, np.ndarray, np.
         return Detections.of([]), fg, np.zeros(0, dtype=np.int64)
 
     ijk = np.stack(np.unravel_index(fg, m.dims), axis=1)
-    box_lo = ijk.min(axis=0)
-    box = tuple(slice(a, b + 1) for a, b in zip(box_lo.tolist(), ijk.max(axis=0).tolist()))
-    labeled, n = ndimage.label(m.labels[box], structure=structure)
-    lab = labeled.reshape(-1)[np.ravel_multi_index((ijk - box_lo).T, labeled.shape)]
-    del labeled
+    packed, shape = zip(*(_packed(ijk[:, a], m.dims[a]) for a in range(3)))
+    grid = np.zeros(shape, dtype=np.uint8)
+    grid[packed] = 1
+    labeled, n = ndimage.label(grid, structure=structure)
+    lab = labeled[packed]
+    del grid, labeled
     order = np.argsort(lab, kind="stable")
     counts = np.bincount(lab, minlength=n + 1)[1:]
     starts = np.cumsum(counts) - counts
@@ -227,9 +245,10 @@ def filter_by_size(dets, min_volume_mm3: float = DEFAULT_MIN_VOLUME_MM3) -> Dete
     return dets.select(dets.volume_mm3 >= min_volume_mm3)
 
 
-def _require_match_distance(max_dist_mm: float) -> None:
-    if not (math.isfinite(max_dist_mm) and max_dist_mm >= 0):
-        raise ConfigError(f"max_dist_mm must be finite and non-negative, got {max_dist_mm}")
+def require_match_distance(value: float, name: str = "max_dist_mm") -> None:
+    """A match distance in mm must be finite and non-negative: NaN would silently match nothing."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -253,7 +272,7 @@ def match_detections(
     distance go to the smaller prediction id, then the smaller ground-truth
     id. Unmatched predictions count as FP, unmatched ground truth as FN.
     """
-    _require_match_distance(max_dist_mm)
+    require_match_distance(max_dist_mm)
     pred, gt = Detections.of(pred), Detections.of(gt_components)
     pred_xyz, pred_ids = pred.centroid_mm, pred.ids
     gt_xyz, gt_ids = gt.centroid_mm, gt.ids
@@ -333,7 +352,7 @@ def evaluate_scan(
     and ground-truth ``Detections``.
     """
     require_same_geometry(pred_mask, gt_mask, "prediction and ground-truth masks")
-    _require_match_distance(max_dist_mm)
+    require_match_distance(max_dist_mm)
     require_size_threshold(min_volume_mm3)
     pred, pred_fg, pred_ids = _label(pred_mask, connectivity)
     gt, gt_fg, gt_ids = _label(gt_mask, connectivity)

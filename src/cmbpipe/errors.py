@@ -57,10 +57,6 @@ class DegenerateAnnotationError(DataError):
     """A point annotation has no contrast against its surroundings."""
 
 
-class AnnotationOutsideVolumeError(DataError):
-    """Annotation center falls outside the volume grid."""
-
-
 class PhantomSpecError(ConfigError):
     """Phantom specification is inconsistent (overlapping objects, bad ranges)."""
 

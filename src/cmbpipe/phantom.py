@@ -131,11 +131,19 @@ def _axis_coords(spec: PhantomSpec):
     return [np.arange(n, dtype=np.float64) * spec.spacing for n in spec.dims]
 
 
-def _smooth_field(spec: PhantomSpec) -> np.ndarray:
-    """Low-frequency multiplicative-free additive field, max amplitude = smooth_amplitude."""
+def _smooth_field(arr: np.ndarray, spec: PhantomSpec, blocks: list[slice]) -> float:
+    """Write the unscaled low-frequency additive field into ``arr``, one plane block at a time.
+
+    Returns the factor that scales the field's largest magnitude to
+    ``smooth_amplitude`` (0 when that is 0, 1 for a flat field). The field
+    is a 3x3x3 cosine series. Its p and q sums are taken once into an
+    (I, J, 3) table, and each block is one matmul of its rows against the
+    k basis.
+    """
     amp = spec.background.smooth_amplitude
     if amp == 0.0:
-        return np.zeros(spec.dims)
+        arr.fill(0.0)
+        return 0.0
     rng = derive_rng(spec.seed, "background")
     coeff = rng.standard_normal((3, 3, 3))
     coeff[0, 0, 0] = 0.0  # DC belongs to `base`
@@ -145,56 +153,72 @@ def _smooth_field(spec: PhantomSpec) -> np.ndarray:
         extent = spec.dims[axis] * spec.spacing
         freq = np.arange(3)[:, None] * np.pi / extent
         basis.append(np.cos(freq * xs[axis][None, :]))
-    fld = np.einsum("pqr,pi,qj,rk->ijk", coeff, basis[0], basis[1], basis[2], optimize=True)
-    peak = max(fld.max(), -fld.min())  # the largest |value|, without an np.abs copy
-    if peak > 0:
-        fld *= amp / peak
-    return fld
+    pq = np.tensordot(basis[0], coeff, axes=(0, 0))  # (I, q, r): the sum over p
+    table = np.tensordot(pq, basis[1], axes=(1, 0)).transpose(0, 2, 1).copy()  # (I, J, r): then over q
+    n_k = spec.dims[2]
+    high, low = -np.inf, np.inf
+    for block in blocks:
+        out = arr[block]
+        np.matmul(table[block].reshape(-1, 3), basis[2], out=out.reshape(-1, n_k))
+        high, low = max(high, out.max()), min(low, out.min())
+    peak = max(high, -low)  # the largest |value|, without an np.abs copy
+    return amp / peak if peak > 0 else 1.0
 
 
-def _gaussian_dip(arr: np.ndarray, spec: PhantomSpec, center, sigma_mm: float, contrast: float) -> None:
-    """Multiply a local box of ``arr`` by (1 - contrast * exp(-r^2 / 2 sigma^2))."""
+def _box(spec: PhantomSpec, lo_mm, hi_mm, planes: slice) -> tuple[slice, ...] | None:
+    """Voxels whose centers may lie in world [lo_mm, hi_mm], within the grid and axis-0 ``planes``; None if none."""
+    lo = np.maximum(np.floor(lo_mm / spec.spacing).astype(int), 0)
+    hi = np.minimum(np.ceil(hi_mm / spec.spacing).astype(int) + 1, spec.dims)
+    lo[0], hi[0] = max(lo[0], planes.start), min(hi[0], planes.stop)
+    if np.any(lo >= hi):
+        return None
+    return tuple(slice(a, b) for a, b in zip(lo.tolist(), hi.tolist()))
+
+
+def _box_coords(spec: PhantomSpec, box: tuple[slice, ...]) -> list[np.ndarray]:
+    return [np.arange(s.start, s.stop, dtype=np.float64) * spec.spacing for s in box]
+
+
+def _gaussian_dip(arr: np.ndarray, spec: PhantomSpec, center, sigma_mm: float, contrast: float, planes: slice) -> None:
+    """Multiply a local box of ``arr``, within axis-0 ``planes``, by (1 - contrast * exp(-r^2 / 2 sigma^2))."""
     reach = 4.0 * sigma_mm
     c = np.asarray(center, dtype=np.float64)
-    lo = np.maximum(np.floor((c - reach) / spec.spacing).astype(int), 0)
-    hi = np.minimum(np.ceil((c + reach) / spec.spacing).astype(int) + 1, spec.dims)
-    if np.any(lo >= hi):
+    box = _box(spec, c - reach, c + reach, planes)
+    if box is None:
         return
-    xs = [np.arange(lo[a], hi[a], dtype=np.float64) * spec.spacing - c[a] for a in range(3)]
+    xs = [x - c[a] for a, x in enumerate(_box_coords(spec, box))]
     r2 = xs[0][:, None, None] ** 2 + xs[1][None, :, None] ** 2 + xs[2][None, None, :] ** 2
-    arr[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] *= 1.0 - contrast * np.exp(-r2 / (2.0 * sigma_mm**2))
+    arr[box] *= 1.0 - contrast * np.exp(-r2 / (2.0 * sigma_mm**2))
 
 
-def _tube_dip(arr: np.ndarray, spec: PhantomSpec, vessel: VesselSpec) -> None:
+def _tube_dip(arr: np.ndarray, spec: PhantomSpec, vessel: VesselSpec, planes: slice) -> None:
+    """Multiply the voxels of ``arr`` near the vessel, within axis-0 ``planes``, by its tube profile."""
     p0 = np.asarray(vessel.start, dtype=np.float64)
     p1 = np.asarray(vessel.end, dtype=np.float64)
     sigma = profile_sigma_mm(vessel.diameter_mm)
     reach = 4.0 * sigma
-    lo = np.maximum(np.floor((np.minimum(p0, p1) - reach) / spec.spacing).astype(int), 0)
-    hi = np.minimum(np.ceil((np.maximum(p0, p1) + reach) / spec.spacing).astype(int) + 1, spec.dims)
-    if np.any(lo >= hi):
+    box = _box(spec, np.minimum(p0, p1) - reach, np.maximum(p0, p1) + reach, planes)
+    if box is None:
         return
-    xs = [np.arange(lo[a], hi[a], dtype=np.float64) * spec.spacing for a in range(3)]
-    gx, gy, gz = np.meshgrid(*xs, indexing="ij")
+    gx, gy, gz = np.meshgrid(*_box_coords(spec, box), indexing="ij")
     pts = np.stack([gx, gy, gz], axis=-1)
     seg = p1 - p0
     denom = float(seg @ seg)
     t = np.clip((pts - p0) @ seg / denom, 0.0, 1.0) if denom > 0 else np.zeros(pts.shape[:-1])
     nearest = p0 + t[..., None] * seg
     d2 = np.sum((pts - nearest) ** 2, axis=-1)
-    arr[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] *= 1.0 - vessel.contrast * np.exp(-d2 / (2.0 * sigma**2))
+    arr[box] *= 1.0 - vessel.contrast * np.exp(-d2 / (2.0 * sigma**2))
 
 
 def _gt_sphere(labels: np.ndarray, spec: PhantomSpec, cmb: CMBSpec) -> None:
     radius = gt_radius_mm(cmb.diameter_mm)
     c = np.asarray(cmb.center, dtype=np.float64)
-    lo = np.maximum(np.floor((c - radius) / spec.spacing).astype(int), 0)
-    hi = np.minimum(np.ceil((c + radius) / spec.spacing).astype(int) + 1, spec.dims)
-    if np.any(lo >= hi):
+    box = _box(spec, c - radius, c + radius, slice(0, spec.dims[0]))
+    if box is None:
         return
-    xs = [np.arange(lo[a], hi[a], dtype=np.float64) * spec.spacing - c[a] for a in range(3)]
+    xs = [x - c[a] for a, x in enumerate(_box_coords(spec, box))]
     r2 = xs[0][:, None, None] ** 2 + xs[1][None, :, None] ** 2 + xs[2][None, None, :] ** 2
-    labels[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] |= (r2 < radius**2).astype(np.uint8)
+    labels[box] |= (r2 < radius**2).astype(np.uint8)
 
 
 def generate_phantom(
@@ -202,19 +226,22 @@ def generate_phantom(
 ) -> tuple[Volume3D, LabelMask, ScanManifestEntry]:
     """Deterministically render a phantom, its analytic ground truth, and a manifest entry."""
     validate_spec(spec)
-    arr = _smooth_field(spec)
-    arr += float(spec.background.base)
-    for cmb in spec.cmbs:
-        _gaussian_dip(arr, spec, cmb.center, profile_sigma_mm(cmb.diameter_mm), cmb.contrast)
-    for calc in spec.calcifications:
-        _gaussian_dip(arr, spec, calc.center, profile_sigma_mm(calc.diameter_mm), calc.contrast)
-    for vessel in spec.vessels:
-        _tube_dip(arr, spec, vessel)
-    if spec.background.noise_sigma > 0:
-        # C-order blocks of one stream draw the same values as one whole-volume draw.
-        rng = derive_rng(spec.seed, "noise")
-        for block in plane_blocks(spec.dims):
-            arr[block] += rng.normal(0.0, spec.background.noise_sigma, arr[block].shape)
+    arr = np.empty(spec.dims)
+    blocks = plane_blocks(spec.dims)
+    scale = _smooth_field(arr, spec, blocks)
+    base, sigma = float(spec.background.base), spec.background.noise_sigma
+    # C-order blocks of one stream draw the same values as one whole-volume draw.
+    rng = derive_rng(spec.seed, "noise")
+    for block in blocks:
+        out = arr[block]
+        out *= scale
+        out += base
+        for blob in spec.cmbs + spec.calcifications:
+            _gaussian_dip(arr, spec, blob.center, profile_sigma_mm(blob.diameter_mm), blob.contrast, block)
+        for vessel in spec.vessels:
+            _tube_dip(arr, spec, vessel, block)
+        if sigma > 0:
+            out += rng.normal(0.0, sigma, out.shape)
 
     labels = np.zeros(spec.dims, dtype=np.uint8)
     for cmb in spec.cmbs:

@@ -153,21 +153,6 @@ class TestPipelineCommands:
         work = tmp_path / "stats"
         work.mkdir()
 
-        def write_detections(path, counts, volume=8.0):
-            with open(path, "w") as fh:
-                for i, c in enumerate(counts):
-                    dets = [
-                        {
-                            "id": k + 1,
-                            "centroid_mm": [float(k), 0.0, 0.0],
-                            "volume_mm3": volume,
-                            "voxel_count": 8,
-                            "bbox": [[0, 0, 0], [1, 1, 1]],
-                        }
-                        for k in range(c)
-                    ]
-                    fh.write(json.dumps({"scan_id": f"s{i}", "detections": dets}) + "\n")
-
         write_detections(work / "a.jsonl", [0, 1, 0, 0, 2, 0, 1, 0])
         write_detections(work / "b.jsonl", [5, 6, 3, 7, 5, 6, 2, 5])
         assert run(
@@ -191,6 +176,72 @@ class TestPipelineCommands:
         rows = [json.loads(line) for line in (work / "sweep" / "size_sweep.jsonl").read_text().splitlines()]
         assert len(rows) == 3
         assert rows[0]["mean_count_b"] >= rows[-1]["mean_count_b"]
+
+
+def write_detections(path, counts, scan_ids=None):
+    """A `detect` output file with ``counts[i]`` 8 mm^3 detections in scan ``scan_ids[i]`` (default s0, s1, ...)."""
+    scan_ids = scan_ids or [f"s{i}" for i in range(len(counts))]
+    with open(path, "w") as fh:
+        for scan_id, c in zip(scan_ids, counts):
+            dets = [
+                {
+                    "id": k + 1,
+                    "centroid_mm": [float(k), 0.0, 0.0],
+                    "volume_mm3": 8.0,
+                    "voxel_count": 8,
+                    "bbox": [[0, 0, 0], [1, 1, 1]],
+                }
+                for k in range(c)
+            ]
+            fh.write(json.dumps({"scan_id": scan_id, "detections": dets}) + "\n")
+
+
+class TestGroupPairing:
+    """compare-groups and sweep pair the scans of the two files by scan_id, not by line."""
+
+    COUNTS_A, COUNTS_B = [1, 2, 3, 4, 5, 6], [2, 3, 4, 5, 6, 7]  # B is A plus one in every scan
+
+    def compare(self, tmp_path, name, a, b):
+        assert run("compare-groups", "--detections-a", a, "--detections-b", b, "--out", tmp_path / name) == 0
+        return json.loads((tmp_path / name / "group_comparison.json").read_text())
+
+    def test_reversed_file_pairs_the_same_scans(self, tmp_path):
+        ids = [f"s{i}" for i in range(6)]
+        write_detections(tmp_path / "a.jsonl", self.COUNTS_A, ids)
+        write_detections(tmp_path / "b.jsonl", self.COUNTS_B, ids)
+        write_detections(tmp_path / "b_reversed.jsonl", self.COUNTS_B[::-1], ids[::-1])
+        forward = self.compare(tmp_path, "forward", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
+        reversed_ = self.compare(tmp_path, "reversed", tmp_path / "a.jsonl", tmp_path / "b_reversed.jsonl")
+        assert forward["wilcoxon_p"] == pytest.approx(1 / 32)  # six positive differences, exact two-sided
+        assert reversed_ == forward
+
+    @pytest.mark.parametrize("command", ["compare-groups", "sweep"])
+    @pytest.mark.parametrize(
+        "ids_a, ids_b, named",
+        [
+            (["s0", "s1", "s2"], ["s0", "s1", "x2"], "'s2'"),
+            (["s0", "s1", "s0"], ["s0", "s1", "s2"], "'s0' appears twice"),
+            (["s0", "s1", "s2"], ["s0", "s1", "s1"], "'s1' appears twice"),
+            (["s0", "s1"], ["s0", "s1", "s1"], "'s1' appears twice"),
+        ],
+        ids=["ids-differ", "duplicate-in-a", "duplicate-in-b", "duplicate-unequal-lengths"],
+    )
+    def test_unpairable_files_exit_2(self, tmp_path, capsys, command, ids_a, ids_b, named):
+        write_detections(tmp_path / "a.jsonl", [1] * len(ids_a), ids_a)
+        write_detections(tmp_path / "b.jsonl", [2] * len(ids_b), ids_b)
+        out = tmp_path / "out"
+        files = ("--detections-a", tmp_path / "a.jsonl", "--detections-b", tmp_path / "b.jsonl")
+        assert run(command, *files, "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_unequal_lengths_skip_the_paired_test(self, tmp_path):
+        write_detections(tmp_path / "a.jsonl", self.COUNTS_A, [f"a{i}" for i in range(6)])
+        write_detections(tmp_path / "b.jsonl", self.COUNTS_B[:5], [f"b{i}" for i in range(5)])
+        with pytest.warns(UserWarning, match="pairing mismatch"):
+            rec = self.compare(tmp_path, "cmp", tmp_path / "a.jsonl", tmp_path / "b.jsonl")
+        assert rec["wilcoxon_p"] is None
+        assert rec["wilcoxon_note"] == "pairing mismatch (6 vs 5 scans); Wilcoxon skipped"
 
 
 def all_row(eval_dir):
@@ -290,6 +341,21 @@ class TestConfigAndErrors:
                 "--match-dist", bad,
             )
             assert code == 1
+
+    def test_bad_match_distance_exit_1_before_reading(self, tmp_path):
+        """NaN would match nothing; the distance is checked before any input is read (else 2) or output written."""
+        data = make_phantom_data(tmp_path, count=1, dims=16)
+        out = tmp_path / "out"
+        code = run(
+            "eval",
+            "--manifest", data / "manifest.jsonl",
+            "--pred-dir", tmp_path / "missing",
+            "--gt-dir", data / "gt_masks",
+            "--out", out,
+            "--match-dist", "nan",
+        )
+        assert code == 1
+        assert not any(out.iterdir())
 
     def test_bad_reference_parameter_exit_1(self, tmp_path):
         data = make_phantom_data(tmp_path, count=1, dims=16)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from cmbpipe.detect import (
     DetectedCMB,
@@ -14,6 +15,7 @@ from cmbpipe.detect import (
     pooled_sensitivity,
     scan_metrics,
     ScanMetrics,
+    _packed,
 )
 from cmbpipe.errors import ConfigError, GeometryMismatchError
 from cmbpipe.volume import LabelMask, VoxelIndex, WorldPoint
@@ -487,6 +489,77 @@ class TestBoundingBoxLabelling:
             len(p_all) - len(pairing),
             len(g_all) - len(pairing),
         )
+
+
+def packed_masks():
+    """Masks whose empty planes the packed grid drops or keeps, each with the packed shape it labels."""
+    dims = (21, 13, 17)
+
+    def mask(*voxels):
+        arr = np.zeros(dims, dtype=np.uint8)
+        for v in voxels:
+            arr[v] = 1
+        return arr
+
+    one_plane_apart = mask((4, 5, 5), (4, 5, 6), (6, 5, 5), (6, 5, 6))  # plane 5 of axis 0 is empty
+    long_gaps = mask((1, 2, 3), (2, 2, 3), (12, 2, 3), (19, 10, 3), (19, 11, 16))
+    diagonal = mask((3, 3, 3), (4, 4, 4), (5, 3, 5), (9, 9, 9), (10, 10, 8), (11, 9, 9))
+    faces = mask((0, 6, 8), (20, 6, 8), (10, 0, 8), (10, 12, 8), (10, 6, 0), (10, 6, 16), (0, 0, 0), (20, 12, 16))
+    return {
+        "one empty plane apart": (one_plane_apart, (3, 1, 2)),
+        "long gaps collapse": (long_gaps, (6, 4, 3)),
+        "diagonal contacts": (diagonal, (7, 5, 6)),
+        "single voxel": (mask((7, 12, 0)), (1, 1, 1)),
+        "every grid face": (faces, (5, 5, 5)),
+    }
+
+
+class TestPackedGridLabelling:
+    """Labelling the packed grid (empty planes dropped, one kept between runs) gives whole-grid results."""
+
+    SPACING, ORIGIN = (0.7, 1.3, 0.9), (-3.0, 12.5, 4.25)
+
+    def test_positions_keep_one_plane_per_gap(self):
+        positions, size = _packed(np.array([2, 3, 3, 5, 9, 12, 12]), 15)
+        assert positions.tolist() == [0, 1, 1, 3, 5, 7, 7]
+        assert size == 8
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    @pytest.mark.parametrize("case", list(packed_masks()))
+    def test_components_match_oracle(self, monkeypatch, case, connectivity):
+        arr, packed_shape = packed_masks()[case]
+        shapes = []
+        label = ndimage.label
+
+        def recording_label(grid, **kwargs):
+            shapes.append(grid.shape)
+            return label(grid, **kwargs)
+
+        monkeypatch.setattr(ndimage, "label", recording_label)
+        m = LabelMask(arr, self.SPACING, self.ORIGIN)
+        got = detection_fields(connected_components(m, connectivity))
+        assert shapes == [packed_shape]
+        monkeypatch.undo()
+        assert got == [c[:5] for c in components_oracle(m, connectivity)]
+
+    def test_one_empty_plane_keeps_blobs_apart(self):
+        m = LabelMask(packed_masks()["one empty plane apart"][0], self.SPACING, self.ORIGIN)
+        assert len(connected_components(m, 26)) == 2
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_random_masks_match_oracle(self, connectivity):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            dims = tuple(int(n) for n in rng.integers(2, 20, 3))
+            arr = rng.uniform(0, 1, dims) < rng.uniform(0.05, 0.4)
+            for axis in range(3):  # empty some planes, so that gaps of every length occur
+                planes = [slice(None)] * 3
+                planes[axis] = rng.uniform(0, 1, dims[axis]) < 0.5
+                arr[tuple(planes)] = False
+            spacing, origin = tuple(rng.uniform(0.4, 2.0, 3)), tuple(rng.uniform(-10.0, 10.0, 3))
+            m = LabelMask(arr.astype(np.uint8), spacing, origin)
+            got = detection_fields(connected_components(m, connectivity))
+            assert got == [c[:5] for c in components_oracle(m, connectivity)]
 
 
 class TestEvaluateScan:

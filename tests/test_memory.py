@@ -41,6 +41,17 @@ def test_evaluate_scan_labels_only_the_foreground_box():
     assert peak < 0.25 * n**3 * np.dtype(np.int32).itemsize
 
 
+def test_evaluate_scan_labels_a_packed_grid():
+    """Blobs at opposite corners: their bounding box is the whole grid, the packed grid 11 voxels a side."""
+    n = 128
+    arr = np.zeros((n,) * 3, dtype=np.uint8)
+    arr[:5, :5, :5] = 1
+    arr[-5:, -5:, -5:] = 1
+    mask = LabelMask(arr)
+    peak = traced_peak_bytes(lambda: evaluate_scan(mask, mask, min_volume_mm3=4.2))
+    assert peak < 0.05 * n**3 * np.dtype(np.int32).itemsize
+
+
 def test_evaluate_scan_returns_detections_as_columns():
     """What the kept detections hold per component, from a mask of about 15k one-voxel components."""
     arr = np.zeros((128,) * 3, dtype=np.uint8)

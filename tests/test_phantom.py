@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -184,20 +185,45 @@ def test_blocked_noise_equals_one_whole_volume_draw(monkeypatch, block_voxels):
     assert np.array_equal(vol.intensities, want)
 
 
-def test_smooth_field_scaled_by_its_largest_magnitude(monkeypatch):
-    raw = []
-    einsum = np.einsum
-
-    def recording_einsum(*args, **kwargs):
-        out = einsum(*args, **kwargs)
-        raw.append(out.copy())
-        return out
-
-    monkeypatch.setattr(np, "einsum", recording_einsum)
+def test_smooth_field_scaled_by_its_largest_magnitude():
     peak_signs = set()
     for seed in range(8):
-        got = _smooth_field(PhantomSpec(dims=BLOCKED_DIMS, background=BackgroundSpec(100.0, 2.5, 0.0), seed=seed))
-        fld = raw.pop()
-        assert np.array_equal(got, fld * (2.5 / np.abs(fld).max()))
-        peak_signs.add(bool(fld.max() > -fld.min()))
+        spec = PhantomSpec(dims=BLOCKED_DIMS, background=BackgroundSpec(100.0, 2.5, 0.0), seed=seed)
+        raw = np.empty(BLOCKED_DIMS)
+        assert _smooth_field(raw, spec, plane_blocks(BLOCKED_DIMS)) == 2.5 / np.abs(raw).max()
+        vol, _, _ = generate_phantom(spec)
+        assert np.array_equal(vol.intensities, raw * (2.5 / np.abs(raw).max()) + 100.0)
+        peak_signs.add(bool(raw.max() > -raw.min()))
     assert peak_signs == {True, False}  # the peak came from the maximum and from the minimum
+
+
+# sha256 of the intensities and labels of cubic phantoms with every ingredient,
+# frozen from the whole-volume renderer that the blocked one replaced.
+FROZEN_DIGESTS = {
+    (64, 11): (
+        "85a5ef69b7a6f4c4d6bdeeb4e4776ee07003f5db0c2e4a0f0aee4ffef6a21bee",
+        "34917cb2a18ce08a3af4c9edd82796784873c44f370472bb2f7f4f5c4a476439",
+    ),
+    (128, 12): (
+        "63f38f52e94c4dd275db098c50f136edb00491e86205b1507a1ee07bcaa44cda",
+        "0c7405ec739a57e529706bfc8400e488a6465f7d581f724f8a0d4c6f61796cfb",
+    ),
+    (256, 13): (
+        "6ba41b8b0ca71a7784a07e2b2f6ae0180bded08fd5db7cd5b02c4779b1549afa",
+        "7ec86e53566abaa7ff2ab55d61f7a70dd5dd4cc120fbd3ebef8d7dcad8781897",
+    ),
+}
+
+
+@pytest.mark.parametrize("block_voxels", [1, None], ids=["one-plane-blocks", "default-blocks"])
+@pytest.mark.parametrize("n, seed", list(FROZEN_DIGESTS))
+def test_cubic_phantom_digests_frozen(monkeypatch, n, seed, block_voxels):
+    if block_voxels is not None:
+        monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", block_voxels)
+    spec = random_phantom_spec(
+        seed, dims=(n,) * 3, n_cmbs=6, n_vessels=2, n_calcifications=2, background=BackgroundSpec(100.0, 2.0, 2.0)
+    )
+    assert (len(spec.vessels), len(spec.calcifications)) == (2, 2)
+    vol, gt, _ = generate_phantom(spec)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (vol.intensities, gt.labels))
+    assert digests == FROZEN_DIGESTS[n, seed]
