@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -311,7 +310,7 @@ OUT = Param("out", str, required=True, help="output directory")
 MANIFEST = Param("manifest", str, required=True, help="scan manifest (JSON lines)")
 MASKS_DIR = Param("masks_dir", str, required=True, help="directory of <scan_id>.nii.gz binary masks")
 SEED = Param("seed", int, 0, help="random seed")
-JOBS = Param("jobs", int, help="worker threads (default: $CMBPIPE_JOBS, else 1 for augment, every CPU for segment)")
+JOBS = Param("jobs", int, help="threads that share each volume's blocks (default: $CMBPIPE_JOBS, else every CPU)")
 CONNECTIVITY = Param("connectivity", int, 26, choices=(6, 26), help="3D voxel connectivity of components")
 MIN_SIZE = Param("min_size", float, detect.DEFAULT_MIN_VOLUME_MM3, help="smallest kept component in mm^3")
 DETECTIONS_A = Param("detections_a", str, required=True, help="detections.jsonl of group A")
@@ -423,12 +422,18 @@ def cmd_augment(params: dict) -> list[Path]:
     out = Path(params["out"])
     (out / "aug_params").mkdir(exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
-    jobs = _jobs(params, 1)
+    jobs = _jobs(params, None)  # None: every CPU the process may use
 
     def one(entry):
-        vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))
-        mask = scanio.read_mask(Path(params["masks_dir"]) / f"{entry.scan_id}.nii.gz")
-        aug_v, aug_m, record = augment.apply_augmentation(vol, mask, spec, entry.scan_id)
+        # passed straight in: apply_augmentation holds the only reference to the source volume and
+        # drops it after the first transform that fires
+        aug_v, aug_m, record = augment.apply_augmentation(
+            scanio.read_volume(_entry_volume_path(entry, params["manifest"])),
+            scanio.read_mask(Path(params["masks_dir"]) / f"{entry.scan_id}.nii.gz"),
+            spec,
+            entry.scan_id,
+            jobs,
+        )
         scanio.write_volume(aug_v, out / "aug_volumes" / f"{entry.scan_id}.nii.gz")
         scanio.write_mask(aug_m, out / "aug_masks" / f"{entry.scan_id}.nii.gz")
         with open(out / "aug_params" / f"{entry.scan_id}.json", "w") as fh:
@@ -440,10 +445,7 @@ def cmd_augment(params: dict) -> list[Path]:
             out / "aug_params" / f"{entry.scan_id}.json",
         ]
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        # one job runs on this thread: on a lone worker thread, peak RSS rose about 18 % at 128^3
-        per_entry = pool.map(one, entries) if jobs > 1 else map(one, entries)
-        outputs = [path for paths in per_entry for path in paths]
+    outputs = [path for entry in entries for path in one(entry)]  # one scan at a time
     params["augment_spec"] = spec.to_json()  # recorded with the parameters
     print(f"augment: processed {len(entries)} scans under {out}")
     return outputs

@@ -317,7 +317,8 @@ def random_phantom_spec(
         calcs.append(CalcificationSpec(WorldPoint(*(float(x) for x in c)), d, float(rng.uniform(*contrast_range))))
 
     vessels = []
-    for _ in range(n_vessels):
+    fits = bool(np.all(extent >= 16.0))  # a vessel keeps 8 mm from every face, like the blobs' margin
+    for _ in range(n_vessels if fits else 0):
         d = float(rng.uniform(1.0, 2.0))
         axis = int(rng.integers(0, 3))
         for _ in range(200):

@@ -58,7 +58,37 @@ DATASET_TAGS = ("DS1r", "DS1s", "DS2", "DS3", "DS3n", "PHANTOM", "OTHER")
 # NIfTI-1 subset
 # ---------------------------------------------------------------------------
 
-def _read_bytes(path: str | Path) -> bytes:
+# DEFLATE expands its input at most about 1032-fold, so a larger ISIZE is not one member's size
+_MAX_INFLATION = 1032
+
+
+def _inflate_one_member(raw: bytes) -> memoryview | None:
+    """The data of ``raw`` if it is one gzip member whose size its trailer gives, else None.
+
+    The data is inflated in pieces of at most ``GZIP_CHUNK`` bytes straight
+    into one buffer of ISIZE bytes (the trailer's size field), fed input a
+    chunk at a time. None means more data or more members follow; a
+    truncated or corrupt stream raises.
+    """
+    size = min(int.from_bytes(raw[-4:], "little"), _MAX_INFLATION * len(raw))
+    data = np.empty(size, dtype=np.uint8)  # untouched pages of an overstated size stay unallocated
+    view, pos = memoryview(data), 0
+    inflater = zlib.decompressobj(wbits=31)
+    for start in range(0, len(raw), GZIP_CHUNK):
+        chunk = raw[start : start + GZIP_CHUNK]
+        while chunk:
+            if pos == size:
+                return None  # the data outgrows ISIZE: more than 4 GiB, or more than one member
+            piece = inflater.decompress(chunk, min(GZIP_CHUNK, size - pos))
+            view[pos : pos + len(piece)] = piece
+            pos += len(piece)
+            chunk = inflater.unconsumed_tail
+        if inflater.eof:
+            return view[:pos] if start + GZIP_CHUNK >= len(raw) and not inflater.unused_data else None
+    raise EOFError("no end-of-stream marker")
+
+
+def _read_bytes(path: str | Path) -> bytes | memoryview:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -66,19 +96,14 @@ def _read_bytes(path: str | Path) -> bytes:
         raise VolumeLoadError(f"{path}: no such file") from exc
     if raw[:2] != b"\x1f\x8b":
         return raw
-    # one inflate pass for a single member (as written here); gzip.decompress for anything after it
-    inflater = zlib.decompressobj(wbits=31)
+    # one buffer for a single member (as written here); gzip.decompress for anything after it
     try:
-        data = inflater.decompress(raw)
-        if inflater.unused_data:
-            data = gzip.decompress(raw)
+        data = _inflate_one_member(raw)
+        return gzip.decompress(raw) if data is None else data
     except EOFError as exc:
         raise TruncatedPayloadError(f"{path}: gzip stream ends early ({exc})") from exc
     except (gzip.BadGzipFile, zlib.error) as exc:
         raise VolumeLoadError(f"{path}: corrupt gzip stream ({exc})") from exc
-    if not inflater.eof:
-        raise TruncatedPayloadError(f"{path}: gzip stream ends early")
-    return data
 
 
 def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
@@ -95,7 +120,7 @@ def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
 def _parse_nifti_header(blob: bytes, path: str):
     if len(blob) < HEADER_SIZE:
         raise TruncatedPayloadError(f"{path}: file shorter than the 348-byte header")
-    magic = blob[344:348]
+    magic = bytes(blob[344:348])
     if magic == MAGIC_PAIR:
         raise BadMagicError(f"{path}: magic 'ni1' (.hdr/.img pair) is not supported")
     if magic != MAGIC_SINGLE:
@@ -209,7 +234,7 @@ def _read_nifti(path: str | Path) -> tuple[np.ndarray, tuple, tuple]:
     if scaled:
         arr *= scl_slope
         arr += scl_inter
-    if not np.isfinite(arr).all():
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN propagates; Inf is an extreme
         raise NonFiniteDataError(f"{path}: decoded intensities contain NaN/Inf")
     return arr, spacing, origin
 

@@ -11,15 +11,13 @@ any view near zero vetoes it.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
 from .errors import ConfigError, RejectedInputError
-from .volume import LabelMask, ProbabilityVolume, Volume3D, cpu_count, plane_blocks, require_same_geometry
+from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, require_same_geometry, run_blocks
 
 VIEWS = ("axial", "sagittal", "coronal")
 VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
@@ -117,36 +115,19 @@ def map_plane_blocks(fn, v: Volume3D, view: str, planes_per_block: int, jobs: in
     ``fn(planes, start)`` gets planes ``start, start + 1, ...`` of the view as
     one ``(b, H, W)`` array, plane axis first, and returns values of that
     shape, which are written straight into one preallocated output. The
-    blocks are shared by ``jobs`` threads (``None``: one per CPU the process
-    may run on), the calling thread among them, and never by more threads
-    than there are blocks. Each block writes only its own planes, so the
-    output is the same for any ``jobs``.
+    blocks are shared by ``jobs`` threads through :func:`volume.run_blocks`
+    (``None``: one per CPU the process may run on). Each block writes only
+    its own planes, so the output is the same for any ``jobs``.
     """
     axis = _require_view(view)
     src = np.moveaxis(v.intensities, axis, 0)
     out = np.empty(v.dims, dtype=np.float32)
     dst = np.moveaxis(out, axis, 0)
 
-    blocks = range(0, len(src), planes_per_block)
-    starts = iter(blocks)
-    lock = threading.Lock()
+    def one_block(start: int) -> None:
+        dst[start : start + planes_per_block] = fn(src[start : start + planes_per_block], start)
 
-    def drain() -> None:
-        while True:
-            with lock:
-                start = next(starts, None)
-            if start is None:
-                return
-            dst[start : start + planes_per_block] = fn(src[start : start + planes_per_block], start)
-
-    workers = min(cpu_count() if jobs is None else jobs, len(blocks))
-    # The calling thread drains blocks too: each thread allocates from its own malloc arena, which
-    # keeps its high-water mark, so every extra thread holds about one more block working set.
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # starts no thread for one worker
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
-    for helper in helpers:
-        helper.result()  # re-raises a block's error
+    run_blocks(one_block, range(0, len(src), planes_per_block), jobs)
     return out
 
 

@@ -11,7 +11,9 @@ the stored arrays are read-only.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,15 +55,49 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def plane_blocks(shape: tuple[int, ...]) -> list[slice]:
-    """Consecutive slices of axis 0 of ``shape`` that together cover it, each about ``_BLOCK_VOXELS`` voxels."""
-    step = max(_BLOCK_VOXELS // int(np.prod(shape[1:])), 1)
-    return [slice(start, min(start + step, shape[0])) for start in range(0, shape[0], step)]
+def plane_blocks(shape: tuple[int, ...], axis: int = 0, voxels: int | None = None) -> list[slice]:
+    """Consecutive slices of ``axis`` of ``shape`` that together cover it, each about ``voxels`` voxels.
+
+    ``voxels`` defaults to ``_BLOCK_VOXELS``.
+    """
+    n = shape[axis]
+    step = max((_BLOCK_VOXELS if voxels is None else voxels) // (int(np.prod(shape)) // n), 1)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def cpu_count() -> int:
     """CPUs this process may run on: the default thread count of block pools and of gzip writes."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def run_blocks(fn, blocks, jobs: int | None = None) -> None:
+    """Call ``fn(block)`` once for each of ``blocks``, shared among ``jobs`` threads.
+
+    ``None`` means one thread per CPU the process may run on. The calling
+    thread is one of them, and no more threads run than there are blocks.
+    Each thread takes the next block as it finishes one. A block's error is
+    raised here once every thread has stopped. ``fn`` must write only what
+    its own block owns; the result is then the same for any ``jobs``.
+    """
+    todo = iter(blocks)
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                block = next(todo, None)
+            if block is None:
+                return
+            fn(block)
+
+    workers = min(cpu_count() if jobs is None else jobs, len(blocks))
+    # The calling thread drains blocks too: each thread allocates from its own malloc arena, which
+    # keeps its high-water mark, so every extra thread holds about one more block working set.
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # starts no thread for one worker
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()  # re-raises a block's error
 
 
 def _check_geometry_fields(spacing, origin) -> tuple[Triple, Triple]:

@@ -254,3 +254,67 @@ def bias_field_oracle(dims, order, amplitude, seed):
     peak = np.abs(fld).max()
     fld = 1.0 + amplitude * fld / peak if peak > 0 else np.ones(dims)
     return fld / fld.mean()
+
+
+# Whole-volume definitions of the blocked augmentation transforms: each is
+# one numpy/scipy call over the whole grid, as the transforms were first
+# written. The blocked transforms must give the same bytes.
+
+
+def gibbs_ringing_oracle(arr, retain_fraction):
+    """``fftn``, ``fftshift``, a centred box of kept frequencies per axis, ``ifftshift`` and ``ifftn``."""
+    spectrum = np.fft.fftshift(np.fft.fftn(arr))
+    keep = np.zeros(arr.shape, dtype=bool)
+    window = []
+    for n in arr.shape:
+        n_keep = max(1, int(round(retain_fraction * n)))
+        lo = n // 2 - n_keep // 2
+        window.append(slice(lo, lo + n_keep))
+    keep[tuple(window)] = True
+    return np.fft.ifftn(np.fft.ifftshift(np.where(keep, spectrum, 0.0))).real
+
+
+def motion_ghost_oracle(arr, n_ghosts, intensity, axis):
+    """One FFT over the whole volume along ``axis``, scaled by the line gains and inverted."""
+    n = arr.shape[axis]
+    modulated = np.arange(n) % n_ghosts == 0
+    modulated[0] = False
+    shape = [1, 1, 1]
+    shape[axis] = n
+    gain = np.where(modulated, 1.0 - intensity, 1.0).reshape(shape)
+    return np.fft.ifft(np.fft.fft(arr, axis=axis) * gain, axis=axis).real
+
+
+def elastic_oracle(arr, labels, spacing, control_spacing_mm, displacement_mm, seed):
+    """The elastic warp with whole-volume coordinates and one ``map_coordinates`` call per image.
+
+    The field comes from ``augment._bspline_field``, checked on its own
+    against :func:`bspline_field_oracle`.
+    """
+    from scipy import ndimage
+
+    from cmbpipe.augment import _bspline_field
+    from cmbpipe.rng import derive_rng
+
+    dims = arr.shape
+    coords = np.indices(dims, dtype=np.float32)
+    if displacement_mm > 0.0:
+        grid = tuple(max(2, int(np.ceil((n - 1) * s / control_spacing_mm)) + 1) for n, s in zip(dims, spacing))
+        control = derive_rng(seed, "elastic").standard_normal((3,) + grid).astype(np.float32)
+        disp = _bspline_field(control, dims)
+        norm = np.sqrt(np.sum(disp**2, axis=0)).max()
+        if norm > 0:
+            disp *= displacement_mm / norm
+        for a in range(3):
+            disp[a] /= spacing[a]
+        coords += disp
+    fill = float(arr.min())
+    out = ndimage.map_coordinates(arr, coords, order=1, mode="constant", cval=fill)
+    return out, ndimage.map_coordinates(labels, coords, order=0, mode="constant", cval=0)
+
+
+def blur_oracle(arr, sigma_voxels):
+    """One ``gaussian_filter`` call over the whole volume."""
+    from scipy import ndimage
+
+    return ndimage.gaussian_filter(arr, sigma_voxels)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cmbpipe import augment
 from cmbpipe.augment import (
     TRANSFORM_ORDER,
     AugmentSpec,
@@ -19,7 +20,16 @@ from cmbpipe.errors import ConfigError, GeometryMismatchError
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
 from cmbpipe.volume import LabelMask, Volume3D, WorldPoint
 
-from oracles import bias_field_oracle, bspline_field_oracle, ghost_delta_1d, truncated_spectrum_1d
+from oracles import (
+    bias_field_oracle,
+    blur_oracle,
+    bspline_field_oracle,
+    elastic_oracle,
+    ghost_delta_1d,
+    gibbs_ringing_oracle,
+    motion_ghost_oracle,
+    truncated_spectrum_1d,
+)
 
 
 # Spec JSON that must be rejected with ConfigError: unknown sections and keys,
@@ -244,6 +254,54 @@ class TestGibbsRinging:
             gibbs_ringing(v, 0.0)
         with pytest.raises(ConfigError):
             gibbs_ringing(v, 1.5)
+
+
+# Non-cubic grids with even and odd edges; spacing differs per axis so blur and elastic are anisotropic.
+BLOCKED_GRIDS = [(16, 18, 20), (33, 40, 27), (17, 9, 26)]
+SPACING = (0.9, 1.1, 1.3)
+
+
+def assert_same_bytes(actual, expected):
+    assert (actual.shape, actual.dtype) == (expected.shape, expected.dtype)
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, None])
+@pytest.mark.parametrize("dims", BLOCKED_GRIDS, ids=lambda d: "x".join(map(str, d)))
+@pytest.mark.parametrize("block_voxels", [None, 50], ids=["default-blocks", "small-blocks"])
+class TestBlockedTransformsMatchWholeVolume:
+    """Each blocked transform gives the bytes of its whole-volume definition for any jobs and block size."""
+
+    @pytest.fixture
+    def vol(self, dims, block_voxels, monkeypatch):
+        if block_voxels is not None:
+            monkeypatch.setattr(augment, "BLOCK_VOXELS", block_voxels)  # one or two planes per block
+        return Volume3D(np.random.default_rng(sum(dims)).normal(100.0, 20.0, dims), SPACING)
+
+    @pytest.mark.parametrize("retain_fraction", [0.61, 0.7, 0.95])
+    def test_gibbs_ringing(self, vol, jobs, retain_fraction):
+        out = gibbs_ringing(vol, retain_fraction, jobs=jobs)
+        assert_same_bytes(out.intensities, gibbs_ringing_oracle(vol.intensities, retain_fraction))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_motion_ghost(self, vol, jobs, axis):
+        out = motion_ghost(vol, 3, 0.27, axis, jobs=jobs)
+        assert_same_bytes(out.intensities, motion_ghost_oracle(vol.intensities, 3, 0.27, axis))
+
+    @pytest.mark.parametrize("sigma_mm", [0.7, 1.4])
+    def test_blur(self, vol, jobs, sigma_mm):
+        out = blur_volume(vol, sigma_mm, jobs=jobs)
+        assert_same_bytes(out.intensities, blur_oracle(vol.intensities, [sigma_mm / s for s in SPACING]))
+
+    @pytest.mark.parametrize("control_spacing_mm, displacement_mm", [(8.0, 4.0), (32.0, 3.0), (8.0, 0.0)])
+    def test_elastic(self, vol, jobs, control_spacing_mm, displacement_mm):
+        labels = (vol.intensities > 110.0).view(np.uint8)
+        out_v, out_m, _ = elastic_deform(vol, LabelMask(labels, SPACING), control_spacing_mm, displacement_mm, 5, jobs)
+        expected_v, expected_m = elastic_oracle(
+            vol.intensities, labels, SPACING, control_spacing_mm, displacement_mm, 5
+        )
+        assert_same_bytes(out_v.intensities, expected_v)
+        assert_same_bytes(out_m.labels, expected_m)
 
 
 class TestNoise:

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmbpipe import segmenter
-from cmbpipe.augment import TRANSFORMS
+from cmbpipe import augment, segmenter
+from cmbpipe.augment import TRANSFORM_ORDER, TRANSFORMS
 from cmbpipe.cli import COMMANDS, _resolve, build_parser, main
 from cmbpipe.scanio import read_manifest, read_mask, read_volume, write_mask
 from cmbpipe.volume import LabelMask
@@ -40,6 +40,12 @@ def make_phantom_data(tmp_path, count=2, dims=48, seed=3, extra=()):
 
 
 class TestPhantomCommand:
+    def test_vessels_that_cannot_fit_are_skipped(self, tmp_path):
+        """A 12 mm grid leaves no room for a vessel 8 mm inside every face; the phantom is written without it."""
+        out = tmp_path / "data"
+        assert run("phantom", "--out", out, "--count", 1, "--dims", 12, "--vessels", 1) == 0
+        assert len(read_manifest(out / "manifest.jsonl")) == 1
+
     def test_writes_volumes_masks_manifest(self, tmp_path):
         out = make_phantom_data(tmp_path)
         entries = read_manifest(out / "manifest.jsonl")
@@ -445,6 +451,34 @@ class TestConfigAndErrors:
         assert recorded["jobs"] is None  # the record keeps the requested value, not the CPU count
         for (probs, params), jobs in zip(others, (None, None, 2)):
             assert probs == default
+            assert params["jobs"] == jobs
+
+    def test_augment_bytes_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
+        """`augment` writes the same bytes with every CPU, $CMBPIPE_JOBS 1 or 2, and --jobs 2."""
+        monkeypatch.setattr(augment, "BLOCK_VOXELS", 3 * 24 * 24)  # 8 blocks per pass
+        data = make_phantom_data(tmp_path, count=2, dims=24)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({name: {"probability": 1.0} for name in TRANSFORM_ORDER}))
+        runs = {}
+        for env, flags in ((None, ()), ("1", ()), ("2", ()), (None, ("--jobs", 2))):
+            if env is None:
+                monkeypatch.delenv("CMBPIPE_JOBS", raising=False)
+            else:
+                monkeypatch.setenv("CMBPIPE_JOBS", env)
+            out = tmp_path / f"out-{env}-{len(flags)}"
+            assert run(
+                "augment", "--manifest", data / "manifest.jsonl", "--masks-dir", data / "gt_masks",
+                "--out", out, "--spec", spec, *flags,
+            ) == 0
+            files = {f"{d}/{p.name}": p.read_bytes() for d in ("aug_volumes", "aug_masks", "aug_params")
+                     for p in sorted((out / d).iterdir())}
+            params = json.loads((out / "run_record_augment.json").read_text())["params"]
+            runs[env, flags] = files, params
+        (default, recorded), *others = runs.values()
+        assert len(default) == 6
+        assert recorded["jobs"] is None  # the record keeps the requested value, not the CPU count
+        for (files, params), jobs in zip(others, (None, None, 2)):
+            assert files == default
             assert params["jobs"] == jobs
 
     @pytest.mark.parametrize(

@@ -10,10 +10,12 @@ they are allocated while tracing.
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from cmbpipe.augment import blur_volume, elastic_deform, gibbs_ringing, motion_ghost
 from cmbpipe.detect import evaluate_scan
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
-from cmbpipe.scanio import read_volume, write_mask, write_volume
+from cmbpipe.scanio import read_mask, read_volume, write_mask, write_volume
 from cmbpipe.segmenter import ReferenceSegmenter
 from cmbpipe.triplanar import binarize_fused, fuse_views
 from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint
@@ -120,7 +122,49 @@ def test_read_volume_casts_and_reorients_in_one_copy(tmp_path):
     path = tmp_path / "vol.nii.gz"
     write_volume(_noise_volume(n), path, "float32")
     peak = traced_peak_bytes(lambda: read_volume(path))
-    assert peak < 1.9 * n**3 * np.dtype(np.float64).itemsize
+    assert peak < 1.55 * n**3 * np.dtype(np.float64).itemsize
+
+
+def test_read_mask_inflates_into_one_buffer(tmp_path):
+    n = 128
+    arr = np.zeros((n,) * 3, dtype=np.uint8)
+    arr[40:60, 50:80, 30:90] = 1
+    path = tmp_path / "mask.nii.gz"
+    write_mask(LabelMask(arr), path)
+    peak = traced_peak_bytes(lambda: read_mask(path))
+    assert peak < 2.1 * n**3
+
+
+@pytest.mark.parametrize("retain_fraction", [0.61, 0.8])
+def test_gibbs_ringing_transforms_only_the_kept_lines(retain_fraction):
+    """Two complex views of one buffer of kept lines plus the output, not a whole complex spectrum."""
+    n = 96
+    v = _noise_volume(n)
+    peak = traced_peak_bytes(lambda: gibbs_ringing(v, retain_fraction))
+    assert peak < 3.0 * n**3 * np.dtype(np.float64).itemsize
+
+
+@pytest.mark.parametrize("axis", [0, 2])
+def test_motion_ghost_runs_in_blocks(axis):
+    n = 96
+    v = _noise_volume(n)
+    peak = traced_peak_bytes(lambda: motion_ghost(v, 3, 0.3, axis))
+    assert peak < 2.0 * n**3 * np.dtype(np.float64).itemsize
+
+
+def test_blur_volume_filters_in_its_output():
+    n = 96
+    v = _noise_volume(n)
+    peak = traced_peak_bytes(lambda: blur_volume(v, 1.2))
+    assert peak <= 1.5 * n**3 * np.dtype(np.float64).itemsize
+
+
+def test_elastic_deform_builds_no_coordinate_volume():
+    n = 96
+    v = _noise_volume(n)
+    m = LabelMask((v.intensities > 130.0).view(np.uint8))
+    peak = traced_peak_bytes(lambda: elastic_deform(v, m, 32.0, 3.0, seed=7))
+    assert peak < 3.0 * n**3 * np.dtype(np.float64).itemsize
 
 
 def test_reference_block_working_set():

@@ -39,6 +39,18 @@ def test_same_seed_bit_identical():
     assert np.array_equal(m1.labels, m2.labels)
 
 
+@pytest.mark.parametrize("dims, spacing", [((12, 40, 40), 1.0), ((40, 40, 40), 0.35)])
+def test_vessel_that_cannot_fit_is_skipped(dims, spacing):
+    """An axis under 16 mm leaves no room for a vessel 8 mm inside both faces."""
+    spec = random_phantom_spec(4, dims=dims, spacing=spacing, n_cmbs=0, n_vessels=2)
+    assert spec.vessels == ()
+
+
+def test_vessel_fits_a_16mm_grid():
+    spec = random_phantom_spec(4, dims=(16, 16, 16), n_cmbs=0, n_vessels=1)
+    assert len(spec.vessels) == 1
+
+
 def test_2mm_cmb_gt_matches_analytic_isosurface():
     center = WorldPoint(16.0, 16.0, 16.0)
     spec = PhantomSpec(

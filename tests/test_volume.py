@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,9 @@ from cmbpipe.volume import (
     WorldPoint,
     adjust_contrast,
     normalize_intensity,
+    plane_blocks,
     resample_isotropic,
+    run_blocks,
     voxel_to_world,
     world_to_voxel,
 )
@@ -182,6 +187,36 @@ class TestCoordinates:
     def test_outside_flag(self, small_volume):
         _, inside = world_to_voxel(small_volume, WorldPoint(1e4, 0.0, 0.0))
         assert not inside
+
+
+class TestBlockPool:
+    def test_each_block_runs_once_under_contention(self):
+        """More threads than CPUs and a short switch interval: no block is taken twice or lost."""
+        seen = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = threading.Thread(target=run_blocks, args=(seen.append, range(3000), 8))
+            pool.start()
+            pool.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not pool.is_alive()
+        assert sorted(seen) == list(range(3000))
+
+    def test_error_of_a_block_is_raised(self):
+        def fail_on_seven(block):
+            if block == 7:
+                raise ValueError("block 7")
+
+        with pytest.raises(ValueError, match="block 7"):
+            run_blocks(fail_on_seven, range(20), 3)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_plane_blocks_cover_an_axis(self, axis):
+        shape = (7, 11, 13)
+        blocks = plane_blocks(shape, axis, voxels=3 * 7 * 11 * 13 // shape[axis])
+        assert [(b.start, b.stop) for b in blocks] == [(s, min(s + 3, shape[axis])) for s in range(0, shape[axis], 3)]
 
 
 @settings(deadline=None, max_examples=25)
