@@ -135,6 +135,7 @@ def synthesize_mask(
         raise ConfigError(f"snap_radius_mm must be non-negative, got {snap_radius_mm}")
     labels = np.zeros(v.dims, dtype=np.uint8)
     dims = np.asarray(v.dims)
+    dynamic_range = float(v.intensities.max() - v.intensities.min())
     for idx, ann in enumerate(annotations):
         coords, inside = world_to_voxel(v, ann.center)
         if not inside:
@@ -148,7 +149,6 @@ def synthesize_mask(
         mean_intensity = _shell_mean(v, center, shell_inner_mm, shell_outer_mm)
 
         i_center = float(v.intensities[tuple(center)])
-        dynamic_range = float(v.intensities.max() - v.intensities.min())
         if abs(i_center - mean_intensity) < 1e-9 * max(dynamic_range, 1e-300):
             warnings.warn(
                 f"annotation {idx} at {tuple(ann.center)} mm has no contrast; skipped",

@@ -13,10 +13,10 @@ thread count and call order, and the returned parameter record replays any
 output exactly.
 
 The elastic warp, blur, motion ghosting and Gibbs ringing run on blocks of
-planes that ``jobs`` threads share (``None``: one per CPU the process may
-run on), each block written into one preallocated output. Every output
-voxel gets the same arithmetic as in the whole-volume call, so the bytes do
-not depend on ``jobs`` or on the block size. Rotation stays one
+planes that the threads of :func:`volume.run_blocks` share, each block
+written into one preallocated output. Every output voxel gets the same
+arithmetic as in the whole-volume call, so the bytes do not depend on the
+thread count or on the block size. Rotation stays one
 ``affine_transform`` call: split into blocks of output planes, it moved
 about a third of the voxels by up to 3e-12.
 """
@@ -30,15 +30,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import ndimage
 
+from . import volume
 from .errors import ConfigError
 from .rng import derive_rng, derive_seed
 from .volume import LabelMask, Volume3D, plane_blocks, require_same_geometry, run_blocks
 
 AXES = (0, 1, 2)
-
-# Blocked transforms work on blocks of about this many voxels: 0.5 MiB of
-# complex128 lines per FFT block, so each thread's working set stays small.
-BLOCK_VOXELS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +46,7 @@ def _voxel_sigma(sigma_mm: float, spacing) -> tuple[float, float, float]:
     return tuple(sigma_mm / s for s in spacing)
 
 
-def _blocks(shape: tuple[int, ...], axis: int) -> list[tuple]:
-    """Index tuples of consecutive blocks of planes across ``axis``, each about ``BLOCK_VOXELS`` voxels."""
-    return [(slice(None),) * axis + (b,) for b in plane_blocks(shape, axis, BLOCK_VOXELS)]
-
-
-def _warp(v: Volume3D, m: LabelMask | None, disp: np.ndarray | None, jobs: int | None = None):
+def _warp(v: Volume3D, m: LabelMask | None, disp: np.ndarray | None):
     """Sample image (linear) and mask (nearest) at each voxel's index plus ``disp`` (3, *dims), in voxels.
 
     Runs over blocks of output planes: each block adds its own indices to its
@@ -73,7 +65,7 @@ def _warp(v: Volume3D, m: LabelMask | None, disp: np.ndarray | None, jobs: int |
         if lab is not None:
             ndimage.map_coordinates(m.labels, at, lab[b], order=0, mode="constant", cval=0)
 
-    run_blocks(warp, _blocks(v.dims, 0), jobs)
+    run_blocks(warp, plane_blocks(v.dims, 0, volume.POOL_BLOCK_VOXELS))
     return v.with_intensities(out), None if m is None else m.with_labels(lab)
 
 
@@ -133,7 +125,6 @@ def elastic_deform(
     control_spacing_mm: float = 32.0,
     displacement_mm: float = 3.0,
     seed: int = 0,
-    jobs: int | None = None,
 ):
     """Smooth random displacement field: a cubic B-spline on a random control grid.
 
@@ -146,7 +137,7 @@ def elastic_deform(
         raise ConfigError("control_spacing_mm must be positive and displacement_mm non-negative")
     dims = v.dims
     if displacement_mm == 0.0:
-        return (*_warp(v, m, None, jobs), {"displacement_mm": 0.0})
+        return (*_warp(v, m, None), {"displacement_mm": 0.0})
 
     rng = derive_rng(seed, "elastic")
     grid_shape = tuple(
@@ -155,13 +146,14 @@ def elastic_deform(
     control = rng.standard_normal((3,) + grid_shape).astype(np.float32)
     disp = _bspline_field(control, dims)
     # the longest displacement vector, found a block of planes at a time
-    norm = max(np.sqrt(np.sum(disp[(slice(None),) + b] ** 2, axis=0)).max() for b in _blocks(dims, 0))
+    blocks = plane_blocks(dims, 0, volume.POOL_BLOCK_VOXELS)
+    norm = max(np.sqrt(np.sum(disp[(slice(None),) + b] ** 2, axis=0)).max() for b in blocks)
     if norm > 0:
         disp *= displacement_mm / norm
     # displacement is in mm; convert to voxel units per axis
     for a in range(3):
         disp[a] /= v.spacing[a]
-    warped = _warp(v, m, disp, jobs)
+    warped = _warp(v, m, disp)
     return (*warped, {"displacement_mm": float(displacement_mm)})
 
 
@@ -222,16 +214,20 @@ def bias_field(v: Volume3D, order: int = 3, amplitude: float = 0.2, seed: int = 
                 coeffs[p, q, r] = rng.standard_normal()
     powers = [np.linspace(-1.0, 1.0, n)[:, None] ** np.arange(order + 1) for n in v.dims]
     fld = _tensor_product(coeffs, *powers)
-    peak = np.abs(fld).max()
+    # 1 + amplitude * fld / peak, then / mean, then * intensities, all in the field's buffer
+    peak = max(fld.max(), -fld.min())
     if peak > 0:
-        fld = 1.0 + amplitude * fld / peak
+        fld *= amplitude
+        fld /= peak
+        fld += 1.0
     else:
         fld = np.ones(v.dims)
     fld /= fld.mean()
-    return v.with_intensities(v.intensities * fld)
+    fld *= v.intensities
+    return v.with_intensities(fld)
 
 
-def blur_volume(v: Volume3D, sigma_mm: float, jobs: int | None = None) -> Volume3D:
+def blur_volume(v: Volume3D, sigma_mm: float) -> Volume3D:
     """Gaussian blur of ``sigma_mm``, the same bytes as ``ndimage.gaussian_filter``.
 
     ``gaussian_filter`` runs one 1-D pass per axis, axis 0 first, each into
@@ -252,12 +248,12 @@ def blur_volume(v: Volume3D, sigma_mm: float, jobs: int | None = None) -> Volume
     def filter_axes_1_2(b: tuple) -> None:
         ndimage.gaussian_filter(out[b], sigma[1:], output=out[b], axes=(1, 2))
 
-    run_blocks(filter_axis_0, _blocks(v.dims, 1), jobs)
-    run_blocks(filter_axes_1_2, _blocks(v.dims, 0), jobs)
+    run_blocks(filter_axis_0, plane_blocks(v.dims, 1, volume.POOL_BLOCK_VOXELS))
+    run_blocks(filter_axes_1_2, plane_blocks(v.dims, 0, volume.POOL_BLOCK_VOXELS))
     return v.with_intensities(out)
 
 
-def motion_ghost(v: Volume3D, n_ghosts: int, intensity: float, axis: int = 2, jobs: int | None = None) -> Volume3D:
+def motion_ghost(v: Volume3D, n_ghosts: int, intensity: float, axis: int = 2) -> Volume3D:
     """Attenuate every n_ghosts-th k-space line along the phase-encode axis.
 
     The DC line is never modulated, so the volume mean is preserved. A delta
@@ -287,7 +283,7 @@ def motion_ghost(v: Volume3D, n_ghosts: int, intensity: float, axis: int = 2, jo
         lines *= gain
         out[b] = np.fft.ifft(lines, axis=axis, out=lines).real
 
-    run_blocks(ghost, _blocks(v.dims, 1 if axis == 0 else 0), jobs)
+    run_blocks(ghost, plane_blocks(v.dims, 1 if axis == 0 else 0, volume.POOL_BLOCK_VOXELS))
     return v.with_intensities(out)
 
 
@@ -297,7 +293,7 @@ def _kept_frequencies(n: int, retain_fraction: float) -> np.ndarray:
     return np.r_[0 : k - k // 2, n - k // 2 : n]
 
 
-def gibbs_ringing(v: Volume3D, retain_fraction: float, jobs: int | None = None) -> Volume3D:
+def gibbs_ringing(v: Volume3D, retain_fraction: float) -> Volume3D:
     """Truncate the outer k-space per axis (centered low-pass box) and invert.
 
     The same bytes as ``ifftn(ifftshift(where(box, fftshift(fftn(x)), 0))).real``.
@@ -345,9 +341,9 @@ def gibbs_ringing(v: Volume3D, retain_fraction: float, jobs: int | None = None) 
         planes[k0] = rows
         out[b] = np.fft.ifft(planes, axis=0, out=planes).real
 
-    run_blocks(forward, _blocks(v.dims, 0), jobs)
-    run_blocks(middle, _blocks((n0, len(k1), n2), 1), jobs)
-    run_blocks(inverse, _blocks(v.dims, 2), jobs)
+    run_blocks(forward, plane_blocks(v.dims, 0, volume.POOL_BLOCK_VOXELS))
+    run_blocks(middle, plane_blocks((n0, len(k1), n2), 1, volume.POOL_BLOCK_VOXELS))
+    run_blocks(inverse, plane_blocks(v.dims, 2, volume.POOL_BLOCK_VOXELS))
     return v.with_intensities(out)
 
 
@@ -382,7 +378,7 @@ class Transform(NamedTuple):
     name: str
     params: dict
     draw: Callable  # (rng, settings, field_seed) -> recorded params, drawing from rng in a fixed order
-    replay: Callable  # (volume, mask, recorded params, jobs) -> (volume, mask)
+    replay: Callable  # (volume, mask, recorded params) -> (volume, mask)
 
 
 SWITCH = {"enabled": (True, None), "probability": (0.5, "[0, 1]")}
@@ -399,21 +395,19 @@ TRANSFORMS = (
             "displacement_mm": float(rng.uniform(0.0, s["max_displacement_mm"])),
             "seed": seed,
         },
-        lambda v, m, p, jobs: elastic_deform(
-            v, m, p["control_spacing_mm"], p["displacement_mm"], seed=p["seed"], jobs=jobs
-        )[:2],
+        lambda v, m, p: elastic_deform(v, m, p["control_spacing_mm"], p["displacement_mm"], seed=p["seed"])[:2],
     ),
     Transform(
         "rotation",
         {"max_degrees": (10.0, "[0, inf)")},
         lambda rng, s, seed: {"angles_deg": [float(a) for a in rng.uniform(-s["max_degrees"], s["max_degrees"], 3)]},
-        lambda v, m, p, jobs: rotate_volume(v, m, p["angles_deg"]),
+        lambda v, m, p: rotate_volume(v, m, p["angles_deg"]),
     ),
     Transform(
         "flip",
         {"axes": (AXES, AXES)},
         lambda rng, s, seed: {"axes": [int(a) for a in s["axes"] if rng.uniform() < 0.5]},
-        lambda v, m, p, jobs: flip_volume(v, m, tuple(p["axes"])),
+        lambda v, m, p: flip_volume(v, m, tuple(p["axes"])),
     ),
     Transform(
         "bias_field",
@@ -423,13 +417,13 @@ TRANSFORMS = (
             "amplitude": float(rng.uniform(0.0, s["max_amplitude"])),
             "seed": seed,
         },
-        lambda v, m, p, jobs: (bias_field(v, p["order"], p["amplitude"], seed=p["seed"]), m),
+        lambda v, m, p: (bias_field(v, p["order"], p["amplitude"], seed=p["seed"]), m),
     ),
     Transform(
         "blur",
         {"sigma_range_mm": ((0.5, 1.5), "[0, inf)")},
         lambda rng, s, seed: {"sigma_mm": float(rng.uniform(*s["sigma_range_mm"]))},
-        lambda v, m, p, jobs: (blur_volume(v, p["sigma_mm"], jobs=jobs), m),
+        lambda v, m, p: (blur_volume(v, p["sigma_mm"]), m),
     ),
     Transform(
         "motion_ghost",
@@ -439,13 +433,13 @@ TRANSFORMS = (
             "intensity": float(rng.uniform(0.0, s["max_intensity"])),
             "axis": int(rng.integers(0, 3)),
         },
-        lambda v, m, p, jobs: (motion_ghost(v, p["n_ghosts"], p["intensity"], p["axis"], jobs=jobs), m),
+        lambda v, m, p: (motion_ghost(v, p["n_ghosts"], p["intensity"], p["axis"]), m),
     ),
     Transform(
         "gibbs_ringing",
         {"retain_range": ((0.6, 1.0), "(0, 1]")},
         lambda rng, s, seed: {"retain_fraction": float(rng.uniform(*s["retain_range"]))},
-        lambda v, m, p, jobs: (gibbs_ringing(v, p["retain_fraction"], jobs=jobs), m),
+        lambda v, m, p: (gibbs_ringing(v, p["retain_fraction"]), m),
     ),
     Transform(
         "noise",
@@ -455,7 +449,7 @@ TRANSFORMS = (
             "sigma_mult": float(rng.uniform(0.0, s["max_multiplicative_sigma"])),
             "seed": seed,
         },
-        lambda v, m, p, jobs: (noise_add_mult(v, p["sigma_add"], p["sigma_mult"], seed=p["seed"]), m),
+        lambda v, m, p: (noise_add_mult(v, p["sigma_add"], p["sigma_mult"], seed=p["seed"]), m),
     ),
 )
 TRANSFORM_ORDER = tuple(t.name for t in TRANSFORMS)
@@ -538,14 +532,12 @@ class AugmentSpec:
         return cls(**rec)
 
 
-def apply_augmentation(v: Volume3D, m: LabelMask, spec: AugmentSpec, scan_id: str, jobs: int | None = None):
+def apply_augmentation(v: Volume3D, m: LabelMask, spec: AugmentSpec, scan_id: str):
     """Apply the enabled transforms to an image/mask pair.
 
     Returns (volume, mask, record) where ``record`` lists, per transform,
     whether it fired and the exact parameters used — enough to replay the
-    output bit-for-bit. ``jobs`` threads share each blocked transform's
-    blocks (``None``: one per CPU the process may run on); the output does
-    not depend on it.
+    output bit-for-bit.
     """
     require_same_geometry(v, m, "image and mask")
     record = []
@@ -556,6 +548,6 @@ def apply_augmentation(v: Volume3D, m: LabelMask, spec: AugmentSpec, scan_id: st
         params = {}
         if applied:
             params = t.draw(rng, s, derive_seed(spec.master_seed, scan_id, index, "field"))
-            v, m = t.replay(v, m, params, jobs)
+            v, m = t.replay(v, m, params)
         record.append({"transform": t.name, "applied": applied, "params": params})
     return v, m, record

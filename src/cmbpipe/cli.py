@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -213,18 +212,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     return params
 
 
-def _jobs(params: dict, default: int | None) -> int | None:
-    """--jobs (or the config), else $CMBPIPE_JOBS, else ``default``; the run record keeps only the request."""
-    jobs = params["jobs"]
-    if jobs is None and "CMBPIPE_JOBS" in os.environ:
-        jobs = _convert("CMBPIPE_JOBS", JOBS, os.environ["CMBPIPE_JOBS"], "the environment")
-    if jobs is None:
-        return default
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _entry_volume_path(entry: scanio.ScanManifestEntry, manifest_path: str) -> Path:
     p = Path(entry.path)
     return p if p.is_absolute() else Path(manifest_path).parent / p
@@ -310,7 +297,7 @@ OUT = Param("out", str, required=True, help="output directory")
 MANIFEST = Param("manifest", str, required=True, help="scan manifest (JSON lines)")
 MASKS_DIR = Param("masks_dir", str, required=True, help="directory of <scan_id>.nii.gz binary masks")
 SEED = Param("seed", int, 0, help="random seed")
-JOBS = Param("jobs", int, help="threads that share each volume's blocks (default: $CMBPIPE_JOBS, else every CPU)")
+JOBS = Param("jobs", int, help="threads that share each volume's blocks and .nii.gz writes (default: every CPU)")
 CONNECTIVITY = Param("connectivity", int, 26, choices=(6, 26), help="3D voxel connectivity of components")
 MIN_SIZE = Param("min_size", float, detect.DEFAULT_MIN_VOLUME_MM3, help="smallest kept component in mm^3")
 DETECTIONS_A = Param("detections_a", str, required=True, help="detections.jsonl of group A")
@@ -422,7 +409,6 @@ def cmd_augment(params: dict) -> list[Path]:
     out = Path(params["out"])
     (out / "aug_params").mkdir(exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
-    jobs = _jobs(params, None)  # None: every CPU the process may use
 
     def one(entry):
         # passed straight in: apply_augmentation holds the only reference to the source volume and
@@ -432,7 +418,6 @@ def cmd_augment(params: dict) -> list[Path]:
             scanio.read_mask(Path(params["masks_dir"]) / f"{entry.scan_id}.nii.gz"),
             spec,
             entry.scan_id,
-            jobs,
         )
         scanio.write_volume(aug_v, out / "aug_volumes" / f"{entry.scan_id}.nii.gz")
         scanio.write_mask(aug_m, out / "aug_masks" / f"{entry.scan_id}.nii.gz")
@@ -484,7 +469,6 @@ def cmd_segment(params: dict) -> list[Path]:
         cfg = ReferenceConfig(**{f.name: params[f.name] for f in fields(ReferenceConfig) if f.name in params})
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
-    jobs = _jobs(params, None)  # None: the segmenter decides (the reference one uses every CPU)
     outputs = []
     for entry in entries:
         vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))
@@ -505,7 +489,7 @@ def cmd_segment(params: dict) -> list[Path]:
                 view: ExternalSegmenter(scanio.read_probability(prob_dir / f"{entry.scan_id}_{view}.nii.gz"))
                 for view in VIEWS
             }
-        probs = triplanar.segment_volume(vol, segmenters, jobs=jobs)
+        probs = triplanar.segment_volume(vol, segmenters)
         for view in VIEWS:
             path = out / "prob" / f"{entry.scan_id}_{view}.nii.gz"
             scanio.write_probability(probs[view], path)
@@ -717,9 +701,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         params = _resolve(args)
-        out = Path(params["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        outputs = COMMANDS[args.command].run(params)
+        with volume.threads(params.get("jobs")):  # a bad --jobs exits 1 here, before any read
+            out = Path(params["out"])
+            out.mkdir(parents=True, exist_ok=True)
+            outputs = COMMANDS[args.command].run(params)
         inputs = [params[k] for k in _INPUT_FILES if k in params]
         _write_run_record(out, args.command, params, inputs, outputs)
         return EXIT_OK

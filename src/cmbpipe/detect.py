@@ -440,6 +440,12 @@ def _fmt(value: float | None) -> str:
     return NA if value is None else f"{value:.2f}"
 
 
+def format_table(header: tuple[str, ...], body: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, each as wide as its widest cell; only the header for no rows."""
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in (header, *body))
+
+
 def format_metrics_table(rows: list[DatasetRow]) -> str:
     header = ("Dataset", "Scans", "TP/scan", "FP/scan", "FN/scan", "DSC", "Sensitivity", "Precision")
     body = [
@@ -455,8 +461,4 @@ def format_metrics_table(rows: list[DatasetRow]) -> str:
         )
         for r in rows
     ]
-    widths = [max(len(header[c]), *(len(row[c]) for row in body)) for c in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    return format_table(header, body)

@@ -131,7 +131,7 @@ def _axis_coords(spec: PhantomSpec):
     return [np.arange(n, dtype=np.float64) * spec.spacing for n in spec.dims]
 
 
-def _smooth_field(arr: np.ndarray, spec: PhantomSpec, blocks: list[slice]) -> float:
+def _smooth_field(arr: np.ndarray, spec: PhantomSpec, blocks: list[tuple[slice]]) -> float:
     """Write the unscaled low-frequency additive field into ``arr``, one plane block at a time.
 
     Returns the factor that scales the field's largest magnitude to
@@ -232,7 +232,7 @@ def generate_phantom(
     base, sigma = float(spec.background.base), spec.background.noise_sigma
     # C-order blocks of one stream draw the same values as one whole-volume draw.
     rng = derive_rng(spec.seed, "noise")
-    for block in blocks:
+    for (block,) in blocks:
         out = arr[block]
         out *= scale
         out += base

@@ -4,8 +4,7 @@ Every stochastic operation draws from a generator derived by hashing a
 master seed together with string/int keys naming the work item (scan id,
 transform index, view, ...). Streams are therefore independent of thread
 count, call order, and platform, so ``augment`` and ``segment`` write the
-same bytes for any thread count: ``--jobs``, ``$CMBPIPE_JOBS``, or by
-default every CPU.
+same bytes for any thread count: ``--jobs``, or by default every CPU.
 """
 
 from __future__ import annotations

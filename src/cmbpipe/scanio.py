@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedDatatypeError,
     VolumeLoadError,
 )
-from .volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, cpu_count
+from .volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, thread_count
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # the header plus the 4-byte extension flag, all zero
@@ -272,7 +272,7 @@ def _write_gzip(path: str | Path, header: bytearray, payload: memoryview) -> Non
     chunks = [header] + [payload[i : i + GZIP_CHUNK] for i in range(0, len(payload), GZIP_CHUNK)]
     last = [False] * (len(chunks) - 1) + [True]
     crc = 0
-    with open(path, "wb") as fh, ThreadPoolExecutor(min(len(chunks), cpu_count())) as pool:
+    with open(path, "wb") as fh, ThreadPoolExecutor(min(len(chunks), thread_count())) as pool:
         fh.write(GZIP_HEADER)
         for chunk, deflated in zip(chunks, pool.map(_deflate, chunks, last)):
             crc = zlib.crc32(chunk, crc)

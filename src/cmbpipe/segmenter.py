@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import ndimage
 
+from . import volume
 from .errors import ConfigError, GeometryMismatchError, RejectedInputError
 from .rng import derive_rng
 from .triplanar import VIEW_AXIS, map_plane_blocks
@@ -33,12 +34,6 @@ DEFAULT_SCORE_OFFSET = 0.05
 DEFAULT_DARKNESS_WEIGHT = 1.0
 DEFAULT_SYMMETRY_WEIGHT = 1.0
 SYMMETRY_RADII_MM = (1.0, 2.0, 3.0, 4.0, 5.0)
-# The reference segmenter works on blocks of about this many voxels: 2 planes
-# at 128^3, 1 at 256^3. A block's traced working set is about 12 times its
-# float64 size (3 MiB at 128^3). On a 2-vCPU VM at 128^3 with both CPUs
-# busy, blocks of 32k and 64k voxels were equally fast and 16k 1.3x slower;
-# 128k held 14 MiB more peak RSS for no gain.
-BLOCK_VOXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ class OracleSegmenter:
             self._clean = gt.labels.astype(np.float32)
             self._clean.flags.writeable = False
 
-    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str) -> np.ndarray:
         if self.gt.dims != v.dims:
             raise GeometryMismatchError(f"ground truth dims {self.gt.dims} do not match volume dims {v.dims}")
         if self._clean is not None:
@@ -169,19 +164,19 @@ class ReferenceSegmenter:
     background lands well below 0.5 and cannot ride the fusion threshold.
     Inverting the image maps the score to its negative about zero, so
     bright blobs score symmetrically low. Every plane of the view is scored
-    on its own; ``jobs`` threads share the view's blocks of planes, one
-    thread per CPU the process may run on unless ``jobs`` is set.
+    on its own, and the threads of :func:`volume.run_blocks` share the
+    view's blocks of planes.
     """
 
     def __init__(self, cfg: ReferenceConfig = ReferenceConfig()):
         self.cfg = cfg
 
-    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str) -> np.ndarray:
         lo, hi = float(v.intensities.min()), float(v.intensities.max())
         if lo < 0.0 or hi > 1.0:
             raise RejectedInputError(f"reference segmenter needs intensities in [0, 1], got [{lo}, {hi}]")
         plane_size = v.intensities.size // v.dims[VIEW_AXIS[view]]
-        return map_plane_blocks(self._probability, v, view, max(BLOCK_VOXELS // plane_size, 1), jobs)
+        return map_plane_blocks(self._probability, v, view, max(volume.POOL_BLOCK_VOXELS // plane_size, 1))
 
     def _probability(self, planes: np.ndarray, start: int) -> np.ndarray:
         cfg = self.cfg
@@ -207,7 +202,7 @@ class ExternalSegmenter:
     def __init__(self, prob: ProbabilityVolume):
         self.prob = prob
 
-    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str) -> np.ndarray:
         if self.prob.dims != v.dims:
             raise GeometryMismatchError(
                 f"stored probability dims {self.prob.dims} do not match volume dims {v.dims}"

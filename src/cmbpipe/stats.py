@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detect import Detections, require_size_threshold
+from .detect import Detections, format_table, require_size_threshold
 
 from .errors import (
     ConfigError,
@@ -362,7 +362,7 @@ def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_IL
 
 
 def format_sweep_table(rows: list[SweepRow]) -> str:
-    header = ("Threshold(mm3)", "Mean count A", "Mean count B", f"A >= thr", f"B >= thr", "Fisher p")
+    header = ("Threshold(mm3)", "Mean count A", "Mean count B", "A >= thr", "B >= thr", "Fisher p")
     body = [
         (
             f"{r.threshold_mm3:.2f}",
@@ -374,8 +374,4 @@ def format_sweep_table(rows: list[SweepRow]) -> str:
         )
         for r in rows
     ]
-    widths = [max(len(header[c]), *(len(row[c]) for row in body)) if body else len(header[c]) for c in range(6)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    return format_table(header, body)

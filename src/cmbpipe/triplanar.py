@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ConfigError, RejectedInputError
-from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, require_same_geometry, run_blocks
+from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, require_same_geometry, run_blocks, threads
 
 VIEWS = ("axial", "sagittal", "coronal")
 VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
@@ -77,9 +77,9 @@ def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: Probabi
     a, b, c = p_ax.values, p_sag.values, p_cor.values
     blocks = plane_blocks(a.shape)
     fused = np.empty(a.shape, dtype=np.float32)
-    buf = np.empty((blocks[0].stop,) + a.shape[1:], dtype=np.float64)
+    buf = np.empty(a[blocks[0]].shape, dtype=np.float64)
     for block in blocks:
-        prod = buf[: block.stop - block.start]
+        prod = buf[: len(a[block])]
         np.multiply(a[block], b[block], out=prod, dtype=np.float64)
         np.multiply(prod, c[block], out=prod)
         fused[block] = prod
@@ -96,7 +96,7 @@ def binarize_fused(p: ProbabilityVolume, tau: float = 0.125) -> LabelMask:
 class ViewSegmenter(Protocol):
     """Contract for per-view probability predictors (the trained-model seam)."""
 
-    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str) -> np.ndarray:
         """Probability volume of one view, in ``v``'s own (i, j, k) layout, values in [0, 1]."""
         ...
 
@@ -109,15 +109,15 @@ class SliceSegmenter(Protocol):
         ...
 
 
-def map_plane_blocks(fn, v: Volume3D, view: str, planes_per_block: int, jobs: int | None = None) -> np.ndarray:
+def map_plane_blocks(fn, v: Volume3D, view: str, planes_per_block: int) -> np.ndarray:
     """Float32 volume, in ``v``'s layout, of ``fn`` applied to consecutive blocks of a view's planes.
 
     ``fn(planes, start)`` gets planes ``start, start + 1, ...`` of the view as
     one ``(b, H, W)`` array, plane axis first, and returns values of that
     shape, which are written straight into one preallocated output. The
-    blocks are shared by ``jobs`` threads through :func:`volume.run_blocks`
-    (``None``: one per CPU the process may run on). Each block writes only
-    its own planes, so the output is the same for any ``jobs``.
+    blocks are shared by the threads of :func:`volume.run_blocks`. Each
+    block writes only its own planes, so the output is the same for any
+    thread count.
     """
     axis = _require_view(view)
     src = np.moveaxis(v.intensities, axis, 0)
@@ -127,47 +127,44 @@ def map_plane_blocks(fn, v: Volume3D, view: str, planes_per_block: int, jobs: in
     def one_block(start: int) -> None:
         dst[start : start + planes_per_block] = fn(src[start : start + planes_per_block], start)
 
-    run_blocks(one_block, range(0, len(src), planes_per_block), jobs)
+    run_blocks(one_block, range(0, len(src), planes_per_block))
     return out
 
 
 class SliceAdapter:
     """Runs a per-slice segmenter (``segment(ThickSlice) -> plane``) behind the whole-view seam.
 
-    The planes run on the calling thread unless ``jobs`` is set, since a
-    model need not be safe to call from several threads at once.
+    The planes run on the calling thread, since a model need not be safe
+    to call from several threads at once.
     """
 
     def __init__(self, slice_segmenter: SliceSegmenter):
         self.slice_segmenter = slice_segmenter
 
-    def segment(self, v: Volume3D, view: str, jobs: int | None = None) -> np.ndarray:
+    def segment(self, v: Volume3D, view: str) -> np.ndarray:
         def one_plane(planes: np.ndarray, k: int) -> np.ndarray:
             plane = np.asarray(self.slice_segmenter.segment(ThickSlice(view, k, v.intensities)))
             if plane.shape != planes.shape[1:]:
                 raise RejectedInputError(f"plane {k} has shape {plane.shape}, expected {planes.shape[1:]}")
             return plane[None]
 
-        return map_plane_blocks(one_plane, v, view, 1, 1 if jobs is None else jobs)
+        with threads(1):
+            return map_plane_blocks(one_plane, v, view, 1)
 
 
-def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter, jobs: int | None = None) -> ProbabilityVolume:
-    """One view's probability volume from one whole-view segmenter call.
-
-    The segmenter decides how ``jobs`` spreads its work, and what ``None``
-    (the default) means; its output must be identical for any ``jobs``.
-    """
+def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter) -> ProbabilityVolume:
+    """One view's probability volume from one whole-view segmenter call."""
     _require_view(view)
     _require_canonical(v)
-    values = np.asarray(segmenter.segment(v, view, jobs))
+    values = np.asarray(segmenter.segment(v, view))
     if values.shape != v.dims:
         raise RejectedInputError(f"{view} probabilities have shape {values.shape}, expected {v.dims}")
     return ProbabilityVolume(values, v.spacing, v.origin)
 
 
-def segment_volume(v: Volume3D, segmenters: dict, jobs: int | None = None) -> dict:
+def segment_volume(v: Volume3D, segmenters: dict) -> dict:
     """Per-view probability volumes from per-view segmenters (keys: axial/sagittal/coronal)."""
     missing = set(VIEWS) - set(segmenters)
     if missing:
         raise ConfigError(f"segmenters missing for views {sorted(missing)}")
-    return {view: segment_view(v, view, segmenters[view], jobs) for view in VIEWS}
+    return {view: segment_view(v, view, segmenters[view]) for view in VIEWS}

@@ -256,6 +256,32 @@ def bias_field_oracle(dims, order, amplitude, seed):
     return fld / fld.mean()
 
 
+def bias_field_expression(arr, order, amplitude, seed):
+    """``augment.bias_field`` with each step of the field as its own out-of-place expression."""
+    from cmbpipe.augment import _tensor_product
+    from cmbpipe.rng import derive_rng
+
+    if amplitude == 0.0:
+        return arr
+    rng = derive_rng(seed, "bias")
+    coeffs = np.zeros((order + 1,) * 3)
+    for p in range(order + 1):
+        for q in range(order + 1 - p):
+            for r in range(order + 1 - p - q):
+                if p == q == r == 0:
+                    continue
+                coeffs[p, q, r] = rng.standard_normal()
+    powers = [np.linspace(-1.0, 1.0, n)[:, None] ** np.arange(order + 1) for n in arr.shape]
+    fld = _tensor_product(coeffs, *powers)
+    peak = np.abs(fld).max()
+    if peak > 0:
+        fld = 1.0 + amplitude * fld / peak
+    else:
+        fld = np.ones(arr.shape)
+    fld /= fld.mean()
+    return arr * fld
+
+
 # Whole-volume definitions of the blocked augmentation transforms: each is
 # one numpy/scipy call over the whole grid, as the transforms were first
 # written. The blocked transforms must give the same bytes.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmbpipe import augment
+from cmbpipe import volume
 from cmbpipe.augment import (
     TRANSFORM_ORDER,
     AugmentSpec,
@@ -21,6 +21,7 @@ from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phant
 from cmbpipe.volume import LabelMask, Volume3D, WorldPoint
 
 from oracles import (
+    bias_field_expression,
     bias_field_oracle,
     blur_oracle,
     bspline_field_oracle,
@@ -169,6 +170,13 @@ class TestBiasField:
             expected = bias_field_oracle(dims, order, 0.2, seed)
             assert np.abs(out.intensities / expected - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("amplitude", [0.0, 0.17, 0.3])
+    def test_same_bytes_as_out_of_place_expression(self, amplitude):
+        v = Volume3D(np.random.default_rng(4).normal(100.0, 20.0, (64, 50, 37)))
+        for seed in range(8):
+            out = bias_field(v, order=3, amplitude=amplitude, seed=seed)
+            assert_same_bytes(out.intensities, bias_field_expression(v.intensities, 3, amplitude, seed))
+
     def test_mean_preserved(self, rng):
         v = Volume3D(np.full((24, 24, 24), 50.0))
         out = bias_field(v, order=3, amplitude=0.2, seed=5)
@@ -270,33 +278,34 @@ def assert_same_bytes(actual, expected):
 @pytest.mark.parametrize("dims", BLOCKED_GRIDS, ids=lambda d: "x".join(map(str, d)))
 @pytest.mark.parametrize("block_voxels", [None, 50], ids=["default-blocks", "small-blocks"])
 class TestBlockedTransformsMatchWholeVolume:
-    """Each blocked transform gives the bytes of its whole-volume definition for any jobs and block size."""
+    """Each blocked transform gives the bytes of its whole-volume definition for any thread count and block size."""
 
     @pytest.fixture
-    def vol(self, dims, block_voxels, monkeypatch):
+    def vol(self, dims, block_voxels, jobs, monkeypatch):
         if block_voxels is not None:
-            monkeypatch.setattr(augment, "BLOCK_VOXELS", block_voxels)  # one or two planes per block
-        return Volume3D(np.random.default_rng(sum(dims)).normal(100.0, 20.0, dims), SPACING)
+            monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", block_voxels)  # one or two planes per block
+        with volume.threads(jobs):
+            yield Volume3D(np.random.default_rng(sum(dims)).normal(100.0, 20.0, dims), SPACING)
 
     @pytest.mark.parametrize("retain_fraction", [0.61, 0.7, 0.95])
-    def test_gibbs_ringing(self, vol, jobs, retain_fraction):
-        out = gibbs_ringing(vol, retain_fraction, jobs=jobs)
+    def test_gibbs_ringing(self, vol, retain_fraction):
+        out = gibbs_ringing(vol, retain_fraction)
         assert_same_bytes(out.intensities, gibbs_ringing_oracle(vol.intensities, retain_fraction))
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_motion_ghost(self, vol, jobs, axis):
-        out = motion_ghost(vol, 3, 0.27, axis, jobs=jobs)
+    def test_motion_ghost(self, vol, axis):
+        out = motion_ghost(vol, 3, 0.27, axis)
         assert_same_bytes(out.intensities, motion_ghost_oracle(vol.intensities, 3, 0.27, axis))
 
     @pytest.mark.parametrize("sigma_mm", [0.7, 1.4])
-    def test_blur(self, vol, jobs, sigma_mm):
-        out = blur_volume(vol, sigma_mm, jobs=jobs)
+    def test_blur(self, vol, sigma_mm):
+        out = blur_volume(vol, sigma_mm)
         assert_same_bytes(out.intensities, blur_oracle(vol.intensities, [sigma_mm / s for s in SPACING]))
 
     @pytest.mark.parametrize("control_spacing_mm, displacement_mm", [(8.0, 4.0), (32.0, 3.0), (8.0, 0.0)])
-    def test_elastic(self, vol, jobs, control_spacing_mm, displacement_mm):
+    def test_elastic(self, vol, control_spacing_mm, displacement_mm):
         labels = (vol.intensities > 110.0).view(np.uint8)
-        out_v, out_m, _ = elastic_deform(vol, LabelMask(labels, SPACING), control_spacing_mm, displacement_mm, 5, jobs)
+        out_v, out_m, _ = elastic_deform(vol, LabelMask(labels, SPACING), control_spacing_mm, displacement_mm, 5)
         expected_v, expected_m = elastic_oracle(
             vol.intensities, labels, SPACING, control_spacing_mm, displacement_mm, 5
         )

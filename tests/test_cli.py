@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmbpipe import augment, segmenter
+from cmbpipe import volume
 from cmbpipe.augment import TRANSFORM_ORDER, TRANSFORMS
 from cmbpipe.cli import COMMANDS, _resolve, build_parser, main
 from cmbpipe.scanio import read_manifest, read_mask, read_volume, write_mask
@@ -423,49 +423,43 @@ class TestConfigAndErrors:
         cfg = write_config(tmp_path, {"phantom": {"dims": 12, **section}})
         assert run("phantom", "--config", cfg, "--out", tmp_path / "out") == 1
 
-    def test_bad_jobs_environment_exit_1(self, tmp_path, monkeypatch):
-        data = make_phantom_data(tmp_path, count=1, dims=16)
-        monkeypatch.setenv("CMBPIPE_JOBS", "x")
-        assert run(
-            "segment", "--manifest", data / "manifest.jsonl", "--out", tmp_path / "out",
-            "--segmenter", "oracle", "--gt-dir", data / "gt_masks",
-        ) == 1
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize(
+        "command, inputs", [("segment", ()), ("augment", ("--masks-dir",))], ids=["segment", "augment"]
+    )
+    def test_bad_jobs_exit_1_before_reading(self, tmp_path, command, inputs, jobs):
+        """--jobs is checked before the manifest is read (else 2) or the output directory is made."""
+        out = tmp_path / "out"
+        flags = [arg for flag in ("--manifest", *inputs) for arg in (flag, tmp_path / "missing")]
+        assert run(command, *flags, "--out", out, "--jobs", jobs) == 1
+        assert not out.exists()
 
     def test_segment_bytes_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
-        """Reference `segment` writes the same bytes with every CPU, $CMBPIPE_JOBS 1 or 2, and --jobs 2."""
-        monkeypatch.setattr(segmenter, "BLOCK_VOXELS", 3 * 24 * 24)  # 8 blocks per view
+        """Reference `segment` writes the same bytes with every CPU, --jobs 1 and --jobs 2."""
+        monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", 3 * 24 * 24)  # 8 blocks per view
         data = make_phantom_data(tmp_path, count=1, dims=24)
         runs = {}
-        for env, flags in ((None, ()), ("1", ()), ("2", ()), (None, ("--jobs", 2))):
-            if env is None:
-                monkeypatch.delenv("CMBPIPE_JOBS", raising=False)
-            else:
-                monkeypatch.setenv("CMBPIPE_JOBS", env)
-            out = tmp_path / f"out-{env}-{len(flags)}"
+        for jobs in (None, 1, 2):
+            out = tmp_path / f"out-{jobs}"
+            flags = () if jobs is None else ("--jobs", jobs)
             assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out, *flags) == 0
             probs = {p.name: p.read_bytes() for p in sorted((out / "prob").iterdir())}
             params = json.loads((out / "run_record_segment.json").read_text())["params"]
-            runs[env, flags] = probs, params
-        (default, recorded), *others = runs.values()
-        assert len(default) == 3
-        assert recorded["jobs"] is None  # the record keeps the requested value, not the CPU count
-        for (probs, params), jobs in zip(others, (None, None, 2)):
-            assert probs == default
-            assert params["jobs"] == jobs
+            assert params["jobs"] == jobs  # the record keeps the requested value, not the CPU count
+            runs[jobs] = probs
+        assert len(runs[None]) == 3
+        assert runs[1] == runs[None] and runs[2] == runs[None]
 
     def test_augment_bytes_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
-        """`augment` writes the same bytes with every CPU, $CMBPIPE_JOBS 1 or 2, and --jobs 2."""
-        monkeypatch.setattr(augment, "BLOCK_VOXELS", 3 * 24 * 24)  # 8 blocks per pass
+        """`augment` writes the same bytes with every CPU, --jobs 1 and --jobs 2."""
+        monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", 3 * 24 * 24)  # 8 blocks per pass
         data = make_phantom_data(tmp_path, count=2, dims=24)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({name: {"probability": 1.0} for name in TRANSFORM_ORDER}))
         runs = {}
-        for env, flags in ((None, ()), ("1", ()), ("2", ()), (None, ("--jobs", 2))):
-            if env is None:
-                monkeypatch.delenv("CMBPIPE_JOBS", raising=False)
-            else:
-                monkeypatch.setenv("CMBPIPE_JOBS", env)
-            out = tmp_path / f"out-{env}-{len(flags)}"
+        for jobs in (None, 1, 2):
+            out = tmp_path / f"out-{jobs}"
+            flags = () if jobs is None else ("--jobs", jobs)
             assert run(
                 "augment", "--manifest", data / "manifest.jsonl", "--masks-dir", data / "gt_masks",
                 "--out", out, "--spec", spec, *flags,
@@ -473,13 +467,10 @@ class TestConfigAndErrors:
             files = {f"{d}/{p.name}": p.read_bytes() for d in ("aug_volumes", "aug_masks", "aug_params")
                      for p in sorted((out / d).iterdir())}
             params = json.loads((out / "run_record_augment.json").read_text())["params"]
-            runs[env, flags] = files, params
-        (default, recorded), *others = runs.values()
-        assert len(default) == 6
-        assert recorded["jobs"] is None  # the record keeps the requested value, not the CPU count
-        for (files, params), jobs in zip(others, (None, None, 2)):
-            assert files == default
-            assert params["jobs"] == jobs
+            assert params["jobs"] == jobs  # the record keeps the requested value, not the CPU count
+            runs[jobs] = files
+        assert len(runs[None]) == 6
+        assert runs[1] == runs[None] and runs[2] == runs[None]
 
     @pytest.mark.parametrize(
         "command, key, value, inputs",

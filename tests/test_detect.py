@@ -6,6 +6,7 @@ from cmbpipe.detect import (
     DetectedCMB,
     Detections,
     aggregate_metrics,
+    DatasetRow,
     connected_components,
     evaluate_scan,
     filter_by_size,
@@ -326,6 +327,20 @@ class TestAggregation:
         table = format_metrics_table(rows)
         line = [ln for ln in table.splitlines() if ln.startswith("DS3n")][0]
         assert "NA" in line and "1.00" in line
+
+    def test_table_aligns_its_columns(self):
+        rows = [
+            DatasetRow("DS1", 3, 1.0 / 3, 12.5, 0.0, 0.8765, None, 0.25),
+            DatasetRow("All", 12, 10.0, 0.5, 2.25, 1.0, 0.5, None),
+        ]
+        assert format_metrics_table(rows) == (
+            "Dataset  Scans  TP/scan  FP/scan  FN/scan  DSC   Sensitivity  Precision\n"
+            "DS1      3      0.33     12.50    0.00     0.88  NA           0.25     \n"
+            "All      12     10.00    0.50     2.25     1.00  0.50         NA       "
+        )
+
+    def test_table_of_no_rows_is_its_header(self):
+        assert format_metrics_table([]) == "Dataset  Scans  TP/scan  FP/scan  FN/scan  DSC  Sensitivity  Precision"
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):

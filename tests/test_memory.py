@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmbpipe.augment import blur_volume, elastic_deform, gibbs_ringing, motion_ghost
+from cmbpipe.augment import bias_field, blur_volume, elastic_deform, gibbs_ringing, motion_ghost
 from cmbpipe.detect import evaluate_scan
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
 from cmbpipe.scanio import read_mask, read_volume, write_mask, write_volume
@@ -157,6 +157,14 @@ def test_blur_volume_filters_in_its_output():
     v = _noise_volume(n)
     peak = traced_peak_bytes(lambda: blur_volume(v, 1.2))
     assert peak <= 1.5 * n**3 * np.dtype(np.float64).itemsize
+
+
+def test_bias_field_scales_its_field_in_place():
+    """One float64 field, scaled and multiplied in place: no second volume for |field| or the product."""
+    n = 96
+    v = _noise_volume(n)
+    peak = traced_peak_bytes(lambda: bias_field(v, 3, 0.2, seed=7))
+    assert peak < 1.25 * n**3 * np.dtype(np.float64).itemsize
 
 
 def test_elastic_deform_builds_no_coordinate_volume():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import oracle_plane, per_plane_view, reference_plane_oracle
 
-from cmbpipe import segmenter
+from cmbpipe import volume
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
 from cmbpipe.phantom import BackgroundSpec, generate_phantom, random_phantom_spec
 from cmbpipe.scanio import read_probability, write_probability
@@ -206,9 +206,10 @@ class TestWholeViewEqualsPerPlane:
     def test_reference(self, rng, monkeypatch, case, view, planes_per_block, jobs):
         v = self.CASES[case](rng)
         if planes_per_block is not None:  # several blocks, the last one short at 5
-            monkeypatch.setattr(segmenter, "BLOCK_VOXELS", planes_per_block * 24 * 24)
+            monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", planes_per_block * 24 * 24)
         cfg = ReferenceConfig(pixel_spacing_mm=v.spacing[0])
-        got = segment_view(v, view, ReferenceSegmenter(cfg), jobs).values
+        with volume.threads(jobs):
+            got = segment_view(v, view, ReferenceSegmenter(cfg)).values
         want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg), v.intensities, view)
         assert got.dtype == np.float32 and got.flags.c_contiguous
         assert np.array_equal(got, want)
@@ -217,10 +218,13 @@ class TestWholeViewEqualsPerPlane:
         vol, _ = reference_style_phantom(128)
         cfg = ReferenceConfig()
         segmenters = dict.fromkeys(VIEWS, ReferenceSegmenter(cfg))
-        runs = [segment_volume(vol, segmenters)] + [segment_volume(vol, segmenters, jobs) for jobs in (1, 2)]
+        runs = []
+        for jobs in (None, 1, 2):
+            with volume.threads(jobs):
+                runs.append(segment_volume(vol, segmenters))
         for view in VIEWS:
             want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg), vol.intensities, view)
-            for probs in runs:  # default jobs (every CPU), 1 and 2
+            for probs in runs:  # every CPU, 1 and 2 threads
                 assert np.array_equal(probs[view].values, want)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -229,6 +233,7 @@ class TestWholeViewEqualsPerPlane:
     def test_oracle(self, rng, view, rate, jobs):
         labels = (rng.uniform(0, 1, (20, 20, 20)) > 0.8).astype(np.uint8)
         seg = OracleSegmenter(LabelMask(labels), rate, seed=11)
-        got = segment_view(Volume3D(rng.uniform(0, 1, (20, 20, 20))), view, seg, jobs).values
+        with volume.threads(jobs):
+            got = segment_view(Volume3D(rng.uniform(0, 1, (20, 20, 20))), view, seg).values
         want = per_plane_view(lambda plane, k: oracle_plane(labels, view, k, rate, seed=11), labels, view)
         assert np.array_equal(got, want)

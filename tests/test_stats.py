@@ -9,6 +9,7 @@ from cmbpipe.errors import (
     PairingMismatchWarning,
 )
 from cmbpipe.stats import (
+    SweepRow,
     compare_groups,
     fisher_exact_2x2,
     format_sweep_table,
@@ -247,3 +248,14 @@ class TestSizeSweep:
         group = [[det(5.0)]] * 3
         text = format_sweep_table(size_sweep(group, group, [0.0, 4.2]))
         assert "Fisher p" in text and "4.20" in text
+
+    def test_table_aligns_its_columns(self):
+        rows = [SweepRow(0.0, 1.5, 2.0 / 3, 3, 12, 1.0), SweepRow(4.2, 0.25, 10.125, 1, 0, 0.012345678)]
+        assert format_sweep_table(rows) == (
+            "Threshold(mm3)  Mean count A  Mean count B  A >= thr  B >= thr  Fisher p\n"
+            "0.00            1.500         0.667         3         12        1.000000\n"
+            "4.20            0.250         10.125        1         0         0.012346"
+        )
+
+    def test_table_of_no_rows_is_its_header(self):
+        assert format_sweep_table([]) == "Threshold(mm3)  Mean count A  Mean count B  A >= thr  B >= thr  Fisher p"

@@ -1,0 +1,53 @@
+"""Guards on the library's surface: the thread count is one process-wide setting, never a parameter."""
+
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import cmbpipe
+from cmbpipe import augment
+
+SRC = Path(cmbpipe.__file__).parent
+MODULES = [
+    importlib.import_module(f"cmbpipe.{info.name}")
+    for info in pkgutil.iter_modules([str(SRC)])
+    if not info.name.startswith("_")  # importing __main__ would run the CLI
+]
+
+
+def public_callables():
+    """(name, callable) for every public function, class and method defined in a module, and each table column."""
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            yield f"{module.__name__}.{name}", obj
+            if inspect.isclass(obj):
+                for attr in vars(obj):
+                    member = getattr(obj, attr)
+                    if not attr.startswith("_") and callable(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+    for t in augment.TRANSFORMS:
+        yield f"cmbpipe.augment.TRANSFORMS[{t.name!r}].draw", t.draw
+        yield f"cmbpipe.augment.TRANSFORMS[{t.name!r}].replay", t.replay
+
+
+def test_no_public_callable_takes_jobs():
+    checked, takes_jobs = 0, []
+    for name, fn in public_callables():
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):  # a builtin without a signature
+            continue
+        checked += 1
+        if "jobs" in params:
+            takes_jobs.append(name)
+    assert checked > 100  # the walk reached the modules, their classes and the transform table
+    assert takes_jobs == []
+
+
+def test_no_module_reads_the_jobs_environment_variable():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 10
+    assert [p.name for p in sources if "CMBPIPE_JOBS" in p.read_text()] == []

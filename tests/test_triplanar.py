@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import per_plane_view
 
-from cmbpipe import segmenter
+from cmbpipe import volume
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
 from cmbpipe.segmenter import ReferenceConfig, ReferenceSegmenter
 from cmbpipe.triplanar import (
@@ -172,32 +172,40 @@ class _ShapeOf:
     def __init__(self, shape):
         self.shape = shape
 
-    def segment(self, v, view, jobs=None):
+    def segment(self, v, view):
         return np.zeros(self.shape, dtype=np.float32)
 
 
 class TestSegmentDriver:
     def test_jobs_do_not_change_output(self, cube, monkeypatch):
-        monkeypatch.setattr(segmenter, "BLOCK_VOXELS", 5 * 32 * 32)  # 7 blocks, the last one short
+        monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", 5 * 32 * 32)  # 7 blocks, the last one short
         for seg in (SliceAdapter(_HalfSegmenter()), ReferenceSegmenter(ReferenceConfig())):
             for view in VIEWS:
-                serial = segment_view(cube, view, seg, jobs=1)
+                with volume.threads(1):
+                    serial = segment_view(cube, view, seg)
                 for jobs in (None, 2, 8):
-                    assert np.array_equal(serial.values, segment_view(cube, view, seg, jobs).values)
+                    with volume.threads(jobs):
+                        assert np.array_equal(serial.values, segment_view(cube, view, seg).values)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_slice_adapter_assembles_the_same_volume(self, cube, jobs):
-        for view in VIEWS:
-            half = segment_view(cube, view, SliceAdapter(_HalfSegmenter()), jobs)
-            want = per_plane_view(lambda plane, k: np.full(plane.shape, 0.5), cube.intensities, view)
-            assert np.array_equal(half.values, want)
-            central = segment_view(cube, view, SliceAdapter(_CentralSegmenter()), jobs)
-            assert np.array_equal(central.values, cube.intensities.astype(np.float32))
+        with volume.threads(jobs):
+            for view in VIEWS:
+                half = segment_view(cube, view, SliceAdapter(_HalfSegmenter()))
+                want = per_plane_view(lambda plane, k: np.full(plane.shape, 0.5), cube.intensities, view)
+                assert np.array_equal(half.values, want)
+                central = segment_view(cube, view, SliceAdapter(_CentralSegmenter()))
+                assert np.array_equal(central.values, cube.intensities.astype(np.float32))
 
-    def test_slice_adapter_stays_on_the_calling_thread_by_default(self, cube):
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_slice_adapter_stays_on_the_calling_thread(self, cube, jobs):
+        """A model need not be thread-safe: every plane runs on the calling thread, whatever the setting."""
         model = _Recorder()
-        for view in VIEWS:
-            segment_view(cube, view, SliceAdapter(model))
+        with volume.threads(jobs):
+            outer = volume.thread_count()
+            for view in VIEWS:
+                segment_view(cube, view, SliceAdapter(model))
+            assert volume.thread_count() == outer  # the adapter's one thread ends with its call
         assert {ident for _, _, ident in model.calls} == {threading.get_ident()}
 
     def test_slice_adapter_rejects_wrong_plane_shape(self, cube):

@@ -15,6 +15,8 @@ from cmbpipe.volume import (
     plane_blocks,
     resample_isotropic,
     run_blocks,
+    thread_count,
+    threads,
     voxel_to_world,
     world_to_voxel,
 )
@@ -193,10 +195,15 @@ class TestBlockPool:
     def test_each_block_runs_once_under_contention(self):
         """More threads than CPUs and a short switch interval: no block is taken twice or lost."""
         seen = []
+
+        def pool_of_8():
+            with threads(8):
+                run_blocks(seen.append, range(3000))
+
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pool = threading.Thread(target=run_blocks, args=(seen.append, range(3000), 8))
+            pool = threading.Thread(target=pool_of_8)
             pool.start()
             pool.join(timeout=60)
         finally:
@@ -209,14 +216,68 @@ class TestBlockPool:
             if block == 7:
                 raise ValueError("block 7")
 
-        with pytest.raises(ValueError, match="block 7"):
-            run_blocks(fail_on_seven, range(20), 3)
+        with threads(3), pytest.raises(ValueError, match="block 7"):
+            run_blocks(fail_on_seven, range(20))
+
+    def test_pool_size_comes_from_the_setting(self):
+        seen = set()
+        barrier = threading.Barrier(3, timeout=10)
+
+        def meet(block):  # three blocks can only pass the barrier together, on three threads
+            seen.add(threading.get_ident())
+            barrier.wait()
+
+        with threads(3):
+            run_blocks(meet, range(3))
+        assert len(seen) == 3
+
+    def test_setting_is_restored_on_exit_and_on_error(self):
+        default = thread_count()
+        with threads(5):
+            assert thread_count() == 5
+            with pytest.raises(RuntimeError), threads(2):
+                assert thread_count() == 2
+                raise RuntimeError
+            assert thread_count() == 5
+            with threads(None):
+                assert thread_count() == default
+        assert thread_count() == default
+
+    def test_setting_belongs_to_the_thread_that_enters_it(self):
+        """Two threads inside their own settings at once each see theirs, and each gets its own back."""
+        both_inside = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def hold(n):
+            outer = thread_count()
+            with threads(n):
+                both_inside.wait()
+                seen[n] = thread_count()
+                both_inside.wait()
+            seen[n, "after"] = thread_count() == outer
+
+        workers = [threading.Thread(target=hold, args=(n,)) for n in (3, 5)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+        assert not any(w.is_alive() for w in workers)
+        assert seen == {3: 3, 5: 5, (3, "after"): True, (5, "after"): True}
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_setting_below_one_rejected(self, n):
+        default = thread_count()
+        with pytest.raises(ConfigError, match="thread count"), threads(n):
+            pass
+        assert thread_count() == default
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_plane_blocks_cover_an_axis(self, axis):
         shape = (7, 11, 13)
         blocks = plane_blocks(shape, axis, voxels=3 * 7 * 11 * 13 // shape[axis])
-        assert [(b.start, b.stop) for b in blocks] == [(s, min(s + 3, shape[axis])) for s in range(0, shape[axis], 3)]
+        assert all(b[:-1] == (slice(None),) * axis for b in blocks)
+        starts = range(0, shape[axis], 3)
+        assert [(b[-1].start, b[-1].stop) for b in blocks] == [(s, min(s + 3, shape[axis])) for s in starts]
 
 
 @settings(deadline=None, max_examples=25)
