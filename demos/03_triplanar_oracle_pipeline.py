@@ -28,10 +28,12 @@ print(f"Fused probability volume: max {fused.values.max():.2f}")
 
 metrics, pred, gt = detect.evaluate_scan(pred_mask, gt_mask, min_volume_mm3=4.2)
 print(f"\nDetections passing the 4.2 mm^3 clinical size filter: {len(pred)}")
-for d in pred:
+for det_id, centroid, volume_mm3, voxels in zip(
+    pred.ids.tolist(), pred.centroid_mm.tolist(), pred.volume_mm3.tolist(), pred.voxel_count.tolist()
+):
     print(
-        f"  component {d.id}: centroid {tuple(round(c, 1) for c in d.centroid_mm)} mm, "
-        f"{d.volume_mm3:.1f} mm^3 ({d.voxel_count} voxels)"
+        f"  component {det_id}: centroid {tuple(round(c, 1) for c in centroid)} mm, "
+        f"{volume_mm3:.1f} mm^3 ({voxels} voxels)"
     )
 print(f"\nScan metrics: TP {metrics.tp}, FP {metrics.fp}, FN {metrics.fn}, DSC {metrics.dsc:.3f}")
 

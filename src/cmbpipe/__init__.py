@@ -11,7 +11,6 @@ synthetic phantoms.
 from .annotation import CMBAnnotation, alpha_fraction, partition_subjects, synthesize_mask
 from .augment import AugmentSpec, apply_augmentation
 from .detect import (
-    DetectedCMB,
     Detections,
     ScanMetrics,
     aggregate_metrics,

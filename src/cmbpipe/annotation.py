@@ -31,7 +31,6 @@ from .rng import derive_rng
 from .volume import LabelMask, Volume3D, VoxelIndex, WorldPoint, world_to_voxel
 
 DEFAULT_ALPHA_THRESHOLD = 0.65
-ALT_ALPHA_THRESHOLD = 0.52  # shorter-echo / different-contrast datasets
 DEFAULT_PATCH_HALFWIDTH_MM = 5.0
 SNAP_RADIUS_MM = 1.0
 SHELL_INNER_MM = 5.0

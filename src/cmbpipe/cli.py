@@ -26,11 +26,9 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import annotation, augment, detect, phantom, scanio, stats, triplanar, volume
 from .errors import CMBPipeError, ConfigError, DataError
-from .segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
+from .segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter, require_corruption_rate
 from .triplanar import VIEWS
 
 EXIT_OK = 0
@@ -217,27 +215,6 @@ def _entry_volume_path(entry: scanio.ScanManifestEntry, manifest_path: str) -> P
     return p if p.is_absolute() else Path(manifest_path).parent / p
 
 
-def _detections(records: list) -> detect.Detections:
-    """The columns of one scan's ``detect`` records; a misshapen or impossible value is a ValueError."""
-    n = len(records)
-
-    def column(key: str, dtype, row: tuple = ()) -> np.ndarray:
-        col = np.array([d[key] for d in records], dtype=dtype)
-        if n and col.shape != (n, *row):
-            raise ValueError(f"{key} must have shape {row} per detection, got {col.shape[1:]}")
-        return col.reshape(n, *row)
-
-    ids, voxel_count = column("id", np.int64), column("voxel_count", np.int64)
-    centroid, volume_mm3 = column("centroid_mm", np.float64, (3,)), column("volume_mm3", np.float64)
-    if not np.isfinite(centroid).all():
-        raise ValueError("centroid_mm must be finite")
-    if not (np.isfinite(volume_mm3) & (volume_mm3 > 0)).all():
-        raise ValueError("volume_mm3 must be finite and positive")
-    if (voxel_count < 1).any():
-        raise ValueError("voxel_count must be at least 1")
-    return detect.Detections(ids, centroid, volume_mm3, voxel_count, column("bbox", np.int64, (2, 3)))
-
-
 def _read_detections_file(path: str) -> dict[str, detect.Detections]:
     """Per-scan detections from a `detect` output file, by scan id in file order."""
     per_scan = {}
@@ -247,10 +224,10 @@ def _read_detections_file(path: str) -> dict[str, detect.Detections]:
                 continue
             try:
                 record = json.loads(line)
-                scan_id, dets = record["scan_id"], _detections(record["detections"])
+                scan_id, dets = record["scan_id"], detect.Detections.from_records(record["detections"])
                 if not isinstance(scan_id, str):
                     raise TypeError(f"scan_id must be a string, got {scan_id!r}")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
                 raise DataError(f"{path} line {lineno}: bad detections record ({exc})") from exc
             if scan_id in per_scan:
                 raise DataError(f"{path} line {lineno}: scan_id {scan_id!r} appears twice")
@@ -274,18 +251,6 @@ def _read_groups(params: dict) -> tuple[list[detect.Detections], list[detect.Det
                 )
         group_b = {scan_id: group_b[scan_id] for scan_id in group_a}
     return list(group_a.values()), list(group_b.values())
-
-
-def _det_to_json(scan_id: str, dets: detect.Detections) -> dict:
-    columns = zip(
-        dets.ids.tolist(), dets.centroid_mm.tolist(), dets.volume_mm3.tolist(), dets.voxel_count.tolist(), dets.bbox.tolist()
-    )
-    return {
-        "scan_id": scan_id,
-        "detections": [
-            {"id": i, "centroid_mm": c, "volume_mm3": v, "voxel_count": n, "bbox": b} for i, c, v, n, b in columns
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +291,8 @@ ILLNESS = Param("illness_threshold", int, stats.DEFAULT_ILLNESS_THRESHOLD, help=
     SEED,
 )
 def cmd_phantom(params: dict) -> list[Path]:
+    if params["count"] < 0:
+        raise ConfigError(f"phantom: count must be non-negative, got {params['count']}")
     out = Path(params["out"])
     entries, outputs = [], []
     for idx in range(params["count"]):
@@ -464,9 +431,12 @@ def cmd_segment(params: dict) -> list[Path]:
     needed = {"oracle": "gt_dir", "external": "prob_dir"}.get(kind)
     if needed and not params[needed]:
         raise ConfigError(f"segment: --{needed.replace('_', '-')} is required for the {kind} segmenter")
-    if kind == "reference":
-        # the reference parameters are named after ReferenceConfig fields; the pixel spacing is set per scan
-        cfg = ReferenceConfig(**{f.name: params[f.name] for f in fields(ReferenceConfig) if f.name in params})
+    # checked before any read, whichever segmenter uses them; the pixel spacing is set per scan
+    cfg = ReferenceConfig(**{f.name: params[f.name] for f in fields(ReferenceConfig) if f.name in params})
+    require_corruption_rate(params["corruption_rate"])
+    volume.require_percentile_window(params["lo_pct"], params["hi_pct"])
+    volume.require_gamma(params["gamma"])
+    volume.require_resample_target(params["target_spacing"], (params["target_dims"],) * 3)
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     outputs = []
@@ -507,6 +477,7 @@ def cmd_segment(params: dict) -> list[Path]:
     Param("tau", float, 0.125, help="threshold on the fused probability (0.125 = 0.5^3)"),
 )
 def cmd_fuse(params: dict) -> list[Path]:
+    triplanar.require_tau(params["tau"])
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     outputs = []
@@ -542,7 +513,8 @@ def cmd_detect(params: dict) -> list[Path]:
             mask = scanio.read_mask(Path(params["masks_dir"]) / f"{entry.scan_id}.nii.gz")
             dets = detect.connected_components(mask, params["connectivity"])
             dets = detect.filter_by_size(dets, params["min_size"])
-            fh.write(json.dumps(_det_to_json(entry.scan_id, dets), sort_keys=True) + "\n")
+            record = {"scan_id": entry.scan_id, "detections": dets.to_records()}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"detect: wrote detections for {len(entries)} scans to {det_path}")
     return [det_path]
 

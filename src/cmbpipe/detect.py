@@ -13,47 +13,26 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ConfigError
-from .volume import LabelMask, VoxelIndex, WorldPoint, _freeze, require_same_geometry
+from .volume import LabelMask, _freeze, require_same_geometry
 
 DEFAULT_MIN_VOLUME_MM3 = 4.2  # minimum clinical CMB size (2 mm diameter sphere)
 DEFAULT_MATCH_DISTANCE_MM = 2.5  # radius of the largest "small" CMB
 NA = "NA"
 
 
-@dataclass(frozen=True)
-class DetectedCMB:
-    """One connected component of a binary mask."""
-
-    id: int
-    centroid_mm: WorldPoint
-    volume_mm3: float
-    voxel_count: int
-    bbox: tuple[VoxelIndex, VoxelIndex]
-
-    def __post_init__(self):
-        if self.voxel_count < 1:
-            raise ConfigError("a detection must contain at least one voxel")
-
-
-def _row(comp_id: int, centroid: list, volume_mm3: float, voxel_count: int, bbox: list) -> DetectedCMB:
-    lo, hi = bbox
-    return DetectedCMB(comp_id, WorldPoint(*centroid), volume_mm3, voxel_count, (VoxelIndex(*lo), VoxelIndex(*hi)))
-
-
-# Column name -> (dtype, shape of one row).
+# Column name -> (record key, dtype, shape of one row).
 _COLUMNS = {
-    "ids": (np.int64, ()),
-    "centroid_mm": (np.float64, (3,)),
-    "volume_mm3": (np.float64, ()),
-    "voxel_count": (np.int64, ()),
-    "bbox": (np.int64, (2, 3)),
+    "ids": ("id", np.int64, ()),
+    "centroid_mm": ("centroid_mm", np.float64, (3,)),
+    "volume_mm3": ("volume_mm3", np.float64, ()),
+    "voxel_count": ("voxel_count", np.int64, ()),
+    "bbox": ("bbox", np.int64, (2, 3)),
 }
 
 
@@ -61,12 +40,11 @@ _COLUMNS = {
 class Detections:
     """Connected components as read-only columns, one row per component.
 
-    Row ``r`` is component ``ids[r]``: its world centroid ``centroid_mm[r]``
-    (x, y, z), ``volume_mm3[r]``, ``voxel_count[r]`` and inclusive
-    bounding box ``bbox[r] = ((i, j, k) low, (i, j, k) high)``. ``len``,
-    iteration and integer indexing give ``DetectedCMB`` rows, built only
-    when accessed. A ``Detections`` equals another with the same columns,
-    and a list or tuple of the same rows, so an empty one ``== []``.
+    Row ``r`` is component ``ids[r]``: its finite world centroid ``centroid_mm[r]``
+    (x, y, z), finite positive ``volume_mm3[r]``, ``voxel_count[r]`` >= 1 and
+    inclusive bounding box ``bbox[r] = ((i, j, k) low, (i, j, k) high)``. As a
+    record, a row is one dict keyed by each column's record key (``ids`` is
+    ``"id"``). Two tables are equal when their columns are.
     """
 
     ids: np.ndarray
@@ -77,28 +55,31 @@ class Detections:
 
     def __post_init__(self):
         n = len(self.ids)
-        for name, (dtype, row) in _COLUMNS.items():
+        for name, (_, dtype, row) in _COLUMNS.items():
             col = np.asarray(getattr(self, name), dtype=dtype)
             if col.shape != (n, *row):
                 raise ConfigError(f"detection column {name} has shape {col.shape}, expected {(n, *row)}")
             object.__setattr__(self, name, _freeze(col))
         if n and self.voxel_count.min() < 1:
             raise ConfigError("a detection must contain at least one voxel")
+        if not np.isfinite(self.centroid_mm).all():
+            raise ConfigError("a detection centroid must be finite")
+        if not (np.isfinite(self.volume_mm3) & (self.volume_mm3 > 0)).all():
+            raise ConfigError("a detection volume must be finite and positive")
 
     @classmethod
-    def of(cls, dets) -> "Detections":
-        """``dets`` itself if it is a ``Detections``, else the columns of a sequence of ``DetectedCMB``."""
-        if isinstance(dets, cls):
-            return dets
-        rows = list(dets)
-        n = len(rows)
-        return cls(
-            ids=[d.id for d in rows],
-            centroid_mm=np.array([d.centroid_mm for d in rows], dtype=np.float64).reshape(n, 3),
-            volume_mm3=[d.volume_mm3 for d in rows],
-            voxel_count=[d.voxel_count for d in rows],
-            bbox=np.array([d.bbox for d in rows], dtype=np.int64).reshape(n, 2, 3),
-        )
+    def from_records(cls, records: list) -> "Detections":
+        """The table of one record per row; a missing key or a misshapen or impossible value raises."""
+        columns = {}
+        for name, (key, dtype, row) in _COLUMNS.items():
+            values = [record[key] for record in records]
+            columns[name] = np.array(values, dtype=dtype) if values else np.zeros((0, *row), dtype=dtype)
+        return cls(**columns)
+
+    def to_records(self) -> list[dict]:
+        """One dict of plain numbers and lists per row, keyed by each column's record key."""
+        keys = [key for key, _, _ in _COLUMNS.values()]
+        return [dict(zip(keys, row)) for row in zip(*(getattr(self, name).tolist() for name in _COLUMNS))]
 
     def select(self, keep: np.ndarray) -> "Detections":
         """The rows where the boolean array ``keep`` is true, in order."""
@@ -107,19 +88,10 @@ class Detections:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, r) -> DetectedCMB:
-        r = operator.index(r)
-        return _row(*(getattr(self, name)[r].tolist() for name in _COLUMNS))
-
-    def __iter__(self):
-        return itertools.starmap(_row, zip(*(getattr(self, name).tolist() for name in _COLUMNS)))
-
     def __eq__(self, other):
-        if isinstance(other, Detections):
-            return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, Detections):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -186,7 +158,7 @@ def _label(m: LabelMask, connectivity: int) -> tuple[Detections, np.ndarray, np.
     structure = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
     fg = _foreground(m.labels)
     if len(fg) == 0:
-        return Detections.of([]), fg, np.zeros(0, dtype=np.int64)
+        return Detections.from_records([]), fg, np.zeros(0, dtype=np.int64)
 
     ijk = np.stack(np.unravel_index(fg, m.dims), axis=1)
     packed, shape = zip(*(_packed(ijk[:, a], m.dims[a]) for a in range(3)))
@@ -238,10 +210,9 @@ def require_size_threshold(value: float, name: str = "min_volume_mm3") -> None:
         raise ConfigError(f"{name} must be finite and non-negative, got {value}")
 
 
-def filter_by_size(dets, min_volume_mm3: float = DEFAULT_MIN_VOLUME_MM3) -> Detections:
+def filter_by_size(dets: Detections, min_volume_mm3: float = DEFAULT_MIN_VOLUME_MM3) -> Detections:
     """Keep components at least as large as the minimum clinical size."""
     require_size_threshold(min_volume_mm3)
-    dets = Detections.of(dets)
     return dets.select(dets.volume_mm3 >= min_volume_mm3)
 
 
@@ -261,7 +232,7 @@ def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 def match_detections(
-    pred, gt_components, max_dist_mm: float = DEFAULT_MATCH_DISTANCE_MM, overlaps=frozenset()
+    pred: Detections, gt_components: Detections, max_dist_mm: float = DEFAULT_MATCH_DISTANCE_MM, overlaps=frozenset()
 ) -> MatchResult:
     """One-to-one greedy matching in ascending centroid distance.
 
@@ -273,9 +244,8 @@ def match_detections(
     id. Unmatched predictions count as FP, unmatched ground truth as FN.
     """
     require_match_distance(max_dist_mm)
-    pred, gt = Detections.of(pred), Detections.of(gt_components)
     pred_xyz, pred_ids = pred.centroid_mm, pred.ids
-    gt_xyz, gt_ids = gt.centroid_mm, gt.ids
+    gt_xyz, gt_ids = gt_components.centroid_mm, gt_components.ids
     n_gt = len(gt_ids)
 
     # Imported here so that CLI commands that never match do not pay
@@ -311,7 +281,7 @@ def match_detections(
         used_g.add(g)
         pairs.append((p, g))
     tp = len(pairs)
-    return MatchResult(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp, pairing=tuple(pairs))
+    return MatchResult(tp=tp, fp=len(pred) - tp, fn=n_gt - tp, pairing=tuple(pairs))
 
 
 def scan_metrics(pred_mask: LabelMask, gt_mask: LabelMask, match: MatchResult) -> ScanMetrics:
@@ -330,8 +300,7 @@ def scan_metrics(pred_mask: LabelMask, gt_mask: LabelMask, match: MatchResult) -
 def _metrics(p: int, g: int, inter: int, match: MatchResult) -> ScanMetrics:
     """Metrics from the predicted, ground-truth and shared foreground voxel counts and a match."""
     dsc = 1.0 if p + g == 0 else 2.0 * inter / (p + g)
-    sens = match.tp / (match.tp + match.fn) if match.tp + match.fn > 0 else None
-    prec = match.tp / (match.tp + match.fp) if match.tp + match.fp > 0 else None
+    sens, prec = pooled_sensitivity(match.tp, match.fn), pooled_precision(match.tp, match.fp)
     return ScanMetrics(tp=match.tp, fp=match.fp, fn=match.fn, dsc=dsc, sensitivity=sens, precision=prec)
 
 

@@ -11,7 +11,7 @@ exist to create false positives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,8 +87,14 @@ def _segment_point_distance(p0: np.ndarray, p1: np.ndarray, x: np.ndarray) -> fl
 
 
 def validate_spec(spec: PhantomSpec) -> None:
-    if spec.spacing <= 0:
-        raise PhantomSpecError(f"spacing must be positive, got {spec.spacing}")
+    if len(spec.dims) != 3 or min(spec.dims) < 1:
+        raise PhantomSpecError(f"dims must be 3 positive integers, got {spec.dims}")
+    if not (math.isfinite(spec.spacing) and spec.spacing > 0):
+        raise PhantomSpecError(f"spacing must be finite and positive, got {spec.spacing}")
+    for name, low in (("base", -math.inf), ("smooth_amplitude", 0.0), ("noise_sigma", 0.0)):
+        value = getattr(spec.background, name)
+        if not (math.isfinite(value) and value >= low):
+            raise PhantomSpecError(f"{name} must be finite{'' if low < 0 else ' and non-negative'}, got {value}")
     extent = np.asarray(spec.dims) * spec.spacing
     for idx, cmb in enumerate(spec.cmbs):
         if not (DIAMETER_RANGE_MM[0] <= cmb.diameter_mm <= DIAMETER_RANGE_MM[1]):
@@ -273,13 +279,20 @@ def random_phantom_spec(
     n_vessels: int = 0,
     n_calcifications: int = 0,
     background: BackgroundSpec = BackgroundSpec(),
-    snap_centers: bool = True,
 ) -> PhantomSpec:
     """Place non-overlapping objects by seeded rejection sampling.
 
-    Centers snap to voxel centers by default so the analytic ground truth of
-    even a 2 mm CMB contains the voxel it was planted in.
+    Centers snap to voxel centers so the analytic ground truth of even a 2 mm
+    CMB contains the voxel it was planted in. Every parameter is checked first.
     """
+    grid = PhantomSpec(dims=tuple(dims), spacing=spacing, background=background, seed=seed)
+    validate_spec(grid)
+    ranges = {"n_cmbs_range": n_cmbs_range, "diameter_range": diameter_range, "contrast_range": contrast_range}
+    for name, (lo, hi) in ranges.items():
+        if not (0 <= lo <= hi < math.inf):
+            raise PhantomSpecError(f"{name} must be finite, non-negative and ascending, got ({lo}, {hi})")
+    if min(n_vessels, n_calcifications, 0 if n_cmbs is None else n_cmbs) < 0:
+        raise PhantomSpecError(f"object counts must be non-negative, got {n_cmbs}, {n_vessels}, {n_calcifications}")
     rng = derive_rng(seed, "placement")
     if n_cmbs is None:
         n_cmbs = int(rng.integers(n_cmbs_range[0], n_cmbs_range[1] + 1))
@@ -291,9 +304,7 @@ def random_phantom_spec(
         if np.any(extent - 2.0 * margin <= 0):
             return None  # object cannot fit this volume at all
         for _ in range(200):
-            c = rng.uniform(margin, extent - margin)
-            if snap_centers:
-                c = np.rint(c / spacing) * spacing
+            c = np.rint(rng.uniform(margin, extent - margin) / spacing) * spacing
             if all(np.linalg.norm(c - pc) - radius - pr >= MIN_CMB_SEPARATION_MM for pc, pr in placed):
                 return c
         return None
@@ -342,12 +353,4 @@ def random_phantom_spec(
                 )
                 break
 
-    return PhantomSpec(
-        dims=tuple(dims),
-        spacing=spacing,
-        background=background,
-        cmbs=tuple(cmbs),
-        vessels=tuple(vessels),
-        calcifications=tuple(calcs),
-        seed=seed,
-    )
+    return replace(grid, cmbs=tuple(cmbs), vessels=tuple(vessels), calcifications=tuple(calcs))

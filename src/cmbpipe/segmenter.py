@@ -63,6 +63,11 @@ class ReferenceConfig:
             raise ConfigError(f"logistic_gain must be positive, got {self.logistic_gain}")
 
 
+def require_corruption_rate(rate: float) -> None:
+    if not (0.0 <= rate < 1.0):
+        raise ConfigError(f"corruption_rate must be in [0, 1), got {rate}")
+
+
 class OracleSegmenter:
     """Replays the ground-truth mask, flipping each pixel with ``corruption_rate``.
 
@@ -71,8 +76,7 @@ class OracleSegmenter:
     """
 
     def __init__(self, gt: LabelMask, corruption_rate: float = 0.0, seed: int = 0):
-        if not (0.0 <= corruption_rate < 1.0):
-            raise ConfigError(f"corruption_rate must be in [0, 1), got {corruption_rate}")
+        require_corruption_rate(corruption_rate)
         self.gt = gt
         self.corruption_rate = corruption_rate
         self.seed = seed

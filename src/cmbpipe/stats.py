@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detect import Detections, format_table, require_size_threshold
+from .detect import format_table, require_size_threshold
 
 from .errors import (
     ConfigError,
@@ -243,9 +243,7 @@ class GroupComparison:
 def count_filtered(detections_per_scan, size_filter_mm3: float) -> list[int]:
     """CMBs per scan after the clinical size filter."""
     require_size_threshold(size_filter_mm3, "size_filter_mm3")
-    return [
-        int(np.count_nonzero(Detections.of(dets).volume_mm3 >= size_filter_mm3)) for dets in detections_per_scan
-    ]
+    return [int(np.count_nonzero(dets.volume_mm3 >= size_filter_mm3)) for dets in detections_per_scan]
 
 
 def _illness_table(counts_a, counts_b, illness_threshold: int) -> Contingency2x2:
@@ -263,7 +261,7 @@ def compare_groups(
     alternative: str = "two_sided",
     zero_method: str = "drop",
 ) -> GroupComparison:
-    """Full group analysis of two cohorts of per-scan detection lists.
+    """Full group analysis of two cohorts, each a list of per-scan ``Detections``.
 
     Counts CMBs per scan after the size filter, reports group means, runs
     the paired Wilcoxon on matched counts (skipped with a warning when the
@@ -339,7 +337,6 @@ def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_IL
         require_size_threshold(t, "thresholds")
     if sorted(thresholds) != thresholds:
         raise ConfigError("thresholds must be sorted ascending")
-    group_a, group_b = ([Detections.of(dets) for dets in group] for group in (group_a, group_b))
     rows = []
     for t in thresholds:
         counts_a = count_filtered(group_a, t)

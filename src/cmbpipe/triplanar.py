@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ConfigError, RejectedInputError
-from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, require_same_geometry, run_blocks, threads
+from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, require_same_geometry, run_blocks
 
 VIEWS = ("axial", "sagittal", "coronal")
 VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
@@ -86,10 +86,14 @@ def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: Probabi
     return ProbabilityVolume(fused, p_ax.spacing, p_ax.origin)
 
 
-def binarize_fused(p: ProbabilityVolume, tau: float = 0.125) -> LabelMask:
-    """Label voxels with fused probability strictly above tau (default 0.5^3)."""
+def require_tau(tau: float) -> None:
     if not (0.0 < tau < 1.0):
         raise ConfigError(f"tau must be in (0, 1), got {tau}")
+
+
+def binarize_fused(p: ProbabilityVolume, tau: float = 0.125) -> LabelMask:
+    """Label voxels with fused probability strictly above tau (default 0.5^3)."""
+    require_tau(tau)
     return LabelMask(np.greater(p.values, tau).view(np.uint8), p.spacing, p.origin)
 
 
@@ -142,14 +146,13 @@ class SliceAdapter:
         self.slice_segmenter = slice_segmenter
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:
-        def one_plane(planes: np.ndarray, k: int) -> np.ndarray:
+        out = np.empty(v.dims, dtype=np.float32)
+        for k, dst in enumerate(np.moveaxis(out, _require_view(view), 0)):
             plane = np.asarray(self.slice_segmenter.segment(ThickSlice(view, k, v.intensities)))
-            if plane.shape != planes.shape[1:]:
-                raise RejectedInputError(f"plane {k} has shape {plane.shape}, expected {planes.shape[1:]}")
-            return plane[None]
-
-        with threads(1):
-            return map_plane_blocks(one_plane, v, view, 1)
+            if plane.shape != dst.shape:
+                raise RejectedInputError(f"plane {k} has shape {plane.shape}, expected {dst.shape}")
+            dst[...] = plane
+        return out
 
 
 def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter) -> ProbabilityVolume:

@@ -302,6 +302,16 @@ def _interp_axis(arr: np.ndarray, positions: np.ndarray, axis: int, fill: float)
     return np.where(mask, fill, out)
 
 
+def require_resample_target(target_spacing: float, target_dims) -> tuple[int, int, int]:
+    """The target grid of :func:`resample_isotropic`: a finite positive spacing and 3 positive integer dims."""
+    if not np.isfinite(target_spacing) or target_spacing <= 0:
+        raise ConfigError(f"target_spacing must be positive, got {target_spacing}")
+    target_dims = tuple(int(d) for d in target_dims)
+    if len(target_dims) != 3 or any(d < 1 for d in target_dims):
+        raise ConfigError(f"target_dims must be 3 positive integers, got {target_dims}")
+    return target_dims
+
+
 def resample_isotropic(
     v: Volume3D,
     target_spacing: float = 1.0,
@@ -315,12 +325,7 @@ def resample_isotropic(
     input minimum (SWI background is dark; filling with anything darker
     would fabricate CMB-like rims).
     """
-    if not np.isfinite(target_spacing) or target_spacing <= 0:
-        raise ConfigError(f"target_spacing must be positive, got {target_spacing}")
-    target_dims = tuple(int(d) for d in target_dims)
-    if len(target_dims) != 3 or any(d < 1 for d in target_dims):
-        raise ConfigError(f"target_dims must be 3 positive integers, got {target_dims}")
-
+    target_dims = require_resample_target(target_spacing, target_dims)
     in_dims = np.asarray(v.dims, dtype=np.float64)
     in_spacing = np.asarray(v.spacing)
     center = np.asarray(v.origin) + (in_dims - 1.0) * in_spacing / 2.0
@@ -336,14 +341,18 @@ def resample_isotropic(
     return Volume3D(arr, (target_spacing,) * 3, tuple(float(o) for o in out_origin))
 
 
+def require_percentile_window(lo_pct: float, hi_pct: float) -> None:
+    if not (0.0 <= lo_pct < hi_pct <= 100.0):
+        raise ConfigError(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
+
+
 def normalize_intensity(v: Volume3D, lo_pct: float = 1.0, hi_pct: float = 99.0) -> Volume3D:
     """Clamp to the [lo_pct, hi_pct] percentile window and map affinely to [0, 1].
 
     A collapsed window (constant volume) returns all zeros and emits a
     :class:`DegenerateNormalizationWarning`.
     """
-    if not (0.0 <= lo_pct < hi_pct <= 100.0):
-        raise ConfigError(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
+    require_percentile_window(lo_pct, hi_pct)
     p_lo, p_hi = np.percentile(v.intensities, [lo_pct, hi_pct])
     if p_hi <= p_lo:
         warnings.warn(
@@ -356,10 +365,14 @@ def normalize_intensity(v: Volume3D, lo_pct: float = 1.0, hi_pct: float = 99.0) 
     return v.with_intensities(out)
 
 
-def adjust_contrast(v: Volume3D, gamma: float) -> Volume3D:
-    """Gamma contrast adjustment: per-voxel ``x -> x**gamma`` on [0, 1] intensities."""
+def require_gamma(gamma: float) -> None:
     if not np.isfinite(gamma) or gamma <= 0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
+
+
+def adjust_contrast(v: Volume3D, gamma: float) -> Volume3D:
+    """Gamma contrast adjustment: per-voxel ``x -> x**gamma`` on [0, 1] intensities."""
+    require_gamma(gamma)
     lo, hi = float(v.intensities.min()), float(v.intensities.max())
     if lo < 0.0 or hi > 1.0:
         raise RejectedInputError(f"adjust_contrast needs intensities in [0, 1], got [{lo}, {hi}]")

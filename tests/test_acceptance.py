@@ -218,27 +218,26 @@ def test_criterion_08_size_filter_boundary(rng):
     """2 mm sphere (4.19 mm^3) removed at the 4.2 default; sweep counts monotone."""
     analytic = 4.0 / 3.0 * np.pi
     assert analytic < 4.2
-    det = detect.DetectedCMB(
-        id=1,
-        centroid_mm=(0.0, 0.0, 0.0),
-        volume_mm3=analytic,
-        voxel_count=1,
-        bbox=((0, 0, 0), (0, 0, 0)),
+    box = [[0, 0, 0], [0, 0, 0]]
+    det = detect.Detections.from_records(
+        [{"id": 1, "centroid_mm": [0.0, 0.0, 0.0], "volume_mm3": analytic, "voxel_count": 1, "bbox": box}]
     )
-    assert detect.filter_by_size([det], 4.2) == []
+    assert len(det) == 1 and len(detect.filter_by_size(det, 4.2)) == 0
 
     def random_cohort():
         return [
-            [
-                detect.DetectedCMB(
-                    id=k + 1,
-                    centroid_mm=(float(k), 0.0, 0.0),
-                    volume_mm3=float(v),
-                    voxel_count=max(int(v), 1),
-                    bbox=((0, 0, 0), (0, 0, 0)),
-                )
-                for k, v in enumerate(rng.uniform(0.5, 30.0, rng.integers(0, 9)))
-            ]
+            detect.Detections.from_records(
+                [
+                    {
+                        "id": k + 1,
+                        "centroid_mm": [float(k), 0.0, 0.0],
+                        "volume_mm3": float(v),
+                        "voxel_count": max(int(v), 1),
+                        "bbox": box,
+                    }
+                    for k, v in enumerate(rng.uniform(0.5, 30.0, rng.integers(0, 9)))
+                ]
+            )
             for _ in range(8)
         ]
 

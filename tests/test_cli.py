@@ -46,6 +46,29 @@ class TestPhantomCommand:
         assert run("phantom", "--out", out, "--count", 1, "--dims", 12, "--vessels", 1) == 0
         assert len(read_manifest(out / "manifest.jsonl")) == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--dims", 0),
+            ("--spacing", "nan"),
+            ("--n-cmbs-min", 5, "--n-cmbs-max", 2),
+            ("--base", "nan"),
+            ("--noise-sigma", -1),
+            ("--noise-sigma", "nan"),
+            ("--smooth-amplitude", -2),
+            ("--vessels", -1),
+            ("--calcifications", -1),
+            ("--diameter-min", 9, "--diameter-max", 5),
+            ("--contrast-min", "nan"),
+            ("--count", -1),
+        ],
+        ids=lambda flags: " ".join(map(str, flags)),
+    )
+    def test_bad_parameter_exit_1(self, tmp_path, flags):
+        out = tmp_path / "data"
+        assert run("phantom", "--out", out, "--count", 1, "--dims", 12, *flags) == 1
+        assert not (out / "manifest.jsonl").exists()
+
     def test_writes_volumes_masks_manifest(self, tmp_path):
         out = make_phantom_data(tmp_path)
         entries = read_manifest(out / "manifest.jsonl")
@@ -361,6 +384,26 @@ class TestConfigAndErrors:
             "--match-dist", "nan",
         )
         assert code == 1
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("fuse", ("--tau", 2)),
+            ("fuse", ("--tau", "nan")),
+            ("segment", ("--segmenter", "oracle", "--gt-dir", "missing", "--corruption-rate", 2)),
+            ("segment", ("--gamma", 0)),
+            ("segment", ("--lo-pct", 50, "--hi-pct", 10)),
+            ("segment", ("--target-spacing", 0)),
+            ("segment", ("--target-dims", 0)),
+        ],
+        ids=lambda value: value if isinstance(value, str) else " ".join(map(str, value)),
+    )
+    def test_bad_fuse_or_segment_parameter_exit_1_before_reading(self, tmp_path, command, flags):
+        """Each parameter is checked before the manifest is read (else 2) or any output is written."""
+        out = tmp_path / "out"
+        inputs = ("--prob-dir", tmp_path / "missing") if command == "fuse" else ()
+        assert run(command, "--manifest", tmp_path / "missing.jsonl", *inputs, "--out", out, *flags) == 1
         assert not any(out.iterdir())
 
     def test_bad_reference_parameter_exit_1(self, tmp_path):

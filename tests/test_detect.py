@@ -3,7 +3,6 @@ import pytest
 from scipy import ndimage
 
 from cmbpipe.detect import (
-    DetectedCMB,
     Detections,
     aggregate_metrics,
     DatasetRow,
@@ -19,7 +18,7 @@ from cmbpipe.detect import (
     _packed,
 )
 from cmbpipe.errors import ConfigError, GeometryMismatchError
-from cmbpipe.volume import LabelMask, VoxelIndex, WorldPoint
+from cmbpipe.volume import LabelMask
 
 from oracles import components_oracle, match_oracle, sphere_voxel_volume
 
@@ -43,26 +42,24 @@ class TestConnectedComponents:
         assert len(connected_components(m, 6)) == 2
 
     def test_empty_mask(self):
-        assert connected_components(mask_from_voxels([])) == []
+        assert len(connected_components(mask_from_voxels([]))) == 0
 
     def test_fields(self):
         m = mask_from_voxels([(2, 3, 4), (2, 3, 5)], spacing=(0.5, 0.5, 2.0))
-        (det,) = connected_components(m)
-        assert det.voxel_count == 2
-        assert det.volume_mm3 == pytest.approx(2 * 0.5 * 0.5 * 2.0)
-        assert det.centroid_mm == pytest.approx((1.0, 1.5, 9.0))
-        assert det.bbox == ((2, 3, 4), (2, 3, 5))
+        dets = connected_components(m)
+        assert len(dets) == 1
+        assert dets.voxel_count.tolist() == [2]
+        assert dets.volume_mm3[0] == pytest.approx(2 * 0.5 * 0.5 * 2.0)
+        assert dets.centroid_mm[0] == pytest.approx((1.0, 1.5, 9.0))
+        assert dets.bbox.tolist() == [[[2, 3, 4], [2, 3, 5]]]
 
     def test_ordering_deterministic_and_layout_independent(self, rng):
         arr = (rng.uniform(0, 1, (24, 24, 24)) > 0.93).astype(np.uint8)
         m = LabelMask(arr)
         ref = connected_components(m)
         alt = connected_components(LabelMask(np.asfortranarray(arr)))
-        assert [(d.centroid_mm, d.voxel_count) for d in ref] == [
-            (d.centroid_mm, d.voxel_count) for d in alt
-        ]
-        keys = [(d.bbox[0].k, d.bbox[0].j, d.bbox[0].i) for d in ref]
-        assert all(d.id == i + 1 for i, d in enumerate(ref))
+        assert np.array_equal(ref.centroid_mm, alt.centroid_mm) and np.array_equal(ref.voxel_count, alt.voxel_count)
+        assert ref.ids.tolist() == list(range(1, len(ref) + 1))
 
     def test_bad_connectivity(self):
         with pytest.raises(ConfigError):
@@ -79,26 +76,42 @@ class TestDetections:
             bbox=np.zeros((n, 2, 3), dtype=np.int64),
         )
 
-    def test_rows_are_built_on_access(self):
+    def test_equality_compares_columns(self):
         dets = Detections(**self.columns())
         assert len(dets) == 3
-        row = dets[1]
-        assert row == DetectedCMB(2, WorldPoint(3.0, 4.0, 5.0), 2.5, 2, (VoxelIndex(0, 0, 0), VoxelIndex(0, 0, 0)))
-        assert type(row.id) is int and type(row.volume_mm3) is float
-        assert type(row.centroid_mm) is WorldPoint and type(row.bbox[1]) is VoxelIndex
-        assert dets[-1] == list(dets)[2]
-        with pytest.raises(IndexError):
-            dets[3]
-        with pytest.raises(TypeError):
-            dets[0:2]
-
-    def test_equality_with_rows_and_columns(self):
-        dets = Detections(**self.columns())
-        assert dets == list(dets) and list(dets) == dets and dets == tuple(dets)
         assert dets == Detections(**self.columns())
-        assert dets != list(dets)[:2] and dets != Detections(**self.columns(2))
-        assert Detections.of([]) == [] and Detections.of(dets) is dets
-        assert Detections.of(list(dets)) == dets
+        assert dets != Detections(**self.columns(2)) and dets != dets.select(np.array([True, True, False]))
+        assert dets != dets.to_records()
+
+    def test_records_round_trip(self):
+        dets = Detections(**self.columns(2))
+        records = dets.to_records()
+        box = [[0, 0, 0], [0, 0, 0]]
+        assert records == [
+            {"id": 1, "centroid_mm": [0.0, 1.0, 2.0], "volume_mm3": 2.5, "voxel_count": 2, "bbox": box},
+            {"id": 2, "centroid_mm": [3.0, 4.0, 5.0], "volume_mm3": 2.5, "voxel_count": 2, "bbox": box},
+        ]
+        assert type(records[0]["id"]) is int and type(records[0]["volume_mm3"]) is float
+        assert Detections.from_records(records) == dets
+        empty = Detections.from_records([])
+        assert len(empty) == 0 and empty.centroid_mm.shape == (0, 3) and empty.bbox.shape == (0, 2, 3)
+        assert empty.to_records() == []
+
+    @pytest.mark.parametrize(
+        "key, value, error",
+        [
+            ("bbox", [0, 0, 0], ConfigError),
+            ("centroid_mm", [1.0, 2.0], ConfigError),
+            ("id", "one", ValueError),
+            ("voxel_count", None, TypeError),
+        ],
+    )
+    def test_misshapen_record_rejected(self, key, value, error):
+        records = Detections(**self.columns(2)).to_records()
+        with pytest.raises(error):
+            Detections.from_records([{**r, key: value} for r in records])
+        with pytest.raises(KeyError):
+            Detections.from_records([{k: v for k, v in records[0].items() if k != key}])
 
     def test_columns_are_read_only(self):
         dets = Detections(**self.columns())
@@ -117,12 +130,24 @@ class TestDetections:
         with pytest.raises(ConfigError):
             Detections(**{**self.columns(), "voxel_count": np.array([2, 0, 2])})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_centroid_rejected(self, bad):
+        centroid = np.zeros((3, 3))
+        centroid[1, 2] = bad
+        with pytest.raises(ConfigError, match="centroid"):
+            Detections(**{**self.columns(), "centroid_mm": centroid})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_volume_rejected(self, bad):
+        with pytest.raises(ConfigError, match="volume"):
+            Detections(**{**self.columns(), "volume_mm3": np.array([2.5, bad, 2.5])})
+
 
 class TestFilterBySize:
     def test_three_voxel_component_removed_at_clinical_threshold(self):
         m = mask_from_voxels([(3, 3, 3), (3, 3, 4), (3, 3, 5)])
         dets = connected_components(m)
-        assert filter_by_size(dets, 4.2) == []
+        assert len(dets) == 1 and len(filter_by_size(dets, 4.2)) == 0
 
     def test_five_voxel_component_kept(self):
         m = mask_from_voxels([(3, 3, k) for k in range(3, 8)])
@@ -136,14 +161,14 @@ class TestFilterBySize:
         measured = sphere_voxel_volume(1.0, 0.05)
         assert measured == pytest.approx(analytic, abs=0.02)
         assert measured < 4.2
-        det = DetectedCMB(
-            id=1,
-            centroid_mm=WorldPoint(0, 0, 0),
-            volume_mm3=measured,
-            voxel_count=int(round(measured / 0.05**3)),
-            bbox=((0, 0, 0), (1, 1, 1)),
+        det = Detections(
+            ids=[1],
+            centroid_mm=[(0.0, 0.0, 0.0)],
+            volume_mm3=[measured],
+            voxel_count=[int(round(measured / 0.05**3))],
+            bbox=[((0, 0, 0), (1, 1, 1))],
         )
-        assert filter_by_size([det], 4.2) == []
+        assert len(filter_by_size(det, 4.2)) == 0
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_bad_threshold_rejected(self, bad):
@@ -155,29 +180,31 @@ class TestFilterBySize:
 
 
 class TestMatching:
-    def mk(self, det_id, centroid):
-        return DetectedCMB(
-            id=det_id,
-            centroid_mm=WorldPoint(*centroid),
-            volume_mm3=1.0,
-            voxel_count=1,
-            bbox=((0, 0, 0), (0, 0, 0)),
+    def mk(self, rows):
+        """A table of one-voxel detections from ``(id, centroid)`` rows."""
+        n = len(rows)
+        return Detections(
+            ids=[det_id for det_id, _ in rows],
+            centroid_mm=np.array([centroid for _, centroid in rows], dtype=np.float64).reshape(n, 3),
+            volume_mm3=np.ones(n),
+            voxel_count=np.ones(n, dtype=np.int64),
+            bbox=np.zeros((n, 2, 3), dtype=np.int64),
         )
 
     def test_centroid_distance_match(self):
-        res = match_detections([self.mk(1, (1.0, 0, 0))], [self.mk(1, (0, 0, 0))], 2.5)
+        res = match_detections(self.mk([(1, (1.0, 0, 0))]), self.mk([(1, (0, 0, 0))]), 2.5)
         assert (res.tp, res.fp, res.fn) == (1, 0, 0)
 
     def test_counting(self):
-        gt = [self.mk(i, (10.0 * i, 0, 0)) for i in range(1, 6)]
-        preds = [self.mk(i, (10.0 * i + 1.0, 0, 0)) for i in range(1, 5)]
-        preds += [self.mk(5, (200.0, 0, 0)), self.mk(6, (300.0, 0, 0))]
-        res = match_detections(preds, gt, 2.5)
+        gt = self.mk([(i, (10.0 * i, 0, 0)) for i in range(1, 6)])
+        preds = [(i, (10.0 * i + 1.0, 0, 0)) for i in range(1, 5)]
+        preds += [(5, (200.0, 0, 0)), (6, (300.0, 0, 0))]
+        res = match_detections(self.mk(preds), gt, 2.5)
         assert (res.tp, res.fp, res.fn) == (4, 2, 1)
 
     def test_one_to_one_greedy_prefers_nearer(self):
-        gt = [self.mk(1, (0.0, 0, 0))]
-        preds = [self.mk(1, (2.0, 0, 0)), self.mk(2, (1.0, 0, 0))]
+        gt = self.mk([(1, (0.0, 0, 0))])
+        preds = self.mk([(1, (2.0, 0, 0)), (2, (1.0, 0, 0))])
         res = match_detections(preds, gt, 2.5)
         assert res.tp == 1 and res.fp == 1
         assert res.pairing == ((2, 1),)
@@ -186,16 +213,17 @@ class TestMatching:
         # two rods sharing voxel (9, 3, 3); centroids 9.5 mm apart
         pred = mask_from_voxels([(i, 3, 3) for i in range(10)], dims=(24, 8, 8))
         gt = mask_from_voxels([(i, 3, 3) for i in range(9, 20)], dims=(24, 8, 8))
-        res, (p,), (g,) = evaluate_scan(pred, gt, min_volume_mm3=0.0, max_dist_mm=2.5)
-        assert abs(p.centroid_mm.x - g.centroid_mm.x) > 2.5
+        res, p, g = evaluate_scan(pred, gt, min_volume_mm3=0.0, max_dist_mm=2.5)
+        assert len(p) == 1 and len(g) == 1
+        assert abs(p.centroid_mm[0, 0] - g.centroid_mm[0, 0]) > 2.5
         assert (res.tp, res.fp, res.fn) == (1, 0, 0)
-        assert match_detections([p], [g], 2.5, overlaps={(p.id, g.id)}).tp == 1
-        assert match_detections([p], [g], 2.5).tp == 0
+        assert match_detections(p, g, 2.5, overlaps={(int(p.ids[0]), int(g.ids[0]))}).tp == 1
+        assert match_detections(p, g, 2.5).tp == 0
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_bad_match_distance_rejected(self, bad):
         with pytest.raises(ConfigError):
-            match_detections([self.mk(1, (0.0, 0, 0))], [self.mk(1, (1.0, 0, 0))], bad)
+            match_detections(self.mk([(1, (0.0, 0, 0))]), self.mk([(1, (1.0, 0, 0))]), bad)
         mask = mask_from_voxels([(3, 3, 3)])
         with pytest.raises(ConfigError):
             evaluate_scan(mask, mask, max_dist_mm=bad)
@@ -212,8 +240,7 @@ class TestMatching:
         pred += [(304, (10.5, 300.0, 300.0))]
         gt += [(304, (12.0, 302.0, 300.0))]  # exactly 2.5 mm apart
         overlaps = {(int(p), int(g)) for p, g in rng.integers(1, 301, (40, 2))}
-        preds = [self.mk(i, c) for i, c in pred]
-        gts = [self.mk(i, c) for i, c in gt]
+        preds, gts = self.mk(pred), self.mk(gt)
         for max_dist, ov in ((0.0, frozenset()), (2.5, frozenset()), (2.5, overlaps), (6.0, overlaps)):
             res = match_detections(preds, gts, max_dist, overlaps=ov)
             assert res.pairing == match_oracle(pred, gt, max_dist, ov)
@@ -227,17 +254,20 @@ class TestMatching:
     def test_invariant_counts(self, rng):
         for _ in range(20):
             n_gt, n_pred = int(rng.integers(0, 6)), int(rng.integers(0, 6))
-            gt = [self.mk(i + 1, tuple(rng.uniform(0, 30, 3))) for i in range(n_gt)]
-            preds = [self.mk(i + 1, tuple(rng.uniform(0, 30, 3))) for i in range(n_pred)]
+            gt = self.mk([(i + 1, tuple(rng.uniform(0, 30, 3))) for i in range(n_gt)])
+            preds = self.mk([(i + 1, tuple(rng.uniform(0, 30, 3))) for i in range(n_pred)])
             res = match_detections(preds, gt, 2.5)
             assert res.tp + res.fn == n_gt
             assert res.tp + res.fp == n_pred
 
 
+NO_DETECTIONS = Detections.from_records([])
+
+
 class TestScanMetrics:
     def test_empty_empty_convention(self):
         empty = mask_from_voxels([])
-        match = match_detections([], [], 2.5)
+        match = match_detections(NO_DETECTIONS, NO_DETECTIONS, 2.5)
         m = scan_metrics(empty, empty, match)
         assert m.dsc == 1.0
         assert m.sensitivity is None and m.precision is None
@@ -253,14 +283,14 @@ class TestScanMetrics:
         gt_vox = [(i, j, k) for i in range(2) for j in range(5) for k in range(5)]
         gt_vox += [(i + 10, j, k) for i in range(2) for j in range(5) for k in range(5)]
         gt = mask_from_voxels(gt_vox)
-        m = scan_metrics(pred, gt, match_detections([], [], 2.5))
+        m = scan_metrics(pred, gt, match_detections(NO_DETECTIONS, NO_DETECTIONS, 2.5))
         assert m.dsc == pytest.approx(0.5)  # |P|=|G|=100, overlap 50
 
     def test_misaligned_masks_rejected(self):
         a = mask_from_voxels([], dims=(8, 8, 8))
         b = mask_from_voxels([], dims=(9, 9, 9))
         with pytest.raises(GeometryMismatchError):
-            scan_metrics(a, b, match_detections([], [], 2.5))
+            scan_metrics(a, b, match_detections(NO_DETECTIONS, NO_DETECTIONS, 2.5))
 
 
 def row_scans(tp, fp, fn, n, dsc=0.8):
@@ -348,7 +378,9 @@ class TestAggregation:
 
 
 def detection_fields(dets):
-    return [(d.id, tuple(d.centroid_mm), d.volume_mm3, d.voxel_count, d.bbox) for d in dets]
+    """``(id, centroid, volume, voxel count, bbox)`` of each row, as tuples of Python numbers."""
+    columns = (dets.ids, dets.centroid_mm, dets.volume_mm3, dets.voxel_count, dets.bbox)
+    return [(i, tuple(c), v, n, tuple(map(tuple, b))) for i, c, v, n, b in zip(*(col.tolist() for col in columns))]
 
 
 class TestOracleEquivalence:
@@ -363,15 +395,14 @@ class TestOracleEquivalence:
         assert got == want
 
     @pytest.mark.parametrize("connectivity", [6, 26])
-    def test_speckle_rows_equal_oracle_rows(self, connectivity):
+    def test_speckle_table_equals_oracle_table(self, connectivity):
         rng = np.random.default_rng(2025)
         arr = (rng.uniform(0, 1, (128, 128, 128)) < 0.005).astype(np.uint8)
         m = LabelMask(arr, (0.7, 1.3, 0.5), (4.5, -8.0, 12.75))
         dets = connected_components(m, connectivity)
-        want = [DetectedCMB(*c[:5]) for c in components_oracle(m, connectivity)]
+        want = Detections(*zip(*(c[:5] for c in components_oracle(m, connectivity))))
         assert len(want) > 9000
         assert dets == want
-        assert [dets[r] for r in (0, len(want) // 2, -1)] == [want[0], want[len(want) // 2], want[-1]]
 
     @pytest.mark.parametrize("connectivity", [6, 26])
     @pytest.mark.parametrize("min_volume", [0.0, 4.2])
@@ -402,35 +433,6 @@ class TestOracleEquivalence:
                 len(p_all) - len(pairing),
                 len(g_all) - len(pairing),
             )
-
-
-class TestColumnsAndRowsAgree:
-    """The public entry points give the same results on ``Detections`` and on lists of ``DetectedCMB``."""
-
-    @pytest.fixture
-    def scans(self, rng):
-        gt_arr = (rng.uniform(0, 1, (24, 20, 18)) < 0.1).astype(np.uint8)
-        pred_arr = gt_arr ^ (rng.uniform(0, 1, gt_arr.shape) < 0.05).astype(np.uint8)
-        spacing = (0.8, 1.0, 1.2)
-        return connected_components(LabelMask(pred_arr, spacing)), connected_components(LabelMask(gt_arr, spacing))
-
-    def test_filter_by_size(self, scans):
-        for dets in scans:
-            for threshold in (0.0, 0.96, 2.0, 4.2, 1e6):
-                kept = filter_by_size(dets, threshold)
-                assert isinstance(kept, Detections)
-                assert kept == filter_by_size(list(dets), threshold)
-                assert list(kept) == [d for d in dets if d.volume_mm3 >= threshold]
-
-    def test_match_detections(self, scans, rng):
-        pred, gt = scans
-        overlaps = {(int(p), int(g)) for p, g in rng.integers(1, 40, (30, 2))}
-        for max_dist, ov in ((0.0, frozenset()), (2.5, frozenset()), (2.5, overlaps)):
-            want = match_detections(list(pred), list(gt), max_dist, ov)
-            assert want.tp > 0
-            assert match_detections(pred, gt, max_dist, ov) == want
-            assert match_detections(pred, list(gt), max_dist, ov) == want
-            assert match_detections(list(pred), gt, max_dist, ov) == want
 
 
 def boxed_masks():

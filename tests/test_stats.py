@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmbpipe.detect import DetectedCMB, Detections
+from cmbpipe.detect import Detections
 from cmbpipe.errors import (
     ConfigError,
     DegenerateContingencyWarning,
@@ -16,7 +16,6 @@ from cmbpipe.stats import (
     size_sweep,
     wilcoxon_signed_rank,
 )
-from cmbpipe.volume import WorldPoint
 
 from oracles import fisher_enumeration, wilcoxon_enumeration
 
@@ -142,18 +141,20 @@ class TestFisher:
             fisher_exact_2x2([[1, -1], [2, 3]])
 
 
-def det(volume_mm3):
-    return DetectedCMB(
-        id=1,
-        centroid_mm=WorldPoint(0, 0, 0),
-        volume_mm3=volume_mm3,
-        voxel_count=max(int(volume_mm3), 1),
-        bbox=((0, 0, 0), (0, 0, 0)),
+def det(*volumes_mm3):
+    """One scan's detections: one component of each volume, in order."""
+    n = len(volumes_mm3)
+    return Detections(
+        ids=np.arange(1, n + 1),
+        centroid_mm=np.zeros((n, 3)),
+        volume_mm3=np.array(volumes_mm3, dtype=np.float64),
+        voxel_count=[max(int(v), 1) for v in volumes_mm3],
+        bbox=np.zeros((n, 2, 3), dtype=np.int64),
     )
 
 
 def scans_with_counts(counts, volume_mm3=8.0):
-    return [[det(volume_mm3) for _ in range(c)] for c in counts]
+    return [det(*[volume_mm3] * c) for c in counts]
 
 
 class TestCompareGroups:
@@ -174,8 +175,8 @@ class TestCompareGroups:
         assert cmp.fisher_p == pytest.approx(fisher_enumeration(10, 0, 0, 10), abs=1e-15)
 
     def test_size_filter_applied_to_counts(self):
-        group_a = [[det(2.0), det(8.0)]] * 4  # one sub-clinical detection per scan
-        group_b = [[det(8.0)]] * 4
+        group_a = [det(2.0, 8.0)] * 4  # one sub-clinical detection per scan
+        group_b = [det(8.0)] * 4
         with pytest.warns(PairingMismatchWarning):  # filtered counts tie -> degenerate Wilcoxon
             cmp = compare_groups(group_a, group_b, size_filter_mm3=4.2, illness_threshold=1)
         assert cmp.mean_count_a == 1.0 and cmp.mean_count_b == 1.0
@@ -194,14 +195,6 @@ class TestCompareGroups:
         cmp = compare_groups(scans_with_counts(counts_a), scans_with_counts(counts_b))
         assert cmp.mean_count_b > cmp.mean_count_a
 
-    def test_columns_count_like_rows(self):
-        group_a = [[det(2.0), det(8.0)], [det(4.2)], []] * 2
-        group_b = [[det(9.0)] * 3, [det(1.0)], [det(5.0), det(6.0)]] * 2
-        as_columns = [[Detections.of(scan) for scan in group] for group in (group_a, group_b)]
-        assert compare_groups(*as_columns, illness_threshold=2) == compare_groups(group_a, group_b, illness_threshold=2)
-        thresholds = [0.0, 4.2, 8.0]
-        assert size_sweep(*as_columns, thresholds) == size_sweep(group_a, group_b, thresholds)
-
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_bad_size_filter_rejected(self, bad):
         group = scans_with_counts([1, 2])
@@ -211,18 +204,14 @@ class TestCompareGroups:
 
 class TestSizeSweep:
     def test_threshold_zero_counts_everything(self):
-        group = [[det(1.0), det(10.0)]] * 3
+        group = [det(1.0, 10.0)] * 3
         rows = size_sweep(group, group, [0.0])
         assert rows[0].mean_count_a == 2.0
 
     def test_monotone_non_increasing(self, rng):
         for _ in range(20):
-            group_a = [
-                [det(float(v)) for v in rng.uniform(0.5, 20.0, rng.integers(0, 8))] for _ in range(6)
-            ]
-            group_b = [
-                [det(float(v)) for v in rng.uniform(0.5, 20.0, rng.integers(0, 8))] for _ in range(6)
-            ]
+            group_a = [det(*rng.uniform(0.5, 20.0, rng.integers(0, 8))) for _ in range(6)]
+            group_b = [det(*rng.uniform(0.5, 20.0, rng.integers(0, 8))) for _ in range(6)]
             rows = size_sweep(group_a, group_b, [0.0, 2.0, 4.2, 8.0, 16.0, 30.0])
             counts_a = [r.mean_count_a for r in rows]
             counts_b = [r.mean_count_b for r in rows]
@@ -230,22 +219,22 @@ class TestSizeSweep:
             assert all(x >= y for x, y in zip(counts_b, counts_b[1:]))
 
     def test_beyond_max_component_degenerate(self):
-        group = [[det(5.0)]] * 3
+        group = [det(5.0)] * 3
         rows = size_sweep(group, group, [100.0])
         assert rows[0].mean_count_a == 0.0
         assert rows[0].fisher_p == 1.0
 
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(ConfigError):
-            size_sweep([[det(1.0)]], [[det(1.0)]], [5.0, 1.0])
+            size_sweep([det(1.0)], [det(1.0)], [5.0, 1.0])
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_bad_threshold_rejected(self, bad):
         with pytest.raises(ConfigError):
-            size_sweep([[det(1.0)]], [[det(1.0)]], [0.0, bad])
+            size_sweep([det(1.0)], [det(1.0)], [0.0, bad])
 
     def test_table_renders(self):
-        group = [[det(5.0)]] * 3
+        group = [det(5.0)] * 3
         text = format_sweep_table(size_sweep(group, group, [0.0, 4.2]))
         assert "Fisher p" in text and "4.20" in text
 

@@ -1,4 +1,8 @@
-"""Guards on the library's surface: the thread count is one process-wide setting, never a parameter."""
+"""Guards on the library's surface.
+
+The thread count is one process-wide setting, never a parameter, and
+detections have one representation: the ``detect.Detections`` table.
+"""
 
 import importlib
 import inspect
@@ -6,7 +10,7 @@ import pkgutil
 from pathlib import Path
 
 import cmbpipe
-from cmbpipe import augment
+from cmbpipe import augment, detect
 
 SRC = Path(cmbpipe.__file__).parent
 MODULES = [
@@ -51,3 +55,9 @@ def test_no_module_reads_the_jobs_environment_variable():
     sources = sorted(SRC.glob("*.py"))
     assert len(sources) > 10
     assert [p.name for p in sources if "CMBPIPE_JOBS" in p.read_text()] == []
+
+
+def test_detections_are_only_a_table():
+    """No row type, no conversion from a list of rows, no row access by index or iteration."""
+    assert not hasattr(cmbpipe, "DetectedCMB") and not hasattr(detect, "DetectedCMB")
+    assert [name for name in ("of", "__iter__", "__getitem__") if hasattr(detect.Detections, name)] == []
