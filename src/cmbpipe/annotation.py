@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     DegenerateAnnotationError,
     DegenerateAnnotationWarning,
+    require,
 )
 from .rng import derive_rng
 from .volume import LabelMask, Volume3D, VoxelIndex, WorldPoint, world_to_voxel
@@ -35,6 +36,10 @@ DEFAULT_PATCH_HALFWIDTH_MM = 5.0
 SNAP_RADIUS_MM = 1.0
 SHELL_INNER_MM = 5.0
 SHELL_OUTER_MM = 7.0
+ALPHA_BOUND = "(0, 1)"
+RADIUS_BOUND = "(0, inf)"  # mm, of the patch and the shell
+SNAP_RADIUS_BOUND = "[0, inf)"  # mm
+FRACTION_BOUND = "[0, 1]"
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,8 @@ class CMBAnnotation:
     patch_halfwidth_mm: float = DEFAULT_PATCH_HALFWIDTH_MM
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_threshold < 1.0):
-            raise ConfigError(f"alpha_threshold must be in (0, 1), got {self.alpha_threshold}")
-        if self.patch_halfwidth_mm <= 0:
-            raise ConfigError(f"patch_halfwidth_mm must be positive, got {self.patch_halfwidth_mm}")
+        require(self.alpha_threshold, ALPHA_BOUND, "alpha_threshold")
+        require(self.patch_halfwidth_mm, RADIUS_BOUND, "patch_halfwidth_mm")
 
 
 def alpha_fraction(v: Volume3D, pixel: VoxelIndex, center: VoxelIndex, mean_intensity: float) -> float:
@@ -128,10 +131,11 @@ def synthesize_mask(
     out-of-volume annotations are skipped with a warning; the rest are
     still processed.
     """
-    if not (0.0 < shell_inner_mm < shell_outer_mm):
-        raise ConfigError(f"need 0 < shell_inner < shell_outer, got ({shell_inner_mm}, {shell_outer_mm})")
-    if snap_radius_mm < 0:
-        raise ConfigError(f"snap_radius_mm must be non-negative, got {snap_radius_mm}")
+    require(snap_radius_mm, SNAP_RADIUS_BOUND, "snap_radius_mm")
+    require(shell_inner_mm, RADIUS_BOUND, "shell_inner_mm")
+    require(shell_outer_mm, RADIUS_BOUND, "shell_outer_mm")
+    if shell_inner_mm >= shell_outer_mm:
+        raise ConfigError(f"need shell_inner_mm < shell_outer_mm, got ({shell_inner_mm}, {shell_outer_mm})")
     labels = np.zeros(v.dims, dtype=np.uint8)
     dims = np.asarray(v.dims)
     dynamic_range = float(v.intensities.max() - v.intensities.min())
@@ -181,8 +185,10 @@ def partition_subjects(subject_ids, seed: int, fractions=(0.7, 0.1, 0.2)):
         raise ConfigError("subject_ids contains duplicates")
     if len(ids) < 3:
         raise ConfigError(f"need at least 3 subjects to partition, got {len(ids)}")
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must be 3 non-negative values summing to 1, got {fractions}")
+    for f in fractions:
+        require(f, FRACTION_BOUND, "fractions")
+    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"fractions must be 3 values summing to 1, got {fractions}")
 
     n = len(ids)
     n_val = int(np.floor(fractions[1] * n + 0.5))

@@ -23,7 +23,6 @@ about a third of the voxels by up to 3e-12.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -31,7 +30,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import volume
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .rng import derive_rng, derive_seed
 from .volume import LabelMask, Volume3D, plane_blocks, require_same_geometry, run_blocks
 
@@ -133,8 +132,8 @@ def elastic_deform(
     """
     if m is not None:
         require_same_geometry(v, m, "image and mask")
-    if control_spacing_mm <= 0 or displacement_mm < 0:
-        raise ConfigError("control_spacing_mm must be positive and displacement_mm non-negative")
+    require(control_spacing_mm, "(0, inf)", "control_spacing_mm")
+    require(displacement_mm, "[0, inf)", "displacement_mm")
     dims = v.dims
     if displacement_mm == 0.0:
         return (*_warp(v, m, None), {"displacement_mm": 0.0})
@@ -200,8 +199,8 @@ def flip_volume(v: Volume3D, m: LabelMask | None, axes):
 
 def bias_field(v: Volume3D, order: int = 3, amplitude: float = 0.2, seed: int = 0) -> Volume3D:
     """Multiplicative low-order polynomial field, spatial mean exactly 1."""
-    if order < 1 or amplitude < 0:
-        raise ConfigError("bias field needs order >= 1 and amplitude >= 0")
+    require(order, "[1, inf)", "bias field order")
+    require(amplitude, "[0, inf)", "bias field amplitude")
     if amplitude == 0.0:
         return v
     rng = derive_rng(seed, "bias")
@@ -235,8 +234,7 @@ def blur_volume(v: Volume3D, sigma_mm: float) -> Volume3D:
     and the axis-1 and axis-2 passes over blocks across axis 0, all in one
     output buffer.
     """
-    if sigma_mm < 0:
-        raise ConfigError(f"blur sigma must be non-negative, got {sigma_mm}")
+    require(sigma_mm, "[0, inf)", "blur sigma_mm")
     if sigma_mm == 0.0:
         return v
     sigma = _voxel_sigma(sigma_mm, v.spacing)
@@ -261,10 +259,8 @@ def motion_ghost(v: Volume3D, n_ghosts: int, intensity: float, axis: int = 2) ->
     block of planes across another axis is transformed, scaled and inverted
     in one complex buffer.
     """
-    if n_ghosts < 2:
-        raise ConfigError(f"n_ghosts must be >= 2, got {n_ghosts}")
-    if not (0.0 <= intensity <= 1.0):
-        raise ConfigError(f"ghost intensity must be in [0, 1], got {intensity}")
+    require(n_ghosts, "[2, inf)", "n_ghosts")
+    require(intensity, "[0, 1]", "ghost intensity")
     if axis not in AXES:
         raise ConfigError(f"axis must be in {AXES}, got {axis}")
     if intensity == 0.0:
@@ -304,8 +300,7 @@ def gibbs_ringing(v: Volume3D, retain_fraction: float) -> Volume3D:
     a time. Three passes over blocks of planes, each across an axis that
     its transforms do not run along.
     """
-    if not (0.0 < retain_fraction <= 1.0):
-        raise ConfigError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+    require(retain_fraction, "(0, 1]", "retain_fraction")
     if retain_fraction == 1.0:
         return v
     n0, n1, n2 = v.dims
@@ -348,17 +343,22 @@ def gibbs_ringing(v: Volume3D, retain_fraction: float) -> Volume3D:
 
 
 def noise_add_mult(v: Volume3D, sigma_add: float, sigma_mult: float, seed: int = 0) -> Volume3D:
-    """I * (1 + eps_mult) + eps_add with independent Gaussian fields."""
-    if sigma_add < 0 or sigma_mult < 0:
-        raise ConfigError("noise sigmas must be non-negative")
+    """I * (1 + eps_mult) + eps_add with independent Gaussian fields, each applied in its draw's buffer."""
+    require(sigma_add, "[0, inf)", "sigma_add")
+    require(sigma_mult, "[0, inf)", "sigma_mult")
     if sigma_add == 0.0 and sigma_mult == 0.0:
         return v
     rng = derive_rng(seed, "noise")
     out = v.intensities
     if sigma_mult > 0:
-        out = out * (1.0 + rng.normal(0.0, sigma_mult, v.dims))
+        fld = rng.normal(0.0, sigma_mult, v.dims)
+        fld += 1.0
+        fld *= out
+        out = fld
     if sigma_add > 0:
-        out = out + rng.normal(0.0, sigma_add, v.dims)
+        fld = rng.normal(0.0, sigma_add, v.dims)
+        fld += out
+        out = fld
     return v.with_intensities(out)
 
 
@@ -455,11 +455,6 @@ TRANSFORMS = (
 TRANSFORM_ORDER = tuple(t.name for t in TRANSFORMS)
 
 
-def _within(interval: str, x) -> bool:
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
-    return (lo < x if interval[0] == "(" else lo <= x) and (x < hi if interval[-1] == ")" else x <= hi)
-
-
 def _checked(where: str, default, bound, value):
     """``value`` if it has the JSON type of ``default`` and lies within ``bound``; a list becomes a tuple."""
     if isinstance(default, tuple):
@@ -477,13 +472,10 @@ def _checked(where: str, default, bound, value):
     elif isinstance(default, int):
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-        kind = "a finite number"
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
     if not ok:
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
-    if bound is not None and not _within(bound, value):
-        raise ConfigError(f"{where} must lie in {bound}, got {value!r}")
-    return value
+    return value if bound is None else require(value, bound, where)
 
 
 @dataclass(init=False)

@@ -3,14 +3,15 @@
 One subcommand per pipeline stage: phantom, mask-synth, augment, segment,
 fuse, detect, eval, compare-groups, sweep, partition. Each command declares
 its parameters once, in one table; the table generates the flags, the
-defaults and the checks on config values. A parameter's value comes from
-its default, overlaid by a JSON run-config file (top-level keys, then the
+defaults and the checks on values. A parameter's value comes from its
+default, overlaid by a JSON run-config file (top-level keys, then the
 "common" section, then the command's own section), overlaid by an explicit
-flag. A config key no command declares, or a value of the wrong type or
-outside the allowed choices, is a config error. Every run writes a
-run-record (resolved parameters + content hashes of inputs and outputs)
-under the output directory; with a fixed seed, reruns are byte-identical
-apart from the record's timestamp.
+flag. A config key no command declares, or a value of the wrong type,
+outside the allowed choices or outside its bound, is a config error, found
+before the output directory is made. Every run writes a run-record
+(resolved parameters + content hashes of inputs and outputs) under the
+output directory; with a fixed seed, reruns are byte-identical apart from
+the record's timestamp.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
 """
@@ -22,13 +23,13 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import annotation, augment, detect, phantom, scanio, stats, triplanar, volume
-from .errors import CMBPipeError, ConfigError, DataError
-from .segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter, require_corruption_rate
+from . import annotation, augment, detect, phantom, scanio, segmenter, stats, triplanar, volume
+from .errors import CMBPipeError, ConfigError, DataError, require
+from .segmenter import REFERENCE_BOUNDS, ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
 from .triplanar import VIEWS
 
 EXIT_OK = 0
@@ -84,6 +85,7 @@ class Param(NamedTuple):
     required: bool = False
     choices: tuple = ()
     help: str = ""
+    bound: str | None = None  # interval of the value, or of each number of a list or dict (errors.require)
 
     @property
     def flag(self) -> str:
@@ -152,11 +154,14 @@ def _convert(command: str, p: Param, value, source: str):
     convert, kind = _TYPES[p.type]
     try:
         value = convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{command}: {p.name} must be {kind}, got {value!r} (from {source})") from None
     if p.choices and value not in p.choices:
         allowed = ", ".join(map(str, p.choices))
         raise ConfigError(f"{command}: {p.name} must be one of {allowed}, got {value!r} (from {source})")
+    if p.bound:
+        for x in value.values() if p.type is dict else value if p.type is list else [value]:
+            require(x, p.bound, f"{command}: {p.name} (from {source})")
     return value
 
 
@@ -262,37 +267,43 @@ OUT = Param("out", str, required=True, help="output directory")
 MANIFEST = Param("manifest", str, required=True, help="scan manifest (JSON lines)")
 MASKS_DIR = Param("masks_dir", str, required=True, help="directory of <scan_id>.nii.gz binary masks")
 SEED = Param("seed", int, 0, help="random seed")
-JOBS = Param("jobs", int, help="threads that share each volume's blocks and .nii.gz writes (default: every CPU)")
+JOBS = Param("jobs", int, help="threads that share each volume's blocks and .nii.gz writes; every CPU if unset",
+             bound=volume.THREADS_BOUND)
 CONNECTIVITY = Param("connectivity", int, 26, choices=(6, 26), help="3D voxel connectivity of components")
-MIN_SIZE = Param("min_size", float, detect.DEFAULT_MIN_VOLUME_MM3, help="smallest kept component in mm^3")
+MIN_SIZE = Param("min_size", float, detect.DEFAULT_MIN_VOLUME_MM3, help="smallest kept component in mm^3",
+                 bound=detect.SIZE_BOUND)
 DETECTIONS_A = Param("detections_a", str, required=True, help="detections.jsonl of group A")
 DETECTIONS_B = Param("detections_b", str, required=True, help="detections.jsonl of group B")
-ILLNESS = Param("illness_threshold", int, stats.DEFAULT_ILLNESS_THRESHOLD, help="CMBs per scan that count as ill")
+ILLNESS = Param("illness_threshold", int, stats.DEFAULT_ILLNESS_THRESHOLD, help="CMBs per scan that count as ill",
+                bound=stats.ILLNESS_THRESHOLD_BOUND)
+COUNT = "[0, inf)"  # of phantoms or objects
+DIAMETER = "[{}, {}]".format(*phantom.DIAMETER_RANGE_MM)
 
 
 @_command(
     "phantom",
     "generate synthetic phantoms with ground truth",
     OUT,
-    Param("count", int, 5, help="number of phantoms"),
-    Param("dims", int, 64, help="cube edge in voxels"),
-    Param("spacing", float, 1.0, help="isotropic voxel spacing in mm"),
-    Param("n_cmbs_min", int, 1, help="fewest CMBs per phantom"),
-    Param("n_cmbs_max", int, 10, help="most CMBs per phantom"),
-    Param("diameter_min", float, 2.0, help="smallest CMB diameter in mm"),
-    Param("diameter_max", float, 10.0, help="largest CMB diameter in mm"),
-    Param("contrast_min", float, 0.5, help="weakest CMB contrast"),
-    Param("contrast_max", float, 0.9, help="strongest CMB contrast"),
-    Param("vessels", int, 0, help="vessel mimics per phantom"),
-    Param("calcifications", int, 0, help="calcification mimics per phantom"),
-    Param("base", float, 100.0, help="background intensity"),
-    Param("smooth_amplitude", float, 2.0, help="amplitude of the smooth background field"),
-    Param("noise_sigma", float, 2.0, help="Gaussian noise sigma"),
+    Param("count", int, 5, help="number of phantoms", bound=COUNT),
+    Param("dims", int, 64, help="cube edge in voxels", bound="[1, inf)"),
+    Param("spacing", float, 1.0, help="isotropic voxel spacing in mm", bound=volume.SPACING_BOUND),
+    Param("n_cmbs_min", int, 1, help="fewest CMBs per phantom", bound=COUNT),
+    Param("n_cmbs_max", int, 10, help="most CMBs per phantom", bound=COUNT),
+    Param("diameter_min", float, 2.0, help="smallest CMB diameter in mm", bound=DIAMETER),
+    Param("diameter_max", float, 10.0, help="largest CMB diameter in mm", bound=DIAMETER),
+    Param("contrast_min", float, 0.5, help="weakest CMB contrast", bound=phantom.CONTRAST_BOUND),
+    Param("contrast_max", float, 0.9, help="strongest CMB contrast", bound=phantom.CONTRAST_BOUND),
+    Param("vessels", int, 0, help="vessel mimics per phantom", bound=COUNT),
+    Param("calcifications", int, 0, help="calcification mimics per phantom", bound=COUNT),
+    Param("base", float, 100.0, help="background intensity", bound=phantom.BACKGROUND_BOUNDS["base"]),
+    Param("smooth_amplitude", float, 2.0, help="amplitude of the smooth background field",
+          bound=phantom.BACKGROUND_BOUNDS["smooth_amplitude"]),
+    Param("noise_sigma", float, 2.0, help="Gaussian noise sigma", bound=phantom.BACKGROUND_BOUNDS["noise_sigma"]),
     SEED,
 )
 def cmd_phantom(params: dict) -> list[Path]:
-    if params["count"] < 0:
-        raise ConfigError(f"phantom: count must be non-negative, got {params['count']}")
+    if any(params[f"{name}_min"] > params[f"{name}_max"] for name in ("n_cmbs", "diameter", "contrast")):
+        raise ConfigError("phantom: a --*-min value must not exceed its --*-max")
     out = Path(params["out"])
     entries, outputs = [], []
     for idx in range(params["count"]):
@@ -329,14 +340,22 @@ def cmd_phantom(params: dict) -> list[Path]:
     "synthesize volumetric masks from point annotations",
     MANIFEST,
     OUT,
-    Param("alpha_threshold", float, annotation.DEFAULT_ALPHA_THRESHOLD, help="partial-volume fraction cut"),
-    Param("alpha_by_tag", dict, {}, help='per-dataset alpha thresholds, e.g. \'{"DS2": 0.52}\''),
-    Param("patch_halfwidth_mm", float, annotation.DEFAULT_PATCH_HALFWIDTH_MM, help="half-width of the mask patch"),
-    Param("snap_radius_mm", float, annotation.SNAP_RADIUS_MM, help="search radius for the darkest voxel"),
-    Param("shell_inner_mm", float, annotation.SHELL_INNER_MM, help="inner radius of the background shell"),
-    Param("shell_outer_mm", float, annotation.SHELL_OUTER_MM, help="outer radius of the background shell"),
+    Param("alpha_threshold", float, annotation.DEFAULT_ALPHA_THRESHOLD, help="partial-volume fraction cut",
+          bound=annotation.ALPHA_BOUND),
+    Param("alpha_by_tag", dict, {}, help='per-dataset alpha thresholds, e.g. \'{"DS2": 0.52}\'',
+          bound=annotation.ALPHA_BOUND),
+    Param("patch_halfwidth_mm", float, annotation.DEFAULT_PATCH_HALFWIDTH_MM, help="half-width of the mask patch",
+          bound=annotation.RADIUS_BOUND),
+    Param("snap_radius_mm", float, annotation.SNAP_RADIUS_MM, help="search radius for the darkest voxel",
+          bound=annotation.SNAP_RADIUS_BOUND),
+    Param("shell_inner_mm", float, annotation.SHELL_INNER_MM, help="inner radius of the background shell",
+          bound=annotation.RADIUS_BOUND),
+    Param("shell_outer_mm", float, annotation.SHELL_OUTER_MM, help="outer radius of the background shell",
+          bound=annotation.RADIUS_BOUND),
 )
 def cmd_mask_synth(params: dict) -> list[Path]:
+    if params["shell_inner_mm"] >= params["shell_outer_mm"]:
+        raise ConfigError("mask-synth: shell_inner_mm must be below shell_outer_mm")
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     outputs = []
@@ -410,20 +429,25 @@ def cmd_augment(params: dict) -> list[Path]:
     OUT,
     Param("segmenter", str, "reference", choices=("oracle", "reference", "external"), help="slice segmenter"),
     Param("gt_dir", str, help="oracle: directory of ground-truth masks"),
-    Param("corruption_rate", float, 0.0, help="oracle: share of pixels flipped"),
+    Param("corruption_rate", float, 0.0, help="oracle: share of pixels flipped", bound=segmenter.CORRUPTION_RATE_BOUND),
     Param("oracle_seed", int, 0, help="oracle: corruption seed"),
-    Param("scale_min_mm", float, ReferenceConfig.scale_min_mm, help="reference: inner band-pass scale"),
-    Param("scale_max_mm", float, ReferenceConfig.scale_max_mm, help="reference: outer band-pass scale"),
-    Param("darkness_weight", float, ReferenceConfig.darkness_weight, help="reference: weight of the band-pass score"),
-    Param("symmetry_weight", float, ReferenceConfig.symmetry_weight, help="reference: weight of the radial symmetry"),
-    Param("logistic_gain", float, ReferenceConfig.logistic_gain, help="reference: logistic gain"),
-    Param("score_offset", float, ReferenceConfig.score_offset, help="reference: logistic offset"),
+    Param("scale_min_mm", float, ReferenceConfig.scale_min_mm, help="reference: inner band-pass scale",
+          bound=REFERENCE_BOUNDS["scale_min_mm"]),
+    Param("scale_max_mm", float, ReferenceConfig.scale_max_mm, help="reference: outer band-pass scale",
+          bound=REFERENCE_BOUNDS["scale_max_mm"]),
+    Param("symmetry_weight", float, ReferenceConfig.symmetry_weight, help="reference: weight of the radial symmetry",
+          bound=REFERENCE_BOUNDS["symmetry_weight"]),
+    Param("logistic_gain", float, ReferenceConfig.logistic_gain, help="reference: logistic gain",
+          bound=REFERENCE_BOUNDS["logistic_gain"]),
+    Param("score_offset", float, ReferenceConfig.score_offset, help="reference: logistic offset",
+          bound=REFERENCE_BOUNDS["score_offset"]),
     Param("prob_dir", str, help="external: directory of <scan_id>_<view>.nii.gz probabilities"),
-    Param("lo_pct", float, 0.0, help="reference: intensity percentile mapped to 0"),
-    Param("hi_pct", float, 100.0, help="reference: intensity percentile mapped to 1"),
-    Param("gamma", float, 1.0, help="reference: contrast gamma"),
-    Param("target_dims", int, 256, help="cube edge for resampling non-cubic volumes"),
-    Param("target_spacing", float, 1.0, help="spacing in mm for resampling non-cubic volumes"),
+    Param("lo_pct", float, 0.0, help="reference: intensity percentile mapped to 0", bound=volume.PERCENTILE_BOUND),
+    Param("hi_pct", float, 100.0, help="reference: intensity percentile mapped to 1", bound=volume.PERCENTILE_BOUND),
+    Param("gamma", float, 1.0, help="reference: contrast gamma", bound=volume.GAMMA_BOUND),
+    Param("target_dims", int, 256, help="cube edge for resampling non-cubic volumes", bound="[1, inf)"),
+    Param("target_spacing", float, 1.0, help="spacing in mm for resampling non-cubic volumes",
+          bound=volume.SPACING_BOUND),
     JOBS,
 )
 def cmd_segment(params: dict) -> list[Path]:
@@ -431,12 +455,10 @@ def cmd_segment(params: dict) -> list[Path]:
     needed = {"oracle": "gt_dir", "external": "prob_dir"}.get(kind)
     if needed and not params[needed]:
         raise ConfigError(f"segment: --{needed.replace('_', '-')} is required for the {kind} segmenter")
-    # checked before any read, whichever segmenter uses them; the pixel spacing is set per scan
-    cfg = ReferenceConfig(**{f.name: params[f.name] for f in fields(ReferenceConfig) if f.name in params})
-    require_corruption_rate(params["corruption_rate"])
-    volume.require_percentile_window(params["lo_pct"], params["hi_pct"])
-    volume.require_gamma(params["gamma"])
-    volume.require_resample_target(params["target_spacing"], (params["target_dims"],) * 3)
+    if params["lo_pct"] >= params["hi_pct"]:
+        raise ConfigError("segment: lo_pct must be below hi_pct")
+    # the scale order is checked here, whichever segmenter the run uses
+    reference = ReferenceSegmenter(ReferenceConfig(**{f.name: params[f.name] for f in fields(ReferenceConfig)}))
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     outputs = []
@@ -451,8 +473,7 @@ def cmd_segment(params: dict) -> list[Path]:
             vol = volume.normalize_intensity(vol, params["lo_pct"], params["hi_pct"])
             if params["gamma"] != 1.0:
                 vol = volume.adjust_contrast(vol, params["gamma"])
-            scan_cfg = replace(cfg, pixel_spacing_mm=float(vol.spacing[0]))
-            segmenters = dict.fromkeys(VIEWS, ReferenceSegmenter(scan_cfg))
+            segmenters = dict.fromkeys(VIEWS, reference)
         else:
             prob_dir = Path(params["prob_dir"])
             segmenters = {
@@ -474,10 +495,9 @@ def cmd_segment(params: dict) -> list[Path]:
     MANIFEST,
     OUT,
     Param("prob_dir", str, required=True, help="directory of <scan_id>_<view>.nii.gz probabilities"),
-    Param("tau", float, 0.125, help="threshold on the fused probability (0.125 = 0.5^3)"),
+    Param("tau", float, 0.125, help="threshold on the fused probability (0.125 = 0.5^3)", bound=triplanar.TAU_BOUND),
 )
 def cmd_fuse(params: dict) -> list[Path]:
-    triplanar.require_tau(params["tau"])
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     outputs = []
@@ -504,7 +524,6 @@ def cmd_fuse(params: dict) -> list[Path]:
     MIN_SIZE,
 )
 def cmd_detect(params: dict) -> list[Path]:
-    detect.require_size_threshold(params["min_size"], "min_size")
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     det_path = out / "detections.jsonl"
@@ -528,11 +547,10 @@ def cmd_detect(params: dict) -> list[Path]:
     OUT,
     CONNECTIVITY,
     MIN_SIZE,
-    Param("match_dist", float, detect.DEFAULT_MATCH_DISTANCE_MM, help="largest centroid distance of a match in mm"),
+    Param("match_dist", float, detect.DEFAULT_MATCH_DISTANCE_MM, help="largest centroid distance of a match in mm",
+          bound=detect.MATCH_DISTANCE_BOUND),
 )
 def cmd_eval(params: dict) -> list[Path]:
-    detect.require_size_threshold(params["min_size"], "min_size")
-    detect.require_match_distance(params["match_dist"], "match_dist")
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
     per_scan = []
@@ -567,13 +585,13 @@ def cmd_eval(params: dict) -> list[Path]:
     DETECTIONS_A,
     DETECTIONS_B,
     OUT,
-    Param("size_filter", float, stats.DEFAULT_SIZE_FILTER_MM3, help="count only CMBs of at least this volume in mm^3"),
+    Param("size_filter", float, stats.DEFAULT_SIZE_FILTER_MM3, help="count only CMBs of at least this volume in mm^3",
+          bound=detect.SIZE_BOUND),
     ILLNESS,
     Param("alternative", str, "two_sided", choices=stats.ALTERNATIVES, help="alternative hypothesis"),
     Param("zero_method", str, "drop", choices=stats.ZERO_METHODS, help="Wilcoxon handling of zero differences"),
 )
 def cmd_compare_groups(params: dict) -> list[Path]:
-    detect.require_size_threshold(params["size_filter"], "size_filter")
     group_a, group_b = _read_groups(params)
     comparison = stats.compare_groups(
         group_a,
@@ -603,12 +621,13 @@ def cmd_compare_groups(params: dict) -> list[Path]:
     DETECTIONS_A,
     DETECTIONS_B,
     OUT,
-    Param("thresholds", list, [0.0, 1.0, 2.0, 3.0, 4.2, 5.0, 7.0, 10.0, 15.0, 20.0], help="mm^3 thresholds, ascending"),
+    Param("thresholds", list, [0.0, 1.0, 2.0, 3.0, 4.2, 5.0, 7.0, 10.0, 15.0, 20.0], help="mm^3 thresholds, ascending",
+          bound=detect.SIZE_BOUND),
     ILLNESS,
 )
 def cmd_sweep(params: dict) -> list[Path]:
-    for t in params["thresholds"]:
-        detect.require_size_threshold(t, "thresholds")
+    if sorted(params["thresholds"]) != params["thresholds"]:
+        raise ConfigError("sweep: thresholds must be ascending")
     group_a, group_b = _read_groups(params)
     rows = stats.size_sweep(group_a, group_b, params["thresholds"], params["illness_threshold"])
     out = Path(params["out"])
@@ -627,9 +646,12 @@ def cmd_sweep(params: dict) -> list[Path]:
     MANIFEST,
     OUT,
     SEED,
-    Param("fractions", list, [0.7, 0.1, 0.2], help="train, validation and test fractions summing to 1"),
+    Param("fractions", list, [0.7, 0.1, 0.2], help="train, validation and test fractions summing to 1",
+          bound=annotation.FRACTION_BOUND),
 )
 def cmd_partition(params: dict) -> list[Path]:
+    if len(params["fractions"]) != 3 or abs(sum(params["fractions"]) - 1.0) > 1e-9:
+        raise ConfigError("partition: fractions must be 3 values summing to 1")
     entries = scanio.read_manifest(params["manifest"])
     subjects = sorted({e.subject_id for e in entries})
     train, val, test = annotation.partition_subjects(subjects, params["seed"], params["fractions"])
@@ -659,12 +681,13 @@ def build_parser() -> _Parser:
         sub = subs.add_parser(name, help=cmd.help, description=cmd.help)
         sub.add_argument("--config", help="JSON run-config file; flags override its values")
         for p in cmd.params:
-            note = "required" if p.required else None if p.default is None else f"default: {p.default}"
+            default = "required" if p.required else None if p.default is None else f"default: {p.default}"
+            notes = ", ".join(note for note in (default, p.bound and f"in {p.bound}") if note)
             sub.add_argument(
                 p.flag,
                 dest=p.name,
                 metavar="{" + ",".join(map(str, p.choices)) + "}" if p.choices else None,
-                help=f"{p.help} ({note})" if note else p.help,
+                help=f"{p.help} ({notes})" if notes else p.help,
             )
     return parser
 
@@ -673,7 +696,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         params = _resolve(args)
-        with volume.threads(params.get("jobs")):  # a bad --jobs exits 1 here, before any read
+        with volume.threads(params.get("jobs")):
             out = Path(params["out"])
             out.mkdir(parents=True, exist_ok=True)
             outputs = COMMANDS[args.command].run(params)

@@ -12,17 +12,18 @@ Undefined values render as "NA" and never enter a mean.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .volume import LabelMask, _freeze, require_same_geometry
 
 DEFAULT_MIN_VOLUME_MM3 = 4.2  # minimum clinical CMB size (2 mm diameter sphere)
 DEFAULT_MATCH_DISTANCE_MM = 2.5  # radius of the largest "small" CMB
+SIZE_BOUND = "[0, inf)"  # of a size threshold in mm^3; NaN would silently keep nothing
+MATCH_DISTANCE_BOUND = "[0, inf)"  # mm; NaN would silently match nothing
 NA = "NA"
 
 
@@ -204,22 +205,10 @@ def connected_components(m: LabelMask, connectivity: int = 26) -> Detections:
     return _label(m, connectivity)[0]
 
 
-def require_size_threshold(value: float, name: str = "min_volume_mm3") -> None:
-    """A size threshold in mm^3 must be finite and non-negative: NaN would silently keep nothing."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-
-
 def filter_by_size(dets: Detections, min_volume_mm3: float = DEFAULT_MIN_VOLUME_MM3) -> Detections:
     """Keep components at least as large as the minimum clinical size."""
-    require_size_threshold(min_volume_mm3)
+    require(min_volume_mm3, SIZE_BOUND, "min_volume_mm3")
     return dets.select(dets.volume_mm3 >= min_volume_mm3)
-
-
-def require_match_distance(value: float, name: str = "max_dist_mm") -> None:
-    """A match distance in mm must be finite and non-negative: NaN would silently match nothing."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -243,7 +232,7 @@ def match_detections(
     distance go to the smaller prediction id, then the smaller ground-truth
     id. Unmatched predictions count as FP, unmatched ground truth as FN.
     """
-    require_match_distance(max_dist_mm)
+    require(max_dist_mm, MATCH_DISTANCE_BOUND, "max_dist_mm")
     pred_xyz, pred_ids = pred.centroid_mm, pred.ids
     gt_xyz, gt_ids = gt_components.centroid_mm, gt_components.ids
     n_gt = len(gt_ids)
@@ -321,8 +310,8 @@ def evaluate_scan(
     and ground-truth ``Detections``.
     """
     require_same_geometry(pred_mask, gt_mask, "prediction and ground-truth masks")
-    require_match_distance(max_dist_mm)
-    require_size_threshold(min_volume_mm3)
+    require(max_dist_mm, MATCH_DISTANCE_BOUND, "max_dist_mm")
+    require(min_volume_mm3, SIZE_BOUND, "min_volume_mm3")
     pred, pred_fg, pred_ids = _label(pred_mask, connectivity)
     gt, gt_fg, gt_ids = _label(gt_mask, connectivity)
     shared, in_pred, in_gt = np.intersect1d(pred_fg, gt_fg, assume_unique=True, return_indices=True)

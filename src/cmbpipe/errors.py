@@ -2,7 +2,10 @@
 
 The CLI maps these onto exit codes: configuration problems exit 1, data
 problems exit 2, anything else (broken internal invariants) exits 3.
+:func:`require` is the one check of a parameter against an interval.
 """
+
+import math
 
 
 class CMBPipeError(Exception):
@@ -11,6 +14,19 @@ class CMBPipeError(Exception):
 
 class ConfigError(CMBPipeError):
     """Invalid configuration or parameters (CLI exit code 1)."""
+
+
+def require(value, bound: str, name: str):
+    """``value`` if it is a finite number in ``bound``, an interval such as "[0, inf)" or "(0, 1]".
+
+    Else a :class:`ConfigError` names the parameter ``name`` and the bound.
+    """
+    lo, hi = (float(end) for end in bound[1:-1].split(","))
+    above = lo < value if bound[0] == "(" else lo <= value
+    below = value < hi if bound[-1] == ")" else value <= hi
+    if not (above and below and (isinstance(value, int) or math.isfinite(value))):
+        raise ConfigError(f"{name} must lie in {bound}, got {value!r}")
+    return value
 
 
 class DataError(CMBPipeError):

@@ -15,14 +15,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import PhantomSpecError
+from .errors import PhantomSpecError, require
 from .rng import derive_rng
 from .scanio import Acquisition, ScanManifestEntry
-from .volume import LabelMask, Volume3D, WorldPoint, plane_blocks
+from .volume import SPACING_BOUND, LabelMask, Volume3D, WorldPoint, plane_blocks
 
 DIAMETER_RANGE_MM = (2.0, 10.0)  # clinical CMB size range
 MIN_CMB_SEPARATION_MM = 4.0  # surface-to-surface
 ALPHA_GT_THRESHOLD = 0.65
+CONTRAST_BOUND = "(0, 1]"  # fractional dip depth
+BACKGROUND_BOUNDS = {"base": "(-inf, inf)", "smooth_amplitude": "[0, inf)", "noise_sigma": "[0, inf)"}
 
 # alpha(r) = exp(-r^2 / (2 sigma^2)) for the planted profile, so the
 # alpha > t isosurface is the sphere r < sigma * sqrt(2 ln(1/t)).
@@ -43,7 +45,7 @@ def gt_radius_mm(diameter_mm: float) -> float:
 class CMBSpec:
     center: WorldPoint
     diameter_mm: float
-    contrast: float  # fractional dip depth in (0, 1]
+    contrast: float  # fractional dip depth in CONTRAST_BOUND
 
 
 @dataclass(frozen=True)
@@ -89,20 +91,16 @@ def _segment_point_distance(p0: np.ndarray, p1: np.ndarray, x: np.ndarray) -> fl
 def validate_spec(spec: PhantomSpec) -> None:
     if len(spec.dims) != 3 or min(spec.dims) < 1:
         raise PhantomSpecError(f"dims must be 3 positive integers, got {spec.dims}")
-    if not (math.isfinite(spec.spacing) and spec.spacing > 0):
-        raise PhantomSpecError(f"spacing must be finite and positive, got {spec.spacing}")
-    for name, low in (("base", -math.inf), ("smooth_amplitude", 0.0), ("noise_sigma", 0.0)):
-        value = getattr(spec.background, name)
-        if not (math.isfinite(value) and value >= low):
-            raise PhantomSpecError(f"{name} must be finite{'' if low < 0 else ' and non-negative'}, got {value}")
+    require(spec.spacing, SPACING_BOUND, "spacing")
+    for name, bound in BACKGROUND_BOUNDS.items():
+        require(getattr(spec.background, name), bound, name)
     extent = np.asarray(spec.dims) * spec.spacing
     for idx, cmb in enumerate(spec.cmbs):
         if not (DIAMETER_RANGE_MM[0] <= cmb.diameter_mm <= DIAMETER_RANGE_MM[1]):
             raise PhantomSpecError(
                 f"cmb {idx}: diameter {cmb.diameter_mm} mm outside the clinical range {DIAMETER_RANGE_MM}"
             )
-        if not (0.0 < cmb.contrast <= 1.0):
-            raise PhantomSpecError(f"cmb {idx}: contrast {cmb.contrast} outside (0, 1]")
+        require(cmb.contrast, CONTRAST_BOUND, f"cmb {idx}: contrast")
         if np.any(np.asarray(cmb.center) < 0) or np.any(np.asarray(cmb.center) > extent):
             raise PhantomSpecError(f"cmb {idx}: center {tuple(cmb.center)} outside the volume")
     for i, a in enumerate(spec.cmbs):

@@ -13,14 +13,12 @@ pipeline.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from . import volume
-from .errors import ConfigError, GeometryMismatchError, RejectedInputError
+from .errors import ConfigError, GeometryMismatchError, RejectedInputError, require
 from .rng import derive_rng
 from .triplanar import VIEW_AXIS, map_plane_blocks
 from .volume import LabelMask, ProbabilityVolume, Volume3D
@@ -31,41 +29,28 @@ from .volume import LabelMask, ProbabilityVolume, Volume3D
 # below the 0.5 that would put fused background at the 0.125 threshold.
 DEFAULT_LOGISTIC_GAIN = 40.0
 DEFAULT_SCORE_OFFSET = 0.05
-DEFAULT_DARKNESS_WEIGHT = 1.0
 DEFAULT_SYMMETRY_WEIGHT = 1.0
 SYMMETRY_RADII_MM = (1.0, 2.0, 3.0, 4.0, 5.0)
+CORRUPTION_RATE_BOUND = "[0, 1)"
+REFERENCE_BOUNDS = {  # each ReferenceConfig field's bound; the scales must also be in order
+    "scale_min_mm": "(0, inf)", "scale_max_mm": "(0, inf)", "symmetry_weight": "(-inf, inf)",
+    "logistic_gain": "(0, inf)", "score_offset": "[0, inf)",
+}
 
 
 @dataclass(frozen=True)
 class ReferenceConfig:
     scale_min_mm: float = 1.0
     scale_max_mm: float = 4.0
-    darkness_weight: float = DEFAULT_DARKNESS_WEIGHT
     symmetry_weight: float = DEFAULT_SYMMETRY_WEIGHT
     logistic_gain: float = DEFAULT_LOGISTIC_GAIN
     score_offset: float = DEFAULT_SCORE_OFFSET
-    pixel_spacing_mm: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if not (0.0 < self.scale_min_mm < self.scale_max_mm):
-            raise ConfigError(
-                f"need 0 < scale_min < scale_max, got ({self.scale_min_mm}, {self.scale_max_mm})"
-            )
-        if self.score_offset < 0:
-            raise ConfigError("score_offset must be non-negative")
-        if self.pixel_spacing_mm <= 0:
-            raise ConfigError("pixel_spacing_mm must be positive")
-        if self.logistic_gain <= 0:
-            raise ConfigError(f"logistic_gain must be positive, got {self.logistic_gain}")
-
-
-def require_corruption_rate(rate: float) -> None:
-    if not (0.0 <= rate < 1.0):
-        raise ConfigError(f"corruption_rate must be in [0, 1), got {rate}")
+        for name, bound in REFERENCE_BOUNDS.items():
+            require(getattr(self, name), bound, name)
+        if self.scale_min_mm >= self.scale_max_mm:
+            raise ConfigError(f"need scale_min_mm < scale_max_mm, got ({self.scale_min_mm}, {self.scale_max_mm})")
 
 
 class OracleSegmenter:
@@ -76,7 +61,7 @@ class OracleSegmenter:
     """
 
     def __init__(self, gt: LabelMask, corruption_rate: float = 0.0, seed: int = 0):
-        require_corruption_rate(corruption_rate)
+        require(corruption_rate, CORRUPTION_RATE_BOUND, "corruption_rate")
         self.gt = gt
         self.corruption_rate = corruption_rate
         self.seed = seed
@@ -161,15 +146,15 @@ def _radial_symmetry(planes: np.ndarray, radii_px) -> np.ndarray:
 class ReferenceSegmenter:
     """Deterministic classical detector of dark round blobs.
 
-    Score = darkness_weight * band-pass hypointensity (difference of two
-    in-plane smoothings, sign-flipped so dark scores high) +
-    symmetry_weight * radial-symmetry response over 1-5 mm radii, mapped
-    through a logistic centered at ``score_offset`` so featureless
-    background lands well below 0.5 and cannot ride the fusion threshold.
-    Inverting the image maps the score to its negative about zero, so
-    bright blobs score symmetrically low. Every plane of the view is scored
-    on its own, and the threads of :func:`volume.run_blocks` share the
-    view's blocks of planes.
+    Score = band-pass hypointensity (difference of two in-plane
+    smoothings, sign-flipped so dark scores high) + symmetry_weight *
+    radial-symmetry response over 1-5 mm radii, mapped through a logistic
+    centered at ``score_offset`` so featureless background lands well below
+    0.5 and cannot ride the fusion threshold. Inverting the image maps the
+    score to its negative about zero, so bright blobs score symmetrically
+    low. The scales and radii are converted to pixels with the volume's
+    own spacing. Every plane of the view is scored on its own, and the
+    threads of :func:`volume.run_blocks` share the view's blocks of planes.
     """
 
     def __init__(self, cfg: ReferenceConfig = ReferenceConfig()):
@@ -179,19 +164,19 @@ class ReferenceSegmenter:
         lo, hi = float(v.intensities.min()), float(v.intensities.max())
         if lo < 0.0 or hi > 1.0:
             raise RejectedInputError(f"reference segmenter needs intensities in [0, 1], got [{lo}, {hi}]")
-        plane_size = v.intensities.size // v.dims[VIEW_AXIS[view]]
-        return map_plane_blocks(self._probability, v, view, max(volume.POOL_BLOCK_VOXELS // plane_size, 1))
+        px = float(v.spacing[0])  # segment_view passes only isotropic cubes
+        return map_plane_blocks(lambda planes: self._probability(planes, px), v, view)
 
-    def _probability(self, planes: np.ndarray, start: int) -> np.ndarray:
+    def _probability(self, planes: np.ndarray, px: float) -> np.ndarray:
+        """Probabilities of a ``(b, h, w)`` block of planes of ``px`` mm pixels."""
         cfg = self.cfg
         planes = np.ascontiguousarray(planes)
-        px = cfg.pixel_spacing_mm
         # the symmetry map first, so its peak working set is not stacked on the band-pass
         score = _radial_symmetry(planes, [max(r / px, 1.0) for r in SYMMETRY_RADII_MM])
         score *= cfg.symmetry_weight
         band = _smooth(planes, cfg.scale_max_mm / px)
         band -= _smooth(planes, cfg.scale_min_mm / px)
-        score += np.multiply(band, cfg.darkness_weight, out=band)
+        score += band
         # 1 / (1 + exp(-gain * (score - offset))), in place
         score -= cfg.score_offset
         score *= -cfg.logistic_gain

@@ -17,19 +17,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detect import format_table, require_size_threshold
-
+from .detect import SIZE_BOUND, format_table
 from .errors import (
     ConfigError,
     DegenerateContingencyWarning,
     DegenerateTestError,
     PairingMismatchWarning,
+    require,
 )
 
 ALTERNATIVES = ("two_sided", "greater", "less")
 ZERO_METHODS = ("drop", "pratt")
 DEFAULT_SIZE_FILTER_MM3 = 4.2
 DEFAULT_ILLNESS_THRESHOLD = 5  # scans with >= 5 CMBs count as diseased
+ILLNESS_THRESHOLD_BOUND = "[1, inf)"  # at 0 every scan would count as diseased
 EXACT_WILCOXON_MAX_N = 20
 
 
@@ -242,12 +243,13 @@ class GroupComparison:
 
 def count_filtered(detections_per_scan, size_filter_mm3: float) -> list[int]:
     """CMBs per scan after the clinical size filter."""
-    require_size_threshold(size_filter_mm3, "size_filter_mm3")
+    require(size_filter_mm3, SIZE_BOUND, "size_filter_mm3")
     return [int(np.count_nonzero(dets.volume_mm3 >= size_filter_mm3)) for dets in detections_per_scan]
 
 
 def _illness_table(counts_a, counts_b, illness_threshold: int) -> Contingency2x2:
     """Scans per group with >= / < ``illness_threshold`` CMBs."""
+    require(illness_threshold, ILLNESS_THRESHOLD_BOUND, "illness_threshold")
     a_ge = sum(1 for c in counts_a if c >= illness_threshold)
     b_ge = sum(1 for c in counts_b if c >= illness_threshold)
     return Contingency2x2(a_ge, len(counts_a) - a_ge, b_ge, len(counts_b) - b_ge)
@@ -334,7 +336,7 @@ def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_IL
     """Group CMB frequency and Fisher significance per size-filter threshold."""
     thresholds = [float(t) for t in thresholds]
     for t in thresholds:
-        require_size_threshold(t, "thresholds")
+        require(t, SIZE_BOUND, "thresholds")
     if sorted(thresholds) != thresholds:
         raise ConfigError("thresholds must be sorted ascending")
     rows = []

@@ -16,11 +16,13 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import ConfigError, RejectedInputError
+from . import volume
+from .errors import ConfigError, RejectedInputError, require
 from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, require_same_geometry, run_blocks
 
 VIEWS = ("axial", "sagittal", "coronal")
 VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
+TAU_BOUND = "(0, 1)"
 
 
 def _require_view(view: str) -> int:
@@ -86,14 +88,9 @@ def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: Probabi
     return ProbabilityVolume(fused, p_ax.spacing, p_ax.origin)
 
 
-def require_tau(tau: float) -> None:
-    if not (0.0 < tau < 1.0):
-        raise ConfigError(f"tau must be in (0, 1), got {tau}")
-
-
 def binarize_fused(p: ProbabilityVolume, tau: float = 0.125) -> LabelMask:
     """Label voxels with fused probability strictly above tau (default 0.5^3)."""
-    require_tau(tau)
+    require(tau, TAU_BOUND, "tau")
     return LabelMask(np.greater(p.values, tau).view(np.uint8), p.spacing, p.origin)
 
 
@@ -113,25 +110,23 @@ class SliceSegmenter(Protocol):
         ...
 
 
-def map_plane_blocks(fn, v: Volume3D, view: str, planes_per_block: int) -> np.ndarray:
+def map_plane_blocks(fn, v: Volume3D, view: str) -> np.ndarray:
     """Float32 volume, in ``v``'s layout, of ``fn`` applied to consecutive blocks of a view's planes.
 
-    ``fn(planes, start)`` gets planes ``start, start + 1, ...`` of the view as
-    one ``(b, H, W)`` array, plane axis first, and returns values of that
-    shape, which are written straight into one preallocated output. The
-    blocks are shared by the threads of :func:`volume.run_blocks`. Each
-    block writes only its own planes, so the output is the same for any
-    thread count.
+    ``fn(planes)`` gets a block of the view's planes, about
+    ``volume.POOL_BLOCK_VOXELS`` voxels, as one ``(b, H, W)`` array, plane
+    axis first, and returns values of that shape, which are written straight
+    into one preallocated output. The blocks are shared by the threads of
+    :func:`volume.run_blocks`. Each block writes only its own planes, so the
+    output is the same for any thread count.
     """
     axis = _require_view(view)
-    src = np.moveaxis(v.intensities, axis, 0)
     out = np.empty(v.dims, dtype=np.float32)
-    dst = np.moveaxis(out, axis, 0)
 
-    def one_block(start: int) -> None:
-        dst[start : start + planes_per_block] = fn(src[start : start + planes_per_block], start)
+    def one_block(b: tuple) -> None:
+        np.moveaxis(out[b], axis, 0)[...] = fn(np.moveaxis(v.intensities[b], axis, 0))
 
-    run_blocks(one_block, range(0, len(src), planes_per_block))
+    run_blocks(one_block, plane_blocks(v.dims, axis, volume.POOL_BLOCK_VOXELS))
     return out
 
 

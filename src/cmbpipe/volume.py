@@ -26,9 +26,14 @@ from .errors import (
     DegenerateNormalizationWarning,
     GeometryMismatchError,
     RejectedInputError,
+    require,
 )
 
 Triple = tuple[float, float, float]
+
+SPACING_BOUND = "(0, inf)"  # mm
+PERCENTILE_BOUND = "[0, 100]"
+GAMMA_BOUND = "(0, inf)"
 
 # Whole-volume elementwise passes (fusion, phantom noise) run on blocks of
 # axis-0 planes of about this many voxels, 2 MiB of float64: on a 2-vCPU VM
@@ -75,6 +80,7 @@ def plane_blocks(shape: tuple[int, ...], axis: int = 0, voxels: int | None = Non
 POOL_BLOCK_VOXELS = 1 << 15
 
 _THREADS: ContextVar[int | None] = ContextVar("threads", default=None)  # None: one per CPU
+THREADS_BOUND = "[1, inf)"
 
 
 def thread_count() -> int:
@@ -93,8 +99,8 @@ def threads(n: int | None):
     elsewhere keeps its own. The previous setting comes back on exit, also
     on an error. Outputs do not depend on the setting.
     """
-    if n is not None and n < 1:
-        raise ConfigError(f"thread count must be >= 1, got {n}")
+    if n is not None:
+        require(n, THREADS_BOUND, "thread count")
     token = _THREADS.set(n)
     try:
         yield
@@ -302,16 +308,6 @@ def _interp_axis(arr: np.ndarray, positions: np.ndarray, axis: int, fill: float)
     return np.where(mask, fill, out)
 
 
-def require_resample_target(target_spacing: float, target_dims) -> tuple[int, int, int]:
-    """The target grid of :func:`resample_isotropic`: a finite positive spacing and 3 positive integer dims."""
-    if not np.isfinite(target_spacing) or target_spacing <= 0:
-        raise ConfigError(f"target_spacing must be positive, got {target_spacing}")
-    target_dims = tuple(int(d) for d in target_dims)
-    if len(target_dims) != 3 or any(d < 1 for d in target_dims):
-        raise ConfigError(f"target_dims must be 3 positive integers, got {target_dims}")
-    return target_dims
-
-
 def resample_isotropic(
     v: Volume3D,
     target_spacing: float = 1.0,
@@ -325,7 +321,10 @@ def resample_isotropic(
     input minimum (SWI background is dark; filling with anything darker
     would fabricate CMB-like rims).
     """
-    target_dims = require_resample_target(target_spacing, target_dims)
+    require(target_spacing, SPACING_BOUND, "target_spacing")
+    target_dims = tuple(int(d) for d in target_dims)
+    if len(target_dims) != 3 or any(d < 1 for d in target_dims):
+        raise ConfigError(f"target_dims must be 3 positive integers, got {target_dims}")
     in_dims = np.asarray(v.dims, dtype=np.float64)
     in_spacing = np.asarray(v.spacing)
     center = np.asarray(v.origin) + (in_dims - 1.0) * in_spacing / 2.0
@@ -341,18 +340,16 @@ def resample_isotropic(
     return Volume3D(arr, (target_spacing,) * 3, tuple(float(o) for o in out_origin))
 
 
-def require_percentile_window(lo_pct: float, hi_pct: float) -> None:
-    if not (0.0 <= lo_pct < hi_pct <= 100.0):
-        raise ConfigError(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
-
-
 def normalize_intensity(v: Volume3D, lo_pct: float = 1.0, hi_pct: float = 99.0) -> Volume3D:
     """Clamp to the [lo_pct, hi_pct] percentile window and map affinely to [0, 1].
 
     A collapsed window (constant volume) returns all zeros and emits a
     :class:`DegenerateNormalizationWarning`.
     """
-    require_percentile_window(lo_pct, hi_pct)
+    require(lo_pct, PERCENTILE_BOUND, "lo_pct")
+    require(hi_pct, PERCENTILE_BOUND, "hi_pct")
+    if lo_pct >= hi_pct:
+        raise ConfigError(f"need lo_pct < hi_pct, got ({lo_pct}, {hi_pct})")
     p_lo, p_hi = np.percentile(v.intensities, [lo_pct, hi_pct])
     if p_hi <= p_lo:
         warnings.warn(
@@ -365,14 +362,9 @@ def normalize_intensity(v: Volume3D, lo_pct: float = 1.0, hi_pct: float = 99.0) 
     return v.with_intensities(out)
 
 
-def require_gamma(gamma: float) -> None:
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
-
-
 def adjust_contrast(v: Volume3D, gamma: float) -> Volume3D:
     """Gamma contrast adjustment: per-voxel ``x -> x**gamma`` on [0, 1] intensities."""
-    require_gamma(gamma)
+    require(gamma, GAMMA_BOUND, "gamma")
     lo, hi = float(v.intensities.min()), float(v.intensities.max())
     if lo < 0.0 or hi > 1.0:
         raise RejectedInputError(f"adjust_contrast needs intensities in [0, 1], got [{lo}, {hi}]")

@@ -190,15 +190,14 @@ def radial_symmetry_oracle(plane, radii_px):
     return acc / len(radii_px)
 
 
-def reference_plane_oracle(plane, cfg, radii_mm=(1.0, 2.0, 3.0, 4.0, 5.0)):
-    """The reference segmenter's probability for one plane, computed on that plane alone."""
+def reference_plane_oracle(plane, cfg, px=1.0, radii_mm=(1.0, 2.0, 3.0, 4.0, 5.0)):
+    """The reference segmenter's probability for one plane of ``px`` mm pixels, computed on that plane alone."""
     from scipy import ndimage
 
     plane = np.asarray(plane, dtype=np.float64)
-    px = cfg.pixel_spacing_mm
     band = ndimage.gaussian_filter(plane, cfg.scale_max_mm / px) - ndimage.gaussian_filter(plane, cfg.scale_min_mm / px)
     symmetry = radial_symmetry_oracle(plane, [max(r / px, 1.0) for r in radii_mm])
-    score = cfg.darkness_weight * band + cfg.symmetry_weight * symmetry
+    score = band + cfg.symmetry_weight * symmetry
     return 1.0 / (1.0 + np.exp(-cfg.logistic_gain * (score - cfg.score_offset)))
 
 

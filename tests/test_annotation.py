@@ -144,6 +144,37 @@ def clean_multi_phantom(seed):
     return generate_phantom(spec)
 
 
+class TestParameters:
+    """NaN and +-inf are outside every bound, so neither reaches the voxel arithmetic."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("field", ["alpha_threshold", "patch_halfwidth_mm"])
+    def test_annotation_rejects(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            CMBAnnotation(WorldPoint(1.0, 1.0, 1.0), **{field: bad})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"snap_radius_mm": float("nan")},
+            {"snap_radius_mm": -1.0},
+            {"shell_outer_mm": float("inf")},
+            {"shell_inner_mm": float("nan")},
+            {"shell_inner_mm": 7.0, "shell_outer_mm": 5.0},
+        ],
+        ids=lambda kwargs: " ".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_synthesize_mask_rejects(self, kwargs):
+        vol, center = radial_linear_cmb()
+        with pytest.raises(ConfigError):
+            synthesize_mask(vol, [CMBAnnotation(WorldPoint(*center))], **kwargs)
+
+    @pytest.mark.parametrize("fractions", [(0.7, float("nan"), 0.2), (1.5, -0.3, -0.2), (0.5, 0.5)])
+    def test_partition_rejects(self, fractions):
+        with pytest.raises(ConfigError):
+            partition_subjects([f"s{i}" for i in range(10)], 0, fractions)
+
+
 class TestPhantomLoopClosure:
     def test_mask_volume_within_one_shell_of_analytic(self):
         vol, gt, entry = clean_multi_phantom(seed=11)

@@ -17,6 +17,7 @@ from cmbpipe.augment import (
     rotate_volume,
 )
 from cmbpipe.errors import ConfigError, GeometryMismatchError
+from cmbpipe.rng import derive_rng
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
 from cmbpipe.volume import LabelMask, Volume3D, WorldPoint
 
@@ -323,6 +324,42 @@ class TestNoise:
         out = noise_add_mult(v, 0.01, 0.05, seed=3)
         # multiplicative part scales with intensity: std ~ sqrt((10*0.05)^2 + 0.01^2)
         assert out.intensities.std() == pytest.approx(np.hypot(10 * 0.05, 0.01), rel=0.1)
+
+    @pytest.mark.parametrize("sigma_add, sigma_mult", [(0.02, 0.05), (0.02, 0.0), (0.0, 0.05)])
+    def test_same_bytes_as_the_whole_volume_formula(self, rng, sigma_add, sigma_mult):
+        """Applied in each draw's buffer: the bytes of ``I * (1 + eps_mult) + eps_add`` from the same draws."""
+        v = Volume3D(rng.normal(100, 10, (24, 24, 24)))
+        draws = derive_rng(5, "noise")
+        want = v.intensities
+        if sigma_mult > 0:
+            want = want * (1.0 + draws.normal(0.0, sigma_mult, v.dims))
+        if sigma_add > 0:
+            want = want + draws.normal(0.0, sigma_add, v.dims)
+        assert_same_bytes(noise_add_mult(v, sigma_add, sigma_mult, seed=5).intensities, want)
+
+
+class TestTransformParameters:
+    """Every transform checks its numeric parameters against one interval each: NaN and +-inf are outside."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v, m, bad: elastic_deform(v, m, bad, 3.0),
+            lambda v, m, bad: elastic_deform(v, m, 32.0, bad),
+            lambda v, m, bad: bias_field(v, 3, bad),
+            lambda v, m, bad: blur_volume(v, bad),
+            lambda v, m, bad: motion_ghost(v, 2, bad),
+            lambda v, m, bad: gibbs_ringing(v, bad),
+            lambda v, m, bad: noise_add_mult(v, bad, 0.0),
+            lambda v, m, bad: noise_add_mult(v, 0.0, bad),
+        ],
+        ids=["control_spacing", "displacement", "bias_amplitude", "blur", "ghost_intensity", "retain", "add", "mult"],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_non_finite_or_negative_rejected(self, call, bad):
+        v = Volume3D(np.full((8, 8, 8), 10.0))
+        with pytest.raises(ConfigError):
+            call(v, LabelMask(np.zeros((8, 8, 8), dtype=np.uint8)), bad)
 
 
 class TestApplyAugmentation:

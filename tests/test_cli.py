@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -320,7 +321,73 @@ def write_config(tmp_path, cfg):
     return path
 
 
+MISSING = "<missing>"  # stands for a path that does not exist
+
+
+def outside(p):
+    """Flag texts of values just outside ``p.bound`` at each finite end, plus NaN and +-inf for a float."""
+    lo, hi = (float(end) for end in p.bound[1:-1].split(","))
+    values = [] if p.type is int else [math.nan, -math.inf, math.inf]
+    if math.isfinite(lo):
+        values.append(lo if p.bound[0] == "(" else lo - 1 if p.type is int else np.nextafter(lo, -math.inf))
+    if math.isfinite(hi):
+        values.append(hi if p.bound[-1] == ")" else hi + 1 if p.type is int else np.nextafter(hi, math.inf))
+    values = [int(x) if p.type is int else float(x) for x in values]
+    return [json.dumps({"DS1": x}) if p.type is dict else repr(x) for x in values]
+
+
+def bound_cases():
+    """A case per value just outside the bound of each bounded parameter of each command."""
+    for command, cmd in COMMANDS.items():
+        for p in cmd.params:
+            for text in outside(p) if p.bound else ():
+                yield command, (p.flag, text), True
+
+
+# The cases of the per-command checks that the walk replaced, then rules that relate two values. Each
+# command checks those at its top: after the output directory is made, before any read.
+MORE_CASES = [
+    ("fuse", ("--tau", "2"), True),
+    ("segment", ("--segmenter", "oracle", "--gt-dir", MISSING, "--corruption-rate", "2"), True),
+    ("segment", ("--logistic-gain", "-40"), True),
+    ("segment", ("--jobs", "-1"), True),
+    ("augment", ("--jobs", "-1"), True),
+    ("sweep", ("--thresholds", "0,nan"), True),
+    ("sweep", ("--thresholds", "0,inf"), True),
+    ("phantom", ("--count", "0", "--dims", "-5"), True),
+    ("mask-synth", ("--alpha-threshold", "2"), True),
+    ("mask-synth", ("--snap-radius-mm", "-1"), True),
+    ("compare-groups", ("--illness-threshold", "-3"), True),
+    ("segment", ("--lo-pct", "50", "--hi-pct", "10"), False),
+    ("segment", ("--scale-min-mm", "4", "--scale-max-mm", "1"), False),
+    ("segment", ("--segmenter", "oracle"), False),
+    ("segment", ("--segmenter", "external"), False),
+    ("mask-synth", ("--shell-inner-mm", "7", "--shell-outer-mm", "5"), False),
+    ("sweep", ("--thresholds", "5,1"), False),
+    ("partition", ("--fractions", "0.5,0.6"), False),
+    ("partition", ("--fractions", "0.5,0.5"), False),
+    ("phantom", ("--n-cmbs-min", "5", "--n-cmbs-max", "2"), False),
+    ("phantom", ("--diameter-min", "9", "--diameter-max", "5"), False),
+    ("phantom", ("--count", "0", "--contrast-min", "0.8", "--contrast-max", "0.6"), False),
+]
+
+
 class TestConfigAndErrors:
+    @pytest.mark.parametrize(
+        "command, flags, bounded",
+        [pytest.param(*case, id=" ".join((case[0], *case[1]))) for case in (*bound_cases(), *MORE_CASES)],
+    )
+    def test_bad_value_exit_1_before_any_read(self, tmp_path, command, flags, bounded):
+        """A bad value exits 1 with every input missing (a read would exit 2) and leaves nothing in --out.
+
+        A value out of its bound is found before the output directory is made.
+        """
+        inputs = [arg for p in COMMANDS[command].params if p.required and p.name != "out" for arg in (p.flag, MISSING)]
+        args = [tmp_path / "missing" if arg == MISSING else arg for arg in (*inputs, *flags)]
+        out = tmp_path / "out"
+        assert run(command, *args, "--out", out) == 1
+        assert not out.exists() if bounded else not any(out.iterdir())
+
     def test_usage_error_exit_1(self, capsys):
         assert run("segment") == 1  # missing required params
 
@@ -371,57 +438,6 @@ class TestConfigAndErrors:
             )
             assert code == 1
 
-    def test_bad_match_distance_exit_1_before_reading(self, tmp_path):
-        """NaN would match nothing; the distance is checked before any input is read (else 2) or output written."""
-        data = make_phantom_data(tmp_path, count=1, dims=16)
-        out = tmp_path / "out"
-        code = run(
-            "eval",
-            "--manifest", data / "manifest.jsonl",
-            "--pred-dir", tmp_path / "missing",
-            "--gt-dir", data / "gt_masks",
-            "--out", out,
-            "--match-dist", "nan",
-        )
-        assert code == 1
-        assert not any(out.iterdir())
-
-    @pytest.mark.parametrize(
-        "command, flags",
-        [
-            ("fuse", ("--tau", 2)),
-            ("fuse", ("--tau", "nan")),
-            ("segment", ("--segmenter", "oracle", "--gt-dir", "missing", "--corruption-rate", 2)),
-            ("segment", ("--gamma", 0)),
-            ("segment", ("--lo-pct", 50, "--hi-pct", 10)),
-            ("segment", ("--target-spacing", 0)),
-            ("segment", ("--target-dims", 0)),
-        ],
-        ids=lambda value: value if isinstance(value, str) else " ".join(map(str, value)),
-    )
-    def test_bad_fuse_or_segment_parameter_exit_1_before_reading(self, tmp_path, command, flags):
-        """Each parameter is checked before the manifest is read (else 2) or any output is written."""
-        out = tmp_path / "out"
-        inputs = ("--prob-dir", tmp_path / "missing") if command == "fuse" else ()
-        assert run(command, "--manifest", tmp_path / "missing.jsonl", *inputs, "--out", out, *flags) == 1
-        assert not any(out.iterdir())
-
-    def test_bad_reference_parameter_exit_1(self, tmp_path):
-        data = make_phantom_data(tmp_path, count=1, dims=16)
-        empty = tmp_path / "empty.jsonl"  # no scan: the parameters are checked before any volume is read
-        empty.write_text("")
-        for flag, bad in (
-            ("--score-offset", "nan"),
-            ("--logistic-gain", "nan"),
-            ("--scale-max-mm", "inf"),
-            ("--darkness-weight", "inf"),
-            ("--logistic-gain", "-40"),
-        ):
-            for manifest in (data / "manifest.jsonl", empty):
-                out = tmp_path / f"out{flag}{bad}{manifest.stem}"
-                assert run("segment", "--manifest", manifest, "--out", out, flag, bad) == 1
-                assert not (out / "prob").exists()
-
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"phantom": {"count": 3, "dims": 24, "noise_sigma": 0.0}}))
@@ -465,17 +481,6 @@ class TestConfigAndErrors:
     def test_ill_typed_config_value_exit_1(self, tmp_path, section):
         cfg = write_config(tmp_path, {"phantom": {"dims": 12, **section}})
         assert run("phantom", "--config", cfg, "--out", tmp_path / "out") == 1
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    @pytest.mark.parametrize(
-        "command, inputs", [("segment", ()), ("augment", ("--masks-dir",))], ids=["segment", "augment"]
-    )
-    def test_bad_jobs_exit_1_before_reading(self, tmp_path, command, inputs, jobs):
-        """--jobs is checked before the manifest is read (else 2) or the output directory is made."""
-        out = tmp_path / "out"
-        flags = [arg for flag in ("--manifest", *inputs) for arg in (flag, tmp_path / "missing")]
-        assert run(command, *flags, "--out", out, "--jobs", jobs) == 1
-        assert not out.exists()
 
     def test_segment_bytes_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
         """Reference `segment` writes the same bytes with every CPU, --jobs 1 and --jobs 2."""
@@ -522,36 +527,18 @@ class TestConfigAndErrors:
             ("detect", "connectivity", 8, ("--manifest", "--masks-dir")),
             ("compare-groups", "alternative", "sideways", ("--detections-a", "--detections-b")),
             ("compare-groups", "zero_method", "wilcox", ("--detections-a", "--detections-b")),
+            ("eval", "match_dist", -1.0, ("--manifest", "--pred-dir", "--gt-dir")),
+            ("mask-synth", "alpha_by_tag", {"DS1": 0.5, "DS2": 1.5}, ("--manifest",)),
+            ("sweep", "thresholds", [0.0, -4.2], ("--detections-a", "--detections-b")),
         ],
     )
-    def test_config_choices_checked_before_data(self, tmp_path, command, key, value, inputs):
-        """A value outside the choices is a config error (1), found before the missing inputs (2)."""
+    def test_config_choices_and_bounds_checked_before_data(self, tmp_path, command, key, value, inputs):
+        """A config value outside the choices or its bound is a config error (1), found before the missing inputs (2)."""
         cfg = write_config(tmp_path, {command: {key: value}})
         flags = [arg for flag in inputs for arg in (flag, tmp_path / "missing.jsonl")]
-        assert run(command, "--config", cfg, "--out", tmp_path / "out", *flags) == 1
-
-
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    @pytest.mark.parametrize("command", ["detect", "eval", "compare-groups", "sweep"])
-    def test_bad_size_threshold_exit_1_before_reading(self, tmp_path, command, bad):
-        """NaN would keep no component; the threshold is checked before any input is read (else 2) or output written."""
-        data = make_phantom_data(tmp_path, count=1, dims=24)
-        manifest, masks = data / "manifest.jsonl", data / "gt_masks"
-        assert run("detect", "--manifest", manifest, "--masks-dir", masks, "--out", tmp_path / "det") == 0
-        found = tmp_path / "det" / "detections.jsonl"
-        assert json.loads(found.read_text())["detections"]
-        detections = {"--detections-a": found, "--detections-b": found}
-        args = {
-            "detect": ({"--manifest": manifest, "--masks-dir": masks}, "--min-size", bad),
-            "eval": ({"--manifest": manifest, "--pred-dir": masks, "--gt-dir": masks}, "--min-size", bad),
-            "compare-groups": (detections, "--size-filter", bad),
-            "sweep": (detections, "--thresholds", f"0,{bad}"),
-        }
-        inputs, *threshold = args[command]
-        for paths in (inputs, dict.fromkeys(inputs, tmp_path / "missing.jsonl")):
-            out = tmp_path / "out"
-            assert run(command, *(a for item in paths.items() for a in item), *threshold, "--out", out) == 1
-            assert not any(out.iterdir())
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", out, *flags) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["compare-groups", "sweep"])
     @pytest.mark.parametrize(
@@ -631,8 +618,12 @@ def test_readme_documents_every_spec_key():
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_help_lists_every_parameter(command, capsys):
+    """Each flag, and each bound beside the default."""
     with pytest.raises(SystemExit):
         main([command, "--help"])
-    text = capsys.readouterr().out
+    text = " ".join(capsys.readouterr().out.split())
     for p in COMMANDS[command].params:
         assert p.flag in text
+        if p.bound:
+            default = "" if p.default is None else f"default: {p.default}, "
+            assert f"{default}in {p.bound})" in text

@@ -1,0 +1,32 @@
+"""The one interval check, ``errors.require``."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cmbpipe.errors import ConfigError, require
+
+
+@pytest.mark.parametrize(
+    "bound, inside, outside",
+    [
+        ("[0, inf)", [0, 0.0, 5e-324, 1e308, 10**400], [-5e-324, -1, math.inf]),
+        ("(0, inf)", [5e-324, 3], [0, 0.0, -0.0, math.inf]),
+        ("(0, 1)", [0.5, np.float32(0.25)], [0.0, 1.0, 1]),
+        ("(0, 1]", [1, 1.0], [0, 1.0000000000000002]),
+        ("[1, inf)", [1, np.int64(2)], [0, 0.9999999999999999]),
+        ("(-inf, inf)", [-1e308, 0, 1e308], [-math.inf, math.inf]),
+    ],
+)
+def test_ends_and_non_finite_values(bound, inside, outside):
+    for value in inside:
+        assert require(value, bound, "x") is value
+    for value in [*outside, math.nan, np.float64("nan")]:
+        with pytest.raises(ConfigError):
+            require(value, bound, "x")
+
+
+def test_message_names_the_parameter_and_the_bound():
+    with pytest.raises(ConfigError, match=r"^fuse: tau must lie in \(0, 1\), got nan$"):
+        require(math.nan, "(0, 1)", "fuse: tau")

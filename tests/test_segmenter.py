@@ -207,12 +207,21 @@ class TestWholeViewEqualsPerPlane:
         v = self.CASES[case](rng)
         if planes_per_block is not None:  # several blocks, the last one short at 5
             monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", planes_per_block * 24 * 24)
-        cfg = ReferenceConfig(pixel_spacing_mm=v.spacing[0])
+        cfg = ReferenceConfig()
         with volume.threads(jobs):
             got = segment_view(v, view, ReferenceSegmenter(cfg)).values
-        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg), v.intensities, view)
+        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg, v.spacing[0]), v.intensities, view)
         assert got.dtype == np.float32 and got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+    def test_reference_pixel_spacing_comes_from_the_volume(self, rng):
+        """A default config scores a 0.5 mm volume with 0.5 mm pixels, not with 1 mm ones."""
+        values = rng.uniform(0, 1, (20, 20, 20))
+        seg = ReferenceSegmenter(ReferenceConfig())
+        got = segment_view(Volume3D(values, (0.5, 0.5, 0.5)), "axial", seg).values
+        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, seg.cfg, 0.5), values, "axial")
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, segment_view(Volume3D(values), "axial", seg).values)
 
     def test_reference_on_128_phantom(self):
         vol, _ = reference_style_phantom(128)

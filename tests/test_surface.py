@@ -1,7 +1,8 @@
 """Guards on the library's surface.
 
-The thread count is one process-wide setting, never a parameter, and
-detections have one representation: the ``detect.Detections`` table.
+The thread count is one process-wide setting, never a parameter,
+detections have one representation: the ``detect.Detections`` table, and
+every numeric command parameter declares what it is checked against.
 """
 
 import importlib
@@ -10,7 +11,7 @@ import pkgutil
 from pathlib import Path
 
 import cmbpipe
-from cmbpipe import augment, detect
+from cmbpipe import augment, cli, detect
 
 SRC = Path(cmbpipe.__file__).parent
 MODULES = [
@@ -61,3 +62,11 @@ def test_detections_are_only_a_table():
     """No row type, no conversion from a list of rows, no row access by index or iteration."""
     assert not hasattr(cmbpipe, "DetectedCMB") and not hasattr(detect, "DetectedCMB")
     assert [name for name in ("of", "__iter__", "__getitem__") if hasattr(detect.Detections, name)] == []
+
+
+def test_every_numeric_parameter_declares_a_bound():
+    """A new flag cannot skip the check before any read: every number has a bound or a list of choices."""
+    numeric = [(name, p) for name, cmd in cli.COMMANDS.items() for p in cmd.params if p.type in (int, float, list, dict)]
+    unbounded = [f"{name} {p.flag}" for name, p in numeric if not (p.bound or p.choices or p.name.endswith("seed"))]
+    assert len(numeric) > 40
+    assert unbounded == []
