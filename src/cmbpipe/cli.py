@@ -1,7 +1,7 @@
 """Command-line front end wiring the modules into reproducible batch runs.
 
 One subcommand per pipeline stage: phantom, mask-synth, augment, segment,
-fuse, detect, eval, compare-groups, sweep, partition. Each command declares
+detect, eval, compare-groups, sweep, partition. Each command declares
 its parameters once, in one table; the table generates the flags, the
 defaults and the checks on values. A parameter's value comes from its
 default, overlaid by a JSON run-config file (top-level keys, then the
@@ -393,7 +393,6 @@ def cmd_augment(params: dict) -> list[Path]:
         rec = {**rec, "master_seed": params["master_seed"]}
     spec = augment.AugmentSpec.from_json(rec)
     out = Path(params["out"])
-    (out / "aug_params").mkdir(exist_ok=True)
     entries = scanio.read_manifest(params["manifest"])
 
     def one(entry):
@@ -407,6 +406,7 @@ def cmd_augment(params: dict) -> list[Path]:
         )
         scanio.write_volume(aug_v, out / "aug_volumes" / f"{entry.scan_id}.nii.gz")
         scanio.write_mask(aug_m, out / "aug_masks" / f"{entry.scan_id}.nii.gz")
+        (out / "aug_params").mkdir(exist_ok=True)  # here, so a run that fails before any output leaves none
         with open(out / "aug_params" / f"{entry.scan_id}.json", "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -424,7 +424,7 @@ def cmd_augment(params: dict) -> list[Path]:
 
 @_command(
     "segment",
-    "per-view slice segmentation to probability volumes",
+    "three-view segmentation, fused by product and binarized at tau",
     MANIFEST,
     OUT,
     Param("segmenter", str, "reference", choices=("oracle", "reference", "external"), help="slice segmenter"),
@@ -448,6 +448,7 @@ def cmd_augment(params: dict) -> list[Path]:
     Param("target_dims", int, 256, help="cube edge for resampling non-cubic volumes", bound="[1, inf)"),
     Param("target_spacing", float, 1.0, help="spacing in mm for resampling non-cubic volumes",
           bound=volume.SPACING_BOUND),
+    Param("tau", float, 0.125, help="threshold on the fused probability (0.125 = 0.5^3)", bound=triplanar.TAU_BOUND),
     JOBS,
 )
 def cmd_segment(params: dict) -> list[Path]:
@@ -481,36 +482,14 @@ def cmd_segment(params: dict) -> list[Path]:
                 for view in VIEWS
             }
         probs = triplanar.segment_volume(vol, segmenters)
-        for view in VIEWS:
-            path = out / "prob" / f"{entry.scan_id}_{view}.nii.gz"
-            scanio.write_probability(probs[view], path)
-            outputs.append(path)
-    print(f"segment: wrote {len(outputs)} probability volumes under {out / 'prob'}")
-    return outputs
-
-
-@_command(
-    "fuse",
-    "multiply per-view probabilities and binarize",
-    MANIFEST,
-    OUT,
-    Param("prob_dir", str, required=True, help="directory of <scan_id>_<view>.nii.gz probabilities"),
-    Param("tau", float, 0.125, help="threshold on the fused probability (0.125 = 0.5^3)", bound=triplanar.TAU_BOUND),
-)
-def cmd_fuse(params: dict) -> list[Path]:
-    out = Path(params["out"])
-    entries = scanio.read_manifest(params["manifest"])
-    outputs = []
-    for entry in entries:
-        prob_paths = [Path(params["prob_dir"]) / f"{entry.scan_id}_{view}.nii.gz" for view in VIEWS]
-        fused = triplanar.fuse_views(*map(scanio.read_probability, prob_paths))
-        mask = triplanar.binarize_fused(fused, params["tau"])
+        fused = triplanar.fuse_views(*(probs[view] for view in VIEWS))
+        del probs  # before the writes: only the fused volume is kept
         fused_path = out / "fused" / f"{entry.scan_id}.nii.gz"
         mask_path = out / "pred_masks" / f"{entry.scan_id}.nii.gz"
         scanio.write_probability(fused, fused_path)
-        scanio.write_mask(mask, mask_path)
+        scanio.write_mask(triplanar.binarize_fused(fused, params["tau"]), mask_path)
         outputs += [fused_path, mask_path]
-    print(f"fuse: wrote fused volumes and masks for {len(entries)} scans under {out}")
+    print(f"segment: wrote fused volumes and masks for {len(entries)} scans under {out}")
     return outputs
 
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, GeometryMismatchError, RejectedInputError, require
+from .errors import ConfigError, RejectedInputError, require
 from .rng import derive_rng
 from .triplanar import VIEW_AXIS, map_plane_blocks
-from .volume import LabelMask, ProbabilityVolume, Volume3D
+from .volume import LabelMask, ProbabilityVolume, Volume3D, require_same_geometry
 
 # Gain and offset tuned on a held-out phantom batch (dark discs, CNR >= 5):
 # gain 40 pushes a 4 mm disc's peak probability above 0.9 while the offset
@@ -71,8 +71,7 @@ class OracleSegmenter:
             self._clean.flags.writeable = False
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:
-        if self.gt.dims != v.dims:
-            raise GeometryMismatchError(f"ground truth dims {self.gt.dims} do not match volume dims {v.dims}")
+        require_same_geometry(self.gt, v, "ground truth and volume")
         if self._clean is not None:
             return self._clean
         axis = VIEW_AXIS[view]
@@ -192,8 +191,5 @@ class ExternalSegmenter:
         self.prob = prob
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:
-        if self.prob.dims != v.dims:
-            raise GeometryMismatchError(
-                f"stored probability dims {self.prob.dims} do not match volume dims {v.dims}"
-            )
+        require_same_geometry(self.prob, v, "stored probabilities and volume")
         return self.prob.values

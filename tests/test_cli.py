@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -10,8 +11,10 @@ import pytest
 from cmbpipe import volume
 from cmbpipe.augment import TRANSFORM_ORDER, TRANSFORMS
 from cmbpipe.cli import COMMANDS, _resolve, build_parser, main
-from cmbpipe.scanio import read_manifest, read_mask, read_volume, write_mask
-from cmbpipe.volume import LabelMask
+from cmbpipe.scanio import read_manifest, read_mask, read_volume, write_mask, write_probability
+from cmbpipe.segmenter import OracleSegmenter
+from cmbpipe.triplanar import VIEWS, segment_volume
+from cmbpipe.volume import LabelMask, ProbabilityVolume
 
 from test_augment import BAD_SPECS
 
@@ -99,12 +102,6 @@ class TestPipelineCommands:
             "--out", work,
             "--segmenter", "oracle",
             "--gt-dir", data / "gt_masks",
-        ) == 0
-        assert run(
-            "fuse",
-            "--manifest", data / "manifest.jsonl",
-            "--prob-dir", work / "prob",
-            "--out", work,
             "--tau", 0.125,
         ) == 0
         assert run(
@@ -208,6 +205,82 @@ class TestPipelineCommands:
         assert rows[0]["mean_count_b"] >= rows[-1]["mean_count_b"]
 
 
+def output_digest(out):
+    """sha256 over the names and bytes of every file in ``out/fused`` and ``out/pred_masks``."""
+    h = hashlib.sha256()
+    for d in ("fused", "pred_masks"):
+        for p in sorted((out / d).iterdir()):
+            h.update(f"{d}/{p.name}\0".encode())
+            h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def segment_data(tmp_path_factory):
+    """Two 40^3 phantoms with a vessel, plus per-view maps of a 10 % corrupted oracle for --prob-dir."""
+    tmp = tmp_path_factory.mktemp("segment")
+    data = make_phantom_data(tmp, count=2, dims=40, extra=("--vessels", 1))
+    for e in read_manifest(data / "manifest.jsonl"):
+        oracle = OracleSegmenter(read_mask(data / "gt_masks" / f"{e.scan_id}.nii.gz"), 0.1, seed=5)
+        probs = segment_volume(read_volume(data / e.path), dict.fromkeys(VIEWS, oracle))
+        for view in VIEWS:
+            write_probability(probs[view], tmp / "maps" / f"{e.scan_id}_{view}.nii.gz")
+    return data, tmp / "maps"
+
+
+class TestSegmentCommand:
+    # (flags, digest of fused/ and pred_masks/)
+    FROZEN = {
+        "clean-oracle": (
+            ("--segmenter", "oracle", "--gt-dir", "{data}/gt_masks"),
+            "705f3fe0e0551d78bc5b63506e459a86caac0b0ac39c563c1b36349578e70b6f",
+        ),
+        "corrupted-oracle": (
+            ("--segmenter", "oracle", "--gt-dir", "{data}/gt_masks", "--corruption-rate", "0.2", "--oracle-seed", "4"),
+            "8a3709193e99461796d250a4fa98197bb3c5858139d302772b82b3338326a6c5",
+        ),
+        "reference": (("--tau", "0.05"), "ce76f415f6d07011b81b01822a1ece5d188107236afde80c5356583e70bf73f8"),
+        "external": (
+            ("--segmenter", "external", "--prob-dir", "{maps}"),
+            "0e32edcf41edfa236bd330263a516c788a5baf7f22a1b24dd8ad2ce50c29beeb",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", FROZEN)
+    def test_fused_bytes_are_frozen(self, tmp_path, segment_data, case):
+        """`segment` writes the fused volumes and masks that `segment` then `fuse` wrote, byte for byte.
+
+        The digests were taken from the `segment` -> `fuse` chain at commit
+        b0599c5, the last with a `fuse` command, run on a separate checkout
+        with the same phantoms, maps and flags (`fuse --tau 0.05` for the
+        reference case). No per-view volume is written.
+        """
+        data, maps = segment_data
+        flags, digest = self.FROZEN[case]
+        out = tmp_path / "out"
+        flags = [f.format(data=data, maps=maps) for f in flags]
+        assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out, *flags) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["fused", "pred_masks", "run_record_segment.json"]
+        assert output_digest(out) == digest
+        recorded = json.loads((out / "run_record_segment.json").read_text())["outputs"]
+        assert len(recorded) == 4 and all(Path(path).parent.name in ("fused", "pred_masks") for path in recorded)
+
+    def test_external_maps_on_another_grid_exit_2(self, tmp_path, capsys, segment_data):
+        """Maps at 2 mm spacing and a 50 mm origin do not fit a 1 mm phantom at origin 0, though the dims agree."""
+        data, _ = segment_data
+        stored = ProbabilityVolume(np.full((40, 40, 40), 0.9, dtype=np.float32), (2.0,) * 3, (50.0,) * 3)
+        for e in read_manifest(data / "manifest.jsonl"):
+            for view in VIEWS:
+                write_probability(stored, tmp_path / f"{e.scan_id}_{view}.nii.gz")
+        out = tmp_path / "out"
+        assert run(
+            "segment", "--manifest", data / "manifest.jsonl", "--out", out,
+            "--segmenter", "external", "--prob-dir", tmp_path,
+        ) == 2
+        assert "stored probabilities and volume disagree" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 def write_detections(path, counts, scan_ids=None):
     """A `detect` output file with ``counts[i]`` 8 mm^3 detections in scan ``scan_ids[i]`` (default s0, s1, ...)."""
     scan_ids = scan_ids or [f"s{i}" for i in range(len(counts))]
@@ -281,12 +354,11 @@ def all_row(eval_dir):
 
 class TestDefaults:
     def test_default_segment_run(self, tmp_path):
-        """phantom -> segment -> fuse -> eval with no segmenter, window or size flags."""
+        """phantom -> segment -> eval with no segmenter, window, tau or size flags."""
         data, work = tmp_path / "data", tmp_path / "work"
         manifest = data / "manifest.jsonl"
         assert run("phantom", "--out", data, "--count", 2, "--dims", 96, "--seed", 7) == 0
         assert run("segment", "--manifest", manifest, "--out", work) == 0
-        assert run("fuse", "--manifest", manifest, "--prob-dir", work / "prob", "--out", work) == 0
         assert run(
             "eval", "--manifest", manifest, "--pred-dir", work / "pred_masks", "--gt-dir", data / "gt_masks",
             "--out", work / "eval",
@@ -347,7 +419,7 @@ def bound_cases():
 # The cases of the per-command checks that the walk replaced, then rules that relate two values. Each
 # command checks those at its top: after the output directory is made, before any read.
 MORE_CASES = [
-    ("fuse", ("--tau", "2"), True),
+    ("segment", ("--tau", "2"), True),
     ("segment", ("--segmenter", "oracle", "--gt-dir", MISSING, "--corruption-rate", "2"), True),
     ("segment", ("--logistic-gain", "-40"), True),
     ("segment", ("--jobs", "-1"), True),
@@ -393,6 +465,12 @@ class TestConfigAndErrors:
 
     def test_unknown_command_exit_1(self):
         assert run("frobnicate") == 1
+
+    def test_fuse_is_not_a_command(self, tmp_path):
+        """`segment` fuses and binarizes; a `fuse` step left in a script fails as a usage error."""
+        out = tmp_path / "out"
+        assert run("fuse", "--manifest", tmp_path / "m.jsonl", "--prob-dir", tmp_path, "--out", out) == 1
+        assert not out.exists()
 
     def test_data_error_exit_2(self, tmp_path):
         manifest = tmp_path / "manifest.jsonl"
@@ -491,11 +569,12 @@ class TestConfigAndErrors:
             out = tmp_path / f"out-{jobs}"
             flags = () if jobs is None else ("--jobs", jobs)
             assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out, *flags) == 0
-            probs = {p.name: p.read_bytes() for p in sorted((out / "prob").iterdir())}
+            files = {f"{d}/{p.name}": p.read_bytes() for d in ("fused", "pred_masks")
+                     for p in sorted((out / d).iterdir())}
             params = json.loads((out / "run_record_segment.json").read_text())["params"]
             assert params["jobs"] == jobs  # the record keeps the requested value, not the CPU count
-            runs[jobs] = probs
-        assert len(runs[None]) == 3
+            runs[jobs] = files
+        assert len(runs[None]) == 2
         assert runs[1] == runs[None] and runs[2] == runs[None]
 
     def test_augment_bytes_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
@@ -568,6 +647,11 @@ def augment_data(tmp_path_factory):
 
 
 class TestAugmentSpecFile:
+    def test_missing_manifest_leaves_out_empty(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("augment", "--manifest", tmp_path / "missing.jsonl", "--masks-dir", tmp_path, "--out", out) == 2
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("content", [None, "{bad", "dir"], ids=["missing", "invalid-json", "directory"])
     def test_unreadable_spec_file_exit_1(self, tmp_path, content):
         """Found before the manifest is read: with none there, a data error would exit 2."""
@@ -594,17 +678,20 @@ class TestAugmentSpecFile:
 
 
 def readme_commands():
-    """Every ``cmbpipe ...`` line in README code blocks, continuation lines joined."""
-    blocks = re.findall(r"```[a-z]*\n(.*?)```", README.read_text(), re.S)
+    """Every ``cmbpipe ...`` line in README's bash blocks, continuation lines joined."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
     lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
     return [shlex.split(line, comments=True) for line in lines if line.startswith("cmbpipe ")]
 
 
 def test_readme_commands_parse():
+    """Each example names a command and flags the tables declare, in full, with values that pass their checks."""
     commands = readme_commands()
     assert len(commands) >= 5
     for argv in commands:
         _resolve(build_parser().parse_args(argv[1:]))  # converts and checks every value; runs nothing
+        declared = {"--config", *(p.flag for p in COMMANDS[argv[1]].params)}
+        assert [a for a in argv[2:] if a.startswith("--") and a.split("=")[0] not in declared] == [], argv
 
 
 def test_readme_documents_every_spec_key():

@@ -28,5 +28,5 @@ def test_ends_and_non_finite_values(bound, inside, outside):
 
 
 def test_message_names_the_parameter_and_the_bound():
-    with pytest.raises(ConfigError, match=r"^fuse: tau must lie in \(0, 1\), got nan$"):
-        require(math.nan, "(0, 1)", "fuse: tau")
+    with pytest.raises(ConfigError, match=r"^segment: tau must lie in \(0, 1\), got nan$"):
+        require(math.nan, "(0, 1)", "segment: tau")
