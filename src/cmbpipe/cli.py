@@ -300,6 +300,7 @@ DIAMETER = "[{}, {}]".format(*phantom.DIAMETER_RANGE_MM)
           bound=phantom.BACKGROUND_BOUNDS["smooth_amplitude"]),
     Param("noise_sigma", float, 2.0, help="Gaussian noise sigma", bound=phantom.BACKGROUND_BOUNDS["noise_sigma"]),
     SEED,
+    JOBS,
 )
 def cmd_phantom(params: dict) -> list[Path]:
     if any(params[f"{name}_min"] > params[f"{name}_max"] for name in ("n_cmbs", "diameter", "contrast")):
@@ -352,6 +353,7 @@ def cmd_phantom(params: dict) -> list[Path]:
           bound=annotation.RADIUS_BOUND),
     Param("shell_outer_mm", float, annotation.SHELL_OUTER_MM, help="outer radius of the background shell",
           bound=annotation.RADIUS_BOUND),
+    JOBS,
 )
 def cmd_mask_synth(params: dict) -> list[Path]:
     if params["shell_inner_mm"] >= params["shell_outer_mm"]:

@@ -6,11 +6,18 @@ in closed form, so the ground-truth mask can be computed analytically
 rather than traced by hand. Mimics (dark vessel tubes and calcification
 blobs) are planted the same way but excluded from the ground truth — they
 exist to create false positives.
+
+A phantom is rendered in blocks of axis-0 planes by two tasks of one
+:func:`volume.run_blocks` pool. One draws the noise stream into the
+output, block by block; the other renders each block's smooth field,
+base and dips in a block-sized buffer and adds it to that block once the
+block's noise is drawn. The output does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +25,7 @@ import numpy as np
 from .errors import PhantomSpecError, require
 from .rng import derive_rng
 from .scanio import Acquisition, ScanManifestEntry
-from .volume import SPACING_BOUND, LabelMask, Volume3D, WorldPoint, plane_blocks
+from .volume import SPACING_BOUND, LabelMask, Volume3D, WorldPoint, plane_blocks, run_blocks
 
 DIAMETER_RANGE_MM = (2.0, 10.0)  # clinical CMB size range
 MIN_CMB_SEPARATION_MM = 4.0  # surface-to-surface
@@ -135,19 +142,20 @@ def _axis_coords(spec: PhantomSpec):
     return [np.arange(n, dtype=np.float64) * spec.spacing for n in spec.dims]
 
 
-def _smooth_field(arr: np.ndarray, spec: PhantomSpec, blocks: list[tuple[slice]]) -> float:
-    """Write the unscaled low-frequency additive field into ``arr``, one plane block at a time.
+def _smooth_field(spec: PhantomSpec, blocks: list[slice], buf: np.ndarray):
+    """The unscaled low-frequency additive field, and the factor that scales it to ``smooth_amplitude``.
 
-    Returns the factor that scales the field's largest magnitude to
-    ``smooth_amplitude`` (0 when that is 0, 1 for a flat field). The field
-    is a 3x3x3 cosine series. Its p and q sums are taken once into an
-    (I, J, 3) table, and each block is one matmul of its rows against the
-    k basis.
+    Returns ``(field, scale)``. ``field(planes, out)`` writes the field of
+    the axis-0 ``planes`` into ``out``; ``scale`` takes the field's largest
+    magnitude to ``smooth_amplitude`` (0 when that is 0, 1 for a flat
+    field). The field is a 3x3x3 cosine series. Its p and q sums are taken
+    once into an (I, J, 3) table, and each block is one matmul of its rows
+    against the k basis. The largest magnitude is found by writing each of
+    ``blocks`` into ``buf`` in turn.
     """
     amp = spec.background.smooth_amplitude
     if amp == 0.0:
-        arr.fill(0.0)
-        return 0.0
+        return (lambda planes, out: out.fill(0.0)), 0.0
     rng = derive_rng(spec.seed, "background")
     coeff = rng.standard_normal((3, 3, 3))
     coeff[0, 0, 0] = 0.0  # DC belongs to `base`
@@ -160,13 +168,17 @@ def _smooth_field(arr: np.ndarray, spec: PhantomSpec, blocks: list[tuple[slice]]
     pq = np.tensordot(basis[0], coeff, axes=(0, 0))  # (I, q, r): the sum over p
     table = np.tensordot(pq, basis[1], axes=(1, 0)).transpose(0, 2, 1).copy()  # (I, J, r): then over q
     n_k = spec.dims[2]
+
+    def field(planes: slice, out: np.ndarray) -> None:
+        np.matmul(table[planes].reshape(-1, 3), basis[2], out=out.reshape(-1, n_k))
+
     high, low = -np.inf, np.inf
-    for block in blocks:
-        out = arr[block]
-        np.matmul(table[block].reshape(-1, 3), basis[2], out=out.reshape(-1, n_k))
+    for planes in blocks:
+        out = buf[: planes.stop - planes.start]
+        field(planes, out)
         high, low = max(high, out.max()), min(low, out.min())
     peak = max(high, -low)  # the largest |value|, without an np.abs copy
-    return amp / peak if peak > 0 else 1.0
+    return field, amp / peak if peak > 0 else 1.0
 
 
 def _box(spec: PhantomSpec, lo_mm, hi_mm, planes: slice) -> tuple[slice, ...] | None:
@@ -183,8 +195,13 @@ def _box_coords(spec: PhantomSpec, box: tuple[slice, ...]) -> list[np.ndarray]:
     return [np.arange(s.start, s.stop, dtype=np.float64) * spec.spacing for s in box]
 
 
-def _gaussian_dip(arr: np.ndarray, spec: PhantomSpec, center, sigma_mm: float, contrast: float, planes: slice) -> None:
-    """Multiply a local box of ``arr``, within axis-0 ``planes``, by (1 - contrast * exp(-r^2 / 2 sigma^2))."""
+def _in_block(box: tuple[slice, ...], planes: slice) -> tuple[slice, ...]:
+    """``box`` as an index into an array that holds only the axis-0 ``planes``."""
+    return (slice(box[0].start - planes.start, box[0].stop - planes.start), *box[1:])
+
+
+def _gaussian_dip(out: np.ndarray, spec: PhantomSpec, center, sigma_mm: float, contrast: float, planes: slice) -> None:
+    """Multiply ``out``, which holds the axis-0 ``planes``, by (1 - contrast * exp(-r^2 / 2 sigma^2))."""
     reach = 4.0 * sigma_mm
     c = np.asarray(center, dtype=np.float64)
     box = _box(spec, c - reach, c + reach, planes)
@@ -192,11 +209,11 @@ def _gaussian_dip(arr: np.ndarray, spec: PhantomSpec, center, sigma_mm: float, c
         return
     xs = [x - c[a] for a, x in enumerate(_box_coords(spec, box))]
     r2 = xs[0][:, None, None] ** 2 + xs[1][None, :, None] ** 2 + xs[2][None, None, :] ** 2
-    arr[box] *= 1.0 - contrast * np.exp(-r2 / (2.0 * sigma_mm**2))
+    out[_in_block(box, planes)] *= 1.0 - contrast * np.exp(-r2 / (2.0 * sigma_mm**2))
 
 
-def _tube_dip(arr: np.ndarray, spec: PhantomSpec, vessel: VesselSpec, planes: slice) -> None:
-    """Multiply the voxels of ``arr`` near the vessel, within axis-0 ``planes``, by its tube profile."""
+def _tube_dip(out: np.ndarray, spec: PhantomSpec, vessel: VesselSpec, planes: slice) -> None:
+    """Multiply the voxels of ``out``, which holds the axis-0 ``planes``, near the vessel by its tube profile."""
     p0 = np.asarray(vessel.start, dtype=np.float64)
     p1 = np.asarray(vessel.end, dtype=np.float64)
     sigma = profile_sigma_mm(vessel.diameter_mm)
@@ -211,7 +228,7 @@ def _tube_dip(arr: np.ndarray, spec: PhantomSpec, vessel: VesselSpec, planes: sl
     t = np.clip((pts - p0) @ seg / denom, 0.0, 1.0) if denom > 0 else np.zeros(pts.shape[:-1])
     nearest = p0 + t[..., None] * seg
     d2 = np.sum((pts - nearest) ** 2, axis=-1)
-    arr[box] *= 1.0 - vessel.contrast * np.exp(-d2 / (2.0 * sigma**2))
+    out[_in_block(box, planes)] *= 1.0 - vessel.contrast * np.exp(-d2 / (2.0 * sigma**2))
 
 
 def _gt_sphere(labels: np.ndarray, spec: PhantomSpec, cmb: CMBSpec) -> None:
@@ -231,21 +248,43 @@ def generate_phantom(
     """Deterministically render a phantom, its analytic ground truth, and a manifest entry."""
     validate_spec(spec)
     arr = np.empty(spec.dims)
-    blocks = plane_blocks(spec.dims)
-    scale = _smooth_field(arr, spec, blocks)
+    blocks = [planes for (planes,) in plane_blocks(spec.dims)]
     base, sigma = float(spec.background.base), spec.background.noise_sigma
-    # C-order blocks of one stream draw the same values as one whole-volume draw.
-    rng = derive_rng(spec.seed, "noise")
-    for (block,) in blocks:
-        out = arr[block]
-        out *= scale
-        out += base
-        for blob in spec.cmbs + spec.calcifications:
-            _gaussian_dip(arr, spec, blob.center, profile_sigma_mm(blob.diameter_mm), blob.contrast, block)
-        for vessel in spec.vessels:
-            _tube_dip(arr, spec, vessel, block)
-        if sigma > 0:
-            out += rng.normal(0.0, sigma, out.shape)
+    drawn = [threading.Event() for _ in blocks]
+
+    def draw() -> None:
+        """Write the noise into ``arr``: C-order blocks of one stream draw the values of one whole-volume draw."""
+        rng = derive_rng(spec.seed, "noise")
+        try:
+            for planes, done in zip(blocks, drawn):
+                rng.standard_normal(out=arr[planes])
+                arr[planes] *= sigma
+                done.set()
+        finally:
+            for done in drawn:  # after a failure too, so that render does not wait for ever
+                done.set()
+
+    def render() -> None:
+        """Render each block's field, base and dips in ``buf``, then add them to its noise once it is drawn."""
+        buf = np.empty((blocks[0].stop, *spec.dims[1:]))  # the first block is the largest
+        field, scale = _smooth_field(spec, blocks, buf)
+        for planes, done in zip(blocks, drawn):
+            out = buf[: planes.stop - planes.start]
+            field(planes, out)
+            out *= scale
+            out += base
+            for blob in spec.cmbs + spec.calcifications:
+                _gaussian_dip(out, spec, blob.center, profile_sigma_mm(blob.diameter_mm), blob.contrast, planes)
+            for vessel in spec.vessels:
+                _tube_dip(out, spec, vessel, planes)
+            if sigma > 0:
+                done.wait()
+                arr[planes] += out
+            else:
+                arr[planes] = out
+
+    # Two blocks of the pool: with one thread, draw runs first, and render never waits.
+    run_blocks(lambda task: task(), [draw, render] if sigma > 0 else [render])
 
     labels = np.zeros(spec.dims, dtype=np.uint8)
     for cmb in spec.cmbs:

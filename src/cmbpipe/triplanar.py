@@ -70,21 +70,22 @@ def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: Probabi
 
     The product is accumulated in float64 so the result is exactly
     symmetric in its arguments; any zero vetoes the voxel. It is computed
-    in blocks of planes through one reused float64 buffer and rounded into
-    one float32 volume, with the same arithmetic as
-    ``(a.astype(float64) * b * c).astype(float32)``.
+    in blocks of planes, about ``volume.POOL_BLOCK_VOXELS`` voxels each,
+    that the threads of :func:`volume.run_blocks` share. Each block goes
+    through its own float64 buffer and is rounded into one float32 volume,
+    with the same arithmetic as ``(a.astype(float64) * b * c).astype(float32)``.
     """
     require_same_geometry(p_ax, p_sag, "view probability volumes")
     require_same_geometry(p_ax, p_cor, "view probability volumes")
     a, b, c = p_ax.values, p_sag.values, p_cor.values
-    blocks = plane_blocks(a.shape)
     fused = np.empty(a.shape, dtype=np.float32)
-    buf = np.empty(a[blocks[0]].shape, dtype=np.float64)
-    for block in blocks:
-        prod = buf[: len(a[block])]
-        np.multiply(a[block], b[block], out=prod, dtype=np.float64)
+
+    def one_block(block: tuple) -> None:
+        prod = np.multiply(a[block], b[block], dtype=np.float64)
         np.multiply(prod, c[block], out=prod)
         fused[block] = prod
+
+    run_blocks(one_block, plane_blocks(a.shape, 0, volume.POOL_BLOCK_VOXELS))
     return ProbabilityVolume(fused, p_ax.spacing, p_ax.origin)
 
 

@@ -35,10 +35,10 @@ SPACING_BOUND = "(0, inf)"  # mm
 PERCENTILE_BOUND = "[0, 100]"
 GAMMA_BOUND = "(0, inf)"
 
-# Whole-volume elementwise passes (fusion, phantom noise) run on blocks of
-# axis-0 planes of about this many voxels, 2 MiB of float64: on a 2-vCPU VM
-# at 256^3, blocks of 2^16 to 2^20 voxels fused within 10% of each other
-# and blocks of 2^22 were about 1.35x slower.
+# The phantom draws its noise and renders in blocks of axis-0 planes of about this many voxels, 2 MiB of
+# float64. Each block is one C-order piece of the noise stream and one hand-over from the draw to the
+# rendering. On a 2-vCPU VM, a 256^3 phantom on two threads took 0.43-0.45 s (median of 8) with blocks of
+# 2^14 to 2^18 voxels, and 0.52 s with blocks of 2^20 or 2^22: larger blocks overlap less of the draw.
 _BLOCK_VOXELS = 1 << 18
 
 
@@ -112,21 +112,27 @@ def run_blocks(fn, blocks) -> None:
     """Call ``fn(block)`` once for each of ``blocks``, shared among :func:`thread_count` threads.
 
     The calling thread is one of them, and no more threads run than there
-    are blocks. Each thread takes the next block as it finishes one. A
-    block's error is raised here once every thread has stopped. ``fn`` must
+    are blocks. Each thread takes the next block as it finishes one, in the
+    order of ``blocks``. Once a block has raised, no thread takes another,
+    and the error is raised here when every thread has stopped. ``fn`` must
     write only what its own block owns; the result is then the same for any
     thread count.
     """
     todo = iter(blocks)
     lock = threading.Lock()
+    failed = threading.Event()
 
     def drain() -> None:
         while True:
             with lock:
-                block = next(todo, None)
+                block = None if failed.is_set() else next(todo, None)
             if block is None:
                 return
-            fn(block)
+            try:
+                fn(block)
+            except BaseException:
+                failed.set()
+                raise
 
     workers = min(thread_count(), len(blocks))
     # The calling thread drains blocks too: each thread allocates from its own malloc arena, which

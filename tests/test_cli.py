@@ -257,13 +257,14 @@ class TestSegmentCommand:
         """
         data, maps = segment_data
         flags, digest = self.FROZEN[case]
-        out = tmp_path / "out"
         flags = [f.format(data=data, maps=maps) for f in flags]
-        assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out, *flags) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["fused", "pred_masks", "run_record_segment.json"]
-        assert output_digest(out) == digest
-        recorded = json.loads((out / "run_record_segment.json").read_text())["outputs"]
-        assert len(recorded) == 4 and all(Path(path).parent.name in ("fused", "pred_masks") for path in recorded)
+        for jobs in ((), ("--jobs", 1), ("--jobs", 2)):  # fusion shares its two blocks per scan among the threads
+            out = tmp_path / f"out{''.join(map(str, jobs))}"
+            assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out, *flags, *jobs) == 0
+            assert sorted(p.name for p in out.iterdir()) == ["fused", "pred_masks", "run_record_segment.json"]
+            assert output_digest(out) == digest
+            recorded = json.loads((out / "run_record_segment.json").read_text())["outputs"]
+            assert len(recorded) == 4 and all(Path(path).parent.name in ("fused", "pred_masks") for path in recorded)
 
     def test_external_maps_on_another_grid_exit_2(self, tmp_path, capsys, segment_data):
         """Maps at 2 mm spacing and a 50 mm origin do not fit a 1 mm phantom at origin 0, though the dims agree."""
@@ -576,6 +577,23 @@ class TestConfigAndErrors:
             runs[jobs] = files
         assert len(runs[None]) == 2
         assert runs[1] == runs[None] and runs[2] == runs[None]
+
+    def test_phantom_and_mask_synth_bytes_do_not_depend_on_jobs(self, tmp_path):
+        """`phantom` and `mask-synth` write the same bytes with every CPU and with --jobs 1."""
+        runs = {}
+        for jobs in ((), ("--jobs", 1)):
+            out = tmp_path / f"out{''.join(map(str, jobs))}"
+            data = make_phantom_data(out, count=2, dims=24, extra=jobs)
+            assert run("mask-synth", "--manifest", data / "manifest.jsonl", "--out", out / "synth", *jobs) == 0
+            runs[jobs] = {
+                f"{d}/{p.name}": p.read_bytes()
+                for d in ("data/volumes", "data/gt_masks", "synth/synth_masks")
+                for p in sorted((out / d).iterdir())
+            }
+            for record in (out / "data" / "run_record_phantom.json", out / "synth" / "run_record_mask_synth.json"):
+                assert json.loads(record.read_text())["params"]["jobs"] == (jobs[1] if jobs else None)
+        assert len(runs[()]) == 6
+        assert runs["--jobs", 1] == runs[()]
 
     def test_augment_bytes_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
         """`augment` writes the same bytes with every CPU, --jobs 1 and --jobs 2."""

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +20,7 @@ from cmbpipe.phantom import (
     random_phantom_spec,
 )
 from cmbpipe.rng import derive_rng
-from cmbpipe.volume import WorldPoint, plane_blocks
+from cmbpipe.volume import WorldPoint, plane_blocks, threads
 
 from oracles import alpha_ball_voxels
 
@@ -191,22 +193,94 @@ def test_blocked_noise_equals_one_whole_volume_draw(monkeypatch, block_voxels):
         cmbs=(CMBSpec(WorldPoint(18.0, 5.0, 2.0), 3.0, 0.7),),
         seed=5,
     )
-    vol, _, _ = generate_phantom(spec)
-    clean, _, _ = generate_phantom(replace(spec, background=BackgroundSpec(100.0, 2.0, 0.0)))
-    want = clean.intensities + derive_rng(5, "noise").normal(0.0, 3.0, BLOCKED_DIMS)
-    assert np.array_equal(vol.intensities, want)
+    for jobs in (1, 2):
+        with threads(jobs):
+            vol, _, _ = generate_phantom(spec)
+            clean, _, _ = generate_phantom(replace(spec, background=BackgroundSpec(100.0, 2.0, 0.0)))
+        want = clean.intensities + derive_rng(5, "noise").normal(0.0, 3.0, BLOCKED_DIMS)
+        assert np.array_equal(vol.intensities, want)
 
 
 def test_smooth_field_scaled_by_its_largest_magnitude():
+    blocks = [planes for (planes,) in plane_blocks(BLOCKED_DIMS, 0, 4 * 11 * 5)]
     peak_signs = set()
     for seed in range(8):
         spec = PhantomSpec(dims=BLOCKED_DIMS, background=BackgroundSpec(100.0, 2.5, 0.0), seed=seed)
+        field, scale = _smooth_field(spec, blocks, np.empty((4, *BLOCKED_DIMS[1:])))
         raw = np.empty(BLOCKED_DIMS)
-        assert _smooth_field(raw, spec, plane_blocks(BLOCKED_DIMS)) == 2.5 / np.abs(raw).max()
+        for planes in blocks:
+            field(planes, raw[planes])
+        assert scale == 2.5 / np.abs(raw).max()
         vol, _, _ = generate_phantom(spec)
         assert np.array_equal(vol.intensities, raw * (2.5 / np.abs(raw).max()) + 100.0)
         peak_signs.add(bool(raw.max() > -raw.min()))
     assert peak_signs == {True, False}  # the peak came from the maximum and from the minimum
+
+
+def test_noise_and_rendering_hand_over_under_contention(monkeypatch):
+    """One-plane blocks and a short switch interval: each block's noise is drawn before it is added to.
+
+    At 64^3 the draw of a block takes longer than its rendering, so the
+    rendering waits for the draw.
+    """
+    monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", 1)
+    spec = random_phantom_spec(5, dims=(64,) * 3, n_cmbs=3, background=BackgroundSpec(100.0, 2.0, 3.0))
+    with threads(1):
+        want = generate_phantom(spec)[0].intensities
+    got = []
+
+    def generate():
+        with threads(8):
+            got.extend(generate_phantom(spec)[0].intensities for _ in range(20))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=generate)
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not worker.is_alive()
+    assert len(got) == 20 and all(np.array_equal(g, want) for g in got)
+
+
+class FailingNoise:
+    """A noise stream that raises on its third block."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
+            raise FloatingPointError("noise block 3")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_noise_draw_is_raised(monkeypatch, jobs):
+    """A draw that fails part way is raised, and the rendering does not wait for its missing blocks."""
+    monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", 4 * 11 * 5)
+    monkeypatch.setattr(
+        "cmbpipe.phantom.derive_rng",
+        lambda seed, label: FailingNoise(derive_rng(seed, label)) if label == "noise" else derive_rng(seed, label),
+    )
+    spec = PhantomSpec(dims=BLOCKED_DIMS, background=BackgroundSpec(100.0, 2.0, 3.0), seed=5)
+    raised = []
+
+    def generate():
+        with threads(jobs):
+            try:
+                generate_phantom(spec)
+            except FloatingPointError as exc:
+                raised.append(exc)
+
+    worker = threading.Thread(target=generate)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert [str(exc) for exc in raised] == ["noise block 3"]
 
 
 # sha256 of the intensities and labels of cubic phantoms with every ingredient,
@@ -236,6 +310,8 @@ def test_cubic_phantom_digests_frozen(monkeypatch, n, seed, block_voxels):
         seed, dims=(n,) * 3, n_cmbs=6, n_vessels=2, n_calcifications=2, background=BackgroundSpec(100.0, 2.0, 2.0)
     )
     assert (len(spec.vessels), len(spec.calcifications)) == (2, 2)
-    vol, gt, _ = generate_phantom(spec)
-    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (vol.intensities, gt.labels))
-    assert digests == FROZEN_DIGESTS[n, seed]
+    for jobs in (1, 2):  # draw then render on one thread, then both at once on two
+        with threads(jobs):
+            vol, gt, _ = generate_phantom(spec)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (vol.intensities, gt.labels))
+        assert digests == FROZEN_DIGESTS[n, seed]

@@ -19,7 +19,7 @@ from cmbpipe.triplanar import (
     segment_view,
     segment_volume,
 )
-from cmbpipe.volume import ProbabilityVolume, Volume3D
+from cmbpipe.volume import ProbabilityVolume, Volume3D, plane_blocks
 
 
 @pytest.fixture
@@ -122,12 +122,15 @@ class TestBlockedFusion:
     @pytest.mark.parametrize("block_voxels", [1, 4 * 11 * 5, None])
     def test_equals_whole_volume_float64_product(self, rng, monkeypatch, block_voxels):
         if block_voxels is not None:
-            monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", block_voxels)
+            monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", block_voxels)
+            assert len(plane_blocks(self.SHAPE, 0, volume.POOL_BLOCK_VOXELS)) > 1
         a, b, c = (near_tau_probabilities(rng, self.SHAPE) for _ in range(3))
-        got = fuse_views(ProbabilityVolume(a), ProbabilityVolume(b), ProbabilityVolume(c)).values
         want = (a.astype(np.float64) * b * c).astype(np.float32)
-        assert got.dtype == np.float32
-        assert np.array_equal(got, want)
+        for jobs in (1, 2):
+            with volume.threads(jobs):
+                got = fuse_views(ProbabilityVolume(a), ProbabilityVolume(b), ProbabilityVolume(c)).values
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
         assert {0.0, 1.0, 0.125} <= set(np.unique(want).tolist())
         assert np.any((want > 0.12) & (want < 0.125)) and np.any((want > 0.125) & (want < 0.13))
 

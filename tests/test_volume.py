@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -218,6 +219,32 @@ class TestBlockPool:
 
         with threads(3), pytest.raises(ValueError, match="block 7"):
             run_blocks(fail_on_seven, range(20))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_block_is_taken_after_an_error(self, n):
+        """A failing first block of 50 stops the pool: each thread makes one call at most."""
+        calls = []
+        raised = []
+
+        def fail_first(block):
+            calls.append(block)
+            if block == 0:
+                raise ValueError("block 0")
+            time.sleep(0.2)  # the thread that took block 0 has raised before this block ends
+
+        def pool():
+            with threads(n):
+                try:
+                    run_blocks(fail_first, range(50))
+                except ValueError as exc:
+                    raised.append(exc)
+
+        worker = threading.Thread(target=pool)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [str(exc) for exc in raised] == ["block 0"]
+        assert 0 in calls and len(calls) <= n
 
     def test_pool_size_comes_from_the_setting(self):
         seen = set()
