@@ -29,7 +29,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from . import volume
 from .errors import ConfigError, require
 from .rng import derive_rng, derive_seed
 from .volume import LabelMask, Volume3D, plane_blocks, require_same_geometry, run_blocks
@@ -64,8 +63,8 @@ def _warp(v: Volume3D, m: LabelMask | None, disp: np.ndarray | None):
         if lab is not None:
             ndimage.map_coordinates(m.labels, at, lab[b], order=0, mode="constant", cval=0)
 
-    run_blocks(warp, plane_blocks(v.dims, 0, volume.POOL_BLOCK_VOXELS))
-    return v.with_intensities(out), None if m is None else m.with_labels(lab)
+    run_blocks(warp, plane_blocks(v.dims, 0))
+    return v.with_array(out), None if m is None else m.with_array(lab)
 
 
 def _tensor_product(coeffs: np.ndarray, w0: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -145,7 +144,7 @@ def elastic_deform(
     control = rng.standard_normal((3,) + grid_shape).astype(np.float32)
     disp = _bspline_field(control, dims)
     # the longest displacement vector, found a block of planes at a time
-    blocks = plane_blocks(dims, 0, volume.POOL_BLOCK_VOXELS)
+    blocks = plane_blocks(dims, 0)
     norm = max(np.sqrt(np.sum(disp[(slice(None),) + b] ** 2, axis=0)).max() for b in blocks)
     if norm > 0:
         disp *= displacement_mm / norm
@@ -177,11 +176,11 @@ def rotate_volume(v: Volume3D, m: LabelMask | None, angles_deg):
     offset = center - inv @ center
     fill = float(v.intensities.min())
     out = ndimage.affine_transform(v.intensities, inv, offset=offset, order=1, mode="constant", cval=fill)
-    rotated_v = v.with_intensities(out)
+    rotated_v = v.with_array(out)
     rotated_m = None
     if m is not None:
         lab = ndimage.affine_transform(m.labels, inv, offset=offset, order=0, mode="constant", cval=0)
-        rotated_m = m.with_labels(lab)
+        rotated_m = m.with_array(lab)
     return rotated_v, rotated_m
 
 
@@ -192,8 +191,8 @@ def flip_volume(v: Volume3D, m: LabelMask | None, axes):
     axes = tuple(int(a) for a in axes)
     if any(a not in AXES for a in axes) or len(set(axes)) != len(axes):
         raise ConfigError(f"flip axes must be distinct values in {AXES}, got {axes}")
-    flipped_v = v.with_intensities(np.flip(v.intensities, axes) if axes else v.intensities)
-    flipped_m = m.with_labels(np.flip(m.labels, axes)) if (m is not None and axes) else m
+    flipped_v = v.with_array(np.flip(v.intensities, axes) if axes else v.intensities)
+    flipped_m = m.with_array(np.flip(m.labels, axes)) if (m is not None and axes) else m
     return flipped_v, flipped_m
 
 
@@ -223,7 +222,7 @@ def bias_field(v: Volume3D, order: int = 3, amplitude: float = 0.2, seed: int = 
         fld = np.ones(v.dims)
     fld /= fld.mean()
     fld *= v.intensities
-    return v.with_intensities(fld)
+    return v.with_array(fld)
 
 
 def blur_volume(v: Volume3D, sigma_mm: float) -> Volume3D:
@@ -246,9 +245,9 @@ def blur_volume(v: Volume3D, sigma_mm: float) -> Volume3D:
     def filter_axes_1_2(b: tuple) -> None:
         ndimage.gaussian_filter(out[b], sigma[1:], output=out[b], axes=(1, 2))
 
-    run_blocks(filter_axis_0, plane_blocks(v.dims, 1, volume.POOL_BLOCK_VOXELS))
-    run_blocks(filter_axes_1_2, plane_blocks(v.dims, 0, volume.POOL_BLOCK_VOXELS))
-    return v.with_intensities(out)
+    run_blocks(filter_axis_0, plane_blocks(v.dims, 1))
+    run_blocks(filter_axes_1_2, plane_blocks(v.dims, 0))
+    return v.with_array(out)
 
 
 def motion_ghost(v: Volume3D, n_ghosts: int, intensity: float, axis: int = 2) -> Volume3D:
@@ -279,8 +278,8 @@ def motion_ghost(v: Volume3D, n_ghosts: int, intensity: float, axis: int = 2) ->
         lines *= gain
         out[b] = np.fft.ifft(lines, axis=axis, out=lines).real
 
-    run_blocks(ghost, plane_blocks(v.dims, 1 if axis == 0 else 0, volume.POOL_BLOCK_VOXELS))
-    return v.with_intensities(out)
+    run_blocks(ghost, plane_blocks(v.dims, 1 if axis == 0 else 0))
+    return v.with_array(out)
 
 
 def _kept_frequencies(n: int, retain_fraction: float) -> np.ndarray:
@@ -336,10 +335,10 @@ def gibbs_ringing(v: Volume3D, retain_fraction: float) -> Volume3D:
         planes[k0] = rows
         out[b] = np.fft.ifft(planes, axis=0, out=planes).real
 
-    run_blocks(forward, plane_blocks(v.dims, 0, volume.POOL_BLOCK_VOXELS))
-    run_blocks(middle, plane_blocks((n0, len(k1), n2), 1, volume.POOL_BLOCK_VOXELS))
-    run_blocks(inverse, plane_blocks(v.dims, 2, volume.POOL_BLOCK_VOXELS))
-    return v.with_intensities(out)
+    run_blocks(forward, plane_blocks(v.dims, 0))
+    run_blocks(middle, plane_blocks((n0, len(k1), n2), 1))
+    run_blocks(inverse, plane_blocks(v.dims, 2))
+    return v.with_array(out)
 
 
 def noise_add_mult(v: Volume3D, sigma_add: float, sigma_mult: float, seed: int = 0) -> Volume3D:
@@ -359,7 +358,7 @@ def noise_add_mult(v: Volume3D, sigma_add: float, sigma_mult: float, seed: int =
         fld = rng.normal(0.0, sigma_add, v.dims)
         fld += out
         out = fld
-    return v.with_intensities(out)
+    return v.with_array(out)
 
 
 # ---------------------------------------------------------------------------

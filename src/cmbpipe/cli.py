@@ -467,7 +467,7 @@ def cmd_segment(params: dict) -> list[Path]:
     outputs = []
     for entry in entries:
         vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))
-        if len(set(vol.dims)) > 1 or len(set(vol.spacing)) > 1:
+        if not vol.canonical:
             vol = volume.resample_isotropic(vol, params["target_spacing"], (params["target_dims"],) * 3)
         if kind == "oracle":
             gt = scanio.read_mask(Path(params["gt_dir"]) / f"{entry.scan_id}.nii.gz")

@@ -183,12 +183,14 @@ def _smooth_field(spec: PhantomSpec, blocks: list[slice], buf: np.ndarray):
 
 def _box(spec: PhantomSpec, lo_mm, hi_mm, planes: slice) -> tuple[slice, ...] | None:
     """Voxels whose centers may lie in world [lo_mm, hi_mm], within the grid and axis-0 ``planes``; None if none."""
-    lo = np.maximum(np.floor(lo_mm / spec.spacing).astype(int), 0)
-    hi = np.minimum(np.ceil(hi_mm / spec.spacing).astype(int) + 1, spec.dims)
-    lo[0], hi[0] = max(lo[0], planes.start), min(hi[0], planes.stop)
-    if np.any(lo >= hi):
-        return None
-    return tuple(slice(a, b) for a, b in zip(lo.tolist(), hi.tolist()))
+    box = []
+    # in scalars, axis 0 first: most of the blocks a phantom renders miss a given dip
+    for lo, hi, first, end in zip(lo_mm, hi_mm, (planes.start, 0, 0), (planes.stop, *spec.dims[1:])):
+        start, stop = max(math.floor(lo / spec.spacing), first), min(math.ceil(hi / spec.spacing) + 1, end)
+        if start >= stop:
+            return None
+        box.append(slice(start, stop))
+    return tuple(box)
 
 
 def _box_coords(spec: PhantomSpec, box: tuple[slice, ...]) -> list[np.ndarray]:
@@ -203,24 +205,24 @@ def _in_block(box: tuple[slice, ...], planes: slice) -> tuple[slice, ...]:
 def _gaussian_dip(out: np.ndarray, spec: PhantomSpec, center, sigma_mm: float, contrast: float, planes: slice) -> None:
     """Multiply ``out``, which holds the axis-0 ``planes``, by (1 - contrast * exp(-r^2 / 2 sigma^2))."""
     reach = 4.0 * sigma_mm
-    c = np.asarray(center, dtype=np.float64)
-    box = _box(spec, c - reach, c + reach, planes)
+    box = _box(spec, [c - reach for c in center], [c + reach for c in center], planes)
     if box is None:
         return
-    xs = [x - c[a] for a, x in enumerate(_box_coords(spec, box))]
+    xs = [x - c for x, c in zip(_box_coords(spec, box), center)]
     r2 = xs[0][:, None, None] ** 2 + xs[1][None, :, None] ** 2 + xs[2][None, None, :] ** 2
     out[_in_block(box, planes)] *= 1.0 - contrast * np.exp(-r2 / (2.0 * sigma_mm**2))
 
 
 def _tube_dip(out: np.ndarray, spec: PhantomSpec, vessel: VesselSpec, planes: slice) -> None:
     """Multiply the voxels of ``out``, which holds the axis-0 ``planes``, near the vessel by its tube profile."""
-    p0 = np.asarray(vessel.start, dtype=np.float64)
-    p1 = np.asarray(vessel.end, dtype=np.float64)
     sigma = profile_sigma_mm(vessel.diameter_mm)
     reach = 4.0 * sigma
-    box = _box(spec, np.minimum(p0, p1) - reach, np.maximum(p0, p1) + reach, planes)
+    ends = list(zip(vessel.start, vessel.end))
+    box = _box(spec, [min(e) - reach for e in ends], [max(e) + reach for e in ends], planes)
     if box is None:
         return
+    p0 = np.asarray(vessel.start, dtype=np.float64)
+    p1 = np.asarray(vessel.end, dtype=np.float64)
     gx, gy, gz = np.meshgrid(*_box_coords(spec, box), indexing="ij")
     pts = np.stack([gx, gy, gz], axis=-1)
     seg = p1 - p0

@@ -150,6 +150,8 @@ def _parse_nifti_header(blob: bytes, path: str):
     spacing = tuple(float(p) for p in pixdim[1:4])
     if any(not np.isfinite(s) or s <= 0 for s in spacing):
         raise VolumeLoadError(f"{path}: pixdim[1..3]={spacing} must be positive")
+    if not np.isfinite(vox_offset):
+        raise VolumeLoadError(f"{path}: vox_offset {vox_offset} is not finite")
 
     if datatype not in DTYPES:
         raise UnsupportedDatatypeError(f"{path}: datatype code {datatype} unsupported (allowed: 2, 4, 16)")
@@ -392,6 +394,12 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
     def fail(msg: str):
         raise ManifestError(f"line {lineno}: {msg}")
 
+    def number(value, what: str) -> float:
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            fail(f"{what} {value!r} is not a number")
+
     if not isinstance(rec, dict):
         fail("record is not an object")
     for key in ("scan_id", "subject_id", "dataset_tag", "path", "cmb_centers", "acquisition"):
@@ -402,14 +410,19 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
         fail(f"unknown keys {sorted(unknown)}")
     if rec["dataset_tag"] not in DATASET_TAGS:
         fail(f"dataset_tag '{rec['dataset_tag']}' not in {DATASET_TAGS}")
+    if not isinstance(rec["cmb_centers"], list):
+        fail(f"cmb_centers {rec['cmb_centers']!r} is not a list")
     centers = []
     for c in rec["cmb_centers"]:
         if not isinstance(c, (list, tuple)) or len(c) != 3:
             fail(f"cmb_center {c!r} is not an [x, y, z] triple")
-        centers.append(WorldPoint(*(float(x) for x in c)))
+        center = WorldPoint(*(number(x, "cmb_center coordinate") for x in c))
+        if not np.isfinite(center).all():
+            fail(f"cmb_center {c!r} is not finite")
+        centers.append(center)
     p_cmb = rec.get("p_cmb")
     if p_cmb is not None:
-        p_cmb = float(p_cmb)
+        p_cmb = number(p_cmb, "p_cmb")
         if not (0.0 <= p_cmb <= 1.0):
             fail(f"p_cmb {p_cmb} outside [0, 1]")
     acq = rec["acquisition"]
@@ -417,9 +430,9 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
         fail("acquisition is not an object")
     try:
         acquisition = Acquisition(
-            field_strength_tesla=float(acq["field_strength_tesla"]),
-            echo_time_ms=float(acq["echo_time_ms"]),
-            slice_thickness_mm=float(acq["slice_thickness_mm"]),
+            field_strength_tesla=number(acq["field_strength_tesla"], "field_strength_tesla"),
+            echo_time_ms=number(acq["echo_time_ms"], "echo_time_ms"),
+            slice_thickness_mm=number(acq["slice_thickness_mm"], "slice_thickness_mm"),
             scanner_model=str(acq["scanner_model"]),
         )
     except KeyError as exc:

@@ -41,18 +41,13 @@ def _check_alternative(alternative: str) -> str:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n with ties sharing their average rank; each NaN ranks on its own, after every number."""
+    # return_index makes the sort stable, so NaNs keep their input order
+    _, _, group, counts = np.unique(
+        values, return_index=True, return_inverse=True, return_counts=True, equal_nan=False
+    )
+    # a group of c ties that ends at sorted position e (1-based) spans ranks e - c + 1 .. e
+    return ((2 * np.cumsum(counts) - counts + 1) / 2)[group]
 
 
 def _normal_sf(z: float) -> float:

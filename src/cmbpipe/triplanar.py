@@ -16,7 +16,6 @@ from typing import Protocol
 
 import numpy as np
 
-from . import volume
 from .errors import ConfigError, RejectedInputError, require
 from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, require_same_geometry, run_blocks
 
@@ -29,13 +28,6 @@ def _require_view(view: str) -> int:
     if view not in VIEW_AXIS:
         raise ConfigError(f"view must be one of {VIEWS}, got '{view}'")
     return VIEW_AXIS[view]
-
-
-def _require_canonical(v: Volume3D | LabelMask) -> None:
-    if len(set(v.dims)) != 1 or len(set(v.spacing)) != 1:
-        raise RejectedInputError(
-            f"volume must be canonical (cubic dims, isotropic spacing), got dims {v.dims} spacing {v.spacing}"
-        )
 
 
 @dataclass(frozen=True)
@@ -70,8 +62,8 @@ def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: Probabi
 
     The product is accumulated in float64 so the result is exactly
     symmetric in its arguments; any zero vetoes the voxel. It is computed
-    in blocks of planes, about ``volume.POOL_BLOCK_VOXELS`` voxels each,
-    that the threads of :func:`volume.run_blocks` share. Each block goes
+    in the blocks of planes of :func:`volume.plane_blocks`, which the
+    threads of :func:`volume.run_blocks` share. Each block goes
     through its own float64 buffer and is rounded into one float32 volume,
     with the same arithmetic as ``(a.astype(float64) * b * c).astype(float32)``.
     """
@@ -85,7 +77,7 @@ def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: Probabi
         np.multiply(prod, c[block], out=prod)
         fused[block] = prod
 
-    run_blocks(one_block, plane_blocks(a.shape, 0, volume.POOL_BLOCK_VOXELS))
+    run_blocks(one_block, plane_blocks(a.shape, 0))
     return ProbabilityVolume(fused, p_ax.spacing, p_ax.origin)
 
 
@@ -114,9 +106,9 @@ class SliceSegmenter(Protocol):
 def map_plane_blocks(fn, v: Volume3D, view: str) -> np.ndarray:
     """Float32 volume, in ``v``'s layout, of ``fn`` applied to consecutive blocks of a view's planes.
 
-    ``fn(planes)`` gets a block of the view's planes, about
-    ``volume.POOL_BLOCK_VOXELS`` voxels, as one ``(b, H, W)`` array, plane
-    axis first, and returns values of that shape, which are written straight
+    ``fn(planes)`` gets one of the view's blocks of planes from
+    :func:`volume.plane_blocks` as one ``(b, H, W)`` array, plane axis
+    first, and returns values of that shape, which are written straight
     into one preallocated output. The blocks are shared by the threads of
     :func:`volume.run_blocks`. Each block writes only its own planes, so the
     output is the same for any thread count.
@@ -127,7 +119,7 @@ def map_plane_blocks(fn, v: Volume3D, view: str) -> np.ndarray:
     def one_block(b: tuple) -> None:
         np.moveaxis(out[b], axis, 0)[...] = fn(np.moveaxis(v.intensities[b], axis, 0))
 
-    run_blocks(one_block, plane_blocks(v.dims, axis, volume.POOL_BLOCK_VOXELS))
+    run_blocks(one_block, plane_blocks(v.dims, axis))
     return out
 
 
@@ -154,7 +146,10 @@ class SliceAdapter:
 def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter) -> ProbabilityVolume:
     """One view's probability volume from one whole-view segmenter call."""
     _require_view(view)
-    _require_canonical(v)
+    if not v.canonical:
+        raise RejectedInputError(
+            f"volume must be canonical (cubic dims, isotropic spacing), got dims {v.dims} spacing {v.spacing}"
+        )
     values = np.asarray(segmenter.segment(v, view))
     if values.shape != v.dims:
         raise RejectedInputError(f"{view} probabilities have shape {values.shape}, expected {v.dims}")

@@ -16,7 +16,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -34,12 +34,6 @@ Triple = tuple[float, float, float]
 SPACING_BOUND = "(0, inf)"  # mm
 PERCENTILE_BOUND = "[0, 100]"
 GAMMA_BOUND = "(0, inf)"
-
-# The phantom draws its noise and renders in blocks of axis-0 planes of about this many voxels, 2 MiB of
-# float64. Each block is one C-order piece of the noise stream and one hand-over from the draw to the
-# rendering. On a 2-vCPU VM, a 256^3 phantom on two threads took 0.43-0.45 s (median of 8) with blocks of
-# 2^14 to 2^18 voxels, and 0.52 s with blocks of 2^20 or 2^22: larger blocks overlap less of the draw.
-_BLOCK_VOXELS = 1 << 18
 
 
 class VoxelIndex(NamedTuple):
@@ -62,22 +56,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def plane_blocks(shape: tuple[int, ...], axis: int = 0, voxels: int | None = None) -> list[tuple[slice, ...]]:
-    """Index tuples of consecutive blocks of planes across ``axis`` of ``shape``, each about ``voxels`` voxels.
-
-    The blocks together cover the grid; the last slice of each tuple picks
-    the block's planes of ``axis``. ``voxels`` defaults to ``_BLOCK_VOXELS``.
-    """
-    n = shape[axis]
-    step = max((_BLOCK_VOXELS if voxels is None else voxels) // (int(np.prod(shape)) // n), 1)
-    return [(slice(None),) * axis + (slice(start, min(start + step, n)),) for start in range(0, n, step)]
-
-
 # Block pools share blocks of about this many voxels, so that each thread's working set stays small:
 # 0.5 MiB of complex128 lines per FFT block in ``augment``, and about 12 times its float64 size for a
 # reference segmenter block (2 planes at 128^3). On a 2-vCPU VM at 128^3 with both CPUs busy, reference
 # blocks of 32k and 64k voxels were equally fast and 16k 1.3x slower; 128k held 14 MiB more peak RSS.
+# The phantom draws its noise and renders in these blocks too; a 256^3 phantom on two threads took
+# 0.43-0.45 s (median of 8) with blocks of 2^14 to 2^18 voxels, and 0.52 s with blocks of 2^20 or 2^22:
+# larger blocks overlap less of the draw with the rendering. A 128^3 phantom with vessels, on two threads,
+# took about 57 ms in blocks of 2^15 voxels (2 planes) and 54 ms in blocks of 2^18 (16 planes).
 POOL_BLOCK_VOXELS = 1 << 15
+
+
+def plane_blocks(shape: tuple[int, ...], axis: int = 0) -> list[tuple[slice, ...]]:
+    """Index tuples of consecutive blocks of planes across ``axis`` of ``shape``, about ``POOL_BLOCK_VOXELS`` each.
+
+    The blocks together cover the grid; the last slice of each tuple picks
+    the block's planes of ``axis``.
+    """
+    n = shape[axis]
+    step = max(POOL_BLOCK_VOXELS // (int(np.prod(shape)) // n), 1)
+    return [(slice(None),) * axis + (slice(start, min(start + step, n)),) for start in range(0, n, step)]
+
 
 _THREADS: ContextVar[int | None] = ContextVar("threads", default=None)  # None: one per CPU
 THREADS_BOUND = "[1, inf)"
@@ -144,131 +143,114 @@ def run_blocks(fn, blocks) -> None:
         helper.result()  # re-raises a block's error
 
 
-def _check_geometry_fields(spacing, origin) -> tuple[Triple, Triple]:
-    spacing = tuple(float(s) for s in spacing)
-    origin = tuple(float(o) for o in origin)
-    if len(spacing) != 3 or len(origin) != 3:
-        raise RejectedInputError("spacing and origin must have 3 components")
-    if any(not np.isfinite(s) or s <= 0 for s in spacing):
-        raise RejectedInputError(f"spacing must be positive and finite, got {spacing}")
-    if any(not np.isfinite(o) for o in origin):
-        raise RejectedInputError(f"origin must be finite, got {origin}")
-    return spacing, origin
+def require_unit_interval(arr: np.ndarray, what: str) -> None:
+    """Raise :class:`RejectedInputError` unless every value of ``arr`` lies in [0, 1]; NaN fails too."""
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (lo >= 0.0 and hi <= 1.0):
+        raise RejectedInputError(f"{what} outside [0, 1]: min {lo}, max {hi}")
 
 
-@dataclass(frozen=True)
-class Volume3D:
-    """Dense scalar grid with physical voxel spacing and world origin.
+class Grid:
+    """A non-empty 3D array with physical voxel spacing and world origin.
 
-    ``intensities`` has shape ``dims`` and is stored float64, read-only.
-    ``origin`` is the world position (mm) of the center of voxel (0,0,0).
+    Each grid type is a frozen dataclass whose first field holds the array.
+    The array is read as the type's ``_dtype`` (``None``: as given), and
+    the type's ``_checked`` rejects bad values and returns the array to
+    store read-only. ``origin`` is the world position (mm) of the center of
+    voxel (0,0,0).
     """
 
-    intensities: np.ndarray
-    spacing: Triple = (1.0, 1.0, 1.0)
-    origin: Triple = (0.0, 0.0, 0.0)
+    _dtype = None
+    spacing: Triple
+    origin: Triple
 
     def __post_init__(self):
-        arr = np.asarray(self.intensities, dtype=np.float64)
+        name = fields(self)[0].name
+        arr = np.asarray(getattr(self, name), dtype=self._dtype)
         if arr.ndim != 3 or arr.size == 0:
-            raise RejectedInputError(f"intensities must be a non-empty 3D array, got shape {arr.shape}")
-        # min/max propagate NaN and expose Inf, in one pass each
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise RejectedInputError("intensities contain NaN or Inf")
-        spacing, origin = _check_geometry_fields(self.spacing, self.origin)
-        object.__setattr__(self, "intensities", _freeze(arr))
+            raise RejectedInputError(f"{name} must be a non-empty 3D array, got shape {arr.shape}")
+        arr = self._checked(arr)
+        spacing = tuple(float(s) for s in self.spacing)
+        origin = tuple(float(o) for o in self.origin)
+        if len(spacing) != 3 or len(origin) != 3:
+            raise RejectedInputError("spacing and origin must have 3 components")
+        if any(not np.isfinite(s) or s <= 0 for s in spacing):
+            raise RejectedInputError(f"spacing must be positive and finite, got {spacing}")
+        if any(not np.isfinite(o) for o in origin):
+            raise RejectedInputError(f"origin must be finite, got {origin}")
+        object.__setattr__(self, name, _freeze(arr))
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.intensities.shape
+        return getattr(self, fields(self)[0].name).shape
 
     @property
     def voxel_volume_mm3(self) -> float:
         return float(np.prod(self.spacing))
 
-    def with_intensities(self, arr: np.ndarray) -> "Volume3D":
-        """New volume with the same geometry and different intensities."""
-        return Volume3D(arr, self.spacing, self.origin)
+    @property
+    def canonical(self) -> bool:
+        """Cubic dims and isotropic spacing: the grid the three views are cut from."""
+        return len(set(self.dims)) == 1 and len(set(self.spacing)) == 1
+
+    def with_array(self, arr: np.ndarray):
+        """New grid of the same type and geometry holding ``arr``."""
+        return type(self)(arr, self.spacing, self.origin)
 
 
 @dataclass(frozen=True)
-class LabelMask:
-    """Binary label grid sharing geometry with its parent volume."""
+class Volume3D(Grid):
+    """Dense scalar grid; ``intensities`` is stored float64."""
+
+    intensities: np.ndarray
+    spacing: Triple = (1.0, 1.0, 1.0)
+    origin: Triple = (0.0, 0.0, 0.0)
+    _dtype = np.float64
+
+    def _checked(self, arr: np.ndarray) -> np.ndarray:
+        # min/max propagate NaN and expose Inf, in one pass each
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise RejectedInputError("intensities contain NaN or Inf")
+        return arr
+
+
+@dataclass(frozen=True)
+class LabelMask(Grid):
+    """Binary label grid sharing geometry with its parent volume, stored uint8."""
 
     labels: np.ndarray
     spacing: Triple = (1.0, 1.0, 1.0)
     origin: Triple = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        arr = np.asarray(self.labels)
-        if arr.ndim != 3 or arr.size == 0:
-            raise RejectedInputError(f"labels must be a non-empty 3D array, got shape {arr.shape}")
+    def _checked(self, arr: np.ndarray) -> np.ndarray:
         if arr.dtype != np.uint8:
             uniq = np.unique(arr)
             if not np.isin(uniq, (0, 1)).all():
                 raise RejectedInputError(f"labels must be binary, got values {uniq[:8]}")
-            arr = arr.astype(np.uint8)
-        elif arr.max(initial=0) > 1:
+            return arr.astype(np.uint8)
+        if arr.max(initial=0) > 1:
             raise RejectedInputError("labels must be binary")
-        spacing, origin = _check_geometry_fields(self.spacing, self.origin)
-        object.__setattr__(self, "labels", _freeze(arr))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.labels.shape
-
-    @property
-    def voxel_volume_mm3(self) -> float:
-        return float(np.prod(self.spacing))
-
-    def with_labels(self, arr: np.ndarray) -> "LabelMask":
-        return LabelMask(arr, self.spacing, self.origin)
+        return arr
 
 
 @dataclass(frozen=True)
-class ProbabilityVolume:
+class ProbabilityVolume(Grid):
     """Per-voxel probability in [0, 1], float32, geometry of the parent volume."""
 
     values: np.ndarray
     spacing: Triple = (1.0, 1.0, 1.0)
     origin: Triple = (0.0, 0.0, 0.0)
+    _dtype = np.float32
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float32)
-        if arr.ndim != 3 or arr.size == 0:
-            raise RejectedInputError(f"values must be a non-empty 3D array, got shape {arr.shape}")
-        lo, hi = float(arr.min()), float(arr.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise RejectedInputError("probabilities contain NaN or Inf")
-        if lo < 0.0 or hi > 1.0:
-            raise RejectedInputError(f"probabilities outside [0, 1]: min {lo}, max {hi}")
-        spacing, origin = _check_geometry_fields(self.spacing, self.origin)
-        object.__setattr__(self, "values", _freeze(arr))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.values.shape
-
-
-Grid = Volume3D | LabelMask | ProbabilityVolume
-
-
-def same_geometry(a: Grid, b: Grid, atol: float = 1e-9) -> bool:
-    return (
-        a.dims == b.dims
-        and np.allclose(a.spacing, b.spacing, rtol=0.0, atol=atol)
-        and np.allclose(a.origin, b.origin, rtol=0.0, atol=atol)
-    )
+    def _checked(self, arr: np.ndarray) -> np.ndarray:
+        require_unit_interval(arr, "probabilities")
+        return arr
 
 
 def require_same_geometry(a: Grid, b: Grid, what: str = "grids") -> None:
-    if not same_geometry(a, b):
+    if a.dims != b.dims or not np.allclose((*a.spacing, *a.origin), (*b.spacing, *b.origin), rtol=0.0, atol=1e-9):
         raise GeometryMismatchError(
             f"{what} disagree: dims {a.dims} vs {b.dims}, spacing {a.spacing} vs "
             f"{b.spacing}, origin {a.origin} vs {b.origin}"
@@ -363,15 +345,13 @@ def normalize_intensity(v: Volume3D, lo_pct: float = 1.0, hi_pct: float = 99.0) 
             DegenerateNormalizationWarning,
             stacklevel=2,
         )
-        return v.with_intensities(np.zeros(v.dims))
+        return v.with_array(np.zeros(v.dims))
     out = (np.clip(v.intensities, p_lo, p_hi) - p_lo) / (p_hi - p_lo)
-    return v.with_intensities(out)
+    return v.with_array(out)
 
 
 def adjust_contrast(v: Volume3D, gamma: float) -> Volume3D:
     """Gamma contrast adjustment: per-voxel ``x -> x**gamma`` on [0, 1] intensities."""
     require(gamma, GAMMA_BOUND, "gamma")
-    lo, hi = float(v.intensities.min()), float(v.intensities.max())
-    if lo < 0.0 or hi > 1.0:
-        raise RejectedInputError(f"adjust_contrast needs intensities in [0, 1], got [{lo}, {hi}]")
-    return v.with_intensities(np.power(v.intensities, gamma))
+    require_unit_interval(v.intensities, "adjust_contrast intensities")
+    return v.with_array(np.power(v.intensities, gamma))

@@ -112,7 +112,7 @@ class TestSynthesizeMask:
         vol, center = radial_linear_cmb()
         arr = np.asarray(vol.intensities).copy()
         arr[19, 15, 15] = 25.0  # isolated dark voxel, 4 mm away from the 1.05 mm component
-        vol = vol.with_intensities(arr)
+        vol = vol.with_array(arr)
         mask = synthesize_mask(vol, [CMBAnnotation(WorldPoint(*center))])
         assert mask.labels[19, 15, 15] == 0
         assert mask.labels[15, 15, 15] == 1

@@ -478,6 +478,15 @@ class TestConfigAndErrors:
         manifest.write_text('{"scan_id": "x"}\n')
         assert run("detect", "--manifest", manifest, "--masks-dir", tmp_path, "--out", tmp_path / "o") == 2
 
+    def test_ill_typed_manifest_value_exit_2(self, tmp_path, capsys):
+        data = make_phantom_data(tmp_path, count=1, dims=24)
+        manifest = data / "manifest.jsonl"
+        rec = json.loads(manifest.read_text())
+        rec["p_cmb"] = "high"
+        manifest.write_text(json.dumps(rec) + "\n")
+        assert run("detect", "--manifest", manifest, "--masks-dir", data, "--out", tmp_path / "o") == 2
+        assert "line 1: p_cmb 'high' is not a number" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert (
             run(

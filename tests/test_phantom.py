@@ -185,7 +185,7 @@ BLOCKED_DIMS = (37, 11, 5)  # 37 planes: no block size used below divides it
 @pytest.mark.parametrize("block_voxels", [1, 4 * 11 * 5, None])
 def test_blocked_noise_equals_one_whole_volume_draw(monkeypatch, block_voxels):
     if block_voxels is not None:
-        monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", block_voxels)
+        monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", block_voxels)
         assert len(plane_blocks(BLOCKED_DIMS)) > 1
     spec = PhantomSpec(
         dims=BLOCKED_DIMS,
@@ -201,8 +201,9 @@ def test_blocked_noise_equals_one_whole_volume_draw(monkeypatch, block_voxels):
         assert np.array_equal(vol.intensities, want)
 
 
-def test_smooth_field_scaled_by_its_largest_magnitude():
-    blocks = [planes for (planes,) in plane_blocks(BLOCKED_DIMS, 0, 4 * 11 * 5)]
+def test_smooth_field_scaled_by_its_largest_magnitude(monkeypatch):
+    monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", 4 * 11 * 5)
+    blocks = [planes for (planes,) in plane_blocks(BLOCKED_DIMS)]
     peak_signs = set()
     for seed in range(8):
         spec = PhantomSpec(dims=BLOCKED_DIMS, background=BackgroundSpec(100.0, 2.5, 0.0), seed=seed)
@@ -223,7 +224,7 @@ def test_noise_and_rendering_hand_over_under_contention(monkeypatch):
     At 64^3 the draw of a block takes longer than its rendering, so the
     rendering waits for the draw.
     """
-    monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", 1)
+    monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", 1)
     spec = random_phantom_spec(5, dims=(64,) * 3, n_cmbs=3, background=BackgroundSpec(100.0, 2.0, 3.0))
     with threads(1):
         want = generate_phantom(spec)[0].intensities
@@ -261,7 +262,7 @@ class FailingNoise:
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failing_noise_draw_is_raised(monkeypatch, jobs):
     """A draw that fails part way is raised, and the rendering does not wait for its missing blocks."""
-    monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", 4 * 11 * 5)
+    monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", 4 * 11 * 5)
     monkeypatch.setattr(
         "cmbpipe.phantom.derive_rng",
         lambda seed, label: FailingNoise(derive_rng(seed, label)) if label == "noise" else derive_rng(seed, label),
@@ -305,7 +306,7 @@ FROZEN_DIGESTS = {
 @pytest.mark.parametrize("n, seed", list(FROZEN_DIGESTS))
 def test_cubic_phantom_digests_frozen(monkeypatch, n, seed, block_voxels):
     if block_voxels is not None:
-        monkeypatch.setattr("cmbpipe.volume._BLOCK_VOXELS", block_voxels)
+        monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", block_voxels)
     spec = random_phantom_spec(
         seed, dims=(n,) * 3, n_cmbs=6, n_vessels=2, n_calcifications=2, background=BackgroundSpec(100.0, 2.0, 2.0)
     )

@@ -149,6 +149,18 @@ class TestNiftiHeaderHandling:
         with pytest.raises(NonFiniteDataError):
             read_volume(path)
 
+    @pytest.mark.parametrize("vox_offset", [np.nan, np.inf])
+    def test_non_finite_vox_offset(self, rng, tmp_path, vox_offset):
+        v = make_volume(rng, dims=(4, 4, 4))
+        path = tmp_path / "vol.nii"
+        write_volume(v, path)
+        blob = self._raw_header_and_payload(path)
+        struct.pack_into("<f", blob, 108, vox_offset)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VolumeLoadError, match="vox_offset") as exc:
+            read_volume(path)
+        assert str(path) in str(exc.value)
+
     def test_pixdim_honored(self, tmp_path):
         # typical DS1-style SWI acquisition geometry
         v = Volume3D(np.zeros((6, 6, 6)), (0.93, 0.93, 1.75))
@@ -333,9 +345,22 @@ class TestManifest:
         assert len(back[0].cmb_centers) == 3
         assert back[0].cmb_centers[1] == WorldPoint(4.0, 5.0, 6.0)
 
-    def test_p_cmb_out_of_range(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("p_cmb", 1.5),
+            ("p_cmb", "high"),
+            ("cmb_centers", [["a", 1, 2]]),
+            ("cmb_centers", 5),
+            ("cmb_centers", [[float("nan"), 1, 2]]),
+            ("cmb_centers", [[1, float("inf"), 2]]),
+            ("echo_time_ms", "long"),
+        ],
+    )
+    def test_p_cmb_out_of_range(self, tmp_path, key, value):
+        """A value of the wrong type or out of range is a manifest error that names its line."""
         rec = entry("a").to_json()
-        rec["p_cmb"] = 1.5
+        (rec["acquisition"] if key in rec["acquisition"] else rec)[key] = value
         path = tmp_path / "manifest.jsonl"
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ManifestError, match="line 1"):

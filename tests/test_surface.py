@@ -1,8 +1,9 @@
 """Guards on the library's surface.
 
 The thread count is one process-wide setting, never a parameter,
-detections have one representation: the ``detect.Detections`` table, and
-every numeric command parameter declares what it is checked against.
+detections have one representation: the ``detect.Detections`` table,
+every numeric command parameter declares what it is checked against, and
+``volume`` states each grid fact once: one grid base and one block size.
 """
 
 import importlib
@@ -11,7 +12,7 @@ import pkgutil
 from pathlib import Path
 
 import cmbpipe
-from cmbpipe import augment, cli, detect
+from cmbpipe import augment, cli, detect, volume
 
 SRC = Path(cmbpipe.__file__).parent
 MODULES = [
@@ -70,3 +71,16 @@ def test_every_numeric_parameter_declares_a_bound():
     unbounded = [f"{name} {p.flag}" for name, p in numeric if not (p.bound or p.choices or p.name.endswith("seed"))]
     assert len(numeric) > 40
     assert unbounded == []
+
+
+def test_grid_types_share_one_base():
+    """The checks, freezing and geometry of a grid live on ``volume.Grid`` alone."""
+    for grid in (volume.Volume3D, volume.LabelMask, volume.ProbabilityVolume):
+        assert issubclass(grid, volume.Grid)
+        assert [name for name in ("__post_init__", "dims", "voxel_volume_mm3") if name in vars(grid)] == []
+
+
+def test_one_block_size():
+    """``plane_blocks`` always reads the pool's block size, which no other module names."""
+    assert list(inspect.signature(volume.plane_blocks).parameters) == ["shape", "axis"]
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "POOL_BLOCK_VOXELS" in p.read_text()] == ["volume.py"]

@@ -123,7 +123,7 @@ class TestBlockedFusion:
     def test_equals_whole_volume_float64_product(self, rng, monkeypatch, block_voxels):
         if block_voxels is not None:
             monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", block_voxels)
-            assert len(plane_blocks(self.SHAPE, 0, volume.POOL_BLOCK_VOXELS)) > 1
+            assert len(plane_blocks(self.SHAPE, 0)) > 1
         a, b, c = (near_tau_probabilities(rng, self.SHAPE) for _ in range(3))
         want = (a.astype(np.float64) * b * c).astype(np.float32)
         for jobs in (1, 2):

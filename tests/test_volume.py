@@ -83,7 +83,7 @@ class TestResample:
         v = Volume3D(np.full((8, 8, 8), 50.0), (1.0,) * 3, (0.0, 0.0, 0.0))
         arr = np.asarray(v.intensities).copy()
         arr[0, 0, 0] = 10.0  # global minimum
-        v = v.with_intensities(arr)
+        v = v.with_array(arr)
         out = resample_isotropic(v, 1.0, (32, 32, 32))
         assert out.intensities[0, 0, 0] == 10.0  # far corner is outside the 8^3 FOV
 
@@ -299,9 +299,10 @@ class TestBlockPool:
         assert thread_count() == default
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_plane_blocks_cover_an_axis(self, axis):
+    def test_plane_blocks_cover_an_axis(self, monkeypatch, axis):
         shape = (7, 11, 13)
-        blocks = plane_blocks(shape, axis, voxels=3 * 7 * 11 * 13 // shape[axis])
+        monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", 3 * 7 * 11 * 13 // shape[axis])
+        blocks = plane_blocks(shape, axis)
         assert all(b[:-1] == (slice(None),) * axis for b in blocks)
         starts = range(0, shape[axis], 3)
         assert [(b[-1].start, b[-1].stop) for b in blocks] == [(s, min(s + 3, shape[axis])) for s in starts]
