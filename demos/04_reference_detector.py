@@ -10,7 +10,7 @@ clinical size filter cleans up the speckle.
 from cmbpipe import detect
 from cmbpipe.phantom import BackgroundSpec, generate_phantom, random_phantom_spec
 from cmbpipe.segmenter import ReferenceConfig, ReferenceSegmenter
-from cmbpipe.triplanar import VIEWS, binarize_fused, fuse_views, segment_volume
+from cmbpipe.triplanar import binarize_fused, fuse_views, segment_volume
 from cmbpipe.volume import normalize_intensity
 
 
@@ -27,7 +27,7 @@ def run_scan(seed, n_vessels):
     volume, gt_mask, _ = generate_phantom(spec)
     volume = normalize_intensity(volume, 0.0, 100.0)
     segmenter = ReferenceSegmenter(ReferenceConfig())
-    probs = segment_volume(volume, {view: segmenter for view in VIEWS})  # every CPU
+    probs = segment_volume(volume, segmenter)  # all three views, each on every CPU
     fused = fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
     pred_mask = binarize_fused(fused, 0.125)
     filtered, _, _ = detect.evaluate_scan(pred_mask, gt_mask, min_volume_mm3=4.2)

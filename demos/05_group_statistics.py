@@ -36,7 +36,7 @@ group_low = cohort(counts_low, seed0=600)
 cmp = stats.compare_groups(group_high, group_low, size_filter_mm3=4.2, illness_threshold=5)
 print(f"\nMean CMBs/scan: high-burden {cmp.mean_count_a:.2f} vs low-burden {cmp.mean_count_b:.2f}")
 print(f"Wilcoxon signed-rank: W = {cmp.wilcoxon_w:.1f}, p = {cmp.wilcoxon_p:.2e}")
-print(f"Contingency (>= {cmp.illness_threshold} CMBs vs fewer): {cmp.contingency.rows()}")
+print(f"Contingency (>= {cmp.illness_threshold} CMBs vs fewer): {cmp.contingency}")
 print(f"Fisher's exact: p = {cmp.fisher_p:.2e}")
 
 print("\nSize-filter sweep:")

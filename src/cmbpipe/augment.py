@@ -44,7 +44,7 @@ def _voxel_sigma(sigma_mm: float, spacing) -> tuple[float, float, float]:
     return tuple(sigma_mm / s for s in spacing)
 
 
-def _warp(v: Volume3D, m: LabelMask | None, disp: np.ndarray | None):
+def _warp(v: Volume3D, m: LabelMask, disp: np.ndarray | None):
     """Sample image (linear) and mask (nearest) at each voxel's index plus ``disp`` (3, *dims), in voxels.
 
     Runs over blocks of output planes: each block adds its own indices to its
@@ -52,7 +52,7 @@ def _warp(v: Volume3D, m: LabelMask | None, disp: np.ndarray | None):
     """
     fill = float(v.intensities.min())
     out = np.empty(v.dims)
-    lab = None if m is None else np.empty(m.dims, dtype=m.labels.dtype)
+    lab = np.empty(m.dims, dtype=m.labels.dtype)
 
     def warp(b: tuple) -> None:
         at = np.indices(out[b].shape, dtype=np.float32)
@@ -60,11 +60,10 @@ def _warp(v: Volume3D, m: LabelMask | None, disp: np.ndarray | None):
         if disp is not None:
             at += disp[(slice(None),) + b]
         ndimage.map_coordinates(v.intensities, at, out[b], order=1, mode="constant", cval=fill)
-        if lab is not None:
-            ndimage.map_coordinates(m.labels, at, lab[b], order=0, mode="constant", cval=0)
+        ndimage.map_coordinates(m.labels, at, lab[b], order=0, mode="constant", cval=0)
 
     run_blocks(warp, plane_blocks(v.dims, 0))
-    return v.with_array(out), None if m is None else m.with_array(lab)
+    return v.with_array(out), m.with_array(lab)
 
 
 def _tensor_product(coeffs: np.ndarray, w0: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -119,7 +118,7 @@ def _bspline_field(control: np.ndarray, dims) -> np.ndarray:
 
 def elastic_deform(
     v: Volume3D,
-    m: LabelMask | None,
+    m: LabelMask,
     control_spacing_mm: float = 32.0,
     displacement_mm: float = 3.0,
     seed: int = 0,
@@ -129,8 +128,7 @@ def elastic_deform(
     The field is scaled so its largest displacement vector has length
     ``displacement_mm`` exactly.
     """
-    if m is not None:
-        require_same_geometry(v, m, "image and mask")
+    require_same_geometry(v, m, "image and mask")
     require(control_spacing_mm, "(0, inf)", "control_spacing_mm")
     require(displacement_mm, "[0, inf)", "displacement_mm")
     dims = v.dims
@@ -166,33 +164,27 @@ def _rotation_matrix(angles_deg) -> np.ndarray:
     return rx @ ry @ rz
 
 
-def rotate_volume(v: Volume3D, m: LabelMask | None, angles_deg):
+def rotate_volume(v: Volume3D, m: LabelMask, angles_deg):
     """Rotate about the grid center; trilinear for the image, nearest for the mask."""
-    if m is not None:
-        require_same_geometry(v, m, "image and mask")
+    require_same_geometry(v, m, "image and mask")
     rot = _rotation_matrix(angles_deg)
     center = (np.asarray(v.dims, dtype=np.float64) - 1.0) / 2.0
     inv = rot.T
     offset = center - inv @ center
     fill = float(v.intensities.min())
     out = ndimage.affine_transform(v.intensities, inv, offset=offset, order=1, mode="constant", cval=fill)
-    rotated_v = v.with_array(out)
-    rotated_m = None
-    if m is not None:
-        lab = ndimage.affine_transform(m.labels, inv, offset=offset, order=0, mode="constant", cval=0)
-        rotated_m = m.with_array(lab)
-    return rotated_v, rotated_m
+    lab = ndimage.affine_transform(m.labels, inv, offset=offset, order=0, mode="constant", cval=0)
+    return v.with_array(out), m.with_array(lab)
 
 
-def flip_volume(v: Volume3D, m: LabelMask | None, axes):
+def flip_volume(v: Volume3D, m: LabelMask, axes):
     """Mirror along the given axes; an involution for any fixed axis set."""
-    if m is not None:
-        require_same_geometry(v, m, "image and mask")
+    require_same_geometry(v, m, "image and mask")
     axes = tuple(int(a) for a in axes)
     if any(a not in AXES for a in axes) or len(set(axes)) != len(axes):
         raise ConfigError(f"flip axes must be distinct values in {AXES}, got {axes}")
     flipped_v = v.with_array(np.flip(v.intensities, axes) if axes else v.intensities)
-    flipped_m = m.with_array(np.flip(m.labels, axes)) if (m is not None and axes) else m
+    flipped_m = m.with_array(np.flip(m.labels, axes)) if axes else m
     return flipped_v, flipped_m
 
 

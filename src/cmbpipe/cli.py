@@ -83,7 +83,7 @@ class Param(NamedTuple):
     type: type  # int, float, str, list (of numbers) or dict (tag -> number)
     default: object = None
     required: bool = False
-    choices: tuple = ()
+    choices: tuple = ()  # the allowed values, or of a dict the allowed keys
     help: str = ""
     bound: str | None = None  # interval of the value, or of each number of a list or dict (errors.require)
 
@@ -156,9 +156,12 @@ def _convert(command: str, p: Param, value, source: str):
         value = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{command}: {p.name} must be {kind}, got {value!r} (from {source})") from None
-    if p.choices and value not in p.choices:
-        allowed = ", ".join(map(str, p.choices))
-        raise ConfigError(f"{command}: {p.name} must be one of {allowed}, got {value!r} (from {source})")
+    if p.choices:
+        for x in value if p.type is dict else [value]:
+            if x not in p.choices:
+                allowed = ", ".join(map(str, p.choices))
+                what = f"{p.name} keys" if p.type is dict else p.name
+                raise ConfigError(f"{command}: {what} must be one of {allowed}, got {x!r} (from {source})")
     if p.bound:
         for x in value.values() if p.type is dict else value if p.type is list else [value]:
             require(x, p.bound, f"{command}: {p.name} (from {source})")
@@ -343,8 +346,8 @@ def cmd_phantom(params: dict) -> list[Path]:
     OUT,
     Param("alpha_threshold", float, annotation.DEFAULT_ALPHA_THRESHOLD, help="partial-volume fraction cut",
           bound=annotation.ALPHA_BOUND),
-    Param("alpha_by_tag", dict, {}, help='per-dataset alpha thresholds, e.g. \'{"DS2": 0.52}\'',
-          bound=annotation.ALPHA_BOUND),
+    Param("alpha_by_tag", dict, {}, choices=scanio.DATASET_TAGS,
+          help='per-dataset alpha thresholds, e.g. \'{"DS2": 0.52}\'', bound=annotation.ALPHA_BOUND),
     Param("patch_halfwidth_mm", float, annotation.DEFAULT_PATCH_HALFWIDTH_MM, help="half-width of the mask patch",
           bound=annotation.RADIUS_BOUND),
     Param("snap_radius_mm", float, annotation.SNAP_RADIUS_MM, help="search radius for the darkest voxel",
@@ -437,8 +440,6 @@ def cmd_augment(params: dict) -> list[Path]:
           bound=REFERENCE_BOUNDS["scale_min_mm"]),
     Param("scale_max_mm", float, ReferenceConfig.scale_max_mm, help="reference: outer band-pass scale",
           bound=REFERENCE_BOUNDS["scale_max_mm"]),
-    Param("symmetry_weight", float, ReferenceConfig.symmetry_weight, help="reference: weight of the radial symmetry",
-          bound=REFERENCE_BOUNDS["symmetry_weight"]),
     Param("logistic_gain", float, ReferenceConfig.logistic_gain, help="reference: logistic gain",
           bound=REFERENCE_BOUNDS["logistic_gain"]),
     Param("score_offset", float, ReferenceConfig.score_offset, help="reference: logistic offset",
@@ -471,19 +472,18 @@ def cmd_segment(params: dict) -> list[Path]:
             vol = volume.resample_isotropic(vol, params["target_spacing"], (params["target_dims"],) * 3)
         if kind == "oracle":
             gt = scanio.read_mask(Path(params["gt_dir"]) / f"{entry.scan_id}.nii.gz")
-            segmenters = dict.fromkeys(VIEWS, OracleSegmenter(gt, params["corruption_rate"], params["oracle_seed"]))
+            seg = OracleSegmenter(gt, params["corruption_rate"], params["oracle_seed"])
         elif kind == "reference":
             vol = volume.normalize_intensity(vol, params["lo_pct"], params["hi_pct"])
             if params["gamma"] != 1.0:
                 vol = volume.adjust_contrast(vol, params["gamma"])
-            segmenters = dict.fromkeys(VIEWS, reference)
+            seg = reference
         else:
             prob_dir = Path(params["prob_dir"])
-            segmenters = {
-                view: ExternalSegmenter(scanio.read_probability(prob_dir / f"{entry.scan_id}_{view}.nii.gz"))
-                for view in VIEWS
-            }
-        probs = triplanar.segment_volume(vol, segmenters)
+            seg = ExternalSegmenter(
+                {view: scanio.read_probability(prob_dir / f"{entry.scan_id}_{view}.nii.gz") for view in VIEWS}
+            )
+        probs = triplanar.segment_volume(vol, seg)
         fused = triplanar.fuse_views(*(probs[view] for view in VIEWS))
         del probs  # before the writes: only the fused volume is kept
         fused_path = out / "fused" / f"{entry.scan_id}.nii.gz"
@@ -566,7 +566,7 @@ def cmd_eval(params: dict) -> list[Path]:
     DETECTIONS_A,
     DETECTIONS_B,
     OUT,
-    Param("size_filter", float, stats.DEFAULT_SIZE_FILTER_MM3, help="count only CMBs of at least this volume in mm^3",
+    Param("size_filter", float, detect.DEFAULT_MIN_VOLUME_MM3, help="count only CMBs of at least this volume in mm^3",
           bound=detect.SIZE_BOUND),
     ILLNESS,
     Param("alternative", str, "two_sided", choices=stats.ALTERNATIVES, help="alternative hypothesis"),
@@ -590,7 +590,7 @@ def cmd_compare_groups(params: dict) -> list[Path]:
     print(
         f"mean CMBs/scan: group A {comparison.mean_count_a:.2f}, group B {comparison.mean_count_b:.2f}\n"
         f"Wilcoxon signed-rank p = {wp}\n"
-        f"contingency (>= {comparison.illness_threshold}): {comparison.contingency.rows()}\n"
+        f"contingency (>= {comparison.illness_threshold}): {comparison.contingency}\n"
         f"Fisher exact p = {comparison.fisher_p:.6f}"
     )
     return [out / "group_comparison.json"]

@@ -24,6 +24,7 @@ DEFAULT_MIN_VOLUME_MM3 = 4.2  # minimum clinical CMB size (2 mm diameter sphere)
 DEFAULT_MATCH_DISTANCE_MM = 2.5  # radius of the largest "small" CMB
 SIZE_BOUND = "[0, inf)"  # of a size threshold in mm^3; NaN would silently keep nothing
 MATCH_DISTANCE_BOUND = "[0, inf)"  # mm; NaN would silently match nothing
+_NO_PAIRS = _freeze(np.empty((0, 2), dtype=np.int64))  # no (pred id, gt id) overlap pairs
 NA = "NA"
 
 
@@ -221,14 +222,17 @@ def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 def match_detections(
-    pred: Detections, gt_components: Detections, max_dist_mm: float = DEFAULT_MATCH_DISTANCE_MM, overlaps=frozenset()
+    pred: Detections,
+    gt_components: Detections,
+    max_dist_mm: float = DEFAULT_MATCH_DISTANCE_MM,
+    overlaps: np.ndarray = _NO_PAIRS,
 ) -> MatchResult:
     """One-to-one greedy matching in ascending centroid distance.
 
     A prediction may match a ground-truth component if their centroids lie
-    within ``max_dist_mm`` or the pair ``(pred.id, gt.id)`` is in
-    ``overlaps``, a set of such pairs or an (n, 2) integer array of them
-    (the components share a voxel; ``evaluate_scan`` finds these). Ties in
+    within ``max_dist_mm`` or the pair ``(pred.id, gt.id)`` is a row of
+    ``overlaps``, an (n, 2) integer array (the components share a voxel;
+    ``evaluate_scan`` finds these). Ties in
     distance go to the smaller prediction id, then the smaller ground-truth
     id. Unmatched predictions count as FP, unmatched ground truth as FN.
     """
@@ -247,8 +251,7 @@ def match_detections(
     pi = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
     gi = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=len(pi))
     near = pi * n_gt + gi
-    ov = np.array(overlaps if isinstance(overlaps, np.ndarray) else list(overlaps), dtype=np.int64).reshape(-1, 2)
-    op, og = _positions(pred_ids, ov[:, 0]), _positions(gt_ids, ov[:, 1])
+    op, og = _positions(pred_ids, overlaps[:, 0]), _positions(gt_ids, overlaps[:, 1])
     found = (op >= 0) & (og >= 0)
     shared = op[found] * n_gt + og[found]
 

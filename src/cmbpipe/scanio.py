@@ -428,11 +428,19 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
     acq = rec["acquisition"]
     if not isinstance(acq, dict):
         fail("acquisition is not an object")
+
+    def measure(key: str) -> float:
+        """A finite value >= 0; 0 is the entry's "unknown"."""
+        value = number(acq[key], key)
+        if not 0.0 <= value < np.inf:
+            fail(f"{key} {value} outside [0, inf)")
+        return value
+
     try:
         acquisition = Acquisition(
-            field_strength_tesla=number(acq["field_strength_tesla"], "field_strength_tesla"),
-            echo_time_ms=number(acq["echo_time_ms"], "echo_time_ms"),
-            slice_thickness_mm=number(acq["slice_thickness_mm"], "slice_thickness_mm"),
+            field_strength_tesla=measure("field_strength_tesla"),
+            echo_time_ms=measure("echo_time_ms"),
+            slice_thickness_mm=measure("slice_thickness_mm"),
             scanner_model=str(acq["scanner_model"]),
         )
     except KeyError as exc:

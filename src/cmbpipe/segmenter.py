@@ -29,12 +29,10 @@ from .volume import LabelMask, ProbabilityVolume, Volume3D, require_same_geometr
 # below the 0.5 that would put fused background at the 0.125 threshold.
 DEFAULT_LOGISTIC_GAIN = 40.0
 DEFAULT_SCORE_OFFSET = 0.05
-DEFAULT_SYMMETRY_WEIGHT = 1.0
 SYMMETRY_RADII_MM = (1.0, 2.0, 3.0, 4.0, 5.0)
 CORRUPTION_RATE_BOUND = "[0, 1)"
 REFERENCE_BOUNDS = {  # each ReferenceConfig field's bound; the scales must also be in order
-    "scale_min_mm": "(0, inf)", "scale_max_mm": "(0, inf)", "symmetry_weight": "(-inf, inf)",
-    "logistic_gain": "(0, inf)", "score_offset": "[0, inf)",
+    "scale_min_mm": "(0, inf)", "scale_max_mm": "(0, inf)", "logistic_gain": "(0, inf)", "score_offset": "[0, inf)",
 }
 
 
@@ -42,7 +40,6 @@ REFERENCE_BOUNDS = {  # each ReferenceConfig field's bound; the scales must also
 class ReferenceConfig:
     scale_min_mm: float = 1.0
     scale_max_mm: float = 4.0
-    symmetry_weight: float = DEFAULT_SYMMETRY_WEIGHT
     logistic_gain: float = DEFAULT_LOGISTIC_GAIN
     score_offset: float = DEFAULT_SCORE_OFFSET
 
@@ -146,8 +143,8 @@ class ReferenceSegmenter:
     """Deterministic classical detector of dark round blobs.
 
     Score = band-pass hypointensity (difference of two in-plane
-    smoothings, sign-flipped so dark scores high) + symmetry_weight *
-    radial-symmetry response over 1-5 mm radii, mapped through a logistic
+    smoothings, sign-flipped so dark scores high) + radial-symmetry
+    response over 1-5 mm radii, mapped through a logistic
     centered at ``score_offset`` so featureless background lands well below
     0.5 and cannot ride the fusion threshold. Inverting the image maps the
     score to its negative about zero, so bright blobs score symmetrically
@@ -170,7 +167,6 @@ class ReferenceSegmenter:
         planes = np.ascontiguousarray(planes)
         # the symmetry map first, so its peak working set is not stacked on the band-pass
         score = _radial_symmetry(planes, [max(r / px, 1.0) for r in SYMMETRY_RADII_MM])
-        score *= cfg.symmetry_weight
         band = _smooth(planes, cfg.scale_max_mm / px)
         band -= _smooth(planes, cfg.scale_min_mm / px)
         score += band
@@ -183,11 +179,12 @@ class ReferenceSegmenter:
 
 
 class ExternalSegmenter:
-    """Replays a stored per-view probability volume."""
+    """Replays stored probability volumes, one per view, keyed by view."""
 
-    def __init__(self, prob: ProbabilityVolume):
-        self.prob = prob
+    def __init__(self, probs: dict[str, ProbabilityVolume]):
+        self.probs = probs
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:
-        require_same_geometry(self.prob, v, "stored probabilities and volume")
-        return self.prob.values
+        prob = self.probs[view]
+        require_same_geometry(prob, v, "stored probabilities and volume")
+        return prob.values

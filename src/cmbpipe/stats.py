@@ -17,18 +17,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detect import SIZE_BOUND, format_table
+from .detect import DEFAULT_MIN_VOLUME_MM3, SIZE_BOUND, format_table
 from .errors import (
     ConfigError,
     DegenerateContingencyWarning,
     DegenerateTestError,
     PairingMismatchWarning,
+    RejectedInputError,
     require,
 )
 
 ALTERNATIVES = ("two_sided", "greater", "less")
 ZERO_METHODS = ("drop", "pratt")
-DEFAULT_SIZE_FILTER_MM3 = 4.2
 DEFAULT_ILLNESS_THRESHOLD = 5  # scans with >= 5 CMBs count as diseased
 ILLNESS_THRESHOLD_BOUND = "[1, inf)"  # at 0 every scan would count as diseased
 EXACT_WILCOXON_MAX_N = 20
@@ -82,24 +82,24 @@ def _exact_signed_rank_p(ranks2: np.ndarray, w2: int, alternative: str) -> float
     return float(selected / n_total)
 
 
-def wilcoxon_signed_rank(
-    pairs,
-    alternative: str = "two_sided",
-    zero_method: str = "drop",
-    exact: bool | None = None,
-) -> tuple[float, float]:
+def wilcoxon_signed_rank(pairs, alternative: str = "two_sided", zero_method: str = "drop") -> tuple[float, float]:
     """Paired signed-rank test on (count_a, count_b) pairs.
 
     Returns (W, p) where W is the sum of ranks of positive differences
     (a - b). Zero differences are dropped by default (``zero_method``
     "pratt" ranks them first, then drops their ranks); magnitude ties get
-    average ranks. ``exact=None`` enumerates for effective n <= 20 and
-    falls back to the tie- and continuity-corrected normal approximation.
+    average ranks. The null distribution is enumerated for effective
+    n <= 20; beyond that the test uses the tie- and continuity-corrected
+    normal approximation. A pair without a finite difference is rejected.
     """
     _check_alternative(alternative)
     if zero_method not in ZERO_METHODS:
         raise ConfigError(f"zero_method must be 'drop' or 'pratt', got '{zero_method}'")
+    pairs = list(pairs)
     diffs = np.asarray([float(a) - float(b) for a, b in pairs])
+    bad = np.flatnonzero(~np.isfinite(diffs))
+    if len(bad):
+        raise RejectedInputError(f"pair {bad[0]} {pairs[bad[0]]!r} has no finite difference")
     if len(diffs) == 0:
         raise DegenerateTestError("no pairs to test")
     nonzero = diffs[diffs != 0]
@@ -117,14 +117,9 @@ def wilcoxon_signed_rank(
     n = len(ranks)
     w_plus = float(ranks[signs > 0].sum())
 
-    if exact is None:
-        exact = n <= EXACT_WILCOXON_MAX_N
-    if exact:
+    if n <= EXACT_WILCOXON_MAX_N:
         ranks2 = np.rint(2.0 * ranks).astype(np.int64)
-        if n > 62:
-            raise ConfigError(f"exact enumeration limited to n <= 62, got {n}")
-        p = _exact_signed_rank_p(ranks2, int(round(2.0 * w_plus)), alternative)
-        return w_plus, p
+        return w_plus, _exact_signed_rank_p(ranks2, int(round(2.0 * w_plus)), alternative)
 
     mean = ranks.sum() / 2.0
     _, tie_counts = np.unique(ranks, return_counts=True)
@@ -143,25 +138,8 @@ def wilcoxon_signed_rank(
     return w_plus, p
 
 
-@dataclass(frozen=True)
-class Contingency2x2:
-    """Rows are groups; columns are (>= threshold, < threshold) scan counts."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ConfigError("contingency entries must be non-negative")
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
-
 def fisher_exact_2x2(table, alternative: str = "two_sided") -> float:
-    """Exact hypergeometric p-value for a 2x2 table.
+    """Exact hypergeometric p-value for a 2x2 table ``((a, b), (c, d))`` of non-negative counts.
 
     Two-sided sums every table with the observed margins whose point
     probability is at most the observed one (relative tolerance 1e-7 on
@@ -169,10 +147,7 @@ def fisher_exact_2x2(table, alternative: str = "two_sided") -> float:
     degenerate-table warning.
     """
     _check_alternative(alternative)
-    if isinstance(table, Contingency2x2):
-        a, b, c, d = table.a, table.b, table.c, table.d
-    else:
-        (a, b), (c, d) = table
+    (a, b), (c, d) = table
     if min(a, b, c, d) < 0:
         raise ConfigError("contingency entries must be non-negative")
     r1, r2, c1, c2 = a + b, c + d, a + c, b + d
@@ -215,7 +190,7 @@ class GroupComparison:
     wilcoxon_w: float | None
     wilcoxon_p: float | None
     wilcoxon_note: str
-    contingency: Contingency2x2
+    contingency: tuple[tuple[int, int], tuple[int, int]]  # rows are groups; columns >= / < the threshold
     fisher_p: float
     size_filter_mm3: float
     illness_threshold: int
@@ -229,7 +204,7 @@ class GroupComparison:
             "wilcoxon_w": self.wilcoxon_w,
             "wilcoxon_p": self.wilcoxon_p,
             "wilcoxon_note": self.wilcoxon_note,
-            "contingency": [list(r) for r in self.contingency.rows()],
+            "contingency": [list(r) for r in self.contingency],
             "fisher_p": self.fisher_p,
             "size_filter_mm3": self.size_filter_mm3,
             "illness_threshold": self.illness_threshold,
@@ -242,18 +217,23 @@ def count_filtered(detections_per_scan, size_filter_mm3: float) -> list[int]:
     return [int(np.count_nonzero(dets.volume_mm3 >= size_filter_mm3)) for dets in detections_per_scan]
 
 
-def _illness_table(counts_a, counts_b, illness_threshold: int) -> Contingency2x2:
-    """Scans per group with >= / < ``illness_threshold`` CMBs."""
+def _illness_table(counts_a, counts_b, illness_threshold: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Scans per group with >= / < ``illness_threshold`` CMBs, one row per group."""
     require(illness_threshold, ILLNESS_THRESHOLD_BOUND, "illness_threshold")
     a_ge = sum(1 for c in counts_a if c >= illness_threshold)
     b_ge = sum(1 for c in counts_b if c >= illness_threshold)
-    return Contingency2x2(a_ge, len(counts_a) - a_ge, b_ge, len(counts_b) - b_ge)
+    return ((a_ge, len(counts_a) - a_ge), (b_ge, len(counts_b) - b_ge))
+
+
+def _require_scans(group_a, group_b) -> None:
+    if len(group_a) == 0 or len(group_b) == 0:
+        raise DegenerateTestError("both groups need at least one scan")
 
 
 def compare_groups(
     group_a,
     group_b,
-    size_filter_mm3: float = DEFAULT_SIZE_FILTER_MM3,
+    size_filter_mm3: float = DEFAULT_MIN_VOLUME_MM3,
     illness_threshold: int = DEFAULT_ILLNESS_THRESHOLD,
     alternative: str = "two_sided",
     zero_method: str = "drop",
@@ -267,8 +247,7 @@ def compare_groups(
     """
     counts_a = count_filtered(group_a, size_filter_mm3)
     counts_b = count_filtered(group_b, size_filter_mm3)
-    if not counts_a or not counts_b:
-        raise ConfigError("both groups need at least one scan")
+    _require_scans(counts_a, counts_b)
 
     wilcoxon_w: float | None = None
     wilcoxon_p: float | None = None
@@ -334,6 +313,7 @@ def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_IL
         require(t, SIZE_BOUND, "thresholds")
     if sorted(thresholds) != thresholds:
         raise ConfigError("thresholds must be sorted ascending")
+    _require_scans(group_a, group_b)
     rows = []
     for t in thresholds:
         counts_a = count_filtered(group_a, t)
@@ -347,8 +327,8 @@ def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_IL
                 threshold_mm3=t,
                 mean_count_a=float(np.mean(counts_a)),
                 mean_count_b=float(np.mean(counts_b)),
-                n_ge_a=table.a,
-                n_ge_b=table.c,
+                n_ge_a=table[0][0],
+                n_ge_b=table[1][0],
                 fisher_p=p,
             )
         )

@@ -156,9 +156,6 @@ def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter) -> Probabilit
     return ProbabilityVolume(values, v.spacing, v.origin)
 
 
-def segment_volume(v: Volume3D, segmenters: dict) -> dict:
-    """Per-view probability volumes from per-view segmenters (keys: axial/sagittal/coronal)."""
-    missing = set(VIEWS) - set(segmenters)
-    if missing:
-        raise ConfigError(f"segmenters missing for views {sorted(missing)}")
-    return {view: segment_view(v, view, segmenters[view]) for view in VIEWS}
+def segment_volume(v: Volume3D, segmenter: ViewSegmenter) -> dict:
+    """Per-view probability volumes, keyed by view, from one segmenter that is told each view."""
+    return {view: segment_view(v, view, segmenter) for view in VIEWS}

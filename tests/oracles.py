@@ -197,7 +197,7 @@ def reference_plane_oracle(plane, cfg, px=1.0, radii_mm=(1.0, 2.0, 3.0, 4.0, 5.0
     plane = np.asarray(plane, dtype=np.float64)
     band = ndimage.gaussian_filter(plane, cfg.scale_max_mm / px) - ndimage.gaussian_filter(plane, cfg.scale_min_mm / px)
     symmetry = radial_symmetry_oracle(plane, [max(r / px, 1.0) for r in radii_mm])
-    score = band + cfg.symmetry_weight * symmetry
+    score = band + symmetry
     return 1.0 / (1.0 + np.exp(-cfg.logistic_gain * (score - cfg.score_offset)))
 
 

@@ -16,7 +16,7 @@ from cmbpipe.augment import AugmentSpec, apply_augmentation, elastic_deform, fli
 from cmbpipe.cli import main as cli_main
 from cmbpipe.phantom import BackgroundSpec, generate_phantom, gt_radius_mm, random_phantom_spec
 from cmbpipe.segmenter import OracleSegmenter, ReferenceConfig, ReferenceSegmenter
-from cmbpipe.triplanar import VIEWS, binarize_fused, fuse_views, segment_volume
+from cmbpipe.triplanar import binarize_fused, fuse_views, segment_volume
 from cmbpipe.volume import LabelMask, ProbabilityVolume, normalize_intensity
 
 from oracles import fisher_enumeration, wilcoxon_enumeration
@@ -57,7 +57,7 @@ def test_criterion_03_oracle_end_to_end():
         )
         vol, gt, _ = generate_phantom(spec)
         oracle = OracleSegmenter(gt)
-        probs = segment_volume(vol, {v: oracle for v in VIEWS})
+        probs = segment_volume(vol, oracle)
         fused = fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
         pred = binarize_fused(fused, 0.125)
         metrics, _, _ = detect.evaluate_scan(pred, gt, min_volume_mm3=4.2, max_dist_mm=2.5)
@@ -176,8 +176,9 @@ def test_criterion_07_augmentation_suite(rng, tmp_path):
     assert np.array_equal(v2.intensities, vol.intensities)
     assert np.array_equal(m2.labels, gt.labels)
 
-    r, _ = rotate_volume(vol, None, (0.0, 0.0, 0.0))
+    r, rm = rotate_volume(vol, gt, (0.0, 0.0, 0.0))
     assert np.abs(r.intensities - vol.intensities).max() < 1e-6
+    assert np.array_equal(rm.labels, gt.labels)
     e, _, _ = elastic_deform(vol, gt, 32.0, 0.0, seed=3)
     assert np.abs(e.intensities - vol.intensities).max() < 1e-6
 
@@ -262,7 +263,7 @@ def _reference_run(seed, n_vessels):
     vol, gt, _ = generate_phantom(spec)
     vol = normalize_intensity(vol, 0.0, 100.0)
     seg = ReferenceSegmenter(ReferenceConfig())
-    probs = segment_volume(vol, {v: seg for v in VIEWS})
+    probs = segment_volume(vol, seg)
     fused = fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
     pred = binarize_fused(fused, 0.125)
     filtered, _, _ = detect.evaluate_scan(pred, gt, min_volume_mm3=4.2)
@@ -321,4 +322,4 @@ def test_criterion_10_group_analysis_direction():
     assert cmp.mean_count_b == pytest.approx(0.6)
     assert cmp.wilcoxon_p is not None and cmp.wilcoxon_p < 0.01
     assert cmp.fisher_p < 0.05
-    assert cmp.contingency.rows()[0][0] >= 12  # high group carries the >= 5 scans
+    assert cmp.contingency[0][0] >= 12  # high group carries the >= 5 scans

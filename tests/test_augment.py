@@ -111,8 +111,10 @@ class TestSpatialTransforms:
 
     def test_zero_rotation_identity(self, rng):
         v = Volume3D(rng.normal(0, 1, (16, 16, 16)))
-        out, _ = rotate_volume(v, None, (0.0, 0.0, 0.0))
+        m = LabelMask((rng.uniform(0, 1, (16, 16, 16)) > 0.8).astype(np.uint8))
+        out, out_m = rotate_volume(v, m, (0.0, 0.0, 0.0))
         assert np.abs(out.intensities - v.intensities).max() < 1e-6
+        assert np.array_equal(out_m.labels, m.labels)
 
     def test_zero_elastic_identity(self, rng):
         v = Volume3D(rng.normal(0, 1, (16, 16, 16)))

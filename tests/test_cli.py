@@ -161,6 +161,15 @@ class TestPipelineCommands:
             dsc = 2 * inter / (synth.labels.sum() + gt.labels.sum())
             assert dsc >= 0.9
 
+    def test_mask_synth_unknown_alpha_tag_exit_1(self, tmp_path, capsys):
+        """A tag that no manifest entry can carry is a config error, found before the output directory is made."""
+        out = tmp_path / "out"
+        flags = ("--manifest", tmp_path / "missing.jsonl", "--alpha-by-tag", '{"phantom": 0.2}')
+        assert run("mask-synth", *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "'phantom'" in err and "DS1r, DS1s, DS2, DS3, DS3n, PHANTOM, OTHER" in err
+        assert not out.exists()
+
     def test_partition_command(self, tmp_path):
         data = make_phantom_data(tmp_path, count=10, dims=32, extra=("--n-cmbs-max", 2, "--diameter-max", 6.0))
         work = tmp_path / "split"
@@ -222,7 +231,7 @@ def segment_data(tmp_path_factory):
     data = make_phantom_data(tmp, count=2, dims=40, extra=("--vessels", 1))
     for e in read_manifest(data / "manifest.jsonl"):
         oracle = OracleSegmenter(read_mask(data / "gt_masks" / f"{e.scan_id}.nii.gz"), 0.1, seed=5)
-        probs = segment_volume(read_volume(data / e.path), dict.fromkeys(VIEWS, oracle))
+        probs = segment_volume(read_volume(data / e.path), oracle)
         for view in VIEWS:
             write_probability(probs[view], tmp / "maps" / f"{e.scan_id}_{view}.nii.gz")
     return data, tmp / "maps"
@@ -339,6 +348,17 @@ class TestGroupPairing:
         assert named in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["compare-groups", "sweep"])
+    def test_empty_cohort_exit_2(self, tmp_path, capsys, command):
+        """Two files without scans leave nothing to compare: no NaN means, no p-values."""
+        for name in ("a.jsonl", "b.jsonl"):
+            (tmp_path / name).write_text("")
+        out = tmp_path / "out"
+        assert run(command, "--detections-a", tmp_path / "a.jsonl", "--detections-b", tmp_path / "b.jsonl",
+                   "--out", out) == 2
+        assert "both groups need at least one scan" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_unequal_lengths_skip_the_paired_test(self, tmp_path):
         write_detections(tmp_path / "a.jsonl", self.COUNTS_A, [f"a{i}" for i in range(6)])
         write_detections(tmp_path / "b.jsonl", self.COUNTS_B[:5], [f"b{i}" for i in range(5)])
@@ -406,7 +426,7 @@ def outside(p):
     if math.isfinite(hi):
         values.append(hi if p.bound[-1] == ")" else hi + 1 if p.type is int else np.nextafter(hi, math.inf))
     values = [int(x) if p.type is int else float(x) for x in values]
-    return [json.dumps({"DS1": x}) if p.type is dict else repr(x) for x in values]
+    return [json.dumps({"DS1r": x}) if p.type is dict else repr(x) for x in values]
 
 
 def bound_cases():
@@ -634,7 +654,7 @@ class TestConfigAndErrors:
             ("compare-groups", "alternative", "sideways", ("--detections-a", "--detections-b")),
             ("compare-groups", "zero_method", "wilcox", ("--detections-a", "--detections-b")),
             ("eval", "match_dist", -1.0, ("--manifest", "--pred-dir", "--gt-dir")),
-            ("mask-synth", "alpha_by_tag", {"DS1": 0.5, "DS2": 1.5}, ("--manifest",)),
+            ("mask-synth", "alpha_by_tag", {"DS1r": 0.5, "DS2": 1.5}, ("--manifest",)),
             ("sweep", "thresholds", [0.0, -4.2], ("--detections-a", "--detections-b")),
         ],
     )

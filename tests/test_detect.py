@@ -217,7 +217,7 @@ class TestMatching:
         assert len(p) == 1 and len(g) == 1
         assert abs(p.centroid_mm[0, 0] - g.centroid_mm[0, 0]) > 2.5
         assert (res.tp, res.fp, res.fn) == (1, 0, 0)
-        assert match_detections(p, g, 2.5, overlaps={(int(p.ids[0]), int(g.ids[0]))}).tp == 1
+        assert match_detections(p, g, 2.5, overlaps=np.array([[p.ids[0], g.ids[0]]])).tp == 1
         assert match_detections(p, g, 2.5).tp == 0
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
@@ -241,13 +241,11 @@ class TestMatching:
         gt += [(304, (12.0, 302.0, 300.0))]  # exactly 2.5 mm apart
         overlaps = {(int(p), int(g)) for p, g in rng.integers(1, 301, (40, 2))}
         preds, gts = self.mk(pred), self.mk(gt)
-        for max_dist, ov in ((0.0, frozenset()), (2.5, frozenset()), (2.5, overlaps), (6.0, overlaps)):
-            res = match_detections(preds, gts, max_dist, overlaps=ov)
+        for max_dist, ov in ((0.0, set()), (2.5, set()), (2.5, overlaps), (6.0, overlaps)):
+            # the (n, 2) array that evaluate_scan passes
+            res = match_detections(preds, gts, max_dist, overlaps=np.array(sorted(ov), dtype=np.int64).reshape(-1, 2))
             assert res.pairing == match_oracle(pred, gt, max_dist, ov)
             assert res.tp == len(res.pairing)
-        # the same pairs given as the (n, 2) array evaluate_scan passes
-        res = match_detections(preds, gts, 6.0, overlaps=np.array(sorted(overlaps)))
-        assert res.pairing == match_oracle(pred, gt, 6.0, overlaps)
         pairing = set(match_detections(preds, gts, 2.5).pairing)
         assert {(301, 301), (303, 302), (304, 304)} <= pairing
 

@@ -355,6 +355,9 @@ class TestManifest:
             ("cmb_centers", [[float("nan"), 1, 2]]),
             ("cmb_centers", [[1, float("inf"), 2]]),
             ("echo_time_ms", "long"),
+            ("field_strength_tesla", -3),
+            ("echo_time_ms", float("nan")),
+            ("slice_thickness_mm", float("inf")),
         ],
     )
     def test_p_cmb_out_of_range(self, tmp_path, key, value):

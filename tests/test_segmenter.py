@@ -79,8 +79,9 @@ class TestOracle:
         vol = Volume3D(rng.uniform(0, 1, (24, 24, 24)))
         clean = OracleSegmenter(gt)
         noisy = OracleSegmenter(gt, corruption_rate=0.4, seed=1)
-        probs = segment_volume(vol, {"axial": noisy, "sagittal": clean, "coronal": clean})
-        fused = fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
+        fused = fuse_views(
+            segment_view(vol, "axial", noisy), segment_view(vol, "sagittal", clean), segment_view(vol, "coronal", clean)
+        )
         assert fused.values.max() == 0.0
 
 
@@ -137,14 +138,16 @@ class TestReference:
 
 class TestExternal:
     def test_replays_stored_planes(self, rng):
-        stored = ProbabilityVolume(np.full((16, 16, 16), 0.5, dtype=np.float32))
-        seg = ExternalSegmenter(stored)
-        plane = plane_of(seg, rng.uniform(0, 1, (16, 16, 16)), "coronal", 3)
-        assert np.all(plane == 0.5)
+        """Each view replays its own stored map."""
+        values = {"axial": 0.25, "sagittal": 0.5, "coronal": 0.75}
+        seg = ExternalSegmenter({v: ProbabilityVolume(np.full((16,) * 3, x, np.float32)) for v, x in values.items()})
+        vol = rng.uniform(0, 1, (16, 16, 16))
+        for view, x in values.items():
+            assert np.all(plane_of(seg, vol, view, 3) == x)
 
     def test_misaligned_volume_rejected(self, rng):
         stored = ProbabilityVolume(np.zeros((128, 128, 128), dtype=np.float32))
-        seg = ExternalSegmenter(stored)
+        seg = ExternalSegmenter(dict.fromkeys(VIEWS, stored))
         with pytest.raises(GeometryMismatchError):
             plane_of(seg, rng.uniform(0, 1, (16, 16, 16)))
 
@@ -153,12 +156,12 @@ class TestExternal:
         spec = random_phantom_spec(31, dims=(48, 48, 48), n_cmbs=2, diameter_range=(5.0, 8.0))
         vol, gt, _ = generate_phantom(spec)
         oracle = OracleSegmenter(gt)
-        probs = segment_volume(vol, {v: oracle for v in VIEWS})
+        probs = segment_volume(vol, oracle)
         paths = {}
         for view in VIEWS:
             paths[view] = tmp_path / f"scan_{view}.nii.gz"
             write_probability(probs[view], paths[view])
-        replay = segment_volume(vol, {v: ExternalSegmenter(read_probability(paths[v])) for v in VIEWS})
+        replay = segment_volume(vol, ExternalSegmenter({v: read_probability(paths[v]) for v in VIEWS}))
         for view in VIEWS:
             assert np.array_equal(replay[view].values, probs[view].values)
 
@@ -169,7 +172,7 @@ class TestOracleEndToEnd:
         spec = random_phantom_spec(17, dims=(64, 64, 64), n_cmbs=4, diameter_range=(5.0, 9.0))
         vol, gt, _ = generate_phantom(spec)
         seg = OracleSegmenter(gt)
-        probs = segment_volume(vol, {v: seg for v in VIEWS})
+        probs = segment_volume(vol, seg)
         fused = fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
         pred = binarize_fused(fused, 0.125)
         assert np.array_equal(pred.labels, gt.labels)
@@ -226,11 +229,11 @@ class TestWholeViewEqualsPerPlane:
     def test_reference_on_128_phantom(self):
         vol, _ = reference_style_phantom(128)
         cfg = ReferenceConfig()
-        segmenters = dict.fromkeys(VIEWS, ReferenceSegmenter(cfg))
+        seg = ReferenceSegmenter(cfg)
         runs = []
         for jobs in (None, 1, 2):
             with volume.threads(jobs):
-                runs.append(segment_volume(vol, segmenters))
+                runs.append(segment_volume(vol, seg))
         for view in VIEWS:
             want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg), vol.intensities, view)
             for probs in runs:  # every CPU, 1 and 2 threads

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from cmbpipe import stats
 from cmbpipe.detect import Detections
 from cmbpipe.errors import (
     ConfigError,
     DegenerateContingencyWarning,
     DegenerateTestError,
     PairingMismatchWarning,
+    RejectedInputError,
 )
 from cmbpipe.stats import (
     SweepRow,
@@ -84,7 +86,8 @@ class TestWilcoxon:
         d = rng.integers(-20, 21, 40)
         d[d == 0] = 3
         w, p_approx = wilcoxon_signed_rank(pairs(d))  # n=40 -> approx
-        _, p_exact = wilcoxon_signed_rank(pairs(d), exact=True)
+        ranks2 = np.rint(2.0 * stats._average_ranks(np.abs(d))).astype(np.int64)
+        p_exact = stats._exact_signed_rank_p(ranks2, int(round(2.0 * w)), "two_sided")
         assert 0.0 <= p_approx <= 1.0
         assert abs(p_approx - p_exact) < 0.01
 
@@ -96,6 +99,11 @@ class TestWilcoxon:
     def test_bad_alternative(self):
         with pytest.raises(ConfigError):
             wilcoxon_signed_rank(pairs([1, 2]), alternative="sideways")
+
+    def test_non_finite_pair_rejected(self):
+        """A NaN difference would rank above every number and count in n; the first such pair is named."""
+        with pytest.raises(RejectedInputError, match=r"pair 0 \(nan, 0\)"):
+            wilcoxon_signed_rank([(float("nan"), 0), (1, 0), (2, 0.5)])
 
 
 class TestFisher:
@@ -170,7 +178,7 @@ class TestCompareGroups:
         group_a = scans_with_counts([10] * 10)
         group_b = scans_with_counts([0] * 10)
         cmp = compare_groups(group_a, group_b)
-        assert cmp.contingency.rows() == ((10, 0), (0, 10))
+        assert cmp.contingency == ((10, 0), (0, 10))
         assert cmp.wilcoxon_p == pytest.approx(2 / 2**10, abs=1e-15)
         assert cmp.fisher_p == pytest.approx(fisher_enumeration(10, 0, 0, 10), abs=1e-15)
 

@@ -2,17 +2,21 @@
 
 The thread count is one process-wide setting, never a parameter,
 detections have one representation: the ``detect.Detections`` table,
-every numeric command parameter declares what it is checked against, and
-``volume`` states each grid fact once: one grid base and one block size.
+every numeric command parameter declares what it is checked against,
+``volume`` states each grid fact once: one grid base and one block size,
+and each call has one form: one segmenter per scan, no knob that nothing
+sets, one table type and a mask for every spatial transform.
 """
 
 import importlib
 import inspect
 import pkgutil
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import cmbpipe
-from cmbpipe import augment, cli, detect, volume
+from cmbpipe import augment, cli, detect, segmenter, stats, triplanar, volume
 
 SRC = Path(cmbpipe.__file__).parent
 MODULES = [
@@ -39,18 +43,42 @@ def public_callables():
         yield f"cmbpipe.augment.TRANSFORMS[{t.name!r}].replay", t.replay
 
 
-def test_no_public_callable_takes_jobs():
-    checked, takes_jobs = 0, []
+def public_callables_taking(param: str) -> list[str]:
+    checked, taking = 0, []
     for name, fn in public_callables():
         try:
             params = inspect.signature(fn).parameters
         except (TypeError, ValueError):  # a builtin without a signature
             continue
         checked += 1
-        if "jobs" in params:
-            takes_jobs.append(name)
+        if param in params:
+            taking.append(name)
     assert checked > 100  # the walk reached the modules, their classes and the transform table
-    assert takes_jobs == []
+    return taking
+
+
+def test_no_public_callable_takes_jobs():
+    assert public_callables_taking("jobs") == []
+
+
+def test_no_public_callable_takes_exact():
+    """The signed-rank test picks enumeration or the normal approximation from n alone."""
+    assert public_callables_taking("exact") == []
+
+
+def test_one_segmenter_per_scan():
+    """``segment_volume`` tells one segmenter each view; no dict of per-view segmenters."""
+    assert list(inspect.signature(triplanar.segment_volume).parameters) == ["v", "segmenter"]
+
+
+def test_one_form_per_call():
+    """One contingency form (nested pairs), no reference knob that nothing sets, a mask for every spatial transform."""
+    assert not hasattr(stats, "Contingency2x2")
+    assert [f.name for f in fields(segmenter.ReferenceConfig)] == [
+        "scale_min_mm", "scale_max_mm", "logistic_gain", "score_offset"
+    ]
+    for fn in (augment._warp, augment.elastic_deform, augment.rotate_volume, augment.flip_volume):
+        assert typing.get_type_hints(fn)["m"] is volume.LabelMask
 
 
 def test_no_module_reads_the_jobs_environment_variable():

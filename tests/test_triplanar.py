@@ -17,7 +17,6 @@ from cmbpipe.triplanar import (
     binarize_fused,
     fuse_views,
     segment_view,
-    segment_volume,
 )
 from cmbpipe.volume import ProbabilityVolume, Volume3D, plane_blocks
 
@@ -228,10 +227,6 @@ class TestSegmentDriver:
             segment_view(cube, "oblique", _ShapeOf(cube.dims))
         with pytest.raises(RejectedInputError):
             segment_view(Volume3D(rng.uniform(0, 1, (16, 16, 8))), "axial", _ShapeOf((16, 16, 8)))
-
-    def test_missing_view_rejected(self, cube):
-        with pytest.raises(ConfigError):
-            segment_volume(cube, {"axial": SliceAdapter(_HalfSegmenter())})
 
 
 @settings(deadline=None, max_examples=50)
