@@ -8,7 +8,7 @@ models plug in through an adapter) so the whole pipeline is verifiable on
 synthetic phantoms.
 """
 
-from .annotation import CMBAnnotation, alpha_fraction, partition_subjects, synthesize_mask
+from .annotation import CMBAnnotation, partition_subjects, synthesize_mask
 from .augment import AugmentSpec, apply_augmentation
 from .detect import (
     Detections,
@@ -42,7 +42,6 @@ from .volume import (
     adjust_contrast,
     normalize_intensity,
     resample_isotropic,
-    voxel_to_world,
     world_to_voxel,
 )
 

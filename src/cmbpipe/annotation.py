@@ -24,7 +24,6 @@ from scipy import ndimage
 from .errors import (
     AnnotationSkippedWarning,
     ConfigError,
-    DegenerateAnnotationError,
     DegenerateAnnotationWarning,
     require,
 )
@@ -53,23 +52,6 @@ class CMBAnnotation:
     def __post_init__(self):
         require(self.alpha_threshold, ALPHA_BOUND, "alpha_threshold")
         require(self.patch_halfwidth_mm, RADIUS_BOUND, "patch_halfwidth_mm")
-
-
-def alpha_fraction(v: Volume3D, pixel: VoxelIndex, center: VoxelIndex, mean_intensity: float) -> float:
-    """Partial-volume fraction of one voxel relative to a CMB center.
-
-    Raises :class:`DegenerateAnnotationError` when the putative CMB has no
-    contrast against the background mean (denominator below 1e-9 of the
-    volume's dynamic range).
-    """
-    i_pixel = float(v.intensities[tuple(pixel)])
-    i_center = float(v.intensities[tuple(center)])
-    dynamic_range = float(v.intensities.max() - v.intensities.min())
-    if abs(i_center - mean_intensity) < 1e-9 * max(dynamic_range, 1e-300):
-        raise DegenerateAnnotationError(
-            f"center intensity {i_center} equals background mean {mean_intensity}: no contrast"
-        )
-    return (i_pixel - mean_intensity) / (i_center - mean_intensity)
 
 
 def _offsets_within(radius_mm: float, spacing) -> np.ndarray:

@@ -607,8 +607,8 @@ def cmd_compare_groups(params: dict) -> list[Path]:
     ILLNESS,
 )
 def cmd_sweep(params: dict) -> list[Path]:
-    if sorted(params["thresholds"]) != params["thresholds"]:
-        raise ConfigError("sweep: thresholds must be ascending")
+    if not params["thresholds"] or sorted(params["thresholds"]) != params["thresholds"]:
+        raise ConfigError(f"sweep: thresholds must be one or more values, ascending; got {params['thresholds']}")
     group_a, group_b = _read_groups(params)
     rows = stats.size_sweep(group_a, group_b, params["thresholds"], params["illness_threshold"])
     out = Path(params["out"])

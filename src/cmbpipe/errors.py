@@ -69,10 +69,6 @@ class ManifestError(DataError):
     """Manifest schema violation; message carries the offending line number."""
 
 
-class DegenerateAnnotationError(DataError):
-    """A point annotation has no contrast against its surroundings."""
-
-
 class PhantomSpecError(ConfigError):
     """Phantom specification is inconsistent (overlapping objects, bad ranges)."""
 

@@ -7,17 +7,17 @@ rather than traced by hand. Mimics (dark vessel tubes and calcification
 blobs) are planted the same way but excluded from the ground truth — they
 exist to create false positives.
 
-A phantom is rendered in blocks of axis-0 planes by two tasks of one
-:func:`volume.run_blocks` pool. One draws the noise stream into the
-output, block by block; the other renders each block's smooth field,
-base and dips in a block-sized buffer and adds it to that block once the
-block's noise is drawn. The output does not depend on the thread count.
+A phantom is rendered in blocks of axis-0 planes that one
+:func:`volume.run_blocks` pool shares. Each block writes its smooth
+field, base and dips into the output, then adds ``noise_sigma`` times
+the noise of each of its planes: plane ``k`` draws from its own stream,
+``derive_rng(seed, "noise", k)``. The output depends on neither the
+thread count nor the block size.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -181,12 +181,11 @@ def _smooth_field(spec: PhantomSpec, blocks: list[slice], buf: np.ndarray):
     return field, amp / peak if peak > 0 else 1.0
 
 
-def _box(spec: PhantomSpec, lo_mm, hi_mm, planes: slice) -> tuple[slice, ...] | None:
-    """Voxels whose centers may lie in world [lo_mm, hi_mm], within the grid and axis-0 ``planes``; None if none."""
+def _box(spec: PhantomSpec, lo_mm, hi_mm) -> tuple[slice, ...] | None:
+    """Voxels whose centers may lie in world [lo_mm, hi_mm], within the grid; None if none."""
     box = []
-    # in scalars, axis 0 first: most of the blocks a phantom renders miss a given dip
-    for lo, hi, first, end in zip(lo_mm, hi_mm, (planes.start, 0, 0), (planes.stop, *spec.dims[1:])):
-        start, stop = max(math.floor(lo / spec.spacing), first), min(math.ceil(hi / spec.spacing) + 1, end)
+    for lo, hi, n in zip(lo_mm, hi_mm, spec.dims):
+        start, stop = max(math.floor(lo / spec.spacing), 0), min(math.ceil(hi / spec.spacing) + 1, n)
         if start >= stop:
             return None
         box.append(slice(start, stop))
@@ -194,53 +193,67 @@ def _box(spec: PhantomSpec, lo_mm, hi_mm, planes: slice) -> tuple[slice, ...] | 
 
 
 def _box_coords(spec: PhantomSpec, box: tuple[slice, ...]) -> list[np.ndarray]:
-    return [np.arange(s.start, s.stop, dtype=np.float64) * spec.spacing for s in box]
+    """World coordinates of the box's voxel centers along each axis, shaped to broadcast against the others."""
+    shapes = ((-1, 1, 1), (1, -1, 1), (1, 1, -1))
+    return [(np.arange(s.start, s.stop, dtype=np.float64) * spec.spacing).reshape(sh) for s, sh in zip(box, shapes)]
 
 
-def _in_block(box: tuple[slice, ...], planes: slice) -> tuple[slice, ...]:
-    """``box`` as an index into an array that holds only the axis-0 ``planes``."""
-    return (slice(box[0].start - planes.start, box[0].stop - planes.start), *box[1:])
+# A dip is a pair ``(box, factor)``: the box of voxels it reaches, and ``factor(rows)``, the factor
+# that multiplies the box's axis-0 ``rows`` (counted from the box's first plane). Both are set up
+# once per dip, and each block of planes evaluates only its own rows.
 
 
-def _gaussian_dip(out: np.ndarray, spec: PhantomSpec, center, sigma_mm: float, contrast: float, planes: slice) -> None:
-    """Multiply ``out``, which holds the axis-0 ``planes``, by (1 - contrast * exp(-r^2 / 2 sigma^2))."""
-    reach = 4.0 * sigma_mm
-    box = _box(spec, [c - reach for c in center], [c + reach for c in center], planes)
+def _gaussian_dip(spec: PhantomSpec, blob: CMBSpec | CalcificationSpec) -> tuple | None:
+    """The blob's dip (1 - contrast * exp(-r^2 / 2 sigma^2)), sigma its profile width; None if it reaches no voxel."""
+    sigma = profile_sigma_mm(blob.diameter_mm)
+    reach = 4.0 * sigma
+    box = _box(spec, [c - reach for c in blob.center], [c + reach for c in blob.center])
     if box is None:
-        return
-    xs = [x - c for x, c in zip(_box_coords(spec, box), center)]
-    r2 = xs[0][:, None, None] ** 2 + xs[1][None, :, None] ** 2 + xs[2][None, None, :] ** 2
-    out[_in_block(box, planes)] *= 1.0 - contrast * np.exp(-r2 / (2.0 * sigma_mm**2))
+        return None
+    sq = [(x - c) ** 2 for x, c in zip(_box_coords(spec, box), blob.center)]
+
+    def factor(rows: slice) -> np.ndarray:
+        return 1.0 - blob.contrast * np.exp(-(sq[0][rows] + sq[1] + sq[2]) / (2.0 * sigma**2))
+
+    return box, factor
 
 
-def _tube_dip(out: np.ndarray, spec: PhantomSpec, vessel: VesselSpec, planes: slice) -> None:
-    """Multiply the voxels of ``out``, which holds the axis-0 ``planes``, near the vessel by its tube profile."""
+def _tube_dip(spec: PhantomSpec, vessel: VesselSpec) -> tuple | None:
+    """The vessel's tube profile, a Gaussian of the distance to its segment; None if it reaches no voxel."""
     sigma = profile_sigma_mm(vessel.diameter_mm)
     reach = 4.0 * sigma
     ends = list(zip(vessel.start, vessel.end))
-    box = _box(spec, [min(e) - reach for e in ends], [max(e) + reach for e in ends], planes)
+    box = _box(spec, [min(e) - reach for e in ends], [max(e) + reach for e in ends])
     if box is None:
-        return
+        return None
+    xs = _box_coords(spec, box)
     p0 = np.asarray(vessel.start, dtype=np.float64)
-    p1 = np.asarray(vessel.end, dtype=np.float64)
-    gx, gy, gz = np.meshgrid(*_box_coords(spec, box), indexing="ij")
-    pts = np.stack([gx, gy, gz], axis=-1)
-    seg = p1 - p0
+    seg = np.asarray(vessel.end, dtype=np.float64) - p0
     denom = float(seg @ seg)
-    t = np.clip((pts - p0) @ seg / denom, 0.0, 1.0) if denom > 0 else np.zeros(pts.shape[:-1])
-    nearest = p0 + t[..., None] * seg
-    d2 = np.sum((pts - nearest) ** 2, axis=-1)
-    out[_in_block(box, planes)] *= 1.0 - vessel.contrast * np.exp(-d2 / (2.0 * sigma**2))
+    # Only the axes the segment runs along enter the projection, so an axis-aligned vessel's
+    # projection and nearest point stay 1-D.
+    along = [a for a in range(3) if seg[a] != 0.0] if denom > 0 else []
+
+    def factor(rows: slice) -> np.ndarray:
+        x = (xs[0][rows], *xs[1:])
+        if along:
+            terms = [(x[a] - p0[a]) * seg[a] for a in along]
+            t = np.clip(sum(terms[1:], terms[0]) / denom, 0.0, 1.0)
+        nearest = [p0[a] + t * seg[a] if a in along else p0[a] for a in range(3)]
+        d2 = (x[0] - nearest[0]) ** 2 + (x[1] - nearest[1]) ** 2 + (x[2] - nearest[2]) ** 2
+        return 1.0 - vessel.contrast * np.exp(-d2 / (2.0 * sigma**2))
+
+    return box, factor
 
 
 def _gt_sphere(labels: np.ndarray, spec: PhantomSpec, cmb: CMBSpec) -> None:
     radius = gt_radius_mm(cmb.diameter_mm)
     c = np.asarray(cmb.center, dtype=np.float64)
-    box = _box(spec, c - radius, c + radius, slice(0, spec.dims[0]))
+    box = _box(spec, c - radius, c + radius)
     if box is None:
         return
     xs = [x - c[a] for a, x in enumerate(_box_coords(spec, box))]
-    r2 = xs[0][:, None, None] ** 2 + xs[1][None, :, None] ** 2 + xs[2][None, None, :] ** 2
+    r2 = xs[0] ** 2 + xs[1] ** 2 + xs[2] ** 2
     labels[box] |= (r2 < radius**2).astype(np.uint8)
 
 
@@ -252,41 +265,30 @@ def generate_phantom(
     arr = np.empty(spec.dims)
     blocks = [planes for (planes,) in plane_blocks(spec.dims)]
     base, sigma = float(spec.background.base), spec.background.noise_sigma
-    drawn = [threading.Event() for _ in blocks]
+    field, scale = _smooth_field(spec, blocks, arr)  # the peak pass borrows the first block of arr
+    dips = [_gaussian_dip(spec, blob) for blob in spec.cmbs + spec.calcifications]
+    dips = [dip for dip in dips + [_tube_dip(spec, v) for v in spec.vessels] if dip is not None]
 
-    def draw() -> None:
-        """Write the noise into ``arr``: C-order blocks of one stream draw the values of one whole-volume draw."""
-        rng = derive_rng(spec.seed, "noise")
-        try:
-            for planes, done in zip(blocks, drawn):
-                rng.standard_normal(out=arr[planes])
-                arr[planes] *= sigma
-                done.set()
-        finally:
-            for done in drawn:  # after a failure too, so that render does not wait for ever
-                done.set()
+    def render(planes: slice) -> None:
+        """Write the block's field, base and dips into ``arr``, then add ``sigma`` times each plane's own draw."""
+        out = arr[planes]
+        field(planes, out)
+        out *= scale
+        out += base
+        for box, factor in dips:
+            lo, hi = max(box[0].start, planes.start), min(box[0].stop, planes.stop)
+            if lo < hi:
+                out[(slice(lo - planes.start, hi - planes.start), *box[1:])] *= factor(
+                    slice(lo - box[0].start, hi - box[0].start)
+                )
+        if sigma > 0:
+            noise = np.empty_like(out)
+            for k, plane in zip(range(planes.start, planes.stop), noise):
+                derive_rng(spec.seed, "noise", k).standard_normal(out=plane)
+            noise *= sigma
+            out += noise
 
-    def render() -> None:
-        """Render each block's field, base and dips in ``buf``, then add them to its noise once it is drawn."""
-        buf = np.empty((blocks[0].stop, *spec.dims[1:]))  # the first block is the largest
-        field, scale = _smooth_field(spec, blocks, buf)
-        for planes, done in zip(blocks, drawn):
-            out = buf[: planes.stop - planes.start]
-            field(planes, out)
-            out *= scale
-            out += base
-            for blob in spec.cmbs + spec.calcifications:
-                _gaussian_dip(out, spec, blob.center, profile_sigma_mm(blob.diameter_mm), blob.contrast, planes)
-            for vessel in spec.vessels:
-                _tube_dip(out, spec, vessel, planes)
-            if sigma > 0:
-                done.wait()
-                arr[planes] += out
-            else:
-                arr[planes] = out
-
-    # Two blocks of the pool: with one thread, draw runs first, and render never waits.
-    run_blocks(lambda task: task(), [draw, render] if sigma > 0 else [render])
+    run_blocks(render, blocks)
 
     labels = np.zeros(spec.dims, dtype=np.uint8)
     for cmb in spec.cmbs:

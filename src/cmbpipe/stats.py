@@ -311,8 +311,8 @@ def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_IL
     thresholds = [float(t) for t in thresholds]
     for t in thresholds:
         require(t, SIZE_BOUND, "thresholds")
-    if sorted(thresholds) != thresholds:
-        raise ConfigError("thresholds must be sorted ascending")
+    if not thresholds or sorted(thresholds) != thresholds:
+        raise ConfigError(f"thresholds must be one or more values, sorted ascending; got {thresholds}")
     _require_scans(group_a, group_b)
     rows = []
     for t in thresholds:

@@ -60,10 +60,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 # 0.5 MiB of complex128 lines per FFT block in ``augment``, and about 12 times its float64 size for a
 # reference segmenter block (2 planes at 128^3). On a 2-vCPU VM at 128^3 with both CPUs busy, reference
 # blocks of 32k and 64k voxels were equally fast and 16k 1.3x slower; 128k held 14 MiB more peak RSS.
-# The phantom draws its noise and renders in these blocks too; a 256^3 phantom on two threads took
-# 0.43-0.45 s (median of 8) with blocks of 2^14 to 2^18 voxels, and 0.52 s with blocks of 2^20 or 2^22:
-# larger blocks overlap less of the draw with the rendering. A 128^3 phantom with vessels, on two threads,
-# took about 57 ms in blocks of 2^15 voxels (2 planes) and 54 ms in blocks of 2^18 (16 planes).
+# The phantom renders and draws its noise in these blocks too; on two threads a 256^3 phantom took
+# 0.25-0.30 s (median of 8) with blocks of 2^14 to 2^18 voxels and 0.39-0.44 s with blocks of 2^20 or
+# 2^22, too few blocks to share evenly. A 128^3 phantom with vessels and calcifications took 43-55 ms
+# (median of 30) with blocks of 2^14 to 2^18 voxels and 68-81 ms with blocks of 2^20 or 2^22.
 POOL_BLOCK_VOXELS = 1 << 15
 
 
@@ -267,12 +267,6 @@ def world_to_voxel(v: Grid, p: WorldPoint) -> tuple[np.ndarray, bool]:
     coords = (np.asarray(p, dtype=np.float64) - np.asarray(v.origin)) / np.asarray(v.spacing)
     inside = bool(np.all(coords >= 0.0) and np.all(coords <= np.asarray(v.dims) - 1.0))
     return coords, inside
-
-
-def voxel_to_world(v: Grid, c) -> WorldPoint:
-    """Inverse of :func:`world_to_voxel`; ``c`` may be fractional."""
-    w = np.asarray(v.origin) + np.asarray(c, dtype=np.float64) * np.asarray(v.spacing)
-    return WorldPoint(*(float(x) for x in w))
 
 
 def _interp_axis(arr: np.ndarray, positions: np.ndarray, axis: int, fill: float) -> np.ndarray:

@@ -21,8 +21,7 @@ def pytest_terminal_summary(terminalreporter):
         for num, status, name in sorted(lines):
             terminalreporter.write_line(f"criterion {num:02d} [{status}] {name}")
 
-from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
-from cmbpipe.volume import Volume3D, WorldPoint
+from cmbpipe.volume import Volume3D
 
 
 @pytest.fixture
@@ -33,16 +32,3 @@ def rng():
 @pytest.fixture
 def small_volume(rng):
     return Volume3D(rng.normal(100.0, 5.0, (24, 20, 28)), (1.0, 1.25, 0.8), (-3.0, 5.0, 0.0))
-
-
-@pytest.fixture
-def clean_phantom():
-    """Noiseless single-CMB phantom with an analytic ground truth."""
-    spec = PhantomSpec(
-        dims=(48, 48, 48),
-        spacing=1.0,
-        background=BackgroundSpec(base=100.0, smooth_amplitude=0.0, noise_sigma=0.0),
-        cmbs=(CMBSpec(WorldPoint(24.0, 24.0, 24.0), 6.0, 0.8),),
-        seed=7,
-    )
-    return generate_phantom(spec)

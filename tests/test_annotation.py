@@ -3,18 +3,16 @@ import pytest
 
 from cmbpipe.annotation import (
     CMBAnnotation,
-    alpha_fraction,
     partition_subjects,
     synthesize_mask,
 )
 from cmbpipe.errors import (
     AnnotationSkippedWarning,
     ConfigError,
-    DegenerateAnnotationError,
     DegenerateAnnotationWarning,
 )
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
-from cmbpipe.volume import Volume3D, VoxelIndex, WorldPoint
+from cmbpipe.volume import Volume3D, WorldPoint
 
 from oracles import alpha_ball_voxels
 
@@ -26,32 +24,6 @@ def radial_linear_cmb(n=32, center_val=20.0, background=100.0, ramp_mm=3.0):
     r = np.sqrt(ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2)
     arr = center_val + (background - center_val) * np.clip(r / ramp_mm, 0.0, 1.0)
     return Volume3D(arr), (c, c, c)
-
-
-class TestAlphaFraction:
-    def test_center_pixel_is_one(self, clean_phantom):
-        vol, _, _ = clean_phantom
-        center = VoxelIndex(24, 24, 24)
-        assert alpha_fraction(vol, center, center, 100.0) == pytest.approx(1.0)
-
-    def test_background_pixel_is_zero(self):
-        vol, _ = radial_linear_cmb()
-        assert alpha_fraction(vol, VoxelIndex(0, 0, 0), VoxelIndex(15, 15, 15), 100.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_direct_arithmetic(self):
-        arr = np.full((3, 3, 3), 100.0)
-        arr[1, 1, 1] = 20.0
-        arr[0, 1, 1] = 60.0
-        v = Volume3D(arr)
-        a = alpha_fraction(v, VoxelIndex(0, 1, 1), VoxelIndex(1, 1, 1), 100.0)
-        assert a == pytest.approx(0.5)  # (60-100)/(20-100)
-
-    def test_degenerate_contrast(self):
-        v = Volume3D(np.full((3, 3, 3), 100.0) + np.arange(27).reshape(3, 3, 3) * 1e-3)
-        with pytest.raises(DegenerateAnnotationError):
-            alpha_fraction(v, VoxelIndex(0, 0, 0), VoxelIndex(1, 1, 1), float(v.intensities[1, 1, 1]))
 
 
 class TestSynthesizeMask:

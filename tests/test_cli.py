@@ -248,7 +248,7 @@ class TestSegmentCommand:
             ("--segmenter", "oracle", "--gt-dir", "{data}/gt_masks", "--corruption-rate", "0.2", "--oracle-seed", "4"),
             "8a3709193e99461796d250a4fa98197bb3c5858139d302772b82b3338326a6c5",
         ),
-        "reference": (("--tau", "0.05"), "ce76f415f6d07011b81b01822a1ece5d188107236afde80c5356583e70bf73f8"),
+        "reference": (("--tau", "0.05"), "474f01dfb001f2f0247042d257440ac02f92b39695435b2d3f51d61a7bfdf453"),
         "external": (
             ("--segmenter", "external", "--prob-dir", "{maps}"),
             "0e32edcf41edfa236bd330263a516c788a5baf7f22a1b24dd8ad2ce50c29beeb",
@@ -262,7 +262,9 @@ class TestSegmentCommand:
         The digests were taken from the `segment` -> `fuse` chain at commit
         b0599c5, the last with a `fuse` command, run on a separate checkout
         with the same phantoms, maps and flags (`fuse --tau 0.05` for the
-        reference case). No per-view volume is written.
+        reference case). No per-view volume is written. The reference case
+        reads the phantom's intensities, so its digest was taken again when
+        the phantom's noise became one stream per plane.
         """
         data, maps = segment_data
         flags, digest = self.FROZEN[case]
@@ -457,6 +459,7 @@ MORE_CASES = [
     ("segment", ("--segmenter", "external"), False),
     ("mask-synth", ("--shell-inner-mm", "7", "--shell-outer-mm", "5"), False),
     ("sweep", ("--thresholds", "5,1"), False),
+    ("sweep", ("--thresholds", ","), False),
     ("partition", ("--fractions", "0.5,0.6"), False),
     ("partition", ("--fractions", "0.5,0.5"), False),
     ("phantom", ("--n-cmbs-min", "5", "--n-cmbs-max", "2"), False),

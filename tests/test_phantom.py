@@ -183,7 +183,8 @@ BLOCKED_DIMS = (37, 11, 5)  # 37 planes: no block size used below divides it
 
 
 @pytest.mark.parametrize("block_voxels", [1, 4 * 11 * 5, None])
-def test_blocked_noise_equals_one_whole_volume_draw(monkeypatch, block_voxels):
+def test_noise_is_one_draw_per_plane(monkeypatch, block_voxels):
+    """Plane k of the noise is sigma times a draw from the stream ``derive_rng(seed, "noise", k)``."""
     if block_voxels is not None:
         monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", block_voxels)
         assert len(plane_blocks(BLOCKED_DIMS)) > 1
@@ -193,12 +194,12 @@ def test_blocked_noise_equals_one_whole_volume_draw(monkeypatch, block_voxels):
         cmbs=(CMBSpec(WorldPoint(18.0, 5.0, 2.0), 3.0, 0.7),),
         seed=5,
     )
+    draws = np.stack([derive_rng(5, "noise", k).standard_normal(BLOCKED_DIMS[1:]) for k in range(BLOCKED_DIMS[0])])
     for jobs in (1, 2):
         with threads(jobs):
             vol, _, _ = generate_phantom(spec)
             clean, _, _ = generate_phantom(replace(spec, background=BackgroundSpec(100.0, 2.0, 0.0)))
-        want = clean.intensities + derive_rng(5, "noise").normal(0.0, 3.0, BLOCKED_DIMS)
-        assert np.array_equal(vol.intensities, want)
+        assert np.array_equal(vol.intensities, clean.intensities + 3.0 * draws)
 
 
 def test_smooth_field_scaled_by_its_largest_magnitude(monkeypatch):
@@ -218,12 +219,8 @@ def test_smooth_field_scaled_by_its_largest_magnitude(monkeypatch):
     assert peak_signs == {True, False}  # the peak came from the maximum and from the minimum
 
 
-def test_noise_and_rendering_hand_over_under_contention(monkeypatch):
-    """One-plane blocks and a short switch interval: each block's noise is drawn before it is added to.
-
-    At 64^3 the draw of a block takes longer than its rendering, so the
-    rendering waits for the draw.
-    """
+def test_phantom_bytes_hold_under_contention(monkeypatch):
+    """One-plane blocks, more threads than CPUs and a short switch interval: the bytes of one thread."""
     monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", 1)
     spec = random_phantom_spec(5, dims=(64,) * 3, n_cmbs=3, background=BackgroundSpec(100.0, 2.0, 3.0))
     with threads(1):
@@ -247,25 +244,19 @@ def test_noise_and_rendering_hand_over_under_contention(monkeypatch):
 
 
 class FailingNoise:
-    """A noise stream that raises on its third block."""
-
-    def __init__(self, rng):
-        self.rng, self.calls = rng, 0
+    """The noise stream of one plane, which raises when it is drawn."""
 
     def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == 3:
-            raise FloatingPointError("noise block 3")
-        return self.rng.standard_normal(*args, **kwargs)
+        raise FloatingPointError("noise plane 3")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failing_noise_draw_is_raised(monkeypatch, jobs):
-    """A draw that fails part way is raised, and the rendering does not wait for its missing blocks."""
+    """A plane whose draw fails is raised through the block pool, and no thread waits for it."""
     monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", 4 * 11 * 5)
     monkeypatch.setattr(
         "cmbpipe.phantom.derive_rng",
-        lambda seed, label: FailingNoise(derive_rng(seed, label)) if label == "noise" else derive_rng(seed, label),
+        lambda seed, *keys: FailingNoise() if keys == ("noise", 3) else derive_rng(seed, *keys),
     )
     spec = PhantomSpec(dims=BLOCKED_DIMS, background=BackgroundSpec(100.0, 2.0, 3.0), seed=5)
     raised = []
@@ -281,38 +272,50 @@ def test_failing_noise_draw_is_raised(monkeypatch, jobs):
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert [str(exc) for exc in raised] == ["noise block 3"]
+    assert [str(exc) for exc in raised] == ["noise plane 3"]
 
 
-# sha256 of the intensities and labels of cubic phantoms with every ingredient,
-# frozen from the whole-volume renderer that the blocked one replaced.
+# sha256 of the intensities and labels of cubic phantoms with every ingredient, at noise sigma 2 and 0.
+# The labels and the noiseless intensities were frozen from the whole-volume renderer that the blocked
+# one replaced; the noisy intensities from the renderer that draws one noise stream per plane.
 FROZEN_DIGESTS = {
-    (64, 11): (
-        "85a5ef69b7a6f4c4d6bdeeb4e4776ee07003f5db0c2e4a0f0aee4ffef6a21bee",
+    (64, 11, 2.0): (
+        "a95ecd29906ccc2be96dcb74a477ba364874119b845ffe847d5b365e14fd0d2e",
         "34917cb2a18ce08a3af4c9edd82796784873c44f370472bb2f7f4f5c4a476439",
     ),
-    (128, 12): (
-        "63f38f52e94c4dd275db098c50f136edb00491e86205b1507a1ee07bcaa44cda",
+    (128, 12, 2.0): (
+        "dbedfd7cbf1bfe12383ffd0eef6b70587010ee595cfac6ec10616257fed130ae",
         "0c7405ec739a57e529706bfc8400e488a6465f7d581f724f8a0d4c6f61796cfb",
     ),
-    (256, 13): (
-        "6ba41b8b0ca71a7784a07e2b2f6ae0180bded08fd5db7cd5b02c4779b1549afa",
+    (256, 13, 2.0): (
+        "49876106a3179b2025c6cb9ec46506aa6aae52838255092c778159373207def1",
         "7ec86e53566abaa7ff2ab55d61f7a70dd5dd4cc120fbd3ebef8d7dcad8781897",
+    ),
+    (64, 21, 0.0): (
+        "d576d5ee2ec1cd44f0264940b3d9a5f3bf14be39bf5cc264f753b2a363826f5f",
+        "b0b34747597e1f8a679f6a9d3f94d85dba7ef36a8901bb1c81e174cec2e27b4f",
+    ),
+    (96, 23, 0.0): (
+        "72b0b3912d8ac708f2cd571d3cb8a56ec6bac636cd732499d4e70cd37a11d6ac",
+        "0735303e87a25496eb4554c26ef2698a147cce36a6e4fcffcc1ee684ae973abe",
+    ),
+    (128, 22, 0.0): (
+        "baba29341bf305ee1cb2ffffdfa3d02ca3e6f0e3b28a09ad0ad7f03ffcb0a630",
+        "f58cd43fecf8da7821e712e107bd2609766cd2d6090a2eed4394f648f77777eb",
     ),
 }
 
 
 @pytest.mark.parametrize("block_voxels", [1, None], ids=["one-plane-blocks", "default-blocks"])
-@pytest.mark.parametrize("n, seed", list(FROZEN_DIGESTS))
-def test_cubic_phantom_digests_frozen(monkeypatch, n, seed, block_voxels):
+@pytest.mark.parametrize("n, seed, noise_sigma", list(FROZEN_DIGESTS))
+def test_cubic_phantom_digests_frozen(monkeypatch, n, seed, noise_sigma, block_voxels):
     if block_voxels is not None:
         monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", block_voxels)
-    spec = random_phantom_spec(
-        seed, dims=(n,) * 3, n_cmbs=6, n_vessels=2, n_calcifications=2, background=BackgroundSpec(100.0, 2.0, 2.0)
-    )
+    background = BackgroundSpec(100.0, 2.0, noise_sigma)
+    spec = random_phantom_spec(seed, dims=(n,) * 3, n_cmbs=6, n_vessels=2, n_calcifications=2, background=background)
     assert (len(spec.vessels), len(spec.calcifications)) == (2, 2)
-    for jobs in (1, 2):  # draw then render on one thread, then both at once on two
+    for jobs in (1, 2):
         with threads(jobs):
             vol, gt, _ = generate_phantom(spec)
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (vol.intensities, gt.labels))
-        assert digests == FROZEN_DIGESTS[n, seed]
+        assert digests == FROZEN_DIGESTS[n, seed, noise_sigma]

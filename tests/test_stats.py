@@ -236,6 +236,10 @@ class TestSizeSweep:
         with pytest.raises(ConfigError):
             size_sweep([det(1.0)], [det(1.0)], [5.0, 1.0])
 
+    def test_empty_thresholds_rejected(self):
+        with pytest.raises(ConfigError, match="one or more"):
+            size_sweep([det(1.0)], [det(1.0)], [])
+
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_bad_threshold_rejected(self, bad):
         with pytest.raises(ConfigError):
