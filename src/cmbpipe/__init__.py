@@ -41,7 +41,6 @@ from .volume import (
     WorldPoint,
     adjust_contrast,
     normalize_intensity,
-    resample_isotropic,
     world_to_voxel,
 )
 

@@ -448,9 +448,6 @@ def cmd_augment(params: dict) -> list[Path]:
     Param("lo_pct", float, 0.0, help="reference: intensity percentile mapped to 0", bound=volume.PERCENTILE_BOUND),
     Param("hi_pct", float, 100.0, help="reference: intensity percentile mapped to 1", bound=volume.PERCENTILE_BOUND),
     Param("gamma", float, 1.0, help="reference: contrast gamma", bound=volume.GAMMA_BOUND),
-    Param("target_dims", int, 256, help="cube edge for resampling non-cubic volumes", bound="[1, inf)"),
-    Param("target_spacing", float, 1.0, help="spacing in mm for resampling non-cubic volumes",
-          bound=volume.SPACING_BOUND),
     Param("tau", float, 0.125, help="threshold on the fused probability (0.125 = 0.5^3)", bound=triplanar.TAU_BOUND),
     JOBS,
 )
@@ -468,8 +465,6 @@ def cmd_segment(params: dict) -> list[Path]:
     outputs = []
     for entry in entries:
         vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))
-        if not vol.canonical:
-            vol = volume.resample_isotropic(vol, params["target_spacing"], (params["target_dims"],) * 3)
         if kind == "oracle":
             gt = scanio.read_mask(Path(params["gt_dir"]) / f"{entry.scan_id}.nii.gz")
             seg = OracleSegmenter(gt, params["corruption_rate"], params["oracle_seed"])

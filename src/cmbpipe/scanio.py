@@ -400,6 +400,11 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
         except (TypeError, ValueError, OverflowError):
             fail(f"{what} {value!r} is not a number")
 
+    def text(value, what: str) -> str:
+        if not isinstance(value, str):
+            fail(f"{what} {value!r} is not a string")
+        return value
+
     if not isinstance(rec, dict):
         fail("record is not an object")
     for key in ("scan_id", "subject_id", "dataset_tag", "path", "cmb_centers", "acquisition"):
@@ -408,6 +413,10 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
     unknown = set(rec) - {"scan_id", "subject_id", "dataset_tag", "path", "cmb_centers", "p_cmb", "acquisition"}
     if unknown:
         fail(f"unknown keys {sorted(unknown)}")
+    scan_id = text(rec["scan_id"], "scan_id")
+    # the id names each scan's output files, so it must name one file inside the output directory
+    if not scan_id or any(part in scan_id for part in ("/", "\\", "..")):
+        fail(f"scan_id {scan_id!r} is empty or holds '/', '\\' or '..'")
     if rec["dataset_tag"] not in DATASET_TAGS:
         fail(f"dataset_tag '{rec['dataset_tag']}' not in {DATASET_TAGS}")
     if not isinstance(rec["cmb_centers"], list):
@@ -441,15 +450,15 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
             field_strength_tesla=measure("field_strength_tesla"),
             echo_time_ms=measure("echo_time_ms"),
             slice_thickness_mm=measure("slice_thickness_mm"),
-            scanner_model=str(acq["scanner_model"]),
+            scanner_model=text(acq["scanner_model"], "scanner_model"),
         )
     except KeyError as exc:
         fail(f"acquisition missing key {exc}")
     return ScanManifestEntry(
-        scan_id=str(rec["scan_id"]),
-        subject_id=str(rec["subject_id"]),
-        dataset_tag=str(rec["dataset_tag"]),
-        path=str(rec["path"]),
+        scan_id=scan_id,
+        subject_id=text(rec["subject_id"], "subject_id"),
+        dataset_tag=rec["dataset_tag"],
+        path=text(rec["path"], "path"),
         cmb_centers=tuple(centers),
         p_cmb=p_cmb,
         acquisition=acquisition,

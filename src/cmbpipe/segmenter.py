@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, require
+from .errors import ConfigError, RejectedInputError, require
 from .rng import derive_rng
-from .triplanar import VIEW_AXIS, map_plane_blocks
+from .triplanar import VIEW_AXIS, map_plane_blocks, view_axis
 from .volume import LabelMask, ProbabilityVolume, Volume3D, require_same_geometry, require_unit_interval
 
 # Gain and offset tuned on a held-out phantom batch (dark discs, CNR >= 5):
@@ -80,9 +80,9 @@ class OracleSegmenter:
         return np.not_equal(self.gt.labels, np.moveaxis(flips, 0, axis)).astype(np.float32)
 
 
-def _smooth(planes: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
-    """In-plane Gaussian of each plane of a ``(b, h, w)`` block, into ``out`` if given (``planes`` itself works)."""
-    return ndimage.gaussian_filter(planes, (0.0, sigma, sigma), output=out)
+def _smooth(planes: np.ndarray, sigma: tuple[float, float], out: np.ndarray | None = None) -> np.ndarray:
+    """In-plane Gaussian, ``sigma`` = (h, w) pixels, of each plane of a ``(b, h, w)`` block, into ``out`` if given."""
+    return ndimage.gaussian_filter(planes, (0.0, *sigma), output=out)
 
 
 def _vote_coordinate(pos: np.ndarray, unit: np.ndarray, step: float, size: int, out: np.ndarray) -> np.ndarray:
@@ -96,10 +96,13 @@ def _vote_coordinate(pos: np.ndarray, unit: np.ndarray, step: float, size: int, 
 def _radial_symmetry(planes: np.ndarray, radii_px) -> np.ndarray:
     """Antisymmetric dark-center vote maps of a ``(b, h, w)`` block (fast-radial-symmetry flavor).
 
-    Each pixel votes +|grad| one radius against its in-plane gradient
-    (towards a dark center) and -|grad| one radius along it, so inverting
-    the image flips the sign of the response exactly. Votes stay in their
-    own plane. Each radius is one ``bincount`` over the block with every
+    Each radius is a pair ``(r_h, r_w)`` of pixels along h and w, so one
+    radius in mm spans the same distance on non-square pixels. Each pixel
+    votes +|grad| one radius against its pixel-space gradient (towards a
+    dark center) and -|grad| one radius along it, each axis's offset
+    scaled by that axis's radius, so inverting the image flips the sign of
+    the response exactly. Votes stay in their own plane. Each radius is
+    one ``bincount`` over the block with every
     +|grad| vote before every -|grad| vote, so each bin adds its votes in
     the order of the per-plane ``np.add.at`` definition. Every radius
     refills one vote-target buffer, so about 12 block-sized arrays are live.
@@ -123,16 +126,16 @@ def _radial_symmetry(planes: np.ndarray, radii_px) -> np.ndarray:
     targets = np.empty(2 * n, dtype=np.intp)
     scratch = np.empty(n)
     acc = np.zeros_like(planes)
-    for r in radii_px:
+    for rh, rw in radii_px:
         for half, sign in ((slice(None, n), -1.0), (slice(n, None), 1.0)):
             # flat target = i * w + j + plane start; every term is an exact integer
-            np.multiply(_vote_coordinate(ii, ui, sign * r, h, scratch), w, out=targets[half], casting="unsafe")
-            np.add(targets[half], _vote_coordinate(jj, uj, sign * r, w, scratch), out=targets[half], casting="unsafe")
+            np.multiply(_vote_coordinate(ii, ui, sign * rh, h, scratch), w, out=targets[half], casting="unsafe")
+            np.add(targets[half], _vote_coordinate(jj, uj, sign * rw, w, scratch), out=targets[half], casting="unsafe")
             targets[half] += plane_start
         votes = np.bincount(targets, weights, minlength=planes.size).reshape(planes.shape)
-        # normalize by ring size so the response tracks contrast, not radius
-        votes = _smooth(votes, max(r / 2.0, 0.5), out=votes)
-        votes /= 2.0 * np.pi * r
+        # normalize by ring size so the response tracks contrast, not radius (2 * pi * r on square pixels)
+        votes = _smooth(votes, (max(rh / 2.0, 0.5), max(rw / 2.0, 0.5)), out=votes)
+        votes /= np.pi * (rh + rw)
         acc += votes
         del votes  # before the next radius's bincount
     acc /= len(radii_px)
@@ -148,9 +151,11 @@ class ReferenceSegmenter:
     centered at ``score_offset`` so featureless background lands well below
     0.5 and cannot ride the fusion threshold. Inverting the image maps the
     score to its negative about zero, so bright blobs score symmetrically
-    low. The scales and radii are converted to pixels with the volume's
-    own spacing. Every plane of the view is scored on its own, and the
-    threads of :func:`volume.run_blocks` share the view's blocks of planes.
+    low. The volume is scored on its own grid: each mm scale and radius
+    is converted to pixels with the spacing of each in-plane axis of the
+    view, so thick-slice scans keep their non-square pixels. Every plane
+    of the view is scored on its own, and the threads of
+    :func:`volume.run_blocks` share the view's blocks of planes.
     """
 
     def __init__(self, cfg: ReferenceConfig = ReferenceConfig()):
@@ -158,17 +163,20 @@ class ReferenceSegmenter:
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:
         require_unit_interval(v.intensities, "reference segmenter intensities")
-        px = float(v.spacing[0])  # segment_view passes only isotropic cubes
+        if min(v.dims) < 2:  # an in-plane gradient needs two pixels along each axis of every view
+            raise RejectedInputError(f"reference segmenter needs at least 2 voxels along each axis, got dims {v.dims}")
+        axis = view_axis(view)
+        px = [s for a, s in enumerate(v.spacing) if a != axis]
         return map_plane_blocks(lambda planes: self._probability(planes, px), v, view)
 
-    def _probability(self, planes: np.ndarray, px: float) -> np.ndarray:
-        """Probabilities of a ``(b, h, w)`` block of planes of ``px`` mm pixels."""
+    def _probability(self, planes: np.ndarray, px: list[float]) -> np.ndarray:
+        """Probabilities of a ``(b, h, w)`` block of planes whose pixels are ``px`` = (h, w) mm."""
         cfg = self.cfg
         planes = np.ascontiguousarray(planes)
         # the symmetry map first, so its peak working set is not stacked on the band-pass
-        score = _radial_symmetry(planes, [max(r / px, 1.0) for r in SYMMETRY_RADII_MM])
-        band = _smooth(planes, cfg.scale_max_mm / px)
-        band -= _smooth(planes, cfg.scale_min_mm / px)
+        score = _radial_symmetry(planes, [tuple(max(r / p, 1.0) for p in px) for r in SYMMETRY_RADII_MM])
+        band = _smooth(planes, tuple(cfg.scale_max_mm / p for p in px))
+        band -= _smooth(planes, tuple(cfg.scale_min_mm / p for p in px))
         score += band
         # 1 / (1 + exp(-gain * (score - offset))), in place
         score -= cfg.score_offset

@@ -1,8 +1,10 @@
 """Thickened-slice decomposition and multiplicative three-view fusion.
 
-A canonical (cubic, isotropic) volume is cut into thickened 2D slices —
-each plane stacked with its two neighbors as 3 channels — along the axial,
-sagittal and coronal views. A segmenter turns each view into one
+A volume is cut, on its own grid, into thickened 2D slices — each plane
+stacked with its two neighbors as 3 channels — along the axial, sagittal
+and coronal views. The grid need not be cubic or isotropic: a view's
+planes are the axis planes of any grid, and on a thick-slice scan some of
+them have non-square pixels. A segmenter turns each view into one
 probability volume in a single call (a per-slice model plugs in through
 :class:`SliceAdapter`), and the three are fused voxel-wise by
 multiplication: a detection survives only where all three views agree, so
@@ -24,7 +26,8 @@ VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
 TAU_BOUND = "(0, 1)"
 
 
-def _require_view(view: str) -> int:
+def view_axis(view: str) -> int:
+    """The array axis that ``view``'s planes are cut across; an unknown view is a :class:`ConfigError`."""
     if view not in VIEW_AXIS:
         raise ConfigError(f"view must be one of {VIEWS}, got '{view}'")
     return VIEW_AXIS[view]
@@ -113,7 +116,7 @@ def map_plane_blocks(fn, v: Volume3D, view: str) -> np.ndarray:
     :func:`volume.run_blocks`. Each block writes only its own planes, so the
     output is the same for any thread count.
     """
-    axis = _require_view(view)
+    axis = view_axis(view)
     out = np.empty(v.dims, dtype=np.float32)
 
     def one_block(b: tuple) -> None:
@@ -135,7 +138,7 @@ class SliceAdapter:
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:
         out = np.empty(v.dims, dtype=np.float32)
-        for k, dst in enumerate(np.moveaxis(out, _require_view(view), 0)):
+        for k, dst in enumerate(np.moveaxis(out, view_axis(view), 0)):
             plane = np.asarray(self.slice_segmenter.segment(ThickSlice(view, k, v.intensities)))
             if plane.shape != dst.shape:
                 raise RejectedInputError(f"plane {k} has shape {plane.shape}, expected {dst.shape}")
@@ -144,12 +147,8 @@ class SliceAdapter:
 
 
 def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter) -> ProbabilityVolume:
-    """One view's probability volume from one whole-view segmenter call."""
-    _require_view(view)
-    if not v.canonical:
-        raise RejectedInputError(
-            f"volume must be canonical (cubic dims, isotropic spacing), got dims {v.dims} spacing {v.spacing}"
-        )
+    """One view's probability volume, on ``v``'s own grid, from one whole-view segmenter call."""
+    view_axis(view)
     values = np.asarray(segmenter.segment(v, view))
     if values.shape != v.dims:
         raise RejectedInputError(f"{view} probabilities have shape {values.shape}, expected {v.dims}")

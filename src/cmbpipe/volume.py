@@ -1,11 +1,13 @@
-"""Canonical 3D volume representation and resampling.
+"""3D volume representation and intensity operations.
 
 Volumes are axis-aligned scalar grids in a fixed axis order
 (sagittal-index, coronal-index, axial-index), i.e. array axis 0 runs along
 world x, axis 1 along world y, axis 2 along world z. Orientation is
 normalized at load time (see ``cmbpipe.scanio``), so nothing here handles
-rotation matrices. All operations are pure: inputs are never mutated and
-the stored arrays are read-only.
+rotation matrices. A grid may have any dims and a different spacing per
+axis; every stage runs on the scan's own grid, so nothing here resamples.
+All operations are pure: inputs are never mutated and the stored arrays
+are read-only.
 """
 
 from __future__ import annotations
@@ -190,11 +192,6 @@ class Grid:
     def voxel_volume_mm3(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
-    def canonical(self) -> bool:
-        """Cubic dims and isotropic spacing: the grid the three views are cut from."""
-        return len(set(self.dims)) == 1 and len(set(self.spacing)) == 1
-
     def with_array(self, arr: np.ndarray):
         """New grid of the same type and geometry holding ``arr``."""
         return type(self)(arr, self.spacing, self.origin)
@@ -267,59 +264,6 @@ def world_to_voxel(v: Grid, p: WorldPoint) -> tuple[np.ndarray, bool]:
     coords = (np.asarray(p, dtype=np.float64) - np.asarray(v.origin)) / np.asarray(v.spacing)
     inside = bool(np.all(coords >= 0.0) and np.all(coords <= np.asarray(v.dims) - 1.0))
     return coords, inside
-
-
-def _interp_axis(arr: np.ndarray, positions: np.ndarray, axis: int, fill: float) -> np.ndarray:
-    """Linear interpolation of ``arr`` along one axis at fractional ``positions``.
-
-    Positions outside the voxel-center span [0, n-1] produce ``fill``.
-    """
-    n = arr.shape[axis]
-    outside = (positions < 0.0) | (positions > n - 1.0)
-    t = np.clip(positions, 0.0, n - 1.0)
-    i0 = np.floor(t).astype(np.intp)
-    i0 = np.minimum(i0, n - 2) if n > 1 else np.zeros_like(i0)
-    w = t - i0
-    lo = np.take(arr, i0, axis=axis)
-    hi = np.take(arr, np.minimum(i0 + 1, n - 1), axis=axis)
-    shape = [1] * arr.ndim
-    shape[axis] = len(positions)
-    wb = w.reshape(shape)
-    out = lo * (1.0 - wb) + hi * wb
-    mask = outside.reshape(shape)
-    return np.where(mask, fill, out)
-
-
-def resample_isotropic(
-    v: Volume3D,
-    target_spacing: float = 1.0,
-    target_dims: tuple[int, int, int] = (256, 256, 256),
-) -> Volume3D:
-    """Trilinearly resample onto an isotropic grid centered on the input field of view.
-
-    The physical center of the input grid maps to the physical center of the
-    output grid and the output origin is set so world coordinates are
-    preserved. Regions outside the input field of view are filled with the
-    input minimum (SWI background is dark; filling with anything darker
-    would fabricate CMB-like rims).
-    """
-    require(target_spacing, SPACING_BOUND, "target_spacing")
-    target_dims = tuple(int(d) for d in target_dims)
-    if len(target_dims) != 3 or any(d < 1 for d in target_dims):
-        raise ConfigError(f"target_dims must be 3 positive integers, got {target_dims}")
-    in_dims = np.asarray(v.dims, dtype=np.float64)
-    in_spacing = np.asarray(v.spacing)
-    center = np.asarray(v.origin) + (in_dims - 1.0) * in_spacing / 2.0
-    out_dims = np.asarray(target_dims, dtype=np.float64)
-    out_origin = center - (out_dims - 1.0) * target_spacing / 2.0
-
-    fill = float(v.intensities.min())
-    arr = v.intensities
-    for axis in range(3):
-        world = out_origin[axis] + np.arange(target_dims[axis], dtype=np.float64) * target_spacing
-        positions = (world - v.origin[axis]) / v.spacing[axis]
-        arr = _interp_axis(arr, positions, axis, fill)
-    return Volume3D(arr, (target_spacing,) * 3, tuple(float(o) for o in out_origin))
 
 
 def normalize_intensity(v: Volume3D, lo_pct: float = 1.0, hi_pct: float = 99.0) -> Volume3D:

@@ -179,5 +179,5 @@ def test_reference_block_working_set():
     """One reference block's working set, in units of its float64 size: every thread holds one at a time."""
     block = np.random.default_rng(7).uniform(0.0, 1.0, (4, 128, 128))  # a gradient at almost every pixel
     segmenter = ReferenceSegmenter()
-    peak = traced_peak_bytes(lambda: segmenter._probability(block, 1.0))
+    peak = traced_peak_bytes(lambda: segmenter._probability(block, (1.0, 1.0)))
     assert peak < 13.5 * block.nbytes

@@ -358,6 +358,17 @@ class TestManifest:
             ("field_strength_tesla", -3),
             ("echo_time_ms", float("nan")),
             ("slice_thickness_mm", float("inf")),
+            ("scan_id", None),
+            ("scan_id", 3),
+            ("scan_id", ""),
+            ("scan_id", "../../x"),
+            ("scan_id", "a/b"),
+            ("scan_id", "a\\b"),
+            ("scan_id", ".."),
+            ("subject_id", 3),
+            ("subject_id", None),
+            ("path", ["a.nii.gz"]),
+            ("scanner_model", None),
         ],
     )
     def test_p_cmb_out_of_range(self, tmp_path, key, value):

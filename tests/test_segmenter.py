@@ -117,6 +117,19 @@ class TestReference:
         with pytest.raises(RejectedInputError):
             plane_of(seg, rng.normal(100, 10, (16, 16, 16)))
 
+    @pytest.mark.parametrize("dims", [(16, 16, 1), (1, 16, 16), (16, 1, 16)])
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_one_voxel_along_an_axis_rejected(self, rng, dims, view):
+        """Every view of a grid one voxel thick has planes with no in-plane gradient along one axis."""
+        vol = Volume3D(rng.uniform(0, 1, dims), (1.0, 1.0, 3.0))
+        with pytest.raises(RejectedInputError, match=r"dims \(" + ", ".join(map(str, dims))):
+            ReferenceSegmenter().segment(vol, view)
+
+    def test_two_voxels_along_an_axis_score(self, rng):
+        vol = Volume3D(rng.uniform(0, 1, (16, 16, 2)), (1.0, 1.0, 3.0))
+        for view in VIEWS:
+            assert segment_view(vol, view, ReferenceSegmenter()).dims == (16, 16, 2)
+
     def test_deterministic(self, rng):
         vol = rng.uniform(0, 1, (24, 24, 24))
         seg = ReferenceSegmenter(ReferenceConfig())
@@ -200,6 +213,8 @@ class TestWholeViewEqualsPerPlane:
     CASES = {
         "random-24-px0.7": lambda rng: Volume3D(rng.uniform(0, 1, (24, 24, 24)), (0.7, 0.7, 0.7)),
         "constant-24": lambda rng: Volume3D(np.full((24, 24, 24), 0.5)),
+        # a thick-slice grid: every view has its own non-square pixels
+        "random-24x20x12-anisotropic": lambda rng: Volume3D(rng.uniform(0, 1, (24, 20, 12)), (0.7, 0.9, 2.0)),
     }
 
     @pytest.mark.parametrize("jobs", [None, 1, 2])
@@ -208,12 +223,14 @@ class TestWholeViewEqualsPerPlane:
     @pytest.mark.parametrize("view", VIEWS)
     def test_reference(self, rng, monkeypatch, case, view, planes_per_block, jobs):
         v = self.CASES[case](rng)
+        axis = VIEW_AXIS[view]
         if planes_per_block is not None:  # several blocks, the last one short at 5
-            monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", planes_per_block * 24 * 24)
+            monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", planes_per_block * v.intensities.size // v.dims[axis])
         cfg = ReferenceConfig()
         with volume.threads(jobs):
             got = segment_view(v, view, ReferenceSegmenter(cfg)).values
-        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg, v.spacing[0]), v.intensities, view)
+        px = tuple(np.delete(v.spacing, axis))  # (h, w): the spacings of the two axes left in the plane
+        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg, px), v.intensities, view)
         assert got.dtype == np.float32 and got.flags.c_contiguous
         assert np.array_equal(got, want)
 
@@ -222,7 +239,7 @@ class TestWholeViewEqualsPerPlane:
         values = rng.uniform(0, 1, (20, 20, 20))
         seg = ReferenceSegmenter(ReferenceConfig())
         got = segment_view(Volume3D(values, (0.5, 0.5, 0.5)), "axial", seg).values
-        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, seg.cfg, 0.5), values, "axial")
+        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, seg.cfg, (0.5, 0.5)), values, "axial")
         assert np.array_equal(got, want)
         assert not np.array_equal(got, segment_view(Volume3D(values), "axial", seg).values)
 

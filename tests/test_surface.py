@@ -4,8 +4,9 @@ The thread count is one process-wide setting, never a parameter,
 detections have one representation: the ``detect.Detections`` table,
 every numeric command parameter declares what it is checked against,
 ``volume`` states each grid fact once: one grid base and one block size,
-and each call has one form: one segmenter per scan, no knob that nothing
-sets, one table type and a mask for every spatial transform.
+each call has one form: one segmenter per scan, no knob that nothing
+sets, one table type and a mask for every spatial transform, and every
+scan is segmented on its own grid: nothing resamples it to a cube.
 """
 
 import importlib
@@ -112,3 +113,10 @@ def test_one_block_size():
     """``plane_blocks`` always reads the pool's block size, which no other module names."""
     assert list(inspect.signature(volume.plane_blocks).parameters) == ["shape", "axis"]
     assert [p.name for p in sorted(SRC.glob("*.py")) if "POOL_BLOCK_VOXELS" in p.read_text()] == ["volume.py"]
+
+
+def test_every_scan_on_its_own_grid():
+    """No isotropic resampler, no canonical-grid test and no cube target among `segment`'s parameters."""
+    assert not hasattr(volume, "resample_isotropic") and not hasattr(cmbpipe, "resample_isotropic")
+    assert not hasattr(volume.Grid, "canonical")
+    assert [p.name for p in cli.COMMANDS["segment"].params if p.name.startswith("target_")] == []

@@ -11,6 +11,7 @@ from cmbpipe import volume
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
 from cmbpipe.segmenter import ReferenceConfig, ReferenceSegmenter
 from cmbpipe.triplanar import (
+    VIEW_AXIS,
     VIEWS,
     SliceAdapter,
     ThickSlice,
@@ -58,19 +59,24 @@ class TestExtract:
             assert np.array_equal(s.channels[1], np.take(cube.intensities, 7, axis=axis))
             assert np.array_equal(s.central, s.channels[1])
 
-    def test_non_canonical_rejected(self, rng):
+    def test_non_cubic_anisotropic_volume_is_cut_on_its_own_grid(self, rng):
+        """A thick-slice grid is not resampled: each view gets one slice per plane of its own axis."""
+        v = Volume3D(rng.uniform(0, 1, (16, 12, 8)), (0.8, 0.9, 2.5), (-3.0, 4.0, 10.0))
         model = _Recorder()
-        with pytest.raises(RejectedInputError):
-            segment_view(Volume3D(rng.uniform(0, 1, (16, 16, 8))), "axial", SliceAdapter(model))
-        with pytest.raises(RejectedInputError):
-            segment_view(Volume3D(rng.uniform(0, 1, (16, 16, 16)), (1.0, 1.0, 2.0)), "axial", SliceAdapter(model))
-        assert model.calls == []
+        for view in VIEWS:
+            p = segment_view(v, view, SliceAdapter(model))
+            assert (p.dims, p.spacing, p.origin) == (v.dims, v.spacing, v.origin)
+        assert [(view, k) for view, k, _ in model.calls] == [
+            (view, k) for view in VIEWS for k in range(v.dims[VIEW_AXIS[view]])
+        ]
 
     def test_unknown_view_rejected(self, cube):
         model = _Recorder()
         with pytest.raises(ConfigError):
             SliceAdapter(model).segment(cube, "oblique")
         assert model.calls == []
+        with pytest.raises(ConfigError):
+            ReferenceSegmenter().segment(cube, "oblique")
 
 
 class TestFuse:
@@ -222,11 +228,9 @@ class TestSegmentDriver:
         with pytest.raises(RejectedInputError, match="axial probabilities have shape"):
             segment_view(cube, "axial", _ShapeOf((32, 32, 31)))
 
-    def test_unknown_view_and_non_canonical_rejected(self, rng, cube):
+    def test_unknown_view_rejected(self, cube):
         with pytest.raises(ConfigError):
             segment_view(cube, "oblique", _ShapeOf(cube.dims))
-        with pytest.raises(RejectedInputError):
-            segment_view(Volume3D(rng.uniform(0, 1, (16, 16, 8))), "axial", _ShapeOf((16, 16, 8)))
 
 
 @settings(deadline=None, max_examples=50)

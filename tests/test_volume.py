@@ -14,7 +14,6 @@ from cmbpipe.volume import (
     adjust_contrast,
     normalize_intensity,
     plane_blocks,
-    resample_isotropic,
     run_blocks,
     thread_count,
     threads,
@@ -36,74 +35,6 @@ class TestVolume3D:
     def test_immutable(self, small_volume):
         with pytest.raises(ValueError):
             small_volume.intensities[0, 0, 0] = 1.0
-
-
-class TestResample:
-    def test_constant_volume(self):
-        v = Volume3D(np.full((16, 20, 12), 7.0), (2.0, 1.5, 3.0), (1.0, 2.0, 3.0))
-        out = resample_isotropic(v, 1.0, (64, 64, 64))
-        assert out.dims == (64, 64, 64)
-        assert out.spacing == (1.0, 1.0, 1.0)
-        assert np.all(out.intensities == 7.0)
-
-    def test_default_targets_preserve_world_extent(self):
-        v = Volume3D(np.zeros((128, 128, 128)), (2.0,) * 3, (0.0, 0.0, 0.0))
-        out = resample_isotropic(v)
-        assert out.dims == (256, 256, 256)
-        assert [d * s for d, s in zip(out.dims, out.spacing)] == [256.0, 256.0, 256.0]
-        # centers coincide
-        in_center = (128 - 1) * 2.0 / 2.0
-        out_center = out.origin[0] + (256 - 1) * 1.0 / 2.0
-        assert out_center == pytest.approx(in_center, abs=1e-12)
-
-    def test_linear_ramp_reproduced(self):
-        n = 40
-        ramp = np.broadcast_to((np.arange(n) * 2.0)[:, None, None], (n, n, n)).copy()
-        v = Volume3D(ramp, (2.0,) * 3, (0.0, 0.0, 0.0))
-        out = resample_isotropic(v, 1.0, (96, 96, 96))
-        wx = out.origin[0] + np.arange(96)
-        inside = (wx >= 0) & (wx <= (n - 1) * 2.0)
-        line = out.intensities[:, 48, 48]
-        assert np.abs(line[inside] - wx[inside]).max() < 1e-6
-
-    def test_idempotent_on_target_geometry(self, rng):
-        v = Volume3D(rng.normal(100, 10, (32, 32, 32)), (1.0,) * 3, (-15.5,) * 3)
-        out = resample_isotropic(v, 1.0, (32, 32, 32))
-        assert np.abs(out.intensities - v.intensities).max() < 1e-9
-        assert out.origin == v.origin
-
-    def test_bounded_by_input_range(self, rng):
-        v = Volume3D(rng.normal(0, 50, (17, 23, 11)), (1.7, 0.9, 2.4), (5.0, -2.0, 0.0))
-        out = resample_isotropic(v, 1.0, (64, 64, 64))
-        assert out.intensities.min() >= v.intensities.min() - 1e-12
-        assert out.intensities.max() <= v.intensities.max() + 1e-12
-
-    def test_out_of_fov_fill_is_input_min(self):
-        v = Volume3D(np.full((8, 8, 8), 50.0), (1.0,) * 3, (0.0, 0.0, 0.0))
-        arr = np.asarray(v.intensities).copy()
-        arr[0, 0, 0] = 10.0  # global minimum
-        v = v.with_array(arr)
-        out = resample_isotropic(v, 1.0, (32, 32, 32))
-        assert out.intensities[0, 0, 0] == 10.0  # far corner is outside the 8^3 FOV
-
-    def test_smooth_phantom_down_up_roundtrip(self):
-        # SWI-like: dark air background, bright smooth blob (sigma 8 mm), so
-        # the min-fill outside the intermediate FOV matches the background
-        n = 48
-        ax = np.arange(n) - (n - 1) / 2
-        r2 = ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2
-        blob = 40.0 + 60.0 * np.exp(-r2 / (2 * 8.0**2))
-        v = Volume3D(blob, (1.0,) * 3, (0.0, 0.0, 0.0))
-        down = resample_isotropic(v, 1.5, (32, 32, 32))
-        up = resample_isotropic(down, 1.0, (48, 48, 48))
-        err = np.abs(up.intensities - v.intensities).max()
-        assert err < 0.02 * (v.intensities.max() - v.intensities.min())
-
-    def test_bad_targets(self, small_volume):
-        with pytest.raises(ConfigError):
-            resample_isotropic(small_volume, 0.0)
-        with pytest.raises(ConfigError):
-            resample_isotropic(small_volume, 1.0, (0, 10, 10))
 
 
 class TestNormalize:
