@@ -28,7 +28,7 @@ from .errors import (
     require,
 )
 from .rng import derive_rng
-from .volume import LabelMask, Volume3D, VoxelIndex, WorldPoint, world_to_voxel
+from .volume import LabelMask, Volume3D, VoxelIndex, WorldPoint, extrema, world_to_voxel
 
 DEFAULT_ALPHA_THRESHOLD = 0.65
 DEFAULT_PATCH_HALFWIDTH_MM = 5.0
@@ -120,7 +120,8 @@ def synthesize_mask(
         raise ConfigError(f"need shell_inner_mm < shell_outer_mm, got ({shell_inner_mm}, {shell_outer_mm})")
     labels = np.zeros(v.dims, dtype=np.uint8)
     dims = np.asarray(v.dims)
-    dynamic_range = float(v.intensities.max() - v.intensities.min())
+    darkest, brightest = extrema(v.intensities)
+    dynamic_range = float(brightest - darkest)
     for idx, ann in enumerate(annotations):
         coords, inside = world_to_voxel(v, ann.center)
         if not inside:

@@ -31,7 +31,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, require
 from .rng import derive_rng, derive_seed
-from .volume import LabelMask, Volume3D, plane_blocks, require_same_geometry, run_blocks
+from .volume import LabelMask, Volume3D, extrema, plane_blocks, require_same_geometry, run_blocks
 
 AXES = (0, 1, 2)
 
@@ -50,7 +50,7 @@ def _warp(v: Volume3D, m: LabelMask, disp: np.ndarray | None):
     Runs over blocks of output planes: each block adds its own indices to its
     part of ``disp``, so no whole-volume coordinate array is built.
     """
-    fill = float(v.intensities.min())
+    fill = float(extrema(v.intensities)[0])
     out = np.empty(v.dims)
     lab = np.empty(m.dims, dtype=m.labels.dtype)
 
@@ -165,13 +165,20 @@ def _rotation_matrix(angles_deg) -> np.ndarray:
 
 
 def rotate_volume(v: Volume3D, m: LabelMask, angles_deg):
-    """Rotate about the grid center; trilinear for the image, nearest for the mask."""
+    """Rotate rigidly in mm about the grid center; trilinear for the image, nearest for the mask.
+
+    An output voxel index ``i`` samples the input at ``S^-1 R^T S (i - c) + c``,
+    ``S`` the diagonal spacing and ``c`` the center index, so an anisotropic
+    grid turns as the world does. The matrix is ``R^T`` times the spacing
+    ratios, which are exactly 1 on an isotropic grid.
+    """
     require_same_geometry(v, m, "image and mask")
     rot = _rotation_matrix(angles_deg)
     center = (np.asarray(v.dims, dtype=np.float64) - 1.0) / 2.0
-    inv = rot.T
+    spacing = np.asarray(v.spacing)
+    inv = rot.T * (spacing[None, :] / spacing[:, None])
     offset = center - inv @ center
-    fill = float(v.intensities.min())
+    fill = float(extrema(v.intensities)[0])
     out = ndimage.affine_transform(v.intensities, inv, offset=offset, order=1, mode="constant", cval=fill)
     lab = ndimage.affine_transform(m.labels, inv, offset=offset, order=0, mode="constant", cval=0)
     return v.with_array(out), m.with_array(lab)
@@ -205,7 +212,8 @@ def bias_field(v: Volume3D, order: int = 3, amplitude: float = 0.2, seed: int = 
     powers = [np.linspace(-1.0, 1.0, n)[:, None] ** np.arange(order + 1) for n in v.dims]
     fld = _tensor_product(coeffs, *powers)
     # 1 + amplitude * fld / peak, then / mean, then * intensities, all in the field's buffer
-    peak = max(fld.max(), -fld.min())
+    lo, hi = extrema(fld)
+    peak = max(hi, -lo)
     if peak > 0:
         fld *= amplitude
         fld /= peak

@@ -7,12 +7,14 @@ rather than traced by hand. Mimics (dark vessel tubes and calcification
 blobs) are planted the same way but excluded from the ground truth — they
 exist to create false positives.
 
-A phantom is rendered in blocks of axis-0 planes that one
-:func:`volume.run_blocks` pool shares. Each block writes its smooth
-field, base and dips into the output, then adds ``noise_sigma`` times
-the noise of each of its planes: plane ``k`` draws from its own stream,
-``derive_rng(seed, "noise", k)``. The output depends on neither the
-thread count nor the block size.
+A phantom is rendered in blocks of axis-0 planes, in two passes that
+:func:`volume.run_blocks` pools share. In the first, each block writes
+its unscaled smooth field into its own planes of the output and keeps
+their min and max, which give the field's scale. In the second, each
+block scales its field, adds the base, applies the dips, then adds
+``noise_sigma`` times the noise of each of its planes: plane ``k`` draws
+from its own stream, ``derive_rng(seed, "noise", k)``. The output
+depends on neither the thread count nor the block size.
 """
 
 from __future__ import annotations
@@ -142,20 +144,20 @@ def _axis_coords(spec: PhantomSpec):
     return [np.arange(n, dtype=np.float64) * spec.spacing for n in spec.dims]
 
 
-def _smooth_field(spec: PhantomSpec, blocks: list[slice], buf: np.ndarray):
-    """The unscaled low-frequency additive field, and the factor that scales it to ``smooth_amplitude``.
+def _smooth_field(spec: PhantomSpec, blocks: list[slice], arr: np.ndarray) -> float:
+    """Write the unscaled low-frequency field into ``arr``; return the factor that scales it to ``smooth_amplitude``.
 
-    Returns ``(field, scale)``. ``field(planes, out)`` writes the field of
-    the axis-0 ``planes`` into ``out``; ``scale`` takes the field's largest
-    magnitude to ``smooth_amplitude`` (0 when that is 0, 1 for a flat
-    field). The field is a 3x3x3 cosine series. Its p and q sums are taken
-    once into an (I, J, 3) table, and each block is one matmul of its rows
-    against the k basis. The largest magnitude is found by writing each of
-    ``blocks`` into ``buf`` in turn.
+    The factor takes the field's largest magnitude to ``smooth_amplitude``
+    (0 when that is 0, 1 for a flat field). The field is a 3x3x3 cosine
+    series. Its p and q sums are taken once into an (I, J, 3) table, and
+    each of the axis-0 ``blocks``, which one pool shares, is one matmul of
+    its rows against the k basis, written into its planes of ``arr``
+    while their min and max are taken.
     """
     amp = spec.background.smooth_amplitude
     if amp == 0.0:
-        return (lambda planes, out: out.fill(0.0)), 0.0
+        run_blocks(lambda planes: arr[planes].fill(0.0), blocks)
+        return 0.0
     rng = derive_rng(spec.seed, "background")
     coeff = rng.standard_normal((3, 3, 3))
     coeff[0, 0, 0] = 0.0  # DC belongs to `base`
@@ -167,18 +169,17 @@ def _smooth_field(spec: PhantomSpec, blocks: list[slice], buf: np.ndarray):
         basis.append(np.cos(freq * xs[axis][None, :]))
     pq = np.tensordot(basis[0], coeff, axes=(0, 0))  # (I, q, r): the sum over p
     table = np.tensordot(pq, basis[1], axes=(1, 0)).transpose(0, 2, 1).copy()  # (I, J, r): then over q
-    n_k = spec.dims[2]
+    lows, highs = np.empty(len(blocks)), np.empty(len(blocks))
 
-    def field(planes: slice, out: np.ndarray) -> None:
-        np.matmul(table[planes].reshape(-1, 3), basis[2], out=out.reshape(-1, n_k))
+    def field(b: int) -> None:
+        planes = blocks[b]
+        out = arr[planes]
+        np.matmul(table[planes].reshape(-1, 3), basis[2], out=out.reshape(-1, spec.dims[2]))
+        lows[b], highs[b] = out.min(), out.max()
 
-    high, low = -np.inf, np.inf
-    for planes in blocks:
-        out = buf[: planes.stop - planes.start]
-        field(planes, out)
-        high, low = max(high, out.max()), min(low, out.min())
-    peak = max(high, -low)  # the largest |value|, without an np.abs copy
-    return field, amp / peak if peak > 0 else 1.0
+    run_blocks(field, range(len(blocks)))
+    peak = max(highs.max(), -lows.min())  # the largest |value|, without an np.abs copy
+    return amp / peak if peak > 0 else 1.0
 
 
 def _box(spec: PhantomSpec, lo_mm, hi_mm) -> tuple[slice, ...] | None:
@@ -265,14 +266,13 @@ def generate_phantom(
     arr = np.empty(spec.dims)
     blocks = [planes for (planes,) in plane_blocks(spec.dims)]
     base, sigma = float(spec.background.base), spec.background.noise_sigma
-    field, scale = _smooth_field(spec, blocks, arr)  # the peak pass borrows the first block of arr
+    scale = _smooth_field(spec, blocks, arr)
     dips = [_gaussian_dip(spec, blob) for blob in spec.cmbs + spec.calcifications]
     dips = [dip for dip in dips + [_tube_dip(spec, v) for v in spec.vessels] if dip is not None]
 
     def render(planes: slice) -> None:
-        """Write the block's field, base and dips into ``arr``, then add ``sigma`` times each plane's own draw."""
+        """Scale the block's field in ``arr``, add the base and dips, then add ``sigma`` times each plane's own draw."""
         out = arr[planes]
-        field(planes, out)
         out *= scale
         out += base
         for box, factor in dips:

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedDatatypeError,
     VolumeLoadError,
 )
-from .volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, thread_count
+from .volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, extrema, thread_count
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # the header plus the 4-byte extension flag, all zero
@@ -236,7 +236,7 @@ def _read_nifti(path: str | Path) -> tuple[np.ndarray, tuple, tuple]:
     if scaled:
         arr *= scl_slope
         arr += scl_inter
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN propagates; Inf is an extreme
+    if not np.isfinite(extrema(arr)).all():  # NaN propagates; Inf is an extreme
         raise NonFiniteDataError(f"{path}: decoded intensities contain NaN/Inf")
     return arr, spacing, origin
 
@@ -249,7 +249,7 @@ def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
         return np.ascontiguousarray(v.intensities.T, dtype=dt)
     rounded = np.rint(v.intensities)
     info = np.iinfo(dt)
-    lo, hi = rounded.min(), rounded.max()
+    lo, hi = extrema(rounded)
     if lo < info.min or hi > info.max:
         raise QuantizationOverflowError(
             f"{path}: values [{lo}, {hi}] do not fit {datatype} range [{info.min}, {info.max}]"

@@ -21,7 +21,15 @@ from scipy import ndimage
 from .errors import ConfigError, RejectedInputError, require
 from .rng import derive_rng
 from .triplanar import VIEW_AXIS, map_plane_blocks, view_axis
-from .volume import LabelMask, ProbabilityVolume, Volume3D, require_same_geometry, require_unit_interval
+from .volume import (
+    LabelMask,
+    ProbabilityVolume,
+    Volume3D,
+    require_same_geometry,
+    require_unit_interval,
+    run_blocks,
+    thread_runs,
+)
 
 # Gain and offset tuned on a held-out phantom batch (dark discs, CNR >= 5):
 # gain 40 pushes a 4 mm disc's peak probability above 0.9 while the offset
@@ -53,8 +61,9 @@ class ReferenceConfig:
 class OracleSegmenter:
     """Replays the ground-truth mask, flipping each pixel with ``corruption_rate``.
 
-    A clean oracle (rate 0) converts the ground truth to float32 once and
-    returns that one read-only array for every view.
+    A clean oracle (rate 0) converts the ground truth to float32 once, each
+    thread of :func:`volume.run_blocks` casting one :func:`volume.thread_runs`
+    run of planes, and returns that one read-only array for every view.
     """
 
     def __init__(self, gt: LabelMask, corruption_rate: float = 0.0, seed: int = 0):
@@ -64,7 +73,8 @@ class OracleSegmenter:
         self.seed = seed
         self._clean = None
         if corruption_rate == 0.0:
-            self._clean = gt.labels.astype(np.float32)
+            self._clean = np.empty(gt.dims, dtype=np.float32)
+            run_blocks(lambda planes: np.copyto(self._clean[planes], gt.labels[planes]), thread_runs(gt.dims[0]))
             self._clean.flags.writeable = False
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from cmbpipe import volume
 from cmbpipe.augment import (
     TRANSFORM_ORDER,
     AugmentSpec,
     _bspline_field,
+    _rotation_matrix,
     apply_augmentation,
     bias_field,
     blur_volume,
@@ -115,6 +117,29 @@ class TestSpatialTransforms:
         out, out_m = rotate_volume(v, m, (0.0, 0.0, 0.0))
         assert np.abs(out.intensities - v.intensities).max() < 1e-6
         assert np.array_equal(out_m.labels, m.labels)
+
+    def test_rotation_is_rigid_in_mm_on_an_anisotropic_grid(self):
+        """A 10 mm-radius sphere on a 1x1x2 mm grid, turned 90 degrees about axis 0, still spans 20 mm per axis."""
+        dims, spacing = (48, 48, 24), (1.0, 1.0, 2.0)
+        mm = [(np.arange(n) - (n - 1) / 2.0) * s for n, s in zip(dims, spacing)]
+        sphere = (mm[0][:, None, None] ** 2 + mm[1][None, :, None] ** 2 + mm[2] ** 2 <= 10.0**2).astype(np.uint8)
+        _, m = rotate_volume(Volume3D(sphere, spacing), LabelMask(sphere, spacing), (90.0, 0.0, 0.0))
+        for axis in range(3):
+            along = np.flatnonzero(m.labels.any(axis=tuple(a for a in range(3) if a != axis)))
+            assert abs((along[-1] - along[0] + 1) * spacing[axis] - 20.0) <= spacing[axis]
+
+    def test_isotropic_rotation_turns_voxel_indices(self, rng):
+        """On an isotropic grid the spacing ratios are exactly 1: the bytes of an index-space rotation by R^T."""
+        v = Volume3D(rng.normal(0, 1, (12, 14, 10)), (0.7,) * 3)
+        m = LabelMask((rng.uniform(0, 1, v.dims) > 0.8).astype(np.uint8), (0.7,) * 3)
+        out, out_m = rotate_volume(v, m, (10.0, 7.0, -9.0))
+        inv = _rotation_matrix((10.0, 7.0, -9.0)).T
+        center = (np.asarray(v.dims, dtype=np.float64) - 1.0) / 2.0
+        offset = center - inv @ center
+        fill = v.intensities.min()
+        want = ndimage.affine_transform(v.intensities, inv, offset=offset, order=1, mode="constant", cval=fill)
+        assert out.intensities.tobytes() == want.tobytes()
+        assert np.array_equal(out_m.labels, ndimage.affine_transform(m.labels, inv, offset=offset, order=0))
 
     def test_zero_elastic_identity(self, rng):
         v = Volume3D(rng.normal(0, 1, (16, 16, 16)))

@@ -208,10 +208,12 @@ def test_smooth_field_scaled_by_its_largest_magnitude(monkeypatch):
     peak_signs = set()
     for seed in range(8):
         spec = PhantomSpec(dims=BLOCKED_DIMS, background=BackgroundSpec(100.0, 2.5, 0.0), seed=seed)
-        field, scale = _smooth_field(spec, blocks, np.empty((4, *BLOCKED_DIMS[1:])))
-        raw = np.empty(BLOCKED_DIMS)
-        for planes in blocks:
-            field(planes, raw[planes])
+        raw, pooled = np.empty(BLOCKED_DIMS), np.empty(BLOCKED_DIMS)
+        with threads(1):
+            scale = _smooth_field(spec, blocks, raw)
+        with threads(2):  # the pooled peak pass agrees across thread counts
+            assert _smooth_field(spec, blocks, pooled) == scale
+        assert np.array_equal(pooled, raw)
         assert scale == 2.5 / np.abs(raw).max()
         vol, _, _ = generate_phantom(spec)
         assert np.array_equal(vol.intensities, raw * (2.5 / np.abs(raw).max()) + 100.0)

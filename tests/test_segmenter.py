@@ -55,16 +55,18 @@ class TestOracle:
 
     def test_clean_oracle_returns_one_read_only_array(self, rng):
         labels = (rng.uniform(0, 1, (37, 11, 5)) > 0.7).astype(np.uint8)
-        seg = OracleSegmenter(LabelMask(labels))
         vol = Volume3D(rng.uniform(0, 1, labels.shape))
-        outs = [seg.segment(vol, view) for view in VIEWS]
-        for out in outs:
-            assert out is outs[0]
-            assert out.dtype == np.float32
-            assert np.array_equal(out, labels.astype(np.float32))
-        assert not outs[0].flags.writeable
-        with pytest.raises(ValueError):
-            outs[0][0, 0, 0] = 1.0
+        for n in (1, 2, 3):  # each thread casts its own run of planes
+            with volume.threads(n):
+                seg = OracleSegmenter(LabelMask(labels))
+            outs = [seg.segment(vol, view) for view in VIEWS]
+            for out in outs:
+                assert out is outs[0]
+                assert out.dtype == np.float32
+                assert np.array_equal(out, labels.astype(np.float32))
+            assert not outs[0].flags.writeable
+            with pytest.raises(ValueError):
+                outs[0][0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("view", VIEWS)
     def test_corrupted_oracle_planes_on_non_cubic_grid(self, rng, view):

@@ -12,6 +12,7 @@ scan is segmented on its own grid: nothing resamples it to a cube.
 import importlib
 import inspect
 import pkgutil
+import re
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -113,6 +114,12 @@ def test_one_block_size():
     """``plane_blocks`` always reads the pool's block size, which no other module names."""
     assert list(inspect.signature(volume.plane_blocks).parameters) == ["shape", "axis"]
     assert [p.name for p in sorted(SRC.glob("*.py")) if "POOL_BLOCK_VOXELS" in p.read_text()] == ["volume.py"]
+
+
+def test_one_range_reduction():
+    """A grid's range is taken by ``volume.extrema`` alone, never by a serial ``min``/``max`` of its array."""
+    serial = re.compile(r"\.(intensities|labels|values)\.(min|max)\(")
+    assert [p.name for p in sorted(SRC.glob("*.py")) if serial.search(p.read_text())] == []
 
 
 def test_every_scan_on_its_own_grid():

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmbpipe import volume
 from cmbpipe.errors import ConfigError, DegenerateNormalizationWarning, RejectedInputError
 from cmbpipe.volume import (
+    LabelMask,
+    ProbabilityVolume,
     Volume3D,
     WorldPoint,
     adjust_contrast,
+    extrema,
     normalize_intensity,
     plane_blocks,
     run_blocks,
@@ -236,6 +240,82 @@ class TestBlockPool:
         assert all(b[:-1] == (slice(None),) * axis for b in blocks)
         starts = range(0, shape[axis], 3)
         assert [(b[-1].start, b[-1].stop) for b in blocks] == [(s, min(s + 3, shape[axis])) for s in starts]
+
+
+@pytest.fixture
+def small_steps(monkeypatch):
+    """Steps of 64 bytes, and a pool for any array, so a small grid spans many steps and every thread."""
+    monkeypatch.setattr("cmbpipe.volume.EXTREMA_STEP_BYTES", 64)
+    monkeypatch.setattr("cmbpipe.volume.EXTREMA_POOL_BYTES", 0)
+
+
+def values(dtype, shape, seed=3):
+    rng = np.random.default_rng(seed)
+    if np.dtype(dtype).kind == "u":
+        return rng.integers(0, 256, shape).astype(dtype)
+    return rng.normal(0.0, 100.0, shape).astype(dtype)
+
+
+class TestExtrema:
+    # 105 and 315 values: no step of 8, 16 or 64 values divides either
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 5, 3), (9, 7, 5)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+    def test_equals_min_and_max(self, small_steps, dtype, shape):
+        arr = values(dtype, shape)
+        for n in (1, 2, 3):
+            with threads(n):
+                lo, hi = extrema(arr)
+            assert (lo, hi) == (arr.min(), arr.max())
+            assert lo.dtype == hi.dtype == arr.dtype
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+    def test_equals_min_and_max_at_the_default_step_and_pool(self, dtype):
+        arr = values(dtype, (130, 128, 128))  # each ends in a short step; the float64 one is pooled
+        for n in (1, 2, 3):
+            with threads(n):
+                assert extrema(arr) == (arr.min(), arr.max())
+
+    def test_nan_anywhere_gives_nan_for_both(self, small_steps):
+        arr = values(np.float64, (9, 7, 5))
+        for at in (0, arr.size // 2, arr.size - 1):
+            bad = arr.copy()
+            bad.flat[at] = np.nan
+            for n in (1, 2, 3):
+                with threads(n):
+                    assert all(np.isnan(extrema(bad)))
+
+    def test_non_contiguous_and_empty(self, small_steps):
+        arr = values(np.float32, (9, 7, 5)).transpose(2, 0, 1)[::2]
+        assert extrema(arr) == (arr.min(), arr.max())
+        with pytest.raises(ValueError):
+            extrema(np.empty((0, 4, 4)))
+
+
+def second_run_start(arr: np.ndarray) -> int:
+    """The first flat index of the second thread's run of steps, under ``threads(2)``."""
+    step = volume.EXTREMA_STEP_BYTES // arr.itemsize
+    return (-(-arr.size // step) // 2) * step
+
+
+# (grid type, dtype, bad value, message) for every value a grid check rejects
+BAD_GRID_VALUES = [
+    *[(Volume3D, np.float64, bad, "intensities contain NaN or Inf") for bad in (np.nan, np.inf, -np.inf)],
+    *[(ProbabilityVolume, np.float32, bad, r"probabilities outside \[0, 1\]") for bad in (np.nan, np.inf, -np.inf)],
+    (ProbabilityVolume, np.float32, 1.0000001, r"probabilities outside \[0, 1\]"),
+    (LabelMask, np.uint8, 2, "labels must be binary"),
+]
+
+
+@pytest.mark.parametrize("where", ["last short step", "second thread's run"])
+@pytest.mark.parametrize("grid, dtype, bad, message", BAD_GRID_VALUES)
+def test_grid_check_finds_one_bad_value(small_steps, grid, dtype, bad, message, where):
+    arr = np.zeros((9, 7, 5), dtype=dtype)
+    arr.flat[arr.size - 1 if where == "last short step" else second_run_start(arr)] = bad
+    with threads(2), pytest.raises(RejectedInputError, match=message):
+        grid(arr)
+    arr.flat[:] = 0
+    with threads(2):
+        grid(arr)  # the same grid without its one bad value passes
 
 
 @settings(deadline=None, max_examples=25)
