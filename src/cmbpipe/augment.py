@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, require
+from .errors import ConfigError, is_json_number, require
 from .rng import derive_rng, derive_seed
 from .volume import LabelMask, Volume3D, extrema, plane_blocks, require_same_geometry, run_blocks
 
@@ -469,9 +469,9 @@ def _checked(where: str, default, bound, value):
     if isinstance(default, bool):
         ok, kind = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
-        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        ok, kind = is_json_number(value, int), "an integer"
     else:
-        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        ok, kind = is_json_number(value, float), "a number"
     if not ok:
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
     return value if bound is None else require(value, bound, where)

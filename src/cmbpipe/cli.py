@@ -23,12 +23,12 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import annotation, augment, detect, phantom, scanio, segmenter, stats, triplanar, volume
-from .errors import CMBPipeError, ConfigError, DataError, require
+from .errors import CMBPipeError, ConfigError, DataError, is_json_number, require
 from .segmenter import REFERENCE_BOUNDS, ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
 from .triplanar import VIEWS
 
@@ -110,10 +110,10 @@ def _command(name: str, help: str, *params: Param):
 
 
 def _number(value, kind: type):
-    """Flag text, or a JSON number of the right kind (no bools, no float for an int)."""
+    """Flag text, or a JSON number of the right kind (``errors.is_json_number``)."""
     if isinstance(value, str):
         return kind(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+    if not is_json_number(value, kind):
         raise TypeError(value)
     return kind(value)
 
@@ -542,15 +542,14 @@ def cmd_eval(params: dict) -> list[Path]:
                 max_dist_mm=params["match_dist"],
             )
             per_scan.append(metrics)
-            row = {k: getattr(metrics, k) for k in ("tp", "fp", "fn", "dsc", "sensitivity", "precision")}
-            row.update(scan_id=entry.scan_id, dataset=entry.dataset_tag)
+            row = {**asdict(metrics), "scan_id": entry.scan_id, "dataset": entry.dataset_tag}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     rows = detect.aggregate_metrics(per_scan, [e.dataset_tag for e in entries])
     table = detect.format_metrics_table(rows)
     (out / "metrics_table.txt").write_text(table + "\n")
     with open(out / "metrics_rows.jsonl", "w") as fh:
         for row in rows:
-            fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
     print(table)
     return [out / "per_scan_metrics.jsonl", out / "metrics_table.txt", out / "metrics_rows.jsonl"]
 
@@ -611,7 +610,7 @@ def cmd_sweep(params: dict) -> list[Path]:
     (out / "size_sweep.txt").write_text(table + "\n")
     with open(out / "size_sweep.jsonl", "w") as fh:
         for row in rows:
-            fh.write(json.dumps(row.to_json(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
     print(table)
     return [out / "size_sweep.txt", out / "size_sweep.jsonl"]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, require
+from .errors import ConfigError, is_json_number, require
 from .volume import LabelMask, _freeze, require_same_geometry
 
 DEFAULT_MIN_VOLUME_MM3 = 4.2  # minimum clinical CMB size (2 mm diameter sphere)
@@ -36,6 +36,7 @@ _COLUMNS = {
     "voxel_count": ("voxel_count", np.int64, ()),
     "bbox": ("bbox", np.int64, (2, 3)),
 }
+_KEYS = [key for key, _, _ in _COLUMNS.values()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,17 +72,24 @@ class Detections:
 
     @classmethod
     def from_records(cls, records: list) -> "Detections":
-        """The table of one record per row; a missing key or a misshapen or impossible value raises."""
+        """The table of one record per row; a missing or unknown key, a misshapen or impossible value or a
+        number not of its column's JSON type (``errors.is_json_number``; an integer for int64) raises."""
+        unknown = sorted(set().union(*records) - set(_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown detection keys {unknown}")
         columns = {}
         for name, (key, dtype, row) in _COLUMNS.items():
-            values = [record[key] for record in records]
-            columns[name] = np.array(values, dtype=dtype) if values else np.zeros((0, *row), dtype=dtype)
+            values = np.array([record[key] for record in records], dtype=object)
+            columns[name] = values.astype(dtype) if len(values) else np.zeros((0, *row), dtype=dtype)
+            kind = int if np.dtype(dtype).kind == "i" else float
+            bad = [x for x in values.ravel() if not is_json_number(x, kind)]
+            if bad:
+                raise ConfigError(f"detection {key} {bad[0]!r} is not a JSON {'integer' if kind is int else 'number'}")
         return cls(**columns)
 
     def to_records(self) -> list[dict]:
         """One dict of plain numbers and lists per row, keyed by each column's record key."""
-        keys = [key for key, _, _ in _COLUMNS.values()]
-        return [dict(zip(keys, row)) for row in zip(*(getattr(self, name).tolist() for name in _COLUMNS))]
+        return [dict(zip(_KEYS, row)) for row in zip(*(getattr(self, name).tolist() for name in _COLUMNS))]
 
     def select(self, keep: np.ndarray) -> "Detections":
         """The rows where the boolean array ``keep`` is true, in order."""
@@ -106,6 +114,8 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class ScanMetrics:
+    """One scan's metrics; ``dataclasses.asdict`` gives them in its row of ``per_scan_metrics.jsonl``."""
+
     tp: int
     fp: int
     fn: int
@@ -340,7 +350,9 @@ def pooled_precision(tp, fp) -> float | None:
 
 @dataclass(frozen=True)
 class DatasetRow:
-    tag: str
+    """One row of the metrics table; ``dataclasses.asdict`` gives its record in ``metrics_rows.jsonl``."""
+
+    dataset: str
     n_scans: int
     tp_per_scan: float
     fp_per_scan: float
@@ -349,18 +361,6 @@ class DatasetRow:
     sensitivity: float | None
     precision: float | None
 
-    def to_json(self) -> dict:
-        return {
-            "dataset": self.tag,
-            "n_scans": self.n_scans,
-            "tp_per_scan": self.tp_per_scan,
-            "fp_per_scan": self.fp_per_scan,
-            "fn_per_scan": self.fn_per_scan,
-            "dsc": self.dsc,
-            "sensitivity": self.sensitivity,
-            "precision": self.precision,
-        }
-
 
 def _make_row(tag: str, metrics: list[ScanMetrics]) -> DatasetRow:
     n = len(metrics)
@@ -368,7 +368,7 @@ def _make_row(tag: str, metrics: list[ScanMetrics]) -> DatasetRow:
     fp = sum(m.fp for m in metrics)
     fn = sum(m.fn for m in metrics)
     return DatasetRow(
-        tag=tag,
+        dataset=tag,
         n_scans=n,
         tp_per_scan=tp / n,
         fp_per_scan=fp / n,
@@ -411,7 +411,7 @@ def format_metrics_table(rows: list[DatasetRow]) -> str:
     header = ("Dataset", "Scans", "TP/scan", "FP/scan", "FN/scan", "DSC", "Sensitivity", "Precision")
     body = [
         (
-            r.tag,
+            r.dataset,
             str(r.n_scans),
             f"{r.tp_per_scan:.2f}",
             f"{r.fp_per_scan:.2f}",

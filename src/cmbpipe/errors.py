@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: configuration problems exit 1, data
 problems exit 2, anything else (broken internal invariants) exits 3.
-:func:`require` is the one check of a parameter against an interval.
+:func:`require` is the one check of a parameter against an interval, and
+:func:`is_json_number` the one check of a JSON value's number type.
 """
 
 import math
@@ -27,6 +28,11 @@ def require(value, bound: str, name: str):
     if not (above and below and (isinstance(value, int) or math.isfinite(value))):
         raise ConfigError(f"{name} must lie in {bound}, got {value!r}")
     return value
+
+
+def is_json_number(value, kind: type = float) -> bool:
+    """Whether ``value`` is a JSON number of ``kind``: an int for ``int``, an int or float for ``float``, never a bool."""
+    return not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float))
 
 
 class DataError(CMBPipeError):

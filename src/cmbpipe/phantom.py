@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import PhantomSpecError, require
+from .errors import ConfigError, PhantomSpecError, require
 from .rng import derive_rng
 from .scanio import Acquisition, ScanManifestEntry
 from .volume import SPACING_BOUND, LabelMask, Volume3D, WorldPoint, plane_blocks, run_blocks
@@ -98,6 +98,7 @@ def _segment_point_distance(p0: np.ndarray, p1: np.ndarray, x: np.ndarray) -> fl
 
 
 def validate_spec(spec: PhantomSpec) -> None:
+    """Raise :class:`PhantomSpecError` unless the grid, the background and every CMB and mimic are valid."""
     if len(spec.dims) != 3 or min(spec.dims) < 1:
         raise PhantomSpecError(f"dims must be 3 positive integers, got {spec.dims}")
     require(spec.spacing, SPACING_BOUND, "spacing")
@@ -109,9 +110,18 @@ def validate_spec(spec: PhantomSpec) -> None:
             raise PhantomSpecError(
                 f"cmb {idx}: diameter {cmb.diameter_mm} mm outside the clinical range {DIAMETER_RANGE_MM}"
             )
-        require(cmb.contrast, CONTRAST_BOUND, f"cmb {idx}: contrast")
-        if np.any(np.asarray(cmb.center) < 0) or np.any(np.asarray(cmb.center) > extent):
-            raise PhantomSpecError(f"cmb {idx}: center {tuple(cmb.center)} outside the volume")
+    objects = [(f"cmb {i}", c, {"center": c.center}) for i, c in enumerate(spec.cmbs)]
+    objects += [(f"calcification {i}", c, {"center": c.center}) for i, c in enumerate(spec.calcifications)]
+    objects += [(f"vessel {i}", v, {"start": v.start, "end": v.end}) for i, v in enumerate(spec.vessels)]
+    for name, obj, points in objects:
+        try:
+            require(obj.contrast, CONTRAST_BOUND, f"{name}: contrast")
+            require(obj.diameter_mm, "(0, inf)", f"{name}: diameter_mm")
+        except ConfigError as exc:
+            raise PhantomSpecError(str(exc)) from None
+        for where, p in points.items():
+            if not np.all((np.asarray(p) >= 0) & (np.asarray(p) <= extent)):  # NaN fails too
+                raise PhantomSpecError(f"{name}: {where} {tuple(p)} outside the volume")
     for i, a in enumerate(spec.cmbs):
         for j in range(i + 1, len(spec.cmbs)):
             b = spec.cmbs[j]

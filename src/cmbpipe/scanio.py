@@ -19,13 +19,14 @@ import struct
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     BadMagicError,
+    ConfigError,
     ManifestError,
     NonFiniteDataError,
     ObliqueOrientationWarning,
@@ -33,6 +34,8 @@ from .errors import (
     TruncatedPayloadError,
     UnsupportedDatatypeError,
     VolumeLoadError,
+    is_json_number,
+    require,
 )
 from .volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, extrema, thread_count
 
@@ -372,33 +375,40 @@ class ScanManifestEntry:
     )
 
     def to_json(self) -> dict:
-        rec = {
-            "scan_id": self.scan_id,
-            "subject_id": self.subject_id,
-            "dataset_tag": self.dataset_tag,
-            "path": self.path,
-            "cmb_centers": [[c.x, c.y, c.z] for c in self.cmb_centers],
-            "acquisition": {
-                "field_strength_tesla": self.acquisition.field_strength_tesla,
-                "echo_time_ms": self.acquisition.echo_time_ms,
-                "slice_thickness_mm": self.acquisition.slice_thickness_mm,
-                "scanner_model": self.acquisition.scanner_model,
-            },
-        }
-        if self.p_cmb is not None:
-            rec["p_cmb"] = self.p_cmb
+        """The manifest record: every field, leaving out a ``p_cmb`` of None."""
+        rec = asdict(self)
+        if self.p_cmb is None:
+            del rec["p_cmb"]
         return rec
 
 
 def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
+    """The entry of a record keyed by the fields of ``ScanManifestEntry`` (``p_cmb`` optional) and ``Acquisition``,
+    whose numbers are JSON numbers (``errors.is_json_number``) within their bounds (``errors.require``)."""
     def fail(msg: str):
         raise ManifestError(f"line {lineno}: {msg}")
 
-    def number(value, what: str) -> float:
+    def keys(obj: dict, cls, where: str, optional=()) -> None:
+        names = [f.name for f in fields(cls)]
+        for key in names:
+            if key not in obj and key not in optional:
+                fail(f"{where}missing key '{key}'")
+        unknown = set(obj) - set(names)
+        if unknown:
+            fail(f"{where}unknown keys {sorted(unknown)}")
+
+    def number(value, what: str, bound: str, fault: str = "") -> float:
+        """``value`` as a float if it is a JSON number in ``bound``; else ``fault`` or "outside" is the message."""
         try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
+            x = float(value) if is_json_number(value) else None
+        except OverflowError:  # an int beyond the float range
+            x = None
+        if x is None:
             fail(f"{what} {value!r} is not a number")
+        try:
+            return require(x, bound, what)
+        except ConfigError:
+            fail(fault or f"{what} {x} outside {bound}")
 
     def text(value, what: str) -> str:
         if not isinstance(value, str):
@@ -407,12 +417,7 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
 
     if not isinstance(rec, dict):
         fail("record is not an object")
-    for key in ("scan_id", "subject_id", "dataset_tag", "path", "cmb_centers", "acquisition"):
-        if key not in rec:
-            fail(f"missing key '{key}'")
-    unknown = set(rec) - {"scan_id", "subject_id", "dataset_tag", "path", "cmb_centers", "p_cmb", "acquisition"}
-    if unknown:
-        fail(f"unknown keys {sorted(unknown)}")
+    keys(rec, ScanManifestEntry, "", optional=("p_cmb",))
     scan_id = text(rec["scan_id"], "scan_id")
     # the id names each scan's output files, so it must name one file inside the output directory
     if not scan_id or any(part in scan_id for part in ("/", "\\", "..")):
@@ -425,35 +430,21 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
     for c in rec["cmb_centers"]:
         if not isinstance(c, (list, tuple)) or len(c) != 3:
             fail(f"cmb_center {c!r} is not an [x, y, z] triple")
-        center = WorldPoint(*(number(x, "cmb_center coordinate") for x in c))
-        if not np.isfinite(center).all():
-            fail(f"cmb_center {c!r} is not finite")
-        centers.append(center)
+        centers.append(
+            WorldPoint(*(number(x, "cmb_center coordinate", "(-inf, inf)", f"cmb_center {c!r} is not finite") for x in c))
+        )
     p_cmb = rec.get("p_cmb")
     if p_cmb is not None:
-        p_cmb = number(p_cmb, "p_cmb")
-        if not (0.0 <= p_cmb <= 1.0):
-            fail(f"p_cmb {p_cmb} outside [0, 1]")
+        p_cmb = number(p_cmb, "p_cmb", "[0, 1]")
     acq = rec["acquisition"]
     if not isinstance(acq, dict):
         fail("acquisition is not an object")
-
-    def measure(key: str) -> float:
-        """A finite value >= 0; 0 is the entry's "unknown"."""
-        value = number(acq[key], key)
-        if not 0.0 <= value < np.inf:
-            fail(f"{key} {value} outside [0, inf)")
-        return value
-
-    try:
-        acquisition = Acquisition(
-            field_strength_tesla=measure("field_strength_tesla"),
-            echo_time_ms=measure("echo_time_ms"),
-            slice_thickness_mm=measure("slice_thickness_mm"),
-            scanner_model=text(acq["scanner_model"], "scanner_model"),
-        )
-    except KeyError as exc:
-        fail(f"acquisition missing key {exc}")
+    keys(acq, Acquisition, "acquisition ")
+    *measures, model = (f.name for f in fields(Acquisition))
+    acquisition = Acquisition(
+        *(number(acq[key], key, "[0, inf)") for key in measures),  # 0 is the entry's "unknown"
+        text(acq[model], model),
+    )
     return ScanManifestEntry(
         scan_id=scan_id,
         subject_id=text(rec["subject_id"], "subject_id"),

@@ -20,7 +20,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, RejectedInputError, require
 from .rng import derive_rng
-from .triplanar import VIEW_AXIS, map_plane_blocks, view_axis
+from .triplanar import map_plane_blocks, view_axis
 from .volume import (
     LabelMask,
     ProbabilityVolume,
@@ -78,10 +78,10 @@ class OracleSegmenter:
             self._clean.flags.writeable = False
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:
+        axis = view_axis(view)
         require_same_geometry(self.gt, v, "ground truth and volume")
         if self._clean is not None:
             return self._clean
-        axis = VIEW_AXIS[view]
         flips = np.empty(np.moveaxis(self.gt.labels, axis, 0).shape, dtype=bool)
         # one stream per plane of the view, so each plane's flips are fixed by (seed, view, plane)
         for k, flip in enumerate(flips):
@@ -203,6 +203,7 @@ class ExternalSegmenter:
         self.probs = probs
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:
+        view_axis(view)
         prob = self.probs[view]
         require_same_geometry(prob, v, "stored probabilities and volume")
         return prob.values

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -196,19 +196,8 @@ class GroupComparison:
     illness_threshold: int
 
     def to_json(self) -> dict:
-        return {
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "mean_count_a": self.mean_count_a,
-            "mean_count_b": self.mean_count_b,
-            "wilcoxon_w": self.wilcoxon_w,
-            "wilcoxon_p": self.wilcoxon_p,
-            "wilcoxon_note": self.wilcoxon_note,
-            "contingency": [list(r) for r in self.contingency],
-            "fisher_p": self.fisher_p,
-            "size_filter_mm3": self.size_filter_mm3,
-            "illness_threshold": self.illness_threshold,
-        }
+        """The record of ``group_comparison.json``: every field but the per-scan counts."""
+        return {k: v for k, v in asdict(self).items() if k not in ("counts_a", "counts_b")}
 
 
 def count_filtered(detections_per_scan, size_filter_mm3: float) -> list[int]:
@@ -288,22 +277,14 @@ def compare_groups(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One size-filter threshold's row; ``dataclasses.asdict`` gives its record in ``size_sweep.jsonl``."""
+
     threshold_mm3: float
     mean_count_a: float
     mean_count_b: float
     n_ge_a: int
     n_ge_b: int
     fisher_p: float
-
-    def to_json(self) -> dict:
-        return {
-            "threshold_mm3": self.threshold_mm3,
-            "mean_count_a": self.mean_count_a,
-            "mean_count_b": self.mean_count_b,
-            "n_ge_a": self.n_ge_a,
-            "n_ge_b": self.n_ge_b,
-            "fisher_p": self.fisher_p,
-        }
 
 
 def size_sweep(group_a, group_b, thresholds, illness_threshold: int = DEFAULT_ILLNESS_THRESHOLD) -> list[SweepRow]:

@@ -53,7 +53,8 @@ class WorldPoint(NamedTuple):
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    """A read-only C-contiguous view of ``arr`` (a copy only if it is not C-contiguous); ``arr`` stays writable."""
+    arr = np.ascontiguousarray(arr).view()
     arr.flags.writeable = False
     return arr
 

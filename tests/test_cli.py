@@ -801,6 +801,19 @@ class TestConfigAndErrors:
         assert run(command, "--detections-a", path, "--detections-b", path, "--out", tmp_path / "out") == 2
         assert f"{path} line 2: bad detections record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("id", "3"), ("voxel_count", True), ("voxel_count", 2.7), ("volume_mm3", "4.5"), ("colour", "red")],
+    )
+    def test_detection_number_not_of_its_json_type_exit_2(self, tmp_path, capsys, key, value):
+        """A string, a bool, a fraction in an integer column or an unknown key is not read as a number."""
+        good = {"id": 1, "centroid_mm": [1.0, 2.0, 3.0], "volume_mm3": 8.0, "voxel_count": 8, "bbox": [[0, 0, 0], [1, 1, 1]]}
+        path = tmp_path / "detections.jsonl"
+        path.write_text(json.dumps({"scan_id": "s0", "detections": [good]}) + "\n"
+                        + json.dumps({"scan_id": "s1", "detections": [{**good, key: value}]}) + "\n")
+        assert run("compare-groups", "--detections-a", path, "--detections-b", path, "--out", tmp_path / "out") == 2
+        assert f"{path} line 2: bad detections record" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def augment_data(tmp_path_factory):

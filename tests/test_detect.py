@@ -118,6 +118,13 @@ class TestDetections:
         with pytest.raises(ValueError):
             dets.volume_mm3[0] = 100.0
 
+    def test_callers_columns_stay_writable_and_are_not_copied(self):
+        columns = self.columns()
+        dets = Detections(**columns)
+        for name, column in columns.items():
+            assert column.flags.writeable and not getattr(dets, name).flags.writeable
+            assert np.shares_memory(column, getattr(dets, name))
+
     @pytest.mark.parametrize(
         "column, value",
         [("ids", np.arange(2)), ("centroid_mm", np.zeros((3, 2))), ("bbox", np.zeros((3, 3, 2)))],
@@ -339,7 +346,7 @@ class TestAggregation:
         per_scan = row_scans(675, 164, 192, 100)
         rows = aggregate_metrics(per_scan, ["DS3"] * 100)
         all_row = rows[-1]
-        assert all_row.tag == "All"
+        assert all_row.dataset == "All"
         assert all_row.tp_per_scan == pytest.approx(6.75)
         assert abs(all_row.sensitivity - 0.78) < 0.005
         assert abs(all_row.precision - 0.80) < 0.005
@@ -347,7 +354,7 @@ class TestAggregation:
     def test_rows_ordered_alphabetical_then_all(self):
         per_scan = row_scans(10, 2, 3, 4)
         rows = aggregate_metrics(per_scan, ["DS2", "DS1r", "PHANTOM", "DS1r"])
-        assert [r.tag for r in rows] == ["DS1r", "DS2", "PHANTOM", "All"]
+        assert [r.dataset for r in rows] == ["DS1r", "DS2", "PHANTOM", "All"]
 
     def test_na_rendering(self):
         per_scan = [ScanMetrics(0, 0, 0, 1.0, None, None)]

@@ -139,6 +139,30 @@ def test_mimic_overlap_rejected():
         generate_phantom(spec)
 
 
+GOOD_CALC = CalcificationSpec(WorldPoint(8.0, 8.0, 8.0), 3.0, 0.5)
+GOOD_VESSEL = VesselSpec(WorldPoint(2.0, 2.0, 2.0), WorldPoint(2.0, 2.0, 14.0), 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "mimics, match",
+    [
+        ({"calcifications": (replace(GOOD_CALC, contrast=5.0),)}, "calcification 0: contrast"),
+        ({"calcifications": (replace(GOOD_CALC, diameter_mm=0.0),)}, "calcification 0: diameter"),
+        ({"vessels": (replace(GOOD_VESSEL, diameter_mm=0.0),)}, "vessel 0: diameter"),
+        ({"vessels": (replace(GOOD_VESSEL, contrast=0.0),)}, "vessel 0: contrast"),
+        ({"calcifications": (replace(GOOD_CALC, center=WorldPoint(80.0, 8.0, 8.0)),)}, "calcification 0: center"),
+        ({"vessels": (replace(GOOD_VESSEL, end=WorldPoint(2.0, float("nan"), 14.0)),)}, "vessel 0: end"),
+        ({"vessels": (replace(GOOD_VESSEL, start=WorldPoint(-1.0, 2.0, 2.0)),)}, "vessel 0: start"),
+    ],
+)
+def test_bad_mimic_rejected_before_rendering(mimics, match):
+    """A mimic's contrast, diameter and placement are checked like a CMB's, as a spec error (exit 1)."""
+    spec = PhantomSpec(dims=(16, 16, 16), **mimics)
+    with pytest.raises(PhantomSpecError, match=match):
+        generate_phantom(spec)
+    generate_phantom(PhantomSpec(dims=(16, 16, 16), calcifications=(GOOD_CALC,), vessels=(GOOD_VESSEL,)))
+
+
 def test_mimics_darken_image_but_not_ground_truth():
     base_spec = dict(dims=(64, 64, 64), background=BackgroundSpec(100.0, 0.0, 0.0), seed=0)
     clean = PhantomSpec(**base_spec)

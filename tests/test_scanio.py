@@ -369,6 +369,21 @@ class TestManifest:
             ("subject_id", None),
             ("path", ["a.nii.gz"]),
             ("scanner_model", None),
+            ("p_cmb", True),
+            ("p_cmb", "0.5"),
+            ("cmb_centers", [[True, 1, 2]]),
+            ("field_strength_tesla", True),
+            ("echo_time_ms", "20"),
+            (
+                "acquisition",
+                {
+                    "field_strength_tesla": 3.0,
+                    "echo_time_ms": 20.0,
+                    "echo_time": 20.0,
+                    "slice_thickness_mm": 1.75,
+                    "scanner_model": "SIM",
+                },
+            ),
         ],
     )
     def test_p_cmb_out_of_range(self, tmp_path, key, value):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputErro
 from cmbpipe.phantom import BackgroundSpec, generate_phantom, random_phantom_spec
 from cmbpipe.scanio import read_probability, write_probability
 from cmbpipe.segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
-from cmbpipe.triplanar import VIEW_AXIS, VIEWS, binarize_fused, fuse_views, segment_view, segment_volume
+from cmbpipe.triplanar import VIEW_AXIS, VIEWS, SliceAdapter, binarize_fused, fuse_views, segment_view, segment_volume
 from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, normalize_intensity
 
 
@@ -179,6 +180,23 @@ class TestExternal:
         replay = segment_volume(vol, ExternalSegmenter({v: read_probability(paths[v]) for v in VIEWS}))
         for view in VIEWS:
             assert np.array_equal(replay[view].values, probs[view].values)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda gt: OracleSegmenter(gt),
+        lambda gt: OracleSegmenter(gt, 0.1, 3),
+        lambda gt: ReferenceSegmenter(),
+        lambda gt: ExternalSegmenter(dict.fromkeys(VIEWS, ProbabilityVolume(gt.labels))),
+        lambda gt: SliceAdapter(SimpleNamespace(segment=lambda thick_slice: thick_slice.central)),
+    ],
+    ids=["clean-oracle", "corrupted-oracle", "reference", "external", "slice-adapter"],
+)
+def test_every_segmenter_rejects_an_unknown_view(make):
+    gt = LabelMask(np.zeros((8, 8, 8), dtype=np.uint8))
+    with pytest.raises(ConfigError, match="view must be one of"):
+        make(gt).segment(Volume3D(np.zeros((8, 8, 8))), "oblique")
 
 
 class TestOracleEndToEnd:

@@ -5,20 +5,26 @@ detections have one representation: the ``detect.Detections`` table,
 every numeric command parameter declares what it is checked against,
 ``volume`` states each grid fact once: one grid base and one block size,
 each call has one form: one segmenter per scan, no knob that nothing
-sets, one table type and a mask for every spatial transform, and every
-scan is segmented on its own grid: nothing resamples it to a cube.
+sets, one table type and a mask for every spatial transform, every
+scan is segmented on its own grid: nothing resamples it to a cube, and
+each JSON record the CLI writes holds exactly its dataclass's fields.
 """
 
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 import typing
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import cmbpipe
-from cmbpipe import augment, cli, detect, segmenter, stats, triplanar, volume
+from cmbpipe import augment, cli, detect, scanio, segmenter, stats, triplanar, volume
+from cmbpipe.errors import PairingMismatchWarning
 
 SRC = Path(cmbpipe.__file__).parent
 MODULES = [
@@ -127,3 +133,53 @@ def test_every_scan_on_its_own_grid():
     assert not hasattr(volume, "resample_isotropic") and not hasattr(cmbpipe, "resample_isotropic")
     assert not hasattr(volume.Grid, "canonical")
     assert [p.name for p in cli.COMMANDS["segment"].params if p.name.startswith("target_")] == []
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The first record of each JSON file the CLI writes for two 16^3 phantoms, by file name."""
+    out = tmp_path_factory.mktemp("records")
+    data, seg, det = out / "data", out / "seg", out / "det"
+    runs = [
+        ("phantom", "--out", data, "--count", 2, "--dims", 16, "--n-cmbs-max", 2, "--diameter-max", 4.0),
+        ("segment", "--manifest", data / "manifest.jsonl", "--out", seg, "--segmenter", "oracle",
+         "--gt-dir", data / "gt_masks"),
+        ("eval", "--manifest", data / "manifest.jsonl", "--pred-dir", seg / "pred_masks", "--gt-dir", data / "gt_masks",
+         "--out", out / "eval"),
+        ("detect", "--manifest", data / "manifest.jsonl", "--masks-dir", seg / "pred_masks", "--out", det),
+        ("compare-groups", "--detections-a", det / "detections.jsonl", "--detections-b", det / "detections.jsonl",
+         "--out", out / "compare"),
+        ("sweep", "--detections-a", det / "detections.jsonl", "--detections-b", det / "detections.jsonl",
+         "--out", out / "sweep"),
+    ]
+    with warnings.catch_warnings():  # one file against itself: every paired difference is zero
+        warnings.simplefilter("ignore", PairingMismatchWarning)
+        for argv in runs:
+            assert cli.main([str(a) for a in argv]) == 0
+    files = ["data/manifest.jsonl", "eval/per_scan_metrics.jsonl", "eval/metrics_rows.jsonl",
+             "compare/group_comparison.json", "sweep/size_sweep.jsonl"]
+    records = {}
+    for f in files:
+        text = (out / f).read_text()
+        records[Path(f).name] = json.loads(text.splitlines()[0] if f.endswith(".jsonl") else text)
+    return records
+
+
+def names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def test_every_json_record_holds_its_fields(written):
+    """The JSON keys are the dataclass fields: a new field cannot be left out of what is written.
+
+    The two exceptions: a manifest record leaves out a ``p_cmb`` of None,
+    and the group comparison leaves out the per-scan counts.
+    """
+    assert set(written["per_scan_metrics.jsonl"]) == names(detect.ScanMetrics) | {"scan_id", "dataset"}
+    assert set(written["metrics_rows.jsonl"]) == names(detect.DatasetRow)
+    assert set(written["size_sweep.jsonl"]) == names(stats.SweepRow)
+    assert set(written["group_comparison.json"]) == names(stats.GroupComparison) - {"counts_a", "counts_b"}
+    manifest = written["manifest.jsonl"]
+    assert set(manifest) == names(scanio.ScanManifestEntry) - {"p_cmb"}
+    assert set(manifest["acquisition"]) == names(scanio.Acquisition)
+    assert set(scanio.ScanManifestEntry("s", "p", "PHANTOM", "s", p_cmb=0.5).to_json()) == names(scanio.ScanManifestEntry)

@@ -40,6 +40,16 @@ class TestVolume3D:
         with pytest.raises(ValueError):
             small_volume.intensities[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "grid, name, dtype",
+        [(Volume3D, "intensities", np.float64), (LabelMask, "labels", np.uint8), (ProbabilityVolume, "values", np.float32)],
+    )
+    def test_stores_a_read_only_view_of_the_callers_array(self, grid, name, dtype):
+        a = np.zeros((2, 2, 2), dtype=dtype)
+        stored = getattr(grid(a), name)
+        assert a.flags.writeable and not stored.flags.writeable
+        assert np.shares_memory(a, stored)
+
 
 class TestNormalize:
     def test_affine_map_exact(self):
