@@ -39,7 +39,6 @@ from .volume import (
     Volume3D,
     VoxelIndex,
     WorldPoint,
-    adjust_contrast,
     normalize_intensity,
     world_to_voxel,
 )

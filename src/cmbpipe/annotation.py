@@ -118,7 +118,7 @@ def synthesize_mask(
     require(shell_outer_mm, RADIUS_BOUND, "shell_outer_mm")
     if shell_inner_mm >= shell_outer_mm:
         raise ConfigError(f"need shell_inner_mm < shell_outer_mm, got ({shell_inner_mm}, {shell_outer_mm})")
-    labels = np.zeros(v.dims, dtype=np.uint8)
+    labels = np.zeros(v.dims, dtype=bool)
     dims = np.asarray(v.dims)
     darkest, brightest = extrema(v.intensities)
     dynamic_range = float(brightest - darkest)
@@ -151,7 +151,7 @@ def synthesize_mask(
         candidate = alpha > ann.alpha_threshold
         local_center = tuple(np.asarray(center) - lo)
         component = _component_containing(candidate, local_center)
-        labels[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] |= component.astype(np.uint8)
+        labels[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] |= component
     return LabelMask(labels, v.spacing, v.origin)
 
 

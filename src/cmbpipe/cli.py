@@ -280,7 +280,6 @@ DETECTIONS_B = Param("detections_b", str, required=True, help="detections.jsonl 
 ILLNESS = Param("illness_threshold", int, stats.DEFAULT_ILLNESS_THRESHOLD, help="CMBs per scan that count as ill",
                 bound=stats.ILLNESS_THRESHOLD_BOUND)
 COUNT = "[0, inf)"  # of phantoms or objects
-DIAMETER = "[{}, {}]".format(*phantom.DIAMETER_RANGE_MM)
 
 
 @_command(
@@ -292,8 +291,8 @@ DIAMETER = "[{}, {}]".format(*phantom.DIAMETER_RANGE_MM)
     Param("spacing", float, 1.0, help="isotropic voxel spacing in mm", bound=volume.SPACING_BOUND),
     Param("n_cmbs_min", int, 1, help="fewest CMBs per phantom", bound=COUNT),
     Param("n_cmbs_max", int, 10, help="most CMBs per phantom", bound=COUNT),
-    Param("diameter_min", float, 2.0, help="smallest CMB diameter in mm", bound=DIAMETER),
-    Param("diameter_max", float, 10.0, help="largest CMB diameter in mm", bound=DIAMETER),
+    Param("diameter_min", float, 2.0, help="smallest CMB diameter in mm", bound=phantom.DIAMETER_BOUND),
+    Param("diameter_max", float, 10.0, help="largest CMB diameter in mm", bound=phantom.DIAMETER_BOUND),
     Param("contrast_min", float, 0.5, help="weakest CMB contrast", bound=phantom.CONTRAST_BOUND),
     Param("contrast_max", float, 0.9, help="strongest CMB contrast", bound=phantom.CONTRAST_BOUND),
     Param("vessels", int, 0, help="vessel mimics per phantom", bound=COUNT),
@@ -447,7 +446,6 @@ def cmd_augment(params: dict) -> list[Path]:
     Param("prob_dir", str, help="external: directory of <scan_id>_<view>.nii.gz probabilities"),
     Param("lo_pct", float, 0.0, help="reference: intensity percentile mapped to 0", bound=volume.PERCENTILE_BOUND),
     Param("hi_pct", float, 100.0, help="reference: intensity percentile mapped to 1", bound=volume.PERCENTILE_BOUND),
-    Param("gamma", float, 1.0, help="reference: contrast gamma", bound=volume.GAMMA_BOUND),
     Param("tau", float, 0.125, help="threshold on the fused probability (0.125 = 0.5^3)", bound=triplanar.TAU_BOUND),
     JOBS,
 )
@@ -470,8 +468,6 @@ def cmd_segment(params: dict) -> list[Path]:
             seg = OracleSegmenter(gt, params["corruption_rate"], params["oracle_seed"])
         elif kind == "reference":
             vol = volume.normalize_intensity(vol, params["lo_pct"], params["hi_pct"])
-            if params["gamma"] != 1.0:
-                vol = volume.adjust_contrast(vol, params["gamma"])
             seg = reference
         else:
             prob_dir = Path(params["prob_dir"])
@@ -529,6 +525,8 @@ def cmd_detect(params: dict) -> list[Path]:
 def cmd_eval(params: dict) -> list[Path]:
     out = Path(params["out"])
     entries = scanio.read_manifest(params["manifest"])
+    if not entries:
+        raise DataError(f"eval: {params['manifest']} lists no scans")
     per_scan = []
     with open(out / "per_scan_metrics.jsonl", "w") as fh:
         for entry in entries:

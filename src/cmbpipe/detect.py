@@ -124,22 +124,6 @@ class ScanMetrics:
     precision: float | None  # None marks NA (no predictions)
 
 
-def _foreground(labels: np.ndarray) -> np.ndarray:
-    """Ascending C-order flat indices of the nonzero voxels of a uint8 mask.
-
-    The mask is scanned as 8-byte words and only the nonzero words are
-    expanded, which is several times faster than ``np.flatnonzero`` on the
-    sparse masks detection sees.
-    """
-    flat = labels.reshape(-1)
-    n_words = flat.size // 8
-    words = np.flatnonzero(flat[: 8 * n_words].view(np.uint64))
-    candidates = np.concatenate(
-        ((8 * words[:, None] + np.arange(8)).ravel(), np.arange(8 * n_words, flat.size))
-    )
-    return candidates[flat[candidates] != 0]
-
-
 def _packed(coords: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Positions of ``coords`` (on an axis of ``n`` planes) once empty planes are dropped, and the planes left.
 
@@ -168,14 +152,14 @@ def _label(m: LabelMask, connectivity: int) -> tuple[Detections, np.ndarray, np.
     if connectivity not in (6, 26):
         raise ConfigError(f"connectivity must be 6 or 26, got {connectivity}")
     structure = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
-    fg = _foreground(m.labels)
+    fg = np.flatnonzero(m.labels)
     if len(fg) == 0:
         return Detections.from_records([]), fg, np.zeros(0, dtype=np.int64)
 
     ijk = np.stack(np.unravel_index(fg, m.dims), axis=1)
     packed, shape = zip(*(_packed(ijk[:, a], m.dims[a]) for a in range(3)))
-    grid = np.zeros(shape, dtype=np.uint8)
-    grid[packed] = 1
+    grid = np.zeros(shape, dtype=bool)
+    grid[packed] = True
     labeled, n = ndimage.label(grid, structure=structure)
     lab = labeled[packed]
     del grid, labeled

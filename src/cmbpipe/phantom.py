@@ -30,6 +30,7 @@ from .scanio import Acquisition, ScanManifestEntry
 from .volume import SPACING_BOUND, LabelMask, Volume3D, WorldPoint, plane_blocks, run_blocks
 
 DIAMETER_RANGE_MM = (2.0, 10.0)  # clinical CMB size range
+DIAMETER_BOUND = "[{}, {}]".format(*DIAMETER_RANGE_MM)
 MIN_CMB_SEPARATION_MM = 4.0  # surface-to-surface
 ALPHA_GT_THRESHOLD = 0.65
 CONTRAST_BOUND = "(0, 1]"  # fractional dip depth
@@ -265,7 +266,7 @@ def _gt_sphere(labels: np.ndarray, spec: PhantomSpec, cmb: CMBSpec) -> None:
         return
     xs = [x - c[a] for a, x in enumerate(_box_coords(spec, box))]
     r2 = xs[0] ** 2 + xs[1] ** 2 + xs[2] ** 2
-    labels[box] |= (r2 < radius**2).astype(np.uint8)
+    labels[box] |= r2 < radius**2
 
 
 def generate_phantom(
@@ -300,7 +301,7 @@ def generate_phantom(
 
     run_blocks(render, blocks)
 
-    labels = np.zeros(spec.dims, dtype=np.uint8)
+    labels = np.zeros(spec.dims, dtype=bool)
     for cmb in spec.cmbs:
         _gt_sphere(labels, spec, cmb)
 
@@ -338,10 +339,19 @@ def random_phantom_spec(
     """
     grid = PhantomSpec(dims=tuple(dims), spacing=spacing, background=background, seed=seed)
     validate_spec(grid)
-    ranges = {"n_cmbs_range": n_cmbs_range, "diameter_range": diameter_range, "contrast_range": contrast_range}
-    for name, (lo, hi) in ranges.items():
-        if not (0 <= lo <= hi < math.inf):
-            raise PhantomSpecError(f"{name} must be finite, non-negative and ascending, got ({lo}, {hi})")
+    ranges = {
+        "n_cmbs_range": (n_cmbs_range, "[0, inf)"),
+        "diameter_range": (diameter_range, DIAMETER_BOUND),
+        "contrast_range": (contrast_range, CONTRAST_BOUND),
+    }
+    for name, ((lo, hi), bound) in ranges.items():
+        try:
+            require(lo, bound, name)
+            require(hi, bound, name)
+        except ConfigError as exc:
+            raise PhantomSpecError(str(exc)) from None
+        if lo > hi:
+            raise PhantomSpecError(f"{name} must be ascending, got ({lo}, {hi})")
     if min(n_vessels, n_calcifications, 0 if n_cmbs is None else n_cmbs) < 0:
         raise PhantomSpecError(f"object counts must be non-negative, got {n_cmbs}, {n_vessels}, {n_calcifications}")
     rng = derive_rng(seed, "placement")

@@ -214,8 +214,9 @@ def _canonical_orientation(arr: np.ndarray, spacing, rot: np.ndarray, trans: np.
 def _read_nifti(path: str | Path) -> tuple[np.ndarray, tuple, tuple]:
     """The canonical C-contiguous data of ``path`` with its spacing and origin.
 
-    An unscaled uint8 payload stays uint8 (masks); every other payload is
-    cast to float64 in the same copy that reorients it.
+    An unscaled uint8 payload stays uint8, the on-disk type of a mask, which
+    :class:`LabelMask` checks and stores as a bool view; every other payload
+    is cast to float64 in the same copy that reorients it.
     """
     blob = _read_bytes(path)
     (endian, dims, spacing, datatype, vox_offset, scl_slope, scl_inter, rot, trans) = _parse_nifti_header(
@@ -339,7 +340,7 @@ def read_mask(path: str | Path) -> LabelMask:
 
 
 def write_mask(m: LabelMask, path: str | Path) -> None:
-    _write_nifti(path, np.ascontiguousarray(m.labels.T), m.spacing, m.origin)
+    _write_nifti(path, np.ascontiguousarray(m.labels.T, dtype=np.uint8), m.spacing, m.origin)
 
 
 def read_probability(path: str | Path) -> ProbabilityVolume:

@@ -20,7 +20,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, RejectedInputError, require
 from .rng import derive_rng
-from .triplanar import map_plane_blocks, view_axis
+from .triplanar import VIEWS, map_plane_blocks, view_axis
 from .volume import (
     LabelMask,
     ProbabilityVolume,
@@ -197,9 +197,11 @@ class ReferenceSegmenter:
 
 
 class ExternalSegmenter:
-    """Replays stored probability volumes, one per view, keyed by view."""
+    """Replays stored probability volumes, one per view, keyed by view; each of ``VIEWS`` must have one."""
 
     def __init__(self, probs: dict[str, ProbabilityVolume]):
+        if sorted(probs) != sorted(VIEWS):
+            raise ConfigError(f"stored probabilities must be keyed by the views {VIEWS}, got {tuple(probs)}")
         self.probs = probs
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:

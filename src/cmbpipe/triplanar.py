@@ -87,7 +87,7 @@ def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: Probabi
 def binarize_fused(p: ProbabilityVolume, tau: float = 0.125) -> LabelMask:
     """Label voxels with fused probability strictly above tau (default 0.5^3)."""
     require(tau, TAU_BOUND, "tau")
-    return LabelMask(np.greater(p.values, tau).view(np.uint8), p.spacing, p.origin)
+    return LabelMask(np.greater(p.values, tau), p.spacing, p.origin)
 
 
 class ViewSegmenter(Protocol):

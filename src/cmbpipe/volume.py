@@ -35,7 +35,6 @@ Triple = tuple[float, float, float]
 
 SPACING_BOUND = "(0, inf)"  # mm
 PERCENTILE_BOUND = "[0, 100]"
-GAMMA_BOUND = "(0, inf)"
 
 
 class VoxelIndex(NamedTuple):
@@ -267,21 +266,28 @@ class Volume3D(Grid):
 
 @dataclass(frozen=True)
 class LabelMask(Grid):
-    """Binary label grid sharing geometry with its parent volume, stored uint8."""
+    """Binary label grid sharing geometry with its parent volume, stored bool.
+
+    A bool array is stored as given. A uint8 array, such as a mask file's,
+    must hold only 0 and 1 and is stored as a bool view of its memory; any
+    other array must hold only 0 and 1 and is cast.
+    """
 
     labels: np.ndarray
     spacing: Triple = (1.0, 1.0, 1.0)
     origin: Triple = (0.0, 0.0, 0.0)
 
     def _checked(self, arr: np.ndarray) -> np.ndarray:
-        if arr.dtype != np.uint8:
-            uniq = np.unique(arr)
-            if not np.isin(uniq, (0, 1)).all():
-                raise RejectedInputError(f"labels must be binary, got values {uniq[:8]}")
-            return arr.astype(np.uint8)
-        if extrema(arr)[1] > 1:
-            raise RejectedInputError("labels must be binary")
-        return arr
+        if arr.dtype == bool:
+            return arr
+        if arr.dtype == np.uint8:
+            if extrema(arr)[1] > 1:
+                raise RejectedInputError("labels must be binary")
+            return arr.view(bool)
+        uniq = np.unique(arr)
+        if not np.isin(uniq, (0, 1)).all():
+            raise RejectedInputError(f"labels must be binary, got values {uniq[:8]}")
+        return arr.astype(bool)
 
 
 @dataclass(frozen=True)
@@ -338,10 +344,3 @@ def normalize_intensity(v: Volume3D, lo_pct: float = 1.0, hi_pct: float = 99.0) 
         return v.with_array(np.zeros(v.dims))
     out = (np.clip(v.intensities, p_lo, p_hi) - p_lo) / (p_hi - p_lo)
     return v.with_array(out)
-
-
-def adjust_contrast(v: Volume3D, gamma: float) -> Volume3D:
-    """Gamma contrast adjustment: per-voxel ``x -> x**gamma`` on [0, 1] intensities."""
-    require(gamma, GAMMA_BOUND, "gamma")
-    require_unit_interval(v.intensities, "adjust_contrast intensities")
-    return v.with_array(np.power(v.intensities, gamma))

@@ -154,6 +154,15 @@ class TestPipelineCommands:
         row = [ln for ln in table.splitlines() if ln.startswith("PHANTOM")][0]
         assert "1.00" in row and "NA" in row
 
+    def test_eval_of_no_scans_exit_2(self, tmp_path, capsys):
+        """A manifest without scans leaves nothing to aggregate, as an empty cohort leaves nothing to compare."""
+        (tmp_path / "manifest.jsonl").write_text("")
+        out = tmp_path / "out"
+        assert run("eval", "--manifest", tmp_path / "manifest.jsonl", "--pred-dir", tmp_path, "--gt-dir", tmp_path,
+                   "--out", out) == 2
+        assert "lists no scans" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_mask_synth_command(self, tmp_path):
         data = make_phantom_data(tmp_path, extra=("--noise-sigma", 0.0, "--smooth-amplitude", 0.0))
         work = tmp_path / "synth"
@@ -691,8 +700,9 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize(
         "cfg",
-        [{"phantom": {"cuont": 1}}, {"common": {"cuont": 1}}, {"cuont": 1}, {"phantm": {"count": 1}}],
-        ids=["own-section", "common", "top-level", "section-name"],
+        [{"phantom": {"cuont": 1}}, {"common": {"cuont": 1}}, {"cuont": 1}, {"phantm": {"count": 1}},
+         {"segment": {"gamma": 2.0}}],
+        ids=["own-section", "common", "top-level", "section-name", "removed-gamma"],
     )
     def test_unknown_config_key_exit_1(self, tmp_path, cfg):
         out = tmp_path / "out"

@@ -128,6 +128,22 @@ def test_diameter_range_enforced():
         generate_phantom(spec)
 
 
+@pytest.mark.parametrize(
+    "ranges, match",
+    [
+        ({"contrast_range": (2.0, 5.0)}, r"contrast_range must lie in \(0, 1\], got 2.0"),
+        ({"contrast_range": (0.0, 0.5)}, r"contrast_range must lie in \(0, 1\], got 0.0"),
+        ({"contrast_range": (0.5, 1.5)}, r"contrast_range must lie in \(0, 1\], got 1.5"),
+        ({"diameter_range": (1.0, 5.0)}, r"diameter_range must lie in \[2.0, 10.0\], got 1.0"),
+        ({"diameter_range": (5.0, 12.0)}, r"diameter_range must lie in \[2.0, 10.0\], got 12.0"),
+    ],
+)
+def test_random_spec_ranges_checked_before_any_draw(ranges, match):
+    """A range reaching outside what ``generate_phantom`` accepts is rejected by the call itself."""
+    with pytest.raises(PhantomSpecError, match=match):
+        random_phantom_spec(1, dims=(32, 32, 32), n_cmbs=1, **ranges)
+
+
 def test_mimic_overlap_rejected():
     spec = PhantomSpec(
         dims=(64, 64, 64),

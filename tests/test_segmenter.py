@@ -199,6 +199,14 @@ def test_every_segmenter_rejects_an_unknown_view(make):
         make(gt).segment(Volume3D(np.zeros((8, 8, 8))), "oblique")
 
 
+@pytest.mark.parametrize("views", [("axial",), ("axial", "sagittal", "oblique"), (*VIEWS, "oblique")])
+def test_external_segmenter_needs_exactly_the_three_views(views):
+    """A missing or unknown view is a config error when the segmenter is built, not a ``KeyError`` at its call."""
+    stored = ProbabilityVolume(np.zeros((8, 8, 8), dtype=np.float32))
+    with pytest.raises(ConfigError, match="keyed by the views"):
+        ExternalSegmenter(dict.fromkeys(views, stored))
+
+
 class TestOracleEndToEnd:
     def test_self_consistency_on_phantom(self):
         """Oracle + fusion + binarize reproduces the ground truth exactly."""

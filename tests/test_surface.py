@@ -6,8 +6,9 @@ every numeric command parameter declares what it is checked against,
 ``volume`` states each grid fact once: one grid base and one block size,
 each call has one form: one segmenter per scan, no knob that nothing
 sets, one table type and a mask for every spatial transform, every
-scan is segmented on its own grid: nothing resamples it to a cube, and
-each JSON record the CLI writes holds exactly its dataclass's fields.
+scan is segmented on its own grid: nothing resamples it to a cube,
+each JSON record the CLI writes holds exactly its dataclass's fields,
+and a mask is a bool array everywhere but in its NIfTI file.
 """
 
 import importlib
@@ -20,11 +21,12 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cmbpipe
-from cmbpipe import augment, cli, detect, scanio, segmenter, stats, triplanar, volume
-from cmbpipe.errors import PairingMismatchWarning
+from cmbpipe import annotation, augment, cli, detect, phantom, scanio, segmenter, stats, triplanar, volume
+from cmbpipe.errors import PairingMismatchWarning, RejectedInputError
 
 SRC = Path(cmbpipe.__file__).parent
 MODULES = [
@@ -80,11 +82,16 @@ def test_one_segmenter_per_scan():
 
 
 def test_one_form_per_call():
-    """One contingency form (nested pairs), no reference knob that nothing sets, a mask for every spatial transform."""
+    """One contingency form (nested pairs), no knob that nothing sets, a mask for every spatial transform."""
     assert not hasattr(stats, "Contingency2x2")
     assert [f.name for f in fields(segmenter.ReferenceConfig)] == [
         "scale_min_mm", "scale_max_mm", "logistic_gain", "score_offset"
     ]
+    assert [p.name for p in cli.COMMANDS["segment"].params] == [
+        "manifest", "out", "segmenter", "gt_dir", "corruption_rate", "oracle_seed", "scale_min_mm", "scale_max_mm",
+        "logistic_gain", "score_offset", "prob_dir", "lo_pct", "hi_pct", "tau", "jobs",
+    ]
+    assert not hasattr(volume, "adjust_contrast") and not hasattr(cmbpipe, "adjust_contrast")
     for fn in (augment._warp, augment.elastic_deform, augment.rotate_volume, augment.flip_volume):
         assert typing.get_type_hints(fn)["m"] is volume.LabelMask
 
@@ -133,6 +140,33 @@ def test_every_scan_on_its_own_grid():
     assert not hasattr(volume, "resample_isotropic") and not hasattr(cmbpipe, "resample_isotropic")
     assert not hasattr(volume.Grid, "canonical")
     assert [p.name for p in cli.COMMANDS["segment"].params if p.name.startswith("target_")] == []
+
+
+def test_masks_are_bool(tmp_path):
+    """Every mask the package builds or reads holds bool; uint8 is only the NIfTI file's type."""
+    spec = phantom.PhantomSpec(dims=(16, 16, 16), cmbs=(phantom.CMBSpec(volume.WorldPoint(8.0, 8.0, 8.0), 4.0, 0.8),))
+    v, gt, _ = phantom.generate_phantom(spec)
+    scanio.write_mask(gt, tmp_path / "gt.nii.gz")
+    masks = {
+        "generate_phantom": gt,
+        "binarize_fused": triplanar.binarize_fused(volume.ProbabilityVolume(gt.labels)),
+        "synthesize_mask": annotation.synthesize_mask(v, [annotation.CMBAnnotation(volume.WorldPoint(8.0, 8.0, 8.0))]),
+        "read_mask": scanio.read_mask(tmp_path / "gt.nii.gz"),
+        "_warp": augment._warp(v, gt, None)[1],
+        "rotate_volume": augment.rotate_volume(v, gt, (0.0, 0.0, 30.0))[1],
+        "flip_volume": augment.flip_volume(v, gt, (0,))[1],
+    }
+    assert {name: m.labels.dtype for name, m in masks.items()} == dict.fromkeys(masks, np.dtype(bool))
+    assert gt.labels.any()
+
+    ones = np.zeros((4, 4, 4), dtype=np.uint8)
+    ones[1, 2, 3] = 1
+    stored = volume.LabelMask(ones).labels
+    assert stored.dtype == bool and np.shares_memory(stored, ones)
+    ones[1, 2, 3] = 2
+    with pytest.raises(RejectedInputError, match="labels must be binary"):
+        volume.LabelMask(ones)
+    assert not hasattr(detect, "_foreground")
 
 
 @pytest.fixture(scope="module")

@@ -140,8 +140,8 @@ class TestBlockedFusion:
         assert np.any((want > 0.12) & (want < 0.125)) and np.any((want > 0.125) & (want < 0.13))
 
         mask = binarize_fused(ProbabilityVolume(got), 0.125).labels
-        assert mask.dtype == np.uint8
-        assert np.array_equal(mask, (got > 0.125).astype(np.uint8))
+        assert mask.dtype == bool
+        assert np.array_equal(mask, got > 0.125)
 
 
 class TestBinarize:

@@ -14,7 +14,6 @@ from cmbpipe.volume import (
     ProbabilityVolume,
     Volume3D,
     WorldPoint,
-    adjust_contrast,
     extrema,
     normalize_intensity,
     plane_blocks,
@@ -82,36 +81,6 @@ class TestNormalize:
             normalize_intensity(small_volume, 50.0, 50.0)
         with pytest.raises(ConfigError):
             normalize_intensity(small_volume, -1.0, 99.0)
-
-
-class TestAdjustContrast:
-    def test_gamma_one_is_identity(self, rng):
-        v = Volume3D(rng.uniform(0, 1, (8, 8, 8)))
-        out = adjust_contrast(v, 1.0)
-        assert np.array_equal(out.intensities, v.intensities)
-
-    def test_direct_value(self):
-        v = Volume3D(np.full((2, 2, 2), 0.25))
-        assert adjust_contrast(v, 2.0).intensities[0, 0, 0] == pytest.approx(0.0625, abs=1e-15)
-
-    def test_endpoints_fixed(self, rng):
-        arr = rng.uniform(0, 1, (6, 6, 6))
-        arr[0, 0, 0] = 0.0
-        arr[1, 1, 1] = 1.0
-        for gamma in (0.3, 1.0, 2.7):
-            out = adjust_contrast(Volume3D(arr), gamma)
-            assert out.intensities[0, 0, 0] == 0.0
-            assert out.intensities[1, 1, 1] == 1.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(RejectedInputError):
-            adjust_contrast(Volume3D(np.full((2, 2, 2), 1.5)), 2.0)
-
-    def test_order_preserving(self, rng):
-        v = Volume3D(rng.uniform(0, 1, (10, 10, 10)))
-        out = adjust_contrast(v, 0.7)
-        order_in = np.argsort(v.intensities.ravel(), kind="stable")
-        assert np.all(np.diff(out.intensities.ravel()[order_in]) >= 0)
 
 
 class TestCoordinates:
@@ -330,13 +299,11 @@ def test_grid_check_finds_one_bad_value(small_steps, grid, dtype, bad, message, 
 
 @settings(deadline=None, max_examples=25)
 @given(
-    gamma=st.floats(0.1, 5.0),
     lo=st.floats(0.0, 40.0),
     width=st.floats(10.0, 60.0),
 )
-def test_normalize_then_contrast_stays_in_unit_range(gamma, lo, width):
+def test_normalize_stays_in_unit_range(lo, width):
     arr = np.random.default_rng(0).normal(50, 20, (10, 10, 10))
     out = normalize_intensity(Volume3D(arr), lo, lo + width)
-    out = adjust_contrast(out, gamma)
     assert out.intensities.min() >= 0.0
     assert out.intensities.max() <= 1.0
