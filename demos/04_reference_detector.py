@@ -1,7 +1,7 @@
 """Run the classical reference detector on phantoms with CMB mimics.
 
 The reference segmenter scores dark round blobs per slice (band-pass
-hypointensity + radial symmetry through a logistic). Dark vessel tubes are
+hypointensity through a logistic). Dark vessel tubes are
 the classical false-positive source: a vessel seen end-on looks exactly
 like a CMB in one view. Tri-planar fusion suppresses most of them and the
 clinical size filter cleans up the speckle.

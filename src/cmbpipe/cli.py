@@ -218,6 +218,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     return params
 
 
+def _read_entries(params: dict) -> list[scanio.ScanManifestEntry]:
+    """The scans of ``--manifest``; a manifest without scans is a data error, raised before any output is written."""
+    entries = scanio.read_manifest(params["manifest"])
+    if not entries:
+        raise DataError(f"{params['manifest']} lists no scans")
+    return entries
+
+
 def _entry_volume_path(entry: scanio.ScanManifestEntry, manifest_path: str) -> Path:
     p = Path(entry.path)
     return p if p.is_absolute() else Path(manifest_path).parent / p
@@ -361,7 +369,7 @@ def cmd_mask_synth(params: dict) -> list[Path]:
     if params["shell_inner_mm"] >= params["shell_outer_mm"]:
         raise ConfigError("mask-synth: shell_inner_mm must be below shell_outer_mm")
     out = Path(params["out"])
-    entries = scanio.read_manifest(params["manifest"])
+    entries = _read_entries(params)
     outputs = []
     for entry in entries:
         vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))
@@ -397,7 +405,7 @@ def cmd_augment(params: dict) -> list[Path]:
         rec = {**rec, "master_seed": params["master_seed"]}
     spec = augment.AugmentSpec.from_json(rec)
     out = Path(params["out"])
-    entries = scanio.read_manifest(params["manifest"])
+    entries = _read_entries(params)
 
     def one(entry):
         # passed straight in: apply_augmentation holds the only reference to the source volume and
@@ -459,7 +467,7 @@ def cmd_segment(params: dict) -> list[Path]:
     # the scale order is checked here, whichever segmenter the run uses
     reference = ReferenceSegmenter(ReferenceConfig(**{f.name: params[f.name] for f in fields(ReferenceConfig)}))
     out = Path(params["out"])
-    entries = scanio.read_manifest(params["manifest"])
+    entries = _read_entries(params)
     outputs = []
     for entry in entries:
         vol = scanio.read_volume(_entry_volume_path(entry, params["manifest"]))
@@ -497,7 +505,7 @@ def cmd_segment(params: dict) -> list[Path]:
 )
 def cmd_detect(params: dict) -> list[Path]:
     out = Path(params["out"])
-    entries = scanio.read_manifest(params["manifest"])
+    entries = _read_entries(params)
     det_path = out / "detections.jsonl"
     with open(det_path, "w") as fh:
         for entry in entries:
@@ -524,9 +532,7 @@ def cmd_detect(params: dict) -> list[Path]:
 )
 def cmd_eval(params: dict) -> list[Path]:
     out = Path(params["out"])
-    entries = scanio.read_manifest(params["manifest"])
-    if not entries:
-        raise DataError(f"eval: {params['manifest']} lists no scans")
+    entries = _read_entries(params)
     per_scan = []
     with open(out / "per_scan_metrics.jsonl", "w") as fh:
         for entry in entries:
@@ -625,7 +631,7 @@ def cmd_sweep(params: dict) -> list[Path]:
 def cmd_partition(params: dict) -> list[Path]:
     if len(params["fractions"]) != 3 or abs(sum(params["fractions"]) - 1.0) > 1e-9:
         raise ConfigError("partition: fractions must be 3 values summing to 1")
-    entries = scanio.read_manifest(params["manifest"])
+    entries = _read_entries(params)
     subjects = sorted({e.subject_id for e in entries})
     train, val, test = annotation.partition_subjects(subjects, params["seed"], params["fractions"])
     out = Path(params["out"])

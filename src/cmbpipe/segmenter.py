@@ -31,13 +31,12 @@ from .volume import (
     thread_runs,
 )
 
-# Gain and offset tuned on a held-out phantom batch (dark discs, CNR >= 5):
-# gain 40 pushes a 4 mm disc's peak probability above 0.9 while the offset
-# keeps featureless background near logistic(-gain*offset) ~ 0.12, far
-# below the 0.5 that would put fused background at the 0.125 threshold.
+# Gain 40 pushes the band-pass of a 4 mm dark disc at CNR 25 to a peak
+# probability above 0.9 (about 0.91), while the offset keeps featureless
+# background at logistic(-gain*offset) ~ 0.12, far below the 0.5 that would
+# put fused background at the 0.125 threshold.
 DEFAULT_LOGISTIC_GAIN = 40.0
 DEFAULT_SCORE_OFFSET = 0.05
-SYMMETRY_RADII_MM = (1.0, 2.0, 3.0, 4.0, 5.0)
 CORRUPTION_RATE_BOUND = "[0, 1)"
 REFERENCE_BOUNDS = {  # each ReferenceConfig field's bound; the scales must also be in order
     "scale_min_mm": "(0, inf)", "scale_max_mm": "(0, inf)", "logistic_gain": "(0, inf)", "score_offset": "[0, inf)",
@@ -90,82 +89,24 @@ class OracleSegmenter:
         return np.not_equal(self.gt.labels, np.moveaxis(flips, 0, axis)).astype(np.float32)
 
 
-def _smooth(planes: np.ndarray, sigma: tuple[float, float], out: np.ndarray | None = None) -> np.ndarray:
-    """In-plane Gaussian, ``sigma`` = (h, w) pixels, of each plane of a ``(b, h, w)`` block, into ``out`` if given."""
-    return ndimage.gaussian_filter(planes, (0.0, *sigma), output=out)
-
-
-def _vote_coordinate(pos: np.ndarray, unit: np.ndarray, step: float, size: int, out: np.ndarray) -> np.ndarray:
-    """``clip(rint(pos + step * unit), 0, size - 1)`` in float64, written to ``out`` with the same rounding."""
-    np.multiply(unit, step, out=out)
-    out += pos
-    np.rint(out, out=out)
-    return np.clip(out, 0, size - 1, out=out)
-
-
-def _radial_symmetry(planes: np.ndarray, radii_px) -> np.ndarray:
-    """Antisymmetric dark-center vote maps of a ``(b, h, w)`` block (fast-radial-symmetry flavor).
-
-    Each radius is a pair ``(r_h, r_w)`` of pixels along h and w, so one
-    radius in mm spans the same distance on non-square pixels. Each pixel
-    votes +|grad| one radius against its pixel-space gradient (towards a
-    dark center) and -|grad| one radius along it, each axis's offset
-    scaled by that axis's radius, so inverting the image flips the sign of
-    the response exactly. Votes stay in their own plane. Each radius is
-    one ``bincount`` over the block with every
-    +|grad| vote before every -|grad| vote, so each bin adds its votes in
-    the order of the per-plane ``np.add.at`` definition. Every radius
-    refills one vote-target buffer, so about 12 block-sized arrays are live.
-    """
-    _, h, w = planes.shape
-    gi, gj = np.gradient(planes, axis=(1, 2))
-    mag = np.hypot(gi, gj)
-    src = np.flatnonzero(mag)
-    n = src.size
-    if n == 0:
-        return np.zeros_like(planes)  # no pixel votes (bincount of nothing would be an int array)
-    weights = np.empty(2 * n)  # +|grad| for the votes against the gradient, then -|grad|
-    m = np.take(mag.ravel(), src, out=weights[:n])
-    np.negative(m, out=weights[n:])
-    ui, uj = gi.ravel()[src] / m, gj.ravel()[src] / m
-    del gi, gj, mag
-    row, jj = np.divmod(src, w)
-    plane_start, ii = np.divmod(row, h)
-    plane_start *= h * w
-    del src, row
-    targets = np.empty(2 * n, dtype=np.intp)
-    scratch = np.empty(n)
-    acc = np.zeros_like(planes)
-    for rh, rw in radii_px:
-        for half, sign in ((slice(None, n), -1.0), (slice(n, None), 1.0)):
-            # flat target = i * w + j + plane start; every term is an exact integer
-            np.multiply(_vote_coordinate(ii, ui, sign * rh, h, scratch), w, out=targets[half], casting="unsafe")
-            np.add(targets[half], _vote_coordinate(jj, uj, sign * rw, w, scratch), out=targets[half], casting="unsafe")
-            targets[half] += plane_start
-        votes = np.bincount(targets, weights, minlength=planes.size).reshape(planes.shape)
-        # normalize by ring size so the response tracks contrast, not radius (2 * pi * r on square pixels)
-        votes = _smooth(votes, (max(rh / 2.0, 0.5), max(rw / 2.0, 0.5)), out=votes)
-        votes /= np.pi * (rh + rw)
-        acc += votes
-        del votes  # before the next radius's bincount
-    acc /= len(radii_px)
-    return acc
+def _smooth(planes: np.ndarray, sigma: tuple[float, float]) -> np.ndarray:
+    """In-plane Gaussian, ``sigma`` = (h, w) pixels, of each plane of a ``(b, h, w)`` block."""
+    return ndimage.gaussian_filter(planes, (0.0, *sigma))
 
 
 class ReferenceSegmenter:
     """Deterministic classical detector of dark round blobs.
 
-    Score = band-pass hypointensity (difference of two in-plane
-    smoothings, sign-flipped so dark scores high) + radial-symmetry
-    response over 1-5 mm radii, mapped through a logistic
+    Score = band-pass hypointensity: the difference of two in-plane
+    smoothings, sign-flipped so dark scores high, mapped through a logistic
     centered at ``score_offset`` so featureless background lands well below
     0.5 and cannot ride the fusion threshold. Inverting the image maps the
-    score to its negative about zero, so bright blobs score symmetrically
-    low. The volume is scored on its own grid: each mm scale and radius
-    is converted to pixels with the spacing of each in-plane axis of the
-    view, so thick-slice scans keep their non-square pixels. Every plane
-    of the view is scored on its own, and the threads of
-    :func:`volume.run_blocks` share the view's blocks of planes.
+    band-pass to its negative, so bright blobs score symmetrically low. The
+    volume is scored on its own grid: each mm scale is converted to pixels
+    with the spacing of each in-plane axis of the view, so thick-slice scans
+    keep their non-square pixels. Every plane of the view is scored on its
+    own, and the threads of :func:`volume.run_blocks` share the view's
+    blocks of planes.
     """
 
     def __init__(self, cfg: ReferenceConfig = ReferenceConfig()):
@@ -173,7 +114,7 @@ class ReferenceSegmenter:
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:
         require_unit_interval(v.intensities, "reference segmenter intensities")
-        if min(v.dims) < 2:  # an in-plane gradient needs two pixels along each axis of every view
+        if min(v.dims) < 2:  # two of the three views of a scan one voxel thick are lines, not planes
             raise RejectedInputError(f"reference segmenter needs at least 2 voxels along each axis, got dims {v.dims}")
         axis = view_axis(view)
         px = [s for a, s in enumerate(v.spacing) if a != axis]
@@ -183,11 +124,8 @@ class ReferenceSegmenter:
         """Probabilities of a ``(b, h, w)`` block of planes whose pixels are ``px`` = (h, w) mm."""
         cfg = self.cfg
         planes = np.ascontiguousarray(planes)
-        # the symmetry map first, so its peak working set is not stacked on the band-pass
-        score = _radial_symmetry(planes, [tuple(max(r / p, 1.0) for p in px) for r in SYMMETRY_RADII_MM])
-        band = _smooth(planes, tuple(cfg.scale_max_mm / p for p in px))
-        band -= _smooth(planes, tuple(cfg.scale_min_mm / p for p in px))
-        score += band
+        score = _smooth(planes, tuple(cfg.scale_max_mm / p for p in px))
+        score -= _smooth(planes, tuple(cfg.scale_min_mm / p for p in px))
         # 1 / (1 + exp(-gain * (score - offset))), in place
         score -= cfg.score_offset
         score *= -cfg.logistic_gain

@@ -59,9 +59,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 # Block pools share blocks of about this many voxels, so that each thread's working set stays small:
-# 0.5 MiB of complex128 lines per FFT block in ``augment``, and about 12 times its float64 size for a
-# reference segmenter block (2 planes at 128^3). On a 2-vCPU VM at 128^3 with both CPUs busy, reference
-# blocks of 32k and 64k voxels were equally fast and 16k 1.3x slower; 128k held 14 MiB more peak RSS.
+# 0.5 MiB of complex128 lines per FFT block in ``augment``, and about 3 times its float64 size for a
+# reference segmenter block (2 planes at 128^3: its contiguous copy and the two smoothings). On a 2-vCPU
+# VM at 128^3 on two threads (median of 7), the three reference views took 0.35 s with blocks of 32k,
+# 64k or 128k voxels and 0.41-0.49 s with 16k; 128k held 4 MiB more peak RSS than 32k.
 # The phantom renders and draws its noise in these blocks too; on two threads a 256^3 phantom took
 # 0.25-0.30 s (median of 8) with blocks of 2^14 to 2^18 voxels and 0.39-0.44 s with blocks of 2^20 or
 # 2^22, too few blocks to share evenly. A 128^3 phantom with vessels and calcifications took 43-55 ms
@@ -324,7 +325,7 @@ def world_to_voxel(v: Grid, p: WorldPoint) -> tuple[np.ndarray, bool]:
     return coords, inside
 
 
-def normalize_intensity(v: Volume3D, lo_pct: float = 1.0, hi_pct: float = 99.0) -> Volume3D:
+def normalize_intensity(v: Volume3D, lo_pct: float, hi_pct: float) -> Volume3D:
     """Clamp to the [lo_pct, hi_pct] percentile window and map affinely to [0, 1].
 
     A collapsed window (constant volume) returns all zeros and emits a

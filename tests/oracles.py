@@ -165,44 +165,11 @@ def match_oracle(pred, gt, max_dist_mm, overlaps=frozenset()):
 VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
 
 
-def radial_symmetry_oracle(plane, radii_px):
-    """Per-plane dark-center vote map with one ``np.add.at`` per vote sign.
-
-    Each radius is an ``(r_h, r_w)`` pair of pixels along the plane's two
-    axes: a vote lands ``r_h`` pixels times the unit gradient's h part
-    along h and ``r_w`` times its w part along w, is smoothed by half of
-    each radius, and is divided by the ring size ``pi * (r_h + r_w)``.
-    """
-    from scipy import ndimage
-
-    gi, gj = np.gradient(plane)
-    mag = np.hypot(gi, gj)
-    nz = mag > 0
-    if not nz.any():
-        return np.zeros_like(plane)
-    ii, jj = np.nonzero(nz)
-    m = mag[ii, jj]
-    ui = gi[ii, jj] / m
-    uj = gj[ii, jj] / m
-    h, w = plane.shape
-    acc = np.zeros_like(plane)
-    for rh, rw in radii_px:
-        votes = np.zeros_like(plane)
-        for sign in (-1.0, 1.0):
-            ti = np.clip(np.rint(ii + sign * rh * ui).astype(int), 0, h - 1)
-            tj = np.clip(np.rint(jj + sign * rw * uj).astype(int), 0, w - 1)
-            np.add.at(votes, (ti, tj), -sign * m)
-        sigma = (max(rh / 2.0, 0.5), max(rw / 2.0, 0.5))
-        acc += ndimage.gaussian_filter(votes, sigma=sigma) / (np.pi * (rh + rw))
-    return acc / len(radii_px)
-
-
-def reference_plane_oracle(plane, cfg, px=(1.0, 1.0), radii_mm=(1.0, 2.0, 3.0, 4.0, 5.0)):
+def reference_plane_oracle(plane, cfg, px=(1.0, 1.0)):
     """The reference segmenter's probability for one plane of ``px`` = (h, w) mm pixels, computed on that plane alone.
 
-    Every mm scale and radius becomes pixels along each axis on its own:
-    a scale ``s`` smooths by ``(s / h, s / w)`` pixels, and a radius ``r``
-    votes at ``(max(r / h, 1), max(r / w, 1))`` pixels.
+    Every mm scale becomes pixels along each axis on its own: a scale
+    ``s`` smooths by ``(s / h, s / w)`` pixels.
     """
     from scipy import ndimage
 
@@ -210,9 +177,7 @@ def reference_plane_oracle(plane, cfg, px=(1.0, 1.0), radii_mm=(1.0, 2.0, 3.0, 4
     ph, pw = px
     band = ndimage.gaussian_filter(plane, (cfg.scale_max_mm / ph, cfg.scale_max_mm / pw))
     band -= ndimage.gaussian_filter(plane, (cfg.scale_min_mm / ph, cfg.scale_min_mm / pw))
-    symmetry = radial_symmetry_oracle(plane, [(max(r / ph, 1.0), max(r / pw, 1.0)) for r in radii_mm])
-    score = band + symmetry
-    return 1.0 / (1.0 + np.exp(-cfg.logistic_gain * (score - cfg.score_offset)))
+    return 1.0 / (1.0 + np.exp(-cfg.logistic_gain * (band - cfg.score_offset)))
 
 
 def oracle_plane(labels, view, index, corruption_rate=0.0, seed=0):

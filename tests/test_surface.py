@@ -8,7 +8,8 @@ each call has one form: one segmenter per scan, no knob that nothing
 sets, one table type and a mask for every spatial transform, every
 scan is segmented on its own grid: nothing resamples it to a cube,
 each JSON record the CLI writes holds exactly its dataclass's fields,
-and a mask is a bool array everywhere but in its NIfTI file.
+a mask is a bool array everywhere but in its NIfTI file,
+and the reference score is the band-pass alone, on a window each caller states.
 """
 
 import importlib
@@ -140,6 +141,16 @@ def test_every_scan_on_its_own_grid():
     assert not hasattr(volume, "resample_isotropic") and not hasattr(cmbpipe, "resample_isotropic")
     assert not hasattr(volume.Grid, "canonical")
     assert [p.name for p in cli.COMMANDS["segment"].params if p.name.startswith("target_")] == []
+
+
+def test_reference_score_is_the_band_pass():
+    """No radial-symmetry vote in the segmenter or its oracle, and no default intensity window."""
+    import oracles
+
+    assert [n for n in ("_radial_symmetry", "_vote_coordinate", "SYMMETRY_RADII_MM") if hasattr(segmenter, n)] == []
+    assert not hasattr(oracles, "radial_symmetry_oracle")
+    params = inspect.signature(volume.normalize_intensity).parameters.values()
+    assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
 
 
 def test_masks_are_bool(tmp_path):

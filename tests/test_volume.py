@@ -59,7 +59,7 @@ class TestNormalize:
     def test_constant_volume_degenerate(self):
         v = Volume3D(np.full((6, 6, 6), 3.0))
         with pytest.warns(DegenerateNormalizationWarning):
-            out = normalize_intensity(v)
+            out = normalize_intensity(v, 0.0, 100.0)
         assert np.all(out.intensities == 0.0)
 
     def test_full_range_attained(self, rng):
