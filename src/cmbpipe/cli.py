@@ -278,7 +278,7 @@ OUT = Param("out", str, required=True, help="output directory")
 MANIFEST = Param("manifest", str, required=True, help="scan manifest (JSON lines)")
 MASKS_DIR = Param("masks_dir", str, required=True, help="directory of <scan_id>.nii.gz binary masks")
 SEED = Param("seed", int, 0, help="random seed")
-JOBS = Param("jobs", int, help="threads that share each volume's blocks and .nii.gz writes; every CPU if unset",
+JOBS = Param("jobs", int, help="threads that share each volume's blocks, .nii.gz reads and writes; every CPU if unset",
              bound=volume.THREADS_BOUND)
 CONNECTIVITY = Param("connectivity", int, 26, choices=(6, 26), help="3D voxel connectivity of components")
 MIN_SIZE = Param("min_size", float, detect.DEFAULT_MIN_VOLUME_MM3, help="smallest kept component in mm^3",

@@ -5,8 +5,12 @@ Volumes are a NIfTI-1 subset: single ``.nii``/``.nii.gz`` files, magic
 bitpix, pixdim[1..3], vox_offset, scl_slope/scl_inter and the sform/qform
 permutation+sign part (residual oblique rotation is ignored with a
 warning — volumes are axis-aligned by design). ``.nii.gz`` files are
-written as one gzip member deflated at level 1 in fixed chunks on every
-available CPU; their bytes depend only on the volume.
+written as one gzip member, deflated at level 1 with run-length matching
+only (zlib's ``Z_RLE``) in fixed pieces on every available CPU; their
+bytes depend only on the volume. The gzip header indexes the pieces in
+an ``FEXTRA`` subfield that other gzip readers skip, so this module
+inflates them on every CPU too; a file without a consistent index is
+inflated as one stream.
 
 Dataset manifests are newline-delimited JSON records, one scan per line.
 """
@@ -37,7 +41,17 @@ from .errors import (
     is_json_number,
     require,
 )
-from .volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, extrema, thread_count
+from .volume import (
+    Grid,
+    LabelMask,
+    ProbabilityVolume,
+    Volume3D,
+    WorldPoint,
+    extrema,
+    run_blocks,
+    thread_count,
+    thread_runs,
+)
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # the header plus the 4-byte extension flag, all zero
@@ -49,10 +63,14 @@ DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32}
 DTYPE_CODES = {"uint8": 2, "int16": 4, "float32": 16}
 BITPIX = {2: 8, 4: 16, 16: 32}
 
-# gzip member header (RFC 1952): deflate, no flags or file name, mtime 0,
-# XFL 4 (fastest level), OS unknown.
-GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
+# gzip member header (RFC 1952): deflate, FLG FEXTRA only (no file name), mtime 0, XFL 4 (fastest
+# level), OS unknown. Its extra field holds one subfield, GZIP_INDEX_ID, whose data gives each
+# deflated piece's compressed and uncompressed length as two little-endian uint32s, in stream order.
+GZIP_HEADER = b"\x1f\x8b\x08\x04\x00\x00\x00\x00\x04\xff"
+GZIP_INDEX_ID = b"CI"
 GZIP_CHUNK = 256 * 1024
+# The extra field (XLEN) holds at most 65535 bytes: the subfield's 4-byte head and 8 bytes a piece
+GZIP_MAX_PIECES = (0xFFFF - 4) // 8
 
 DATASET_TAGS = ("DS1r", "DS1s", "DS2", "DS3", "DS3n", "PHANTOM", "OTHER")
 
@@ -63,6 +81,46 @@ DATASET_TAGS = ("DS1r", "DS1s", "DS2", "DS3", "DS3n", "PHANTOM", "OTHER")
 
 # DEFLATE expands its input at most about 1032-fold, so a larger ISIZE is not one member's size
 _MAX_INFLATION = 1032
+
+
+def _inflate_indexed(raw: bytes) -> memoryview | None:
+    """The data of ``raw`` if it is one gzip member whose header indexes its pieces consistently, else None.
+
+    Each piece is inflated on its own (``volume.run_blocks``) into its
+    slice of one buffer. The pieces' lengths must add up to the deflate
+    stream and to the trailer's ISIZE, each piece must yield exactly its
+    recorded size with only the last one ending the stream, and the data
+    must match the trailer's CRC-32. None means one of these fails, or
+    there is no index: the caller then inflates ``raw`` as one stream,
+    which raises on a damaged file.
+    """
+    if raw[:4] != GZIP_HEADER[:4] or raw[12:14] != GZIP_INDEX_ID:
+        return None
+    xlen, sublen = int.from_bytes(raw[10:12], "little"), int.from_bytes(raw[14:16], "little")
+    if sublen != xlen - 4 or sublen % 8 or sublen == 0 or 12 + xlen + 8 > len(raw):
+        return None
+    csize, usize = np.frombuffer(raw, "<u4", sublen // 4, 16).reshape(-1, 2).astype(np.int64).T
+    cstart = 12 + xlen + np.concatenate(([0], np.cumsum(csize)))
+    ustart = np.concatenate(([0], np.cumsum(usize)))
+    crc, isize = struct.unpack("<2I", raw[-8:])
+    if cstart[-1] != len(raw) - 8 or ustart[-1] & 0xFFFFFFFF != isize or ustart[-1] > _MAX_INFLATION * len(raw):
+        return None
+    data = np.empty(int(ustart[-1]), dtype=np.uint8)
+    view, stream, last = memoryview(data), memoryview(raw), len(csize) - 1
+
+    def inflate(i: int) -> None:
+        inflater = zlib.decompressobj(-15)
+        piece = inflater.decompress(stream[cstart[i] : cstart[i + 1]], int(usize[i]) + 1)
+        leftover = inflater.unconsumed_tail or inflater.unused_data
+        if len(piece) != usize[i] or leftover or inflater.eof != (i == last):
+            raise zlib.error(f"piece {i} does not match the index")
+        view[ustart[i] : ustart[i + 1]] = piece
+
+    try:
+        run_blocks(inflate, range(len(csize)))
+    except zlib.error:
+        return None
+    return view if zlib.crc32(view) == crc else None
 
 
 def _inflate_one_member(raw: bytes) -> memoryview | None:
@@ -97,11 +155,16 @@ def _read_bytes(path: str | Path) -> bytes | memoryview:
             raw = fh.read()
     except FileNotFoundError as exc:
         raise VolumeLoadError(f"{path}: no such file") from exc
+    except OSError as exc:  # a directory, a permission, a failing device
+        raise VolumeLoadError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if raw[:2] != b"\x1f\x8b":
         return raw
-    # one buffer for a single member (as written here); gzip.decompress for anything after it
+    # the indexed pieces on every CPU (as written here); else one buffer for a single member, and
+    # gzip.decompress for anything after it
     try:
-        data = _inflate_one_member(raw)
+        data = _inflate_indexed(raw)
+        if data is None:
+            data = _inflate_one_member(raw)
         return gzip.decompress(raw) if data is None else data
     except EOFError as exc:
         raise TruncatedPayloadError(f"{path}: gzip stream ends early ({exc})") from exc
@@ -211,12 +274,31 @@ def _canonical_orientation(arr: np.ndarray, spacing, rot: np.ndarray, trans: np.
     return arr, tuple(out_spacing), tuple(out_origin)
 
 
-def _read_nifti(path: str | Path) -> tuple[np.ndarray, tuple, tuple]:
-    """The canonical C-contiguous data of ``path`` with its spacing and origin.
+def _cast(src: np.ndarray, dtype) -> np.ndarray:
+    """``np.ascontiguousarray(src, dtype)``, copied by the pool threads in one run each.
+
+    The runs split the axis of ``src`` with the largest stride, so each
+    thread reads one stretch of its memory however the copy transposes it.
+    """
+    out = np.empty(src.shape, dtype)
+    axis = int(np.argmax(np.abs(src.strides)))
+
+    def copy(run: slice) -> None:
+        block = (slice(None),) * axis + (run,)
+        np.copyto(out[block], src[block], casting="unsafe")
+
+    run_blocks(copy, thread_runs(src.shape[axis]))
+    return out
+
+
+def _read_nifti(path: str | Path, grid: type[Grid]) -> Grid:
+    """The canonical C-contiguous data of ``path`` as a ``grid`` with its spacing and origin.
 
     An unscaled uint8 payload stays uint8, the on-disk type of a mask, which
-    :class:`LabelMask` checks and stores as a bool view; every other payload
-    is cast to float64 in the same copy that reorients it.
+    :class:`LabelMask` checks and stores as a bool view. Any other unscaled
+    payload is cast to the grid's dtype (float64 if it has none) in the
+    same copy that reorients it; each supported datatype is exact in
+    float32. A scaled payload is reoriented to float64 and scaled there.
     """
     blob = _read_bytes(path)
     (endian, dims, spacing, datatype, vox_offset, scl_slope, scl_inter, rot, trans) = _parse_nifti_header(
@@ -235,14 +317,14 @@ def _read_nifti(path: str | Path) -> tuple[np.ndarray, tuple, tuple]:
     view, spacing, origin = _canonical_orientation(stored, spacing, rot, trans, str(path))
     scaled = scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0)
     if datatype == DTYPE_CODES["uint8"] and not scaled:
-        return np.ascontiguousarray(view), spacing, origin
-    arr = np.ascontiguousarray(view, dtype=np.float64)
+        return grid(_cast(view, np.uint8), spacing, origin)
+    arr = _cast(view, np.float64 if scaled or grid._dtype is None else grid._dtype)
     if scaled:
         arr *= scl_slope
         arr += scl_inter
     if not np.isfinite(extrema(arr)).all():  # NaN propagates; Inf is an extreme
         raise NonFiniteDataError(f"{path}: decoded intensities contain NaN/Inf")
-    return arr, spacing, origin
+    return grid(arr, spacing, origin)
 
 
 def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
@@ -250,7 +332,7 @@ def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
     transpose); integer types round and refuse to wrap."""
     dt = np.dtype(DTYPES[DTYPE_CODES[datatype]]).newbyteorder("<")
     if dt.kind == "f":
-        return np.ascontiguousarray(v.intensities.T, dtype=dt)
+        return _cast(v.intensities.T, dt)
     rounded = np.rint(v.intensities)
     info = np.iinfo(dt)
     lo, hi = extrema(rounded)
@@ -258,11 +340,11 @@ def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
         raise QuantizationOverflowError(
             f"{path}: values [{lo}, {hi}] do not fit {datatype} range [{info.min}, {info.max}]"
         )
-    return np.ascontiguousarray(rounded.T, dtype=dt)
+    return _cast(rounded.T, dt)
 
 
 def _deflate(chunk, last: bool) -> bytes:
-    c = zlib.compressobj(1, zlib.DEFLATED, -15)
+    c = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
     return c.compress(chunk) + c.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
 
 
@@ -273,17 +355,30 @@ def _write_gzip(path: str | Path, header: bytearray, payload: memoryview) -> Non
     own and end on a byte boundary (a sync flush; the last chunk finishes
     the stream), so they concatenate to one deflate stream whose bytes do
     not depend on the number of threads. zlib releases the GIL, so the
-    chunks compress in parallel; they are written in order.
+    chunks compress in parallel; they are written in order. The gzip
+    header's index of the pieces is written as zeros first and filled in
+    once every piece's compressed length is known; a payload of more than
+    ``GZIP_MAX_PIECES`` pieces gets no index.
     """
     chunks = [header] + [payload[i : i + GZIP_CHUNK] for i in range(0, len(payload), GZIP_CHUNK)]
     last = [False] * (len(chunks) - 1) + [True]
+    lengths = np.zeros((len(chunks), 2), dtype="<u4")
+    indexed = len(chunks) <= GZIP_MAX_PIECES
     crc = 0
     with open(path, "wb") as fh, ThreadPoolExecutor(min(len(chunks), thread_count())) as pool:
-        fh.write(GZIP_HEADER)
-        for chunk, deflated in zip(chunks, pool.map(_deflate, chunks, last)):
+        if indexed:
+            fh.write(GZIP_HEADER + struct.pack("<H2sH", 4 + lengths.nbytes, GZIP_INDEX_ID, lengths.nbytes))
+            fh.write(lengths.tobytes())
+        else:
+            fh.write(GZIP_HEADER[:3] + b"\x00" + GZIP_HEADER[4:])  # FLG 0: no extra field
+        for i, (chunk, deflated) in enumerate(zip(chunks, pool.map(_deflate, chunks, last))):
             crc = zlib.crc32(chunk, crc)
+            lengths[i] = len(deflated), len(chunk)
             fh.write(deflated)
         fh.write(struct.pack("<2I", crc, (len(header) + len(payload)) & 0xFFFFFFFF))
+        if indexed:
+            fh.seek(len(GZIP_HEADER) + 6)
+            fh.write(lengths.tobytes())
 
 
 def _write_nifti(path: str | Path, data: np.ndarray, spacing, origin) -> None:
@@ -321,7 +416,7 @@ def _write_nifti(path: str | Path, data: np.ndarray, spacing, origin) -> None:
 
 def read_volume(path: str | Path) -> Volume3D:
     """Load a NIfTI-1 volume; gzip compression is detected from the content."""
-    return Volume3D(*_read_nifti(path))
+    return _read_nifti(path, Volume3D)
 
 
 def write_volume(v: Volume3D, path: str | Path, datatype: str = "float32") -> None:
@@ -336,19 +431,19 @@ def write_volume(v: Volume3D, path: str | Path, datatype: str = "float32") -> No
 
 
 def read_mask(path: str | Path) -> LabelMask:
-    return LabelMask(*_read_nifti(path))
+    return _read_nifti(path, LabelMask)
 
 
 def write_mask(m: LabelMask, path: str | Path) -> None:
-    _write_nifti(path, np.ascontiguousarray(m.labels.T, dtype=np.uint8), m.spacing, m.origin)
+    _write_nifti(path, _cast(m.labels.T, np.uint8), m.spacing, m.origin)
 
 
 def read_probability(path: str | Path) -> ProbabilityVolume:
-    return ProbabilityVolume(*_read_nifti(path))
+    return _read_nifti(path, ProbabilityVolume)
 
 
 def write_probability(p: ProbabilityVolume, path: str | Path) -> None:
-    _write_nifti(path, np.ascontiguousarray(p.values.T, dtype="<f4"), p.spacing, p.origin)
+    _write_nifti(path, _cast(p.values.T, np.dtype("<f4")), p.spacing, p.origin)
 
 
 # ---------------------------------------------------------------------------

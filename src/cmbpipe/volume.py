@@ -102,7 +102,7 @@ THREADS_BOUND = "[1, inf)"
 
 
 def thread_count() -> int:
-    """Threads per block pool and ``.nii.gz`` write: the :func:`threads` setting, else one per usable CPU."""
+    """Threads per block pool and ``.nii.gz`` read or write: the :func:`threads` setting, else one per usable CPU."""
     n = _THREADS.get()
     if n is not None:
         return n

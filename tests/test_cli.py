@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 import math
@@ -234,13 +235,13 @@ class TestPipelineCommands:
         assert rows[0]["mean_count_b"] >= rows[-1]["mean_count_b"]
 
 
-def output_digest(out):
-    """sha256 over the names and bytes of every file in ``out/fused`` and ``out/pred_masks``."""
+def output_digest(out, decode=False):
+    """sha256 over the names and bytes (gunzipped if ``decode``) of every file in ``out/fused`` and ``out/pred_masks``."""
     h = hashlib.sha256()
     for d in ("fused", "pred_masks"):
         for p in sorted((out / d).iterdir()):
             h.update(f"{d}/{p.name}\0".encode())
-            h.update(p.read_bytes())
+            h.update(gzip.decompress(p.read_bytes()) if decode else p.read_bytes())
     return h.hexdigest()
 
 
@@ -258,20 +259,27 @@ def segment_data(tmp_path_factory):
 
 
 class TestSegmentCommand:
-    # (flags, digest of fused/ and pred_masks/)
+    # (flags, digest of the files in fused/ and pred_masks/, digest of their gunzipped bytes)
     FROZEN = {
         "clean-oracle": (
             ("--segmenter", "oracle", "--gt-dir", "{data}/gt_masks"),
-            "705f3fe0e0551d78bc5b63506e459a86caac0b0ac39c563c1b36349578e70b6f",
+            "389b8a0b9613cf2b85f76838b58e28479548cf922d03ab2c0b5080056c6a70d9",
+            "32ecdc6f2291f664b8fc2d454845db0693f0278bf815b1897be37cb5f0ab5e2a",
         ),
         "corrupted-oracle": (
             ("--segmenter", "oracle", "--gt-dir", "{data}/gt_masks", "--corruption-rate", "0.2", "--oracle-seed", "4"),
-            "8a3709193e99461796d250a4fa98197bb3c5858139d302772b82b3338326a6c5",
+            "c4748798e51dcdab5834f769f3295a6d902013f1b371f043da38509413fcdcc3",
+            "e314d407953b9115b6de1cfaddf88d6d2695d4def6b436a66ce3ffacd34d7424",
         ),
-        "reference": (("--tau", "0.05"), "9b64797a4bf565c837f12985c47f9c15bfb2d153ea6f2ae9ad9512bc76a66f0c"),
+        "reference": (
+            ("--tau", "0.05"),
+            "a1bdd46b76420c577bf4449692ca3d6bf189e8f1a8ec717be300671252dd8aa1",
+            "06d444ad15eaba1b419c663969bbf4e79dd58b4df44833cffcd034ad6513012a",
+        ),
         "external": (
             ("--segmenter", "external", "--prob-dir", "{maps}"),
-            "0e32edcf41edfa236bd330263a516c788a5baf7f22a1b24dd8ad2ce50c29beeb",
+            "2b3bf711fb3440e01b49c133c7885ddd01322af39bc094939539476ae6481a5e",
+            "dd365692ebb58dc922b7271205912b8ef1d4a169d36fd92ab10f428da22e2100",
         ),
     }
 
@@ -286,16 +294,20 @@ class TestSegmentCommand:
         reads the phantom's intensities, so its digest was taken again when
         the phantom's noise became one stream per plane, and again when the
         reference score became the band-pass alone, without the
-        radial-symmetry vote.
+        radial-symmetry vote. The file digests were taken again when the
+        writer moved to run-length deflate with an index of its pieces in
+        the gzip header; the digests of the gunzipped bytes, taken just
+        before that change, show that the data did not move.
         """
         data, maps = segment_data
-        flags, digest = self.FROZEN[case]
+        flags, digest, decoded = self.FROZEN[case]
         flags = [f.format(data=data, maps=maps) for f in flags]
         for jobs in ((), ("--jobs", 1), ("--jobs", 2)):  # fusion shares its two blocks per scan among the threads
             out = tmp_path / f"out{''.join(map(str, jobs))}"
             assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out, *flags, *jobs) == 0
             assert sorted(p.name for p in out.iterdir()) == ["fused", "pred_masks", "run_record_segment.json"]
             assert output_digest(out) == digest
+            assert output_digest(out, decode=True) == decoded
             recorded = json.loads((out / "run_record_segment.json").read_text())["outputs"]
             assert len(recorded) == 4 and all(Path(path).parent.name in ("fused", "pred_masks") for path in recorded)
 
@@ -657,6 +669,17 @@ class TestConfigAndErrors:
             blob[-8] ^= 0xFF  # first byte of the CRC-32 in the gzip trailer
         volume.write_bytes(bytes(blob))
         assert run("mask-synth", "--manifest", data / "manifest.jsonl", "--out", tmp_path / "synth") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(volume) in err
+
+    @pytest.mark.parametrize("command", ["mask-synth", "segment"])
+    def test_volume_path_naming_a_directory_exit_2(self, tmp_path, capsys, command):
+        data = make_phantom_data(tmp_path, count=1, dims=24)
+        volume = data / read_manifest(data / "manifest.jsonl")[0].path
+        volume.unlink()
+        volume.mkdir()
+        extra = {"mask-synth": (), "segment": ("--segmenter", "oracle", "--gt-dir", data / "gt_masks")}[command]
+        assert run(command, "--manifest", data / "manifest.jsonl", "--out", tmp_path / "out", *extra) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(volume) in err
 

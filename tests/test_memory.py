@@ -15,7 +15,7 @@ import pytest
 from cmbpipe.augment import bias_field, blur_volume, elastic_deform, gibbs_ringing, motion_ghost
 from cmbpipe.detect import evaluate_scan
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
-from cmbpipe.scanio import read_mask, read_volume, write_mask, write_volume
+from cmbpipe.scanio import read_mask, read_probability, read_volume, write_mask, write_probability, write_volume
 from cmbpipe.segmenter import ReferenceSegmenter
 from cmbpipe.triplanar import binarize_fused, fuse_views
 from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint
@@ -133,6 +133,17 @@ def test_read_mask_inflates_into_one_buffer(tmp_path):
     write_mask(LabelMask(arr), path)
     peak = traced_peak_bytes(lambda: read_mask(path))
     assert peak < 2.1 * n**3
+
+
+def test_read_probability_casts_float32_once(tmp_path):
+    """A float32 payload is reoriented straight into the float32 grid: the decoded file and the output, no float64."""
+    n = 128
+    arr = np.zeros((n,) * 3, dtype=np.float32)
+    arr[40:80, 50:90, 30:70] = np.random.default_rng(5).uniform(0.0, 1.0, (40,) * 3)
+    path = tmp_path / "prob.nii.gz"
+    write_probability(ProbabilityVolume(arr), path)
+    peak = traced_peak_bytes(lambda: read_probability(path))
+    assert peak < 2.15 * n**3 * np.dtype(np.float32).itemsize
 
 
 @pytest.mark.parametrize("retain_fraction", [0.61, 0.8])

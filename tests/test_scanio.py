@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from cmbpipe import volume
+from cmbpipe import scanio, volume
 from cmbpipe.errors import (
     BadMagicError,
     ManifestError,
@@ -265,7 +265,7 @@ class TestGzipWriter:
         path = tmp_path / "vol.nii.gz"
         write_frozen(kind, path)
         blob = path.read_bytes()
-        assert blob[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"  # mtime 0, no name, XFL 4
+        assert blob[:10] == b"\x1f\x8b\x08\x04\x00\x00\x00\x00\x04\xff"  # FEXTRA only (no name), mtime 0, XFL 4
         decoded = gunzip_one_member(blob)
         assert hashlib.sha256(decoded).hexdigest() == FROZEN_DECODED_SHA256[kind]
         with gzip.open(path) as fh:
@@ -282,6 +282,18 @@ class TestGzipWriter:
         write_mask(m, path)
         assert len(gunzip_one_member(path.read_bytes())) == 352 + int(np.prod(dims))
         assert np.array_equal(read_mask(path).labels, m.labels)
+
+    def test_payload_past_the_index_capacity_is_written_without_index(self, tmp_path, monkeypatch):
+        """A payload of more pieces than the header's extra field can index is one plain gzip member."""
+        indexed, path = tmp_path / "indexed.nii.gz", tmp_path / "vol.nii.gz"
+        write_frozen("float32", indexed)
+        monkeypatch.setattr(scanio, "GZIP_MAX_PIECES", 3)  # the frozen float32 volume is 4 pieces
+        write_frozen("float32", path)
+        blob = path.read_bytes()
+        assert blob[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"  # no flags
+        assert gunzip_one_member(blob) == gunzip_one_member(indexed.read_bytes())
+        assert scanio._inflate_indexed(blob) is None
+        assert np.array_equal(read_volume(path).intensities, read_volume(indexed).intensities)
 
     def test_bytes_independent_of_worker_count(self, tmp_path):
         blobs = []
@@ -305,7 +317,87 @@ def entry(scan_id="s1", subject="p1", centers=(), p_cmb=None):
     )
 
 
+def piece_lengths(blob):
+    """The (pieces, 2) compressed and uncompressed lengths that the gzip header of ``blob`` indexes."""
+    assert blob[3] == 4 and blob[12:14] == scanio.GZIP_INDEX_ID  # FLG FEXTRA, then the index subfield
+    return np.frombuffer(blob, "<u4", int.from_bytes(blob[14:16], "little") // 4, 16).reshape(-1, 2).astype(np.int64)
+
+
+def with_piece_lengths(blob, lengths):
+    index = lengths.astype("<u4").tobytes()
+    return blob[:16] + index + blob[16 + len(index) :]
+
+
 class TestGzipReader:
+    def test_index_gives_each_piece(self, tmp_path):
+        path = tmp_path / "vol.nii.gz"
+        write_frozen("float32", path)
+        blob = path.read_bytes()
+        lengths = piece_lengths(blob)
+        decoded = gunzip_one_member(blob)
+        start = 12 + int.from_bytes(blob[10:12], "little")
+        assert lengths[:, 0].sum() == len(blob) - start - 8 and lengths[:, 1].sum() == len(decoded)
+        assert lengths[0, 1] == 352 and len(lengths) == 4  # the NIfTI header, then 256 KiB chunks of the payload
+        pieces = np.cumsum(lengths, axis=0) - lengths
+        for (c0, u0), (csize, usize) in zip(pieces, lengths):
+            piece = zlib.decompressobj(-15).decompress(blob[start + c0 : start + c0 + csize])
+            assert piece == decoded[u0 : u0 + usize]
+        assert bytes(scanio._inflate_indexed(blob)) == decoded
+
+    def test_reads_the_same_on_any_thread_count(self, tmp_path):
+        path = tmp_path / "vol.nii.gz"
+        write_frozen("float32", path)
+        arrays = []
+        for workers in (1, 4):
+            with volume.threads(workers):
+                arrays.append(read_volume(path).intensities)
+        assert np.array_equal(arrays[0], arrays[1])
+
+    def test_foreign_single_member_file_reads(self, tmp_path):
+        """A gzip member without the index, as `gzip` writes it, is inflated as one stream."""
+        one = tmp_path / "one.nii.gz"
+        write_frozen("float32", one)
+        foreign = tmp_path / "foreign.nii.gz"
+        foreign.write_bytes(gzip.compress(gunzip_one_member(one.read_bytes())))
+        assert scanio._inflate_indexed(foreign.read_bytes()) is None
+        assert np.array_equal(read_volume(foreign).intensities, read_volume(one).intensities)
+
+    @pytest.mark.parametrize(
+        "column, deltas",
+        [
+            (0, {1: +1, 2: -1}),  # one piece's cut moves a byte: the lengths still add up
+            (1, {1: +1, 2: -1}),
+            (0, {2: +1}),  # the pieces outrun the stream
+            (1, {0: -1}),  # the pieces fall short of ISIZE
+        ],
+        ids=["compressed-off-by-one", "uncompressed-off-by-one", "compressed-sum", "uncompressed-sum"],
+    )
+    def test_damaged_index_reads_through_the_stream(self, tmp_path, column, deltas):
+        path = tmp_path / "vol.nii.gz"
+        write_frozen("float32", path)
+        expected = read_volume(path).intensities
+        lengths = piece_lengths(path.read_bytes())
+        for piece, delta in deltas.items():
+            lengths[piece, column] += delta
+        path.write_bytes(with_piece_lengths(path.read_bytes(), lengths))
+        assert scanio._inflate_indexed(path.read_bytes()) is None
+        assert np.array_equal(read_volume(path).intensities, expected)
+
+    def test_index_over_corrupt_pieces_is_corrupt(self, tmp_path):
+        """Pieces that match their index but not the trailer's CRC-32 are an error, not data."""
+        path = tmp_path / "mask.nii.gz"
+        write_frozen("mask", path)
+        blob = path.read_bytes()
+        lengths = piece_lengths(blob)
+        start = 12 + int.from_bytes(blob[10:12], "little")
+        ones = zlib.compressobj(1, zlib.DEFLATED, -15)
+        ones = ones.compress(b"\x01" * 352) + ones.flush(zlib.Z_SYNC_FLUSH)  # in place of the NIfTI header
+        rest = blob[start + lengths[0, 0] :]
+        lengths[0, 0] = len(ones)
+        path.write_bytes(with_piece_lengths(blob[:start], lengths) + ones + rest)
+        with pytest.raises(VolumeLoadError, match="corrupt gzip stream"):
+            read_mask(path)
+
     def test_multi_member_file_reads_like_one_member(self, tmp_path):
         one = tmp_path / "one.nii.gz"
         write_frozen("float32", one)
