@@ -44,7 +44,7 @@ def _voxel_sigma(sigma_mm: float, spacing) -> tuple[float, float, float]:
     return tuple(sigma_mm / s for s in spacing)
 
 
-def _warp(v: Volume3D, m: LabelMask, disp: np.ndarray | None):
+def _warp(v: Volume3D, m: LabelMask, disp: np.ndarray):
     """Sample image (linear) and mask (nearest) at each voxel's index plus ``disp`` (3, *dims), in voxels.
 
     Runs over blocks of output planes: each block adds its own indices to its
@@ -57,8 +57,7 @@ def _warp(v: Volume3D, m: LabelMask, disp: np.ndarray | None):
     def warp(b: tuple) -> None:
         at = np.indices(out[b].shape, dtype=np.float32)
         at[0] += b[0].start
-        if disp is not None:
-            at += disp[(slice(None),) + b]
+        at += disp[(slice(None),) + b]
         ndimage.map_coordinates(v.intensities, at, out[b], order=1, mode="constant", cval=fill)
         ndimage.map_coordinates(m.labels, at, lab[b], order=0, mode="constant", cval=0)
 
@@ -133,7 +132,7 @@ def elastic_deform(
     require(displacement_mm, "[0, inf)", "displacement_mm")
     dims = v.dims
     if displacement_mm == 0.0:
-        return (*_warp(v, m, None), {"displacement_mm": 0.0})
+        return v, m, {"displacement_mm": 0.0}
 
     rng = derive_rng(seed, "elastic")
     grid_shape = tuple(
@@ -190,9 +189,9 @@ def flip_volume(v: Volume3D, m: LabelMask, axes):
     axes = tuple(int(a) for a in axes)
     if any(a not in AXES for a in axes) or len(set(axes)) != len(axes):
         raise ConfigError(f"flip axes must be distinct values in {AXES}, got {axes}")
-    flipped_v = v.with_array(np.flip(v.intensities, axes) if axes else v.intensities)
-    flipped_m = m.with_array(np.flip(m.labels, axes)) if axes else m
-    return flipped_v, flipped_m
+    if not axes:
+        return v, m
+    return v.with_array(np.flip(v.intensities, axes)), m.with_array(np.flip(m.labels, axes))
 
 
 def bias_field(v: Volume3D, order: int = 3, amplitude: float = 0.2, seed: int = 0) -> Volume3D:

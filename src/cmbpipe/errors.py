@@ -63,8 +63,8 @@ class TruncatedPayloadError(VolumeLoadError):
     """Payload shorter than dim/bitpix imply."""
 
 
-class NonFiniteDataError(VolumeLoadError):
-    """Decoded intensities contain NaN or Inf."""
+class NonFiniteDataError(RejectedInputError):
+    """A grid's values contain NaN or Inf."""
 
 
 class QuantizationOverflowError(DataError):

@@ -242,16 +242,12 @@ def _tube_dip(spec: PhantomSpec, vessel: VesselSpec) -> tuple | None:
     p0 = np.asarray(vessel.start, dtype=np.float64)
     seg = np.asarray(vessel.end, dtype=np.float64) - p0
     denom = float(seg @ seg)
-    # Only the axes the segment runs along enter the projection, so an axis-aligned vessel's
-    # projection and nearest point stay 1-D.
-    along = [a for a in range(3) if seg[a] != 0.0] if denom > 0 else []
 
     def factor(rows: slice) -> np.ndarray:
         x = (xs[0][rows], *xs[1:])
-        if along:
-            terms = [(x[a] - p0[a]) * seg[a] for a in along]
-            t = np.clip(sum(terms[1:], terms[0]) / denom, 0.0, 1.0)
-        nearest = [p0[a] + t * seg[a] if a in along else p0[a] for a in range(3)]
+        terms = [(x[a] - p0[a]) * seg[a] for a in range(3)]
+        t = np.clip(sum(terms[1:], terms[0]) / denom, 0.0, 1.0) if denom > 0 else 0.0  # start == end: a point
+        nearest = [p0[a] + t * seg[a] for a in range(3)]
         d2 = (x[0] - nearest[0]) ** 2 + (x[1] - nearest[1]) ** 2 + (x[2] - nearest[2]) ** 2
         return 1.0 - vessel.contrast * np.exp(-d2 / (2.0 * sigma**2))
 

@@ -5,12 +5,15 @@ Volumes are a NIfTI-1 subset: single ``.nii``/``.nii.gz`` files, magic
 bitpix, pixdim[1..3], vox_offset, scl_slope/scl_inter and the sform/qform
 permutation+sign part (residual oblique rotation is ignored with a
 warning — volumes are axis-aligned by design). ``.nii.gz`` files are
-written as one gzip member, deflated at level 1 with run-length matching
-only (zlib's ``Z_RLE``) in fixed pieces on every available CPU; their
-bytes depend only on the volume. The gzip header indexes the pieces in
-an ``FEXTRA`` subfield that other gzip readers skip, so this module
-inflates them on every CPU too; a file without a consistent index is
-inflated as one stream.
+written as one gzip member for the NIfTI header and one for each fixed
+piece of the payload, deflated at level 1 with run-length matching only
+(zlib's ``Z_RLE``) on every available CPU; their bytes depend only on the
+volume, and they differ from those of earlier versions (one member),
+which decode to the same data. As in BGZF, each member's header gives
+its length in an ``FEXTRA`` subfield, so this module inflates the
+members on every CPU too, while any gzip reader reads the file as one
+multi-member stream. A gzip file of another writer is inflated as one
+member, or by :mod:`gzip` if it has several.
 
 Dataset manifests are newline-delimited JSON records, one scan per line.
 """
@@ -32,9 +35,9 @@ from .errors import (
     BadMagicError,
     ConfigError,
     ManifestError,
-    NonFiniteDataError,
     ObliqueOrientationWarning,
     QuantizationOverflowError,
+    RejectedInputError,
     TruncatedPayloadError,
     UnsupportedDatatypeError,
     VolumeLoadError,
@@ -47,10 +50,10 @@ from .volume import (
     ProbabilityVolume,
     Volume3D,
     WorldPoint,
+    cast,
     extrema,
     run_blocks,
     thread_count,
-    thread_runs,
 )
 
 HEADER_SIZE = 348
@@ -63,14 +66,11 @@ DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32}
 DTYPE_CODES = {"uint8": 2, "int16": 4, "float32": 16}
 BITPIX = {2: 8, 4: 16, 16: 32}
 
-# gzip member header (RFC 1952): deflate, FLG FEXTRA only (no file name), mtime 0, XFL 4 (fastest
-# level), OS unknown. Its extra field holds one subfield, GZIP_INDEX_ID, whose data gives each
-# deflated piece's compressed and uncompressed length as two little-endian uint32s, in stream order.
-GZIP_HEADER = b"\x1f\x8b\x08\x04\x00\x00\x00\x00\x04\xff"
-GZIP_INDEX_ID = b"CI"
+# Each piece of a .nii.gz file is one gzip member (RFC 1952), as in BGZF: deflate, FLG FEXTRA only (no
+# file name), mtime 0, XFL 4 (fastest level), OS unknown, and an 8-byte extra field of one subfield "CM"
+# whose 4 bytes, which follow GZIP_HEADER, give the member's length in the file as a little-endian uint32.
+GZIP_HEADER = b"\x1f\x8b\x08\x04\x00\x00\x00\x00\x04\xff\x08\x00CM\x04\x00"
 GZIP_CHUNK = 256 * 1024
-# The extra field (XLEN) holds at most 65535 bytes: the subfield's 4-byte head and 8 bytes a piece
-GZIP_MAX_PIECES = (0xFFFF - 4) // 8
 
 DATASET_TAGS = ("DS1r", "DS1s", "DS2", "DS3", "DS3n", "PHANTOM", "OTHER")
 
@@ -79,74 +79,56 @@ DATASET_TAGS = ("DS1r", "DS1s", "DS2", "DS3", "DS3n", "PHANTOM", "OTHER")
 # NIfTI-1 subset
 # ---------------------------------------------------------------------------
 
-# DEFLATE expands its input at most about 1032-fold, so a larger ISIZE is not one member's size
+# DEFLATE expands its input at most about 1032-fold, so a larger ISIZE is not the members' size
 _MAX_INFLATION = 1032
 
 
-def _inflate_indexed(raw: bytes) -> memoryview | None:
-    """The data of ``raw`` if it is one gzip member whose header indexes its pieces consistently, else None.
+def _member_bounds(raw: bytes) -> list[int]:
+    """Where each gzip member of ``raw`` starts, then ``len(raw)``, as the lengths after their ``GZIP_HEADER`` give it.
 
-    Each piece is inflated on its own (``volume.run_blocks``) into its
-    slice of one buffer. The pieces' lengths must add up to the deflate
-    stream and to the trailer's ISIZE, each piece must yield exactly its
-    recorded size with only the last one ending the stream, and the data
-    must match the trailer's CRC-32. None means one of these fails, or
-    there is no index: the caller then inflates ``raw`` as one stream,
-    which raises on a damaged file.
+    Unless those lengths lead from member to member exactly to the end of
+    ``raw``, ``raw`` is taken as one member: ``[0, len(raw)]``.
     """
-    if raw[:4] != GZIP_HEADER[:4] or raw[12:14] != GZIP_INDEX_ID:
-        return None
-    xlen, sublen = int.from_bytes(raw[10:12], "little"), int.from_bytes(raw[14:16], "little")
-    if sublen != xlen - 4 or sublen % 8 or sublen == 0 or 12 + xlen + 8 > len(raw):
-        return None
-    csize, usize = np.frombuffer(raw, "<u4", sublen // 4, 16).reshape(-1, 2).astype(np.int64).T
-    cstart = 12 + xlen + np.concatenate(([0], np.cumsum(csize)))
-    ustart = np.concatenate(([0], np.cumsum(usize)))
-    crc, isize = struct.unpack("<2I", raw[-8:])
-    if cstart[-1] != len(raw) - 8 or ustart[-1] & 0xFFFFFFFF != isize or ustart[-1] > _MAX_INFLATION * len(raw):
-        return None
-    data = np.empty(int(ustart[-1]), dtype=np.uint8)
-    view, stream, last = memoryview(data), memoryview(raw), len(csize) - 1
+    bounds = [0]
+    while bounds[-1] < len(raw) and raw.startswith(GZIP_HEADER, bounds[-1]):
+        at = bounds[-1] + len(GZIP_HEADER)
+        length = int.from_bytes(raw[at : at + 4], "little")
+        if length == 0:
+            break
+        bounds.append(bounds[-1] + length)
+    return bounds if bounds[-1] == len(raw) else [0, len(raw)]
+
+
+def _inflate(raw: bytes, bounds: list[int]) -> memoryview:
+    """The data of the gzip members ``raw[bounds[i]:bounds[i + 1]]``, inflated on ``volume.run_blocks``.
+
+    Each member is fed to its own zlib inflater a chunk at a time and
+    inflated straight into its slice of one buffer, sized from the members'
+    ISIZE trailers; zlib checks the member's CRC-32 and ISIZE. A member that
+    outgrows its ISIZE, ends early or is followed by more data raises
+    ``zlib.error``.
+    """
+    ends = np.cumsum([0] + [int.from_bytes(raw[b - 4 : b], "little") for b in bounds[1:]])
+    if ends[-1] > _MAX_INFLATION * len(raw):
+        raise zlib.error(f"ISIZE {ends[-1]} is more than DEFLATE can expand {len(raw)} bytes to")
+    data = np.empty(ends[-1], dtype=np.uint8)
+    view, stream = memoryview(data), memoryview(raw)
 
     def inflate(i: int) -> None:
-        inflater = zlib.decompressobj(-15)
-        piece = inflater.decompress(stream[cstart[i] : cstart[i + 1]], int(usize[i]) + 1)
-        leftover = inflater.unconsumed_tail or inflater.unused_data
-        if len(piece) != usize[i] or leftover or inflater.eof != (i == last):
-            raise zlib.error(f"piece {i} does not match the index")
-        view[ustart[i] : ustart[i + 1]] = piece
+        inflater, pos, member = zlib.decompressobj(31), ends[i], stream[bounds[i] : bounds[i + 1]]
+        for at in range(0, len(member), GZIP_CHUNK):
+            piece = inflater.decompress(member[at : at + GZIP_CHUNK], GZIP_CHUNK)
+            while piece:  # until the chunk is used up and no output is pending
+                if pos + len(piece) > ends[i + 1]:
+                    raise zlib.error(f"member {i} outgrows its ISIZE")
+                view[pos : pos + len(piece)] = piece
+                pos += len(piece)
+                piece = inflater.decompress(inflater.unconsumed_tail, GZIP_CHUNK)
+        if not inflater.eof or inflater.unused_data:
+            raise zlib.error(f"member {i} is not one whole gzip member")
 
-    try:
-        run_blocks(inflate, range(len(csize)))
-    except zlib.error:
-        return None
-    return view if zlib.crc32(view) == crc else None
-
-
-def _inflate_one_member(raw: bytes) -> memoryview | None:
-    """The data of ``raw`` if it is one gzip member whose size its trailer gives, else None.
-
-    The data is inflated in pieces of at most ``GZIP_CHUNK`` bytes straight
-    into one buffer of ISIZE bytes (the trailer's size field), fed input a
-    chunk at a time. None means more data or more members follow; a
-    truncated or corrupt stream raises.
-    """
-    size = min(int.from_bytes(raw[-4:], "little"), _MAX_INFLATION * len(raw))
-    data = np.empty(size, dtype=np.uint8)  # untouched pages of an overstated size stay unallocated
-    view, pos = memoryview(data), 0
-    inflater = zlib.decompressobj(wbits=31)
-    for start in range(0, len(raw), GZIP_CHUNK):
-        chunk = raw[start : start + GZIP_CHUNK]
-        while chunk:
-            if pos == size:
-                return None  # the data outgrows ISIZE: more than 4 GiB, or more than one member
-            piece = inflater.decompress(chunk, min(GZIP_CHUNK, size - pos))
-            view[pos : pos + len(piece)] = piece
-            pos += len(piece)
-            chunk = inflater.unconsumed_tail
-        if inflater.eof:
-            return view[:pos] if start + GZIP_CHUNK >= len(raw) and not inflater.unused_data else None
-    raise EOFError("no end-of-stream marker")
+    run_blocks(inflate, range(len(bounds) - 1))
+    return view
 
 
 def _read_bytes(path: str | Path) -> bytes | memoryview:
@@ -159,13 +141,12 @@ def _read_bytes(path: str | Path) -> bytes | memoryview:
         raise VolumeLoadError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if raw[:2] != b"\x1f\x8b":
         return raw
-    # the indexed pieces on every CPU (as written here); else one buffer for a single member, and
-    # gzip.decompress for anything after it
     try:
-        data = _inflate_indexed(raw)
-        if data is None:
-            data = _inflate_one_member(raw)
-        return gzip.decompress(raw) if data is None else data
+        return _inflate(raw, _member_bounds(raw))
+    except zlib.error:
+        pass  # several members of another writer, or damage, which gzip.decompress reads or names
+    try:
+        return gzip.decompress(raw)
     except EOFError as exc:
         raise TruncatedPayloadError(f"{path}: gzip stream ends early ({exc})") from exc
     except (gzip.BadGzipFile, zlib.error) as exc:
@@ -274,23 +255,6 @@ def _canonical_orientation(arr: np.ndarray, spacing, rot: np.ndarray, trans: np.
     return arr, tuple(out_spacing), tuple(out_origin)
 
 
-def _cast(src: np.ndarray, dtype) -> np.ndarray:
-    """``np.ascontiguousarray(src, dtype)``, copied by the pool threads in one run each.
-
-    The runs split the axis of ``src`` with the largest stride, so each
-    thread reads one stretch of its memory however the copy transposes it.
-    """
-    out = np.empty(src.shape, dtype)
-    axis = int(np.argmax(np.abs(src.strides)))
-
-    def copy(run: slice) -> None:
-        block = (slice(None),) * axis + (run,)
-        np.copyto(out[block], src[block], casting="unsafe")
-
-    run_blocks(copy, thread_runs(src.shape[axis]))
-    return out
-
-
 def _read_nifti(path: str | Path, grid: type[Grid]) -> Grid:
     """The canonical C-contiguous data of ``path`` as a ``grid`` with its spacing and origin.
 
@@ -299,6 +263,8 @@ def _read_nifti(path: str | Path, grid: type[Grid]) -> Grid:
     payload is cast to the grid's dtype (float64 if it has none) in the
     same copy that reorients it; each supported datatype is exact in
     float32. A scaled payload is reoriented to float64 and scaled there.
+    The grid's own check of the values (finite; a mask's 0 and 1, a
+    probability's [0, 1]) is the only one, and its error names ``path``.
     """
     blob = _read_bytes(path)
     (endian, dims, spacing, datatype, vox_offset, scl_slope, scl_inter, rot, trans) = _parse_nifti_header(
@@ -315,16 +281,16 @@ def _read_nifti(path: str | Path, grid: type[Grid]) -> Grid:
         )
     stored = np.frombuffer(blob, dt, count, offset).reshape(dims, order="F")
     view, spacing, origin = _canonical_orientation(stored, spacing, rot, trans, str(path))
-    scaled = scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0)
-    if datatype == DTYPE_CODES["uint8"] and not scaled:
-        return grid(_cast(view, np.uint8), spacing, origin)
-    arr = _cast(view, np.float64 if scaled or grid._dtype is None else grid._dtype)
-    if scaled:
+    if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
+        arr = cast(view, np.float64)
         arr *= scl_slope
         arr += scl_inter
-    if not np.isfinite(extrema(arr)).all():  # NaN propagates; Inf is an extreme
-        raise NonFiniteDataError(f"{path}: decoded intensities contain NaN/Inf")
-    return grid(arr, spacing, origin)
+    else:
+        arr = cast(view, np.uint8 if datatype == DTYPE_CODES["uint8"] else grid._dtype or np.float64)
+    try:
+        return grid(arr, spacing, origin)
+    except RejectedInputError as exc:  # the grid's check of the values: NaN/Inf, or outside its range
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
@@ -332,7 +298,7 @@ def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
     transpose); integer types round and refuse to wrap."""
     dt = np.dtype(DTYPES[DTYPE_CODES[datatype]]).newbyteorder("<")
     if dt.kind == "f":
-        return _cast(v.intensities.T, dt)
+        return cast(v.intensities.T, dt)
     rounded = np.rint(v.intensities)
     info = np.iinfo(dt)
     lo, hi = extrema(rounded)
@@ -340,45 +306,26 @@ def _quantize(v: Volume3D, path: str | Path, datatype: str) -> np.ndarray:
         raise QuantizationOverflowError(
             f"{path}: values [{lo}, {hi}] do not fit {datatype} range [{info.min}, {info.max}]"
         )
-    return _cast(rounded.T, dt)
+    return cast(rounded.T, dt)
 
 
-def _deflate(chunk, last: bool) -> bytes:
-    c = zlib.compressobj(1, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
-    return c.compress(chunk) + c.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
+def _gzip_member(piece) -> bytes:
+    """``piece`` as one gzip member: ``GZIP_HEADER`` and the member's length, then zlib's deflate stream and trailer."""
+    c = zlib.compressobj(1, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+    body = memoryview(c.compress(piece) + c.flush())[10:]  # past zlib's own 10-byte gzip header
+    return GZIP_HEADER + struct.pack("<I", len(GZIP_HEADER) + 4 + len(body)) + body
 
 
 def _write_gzip(path: str | Path, header: bytearray, payload: memoryview) -> None:
-    """Write ``header`` then ``payload`` as one gzip member.
+    """Write ``header`` and then each ``GZIP_CHUNK`` bytes of ``payload`` as a gzip member of its own.
 
-    The header and each fixed chunk of the payload are deflated on their
-    own and end on a byte boundary (a sync flush; the last chunk finishes
-    the stream), so they concatenate to one deflate stream whose bytes do
-    not depend on the number of threads. zlib releases the GIL, so the
-    chunks compress in parallel; they are written in order. The gzip
-    header's index of the pieces is written as zeros first and filled in
-    once every piece's compressed length is known; a payload of more than
-    ``GZIP_MAX_PIECES`` pieces gets no index.
+    zlib releases the GIL, so the members compress in parallel; they are
+    written in order as they come, so their bytes do not depend on the
+    number of threads.
     """
-    chunks = [header] + [payload[i : i + GZIP_CHUNK] for i in range(0, len(payload), GZIP_CHUNK)]
-    last = [False] * (len(chunks) - 1) + [True]
-    lengths = np.zeros((len(chunks), 2), dtype="<u4")
-    indexed = len(chunks) <= GZIP_MAX_PIECES
-    crc = 0
-    with open(path, "wb") as fh, ThreadPoolExecutor(min(len(chunks), thread_count())) as pool:
-        if indexed:
-            fh.write(GZIP_HEADER + struct.pack("<H2sH", 4 + lengths.nbytes, GZIP_INDEX_ID, lengths.nbytes))
-            fh.write(lengths.tobytes())
-        else:
-            fh.write(GZIP_HEADER[:3] + b"\x00" + GZIP_HEADER[4:])  # FLG 0: no extra field
-        for i, (chunk, deflated) in enumerate(zip(chunks, pool.map(_deflate, chunks, last))):
-            crc = zlib.crc32(chunk, crc)
-            lengths[i] = len(deflated), len(chunk)
-            fh.write(deflated)
-        fh.write(struct.pack("<2I", crc, (len(header) + len(payload)) & 0xFFFFFFFF))
-        if indexed:
-            fh.seek(len(GZIP_HEADER) + 6)
-            fh.write(lengths.tobytes())
+    pieces = [header] + [payload[i : i + GZIP_CHUNK] for i in range(0, len(payload), GZIP_CHUNK)]
+    with open(path, "wb") as fh, ThreadPoolExecutor(min(len(pieces), thread_count())) as pool:
+        fh.writelines(pool.map(_gzip_member, pieces))
 
 
 def _write_nifti(path: str | Path, data: np.ndarray, spacing, origin) -> None:
@@ -435,7 +382,7 @@ def read_mask(path: str | Path) -> LabelMask:
 
 
 def write_mask(m: LabelMask, path: str | Path) -> None:
-    _write_nifti(path, _cast(m.labels.T, np.uint8), m.spacing, m.origin)
+    _write_nifti(path, cast(m.labels.T, np.uint8), m.spacing, m.origin)
 
 
 def read_probability(path: str | Path) -> ProbabilityVolume:
@@ -443,7 +390,7 @@ def read_probability(path: str | Path) -> ProbabilityVolume:
 
 
 def write_probability(p: ProbabilityVolume, path: str | Path) -> None:
-    _write_nifti(path, _cast(p.values.T, np.dtype("<f4")), p.spacing, p.origin)
+    _write_nifti(path, cast(p.values.T, np.dtype("<f4")), p.spacing, p.origin)
 
 
 # ---------------------------------------------------------------------------

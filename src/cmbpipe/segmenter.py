@@ -25,10 +25,9 @@ from .volume import (
     LabelMask,
     ProbabilityVolume,
     Volume3D,
+    cast,
     require_same_geometry,
     require_unit_interval,
-    run_blocks,
-    thread_runs,
 )
 
 # Gain 40 pushes the band-pass of a 4 mm dark disc at CNR 25 to a peak
@@ -60,9 +59,8 @@ class ReferenceConfig:
 class OracleSegmenter:
     """Replays the ground-truth mask, flipping each pixel with ``corruption_rate``.
 
-    A clean oracle (rate 0) converts the ground truth to float32 once, each
-    thread of :func:`volume.run_blocks` casting one :func:`volume.thread_runs`
-    run of planes, and returns that one read-only array for every view.
+    A clean oracle (rate 0) converts the ground truth to float32 once, with
+    :func:`volume.cast`, and returns that one read-only array for every view.
     """
 
     def __init__(self, gt: LabelMask, corruption_rate: float = 0.0, seed: int = 0):
@@ -72,8 +70,7 @@ class OracleSegmenter:
         self.seed = seed
         self._clean = None
         if corruption_rate == 0.0:
-            self._clean = np.empty(gt.dims, dtype=np.float32)
-            run_blocks(lambda planes: np.copyto(self._clean[planes], gt.labels[planes]), thread_runs(gt.dims[0]))
+            self._clean = cast(gt.labels, np.float32)
             self._clean.flags.writeable = False
 
     def segment(self, v: Volume3D, view: str) -> np.ndarray:

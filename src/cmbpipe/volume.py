@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     DegenerateNormalizationWarning,
     GeometryMismatchError,
+    NonFiniteDataError,
     RejectedInputError,
     require,
 )
@@ -198,11 +199,29 @@ def extrema(arr: np.ndarray) -> tuple:
     return lows.min(), highs.max()
 
 
+def cast(src: np.ndarray, dtype) -> np.ndarray:
+    """``np.ascontiguousarray(src, dtype)``, copied by the pool threads in one :func:`thread_runs` run each.
+
+    The runs split the axis of ``src`` with the largest stride, so each
+    thread reads one stretch of its memory however the copy transposes it.
+    """
+    out = np.empty(src.shape, dtype)
+    axis = int(np.argmax(np.abs(src.strides)))
+
+    def copy(run: slice) -> None:
+        block = (slice(None),) * axis + (run,)
+        np.copyto(out[block], src[block], casting="unsafe")
+
+    run_blocks(copy, thread_runs(src.shape[axis]))
+    return out
+
+
 def require_unit_interval(arr: np.ndarray, what: str) -> None:
-    """Raise :class:`RejectedInputError` unless every value of ``arr`` lies in [0, 1]; NaN fails too."""
+    """Raise :class:`RejectedInputError` unless every value of ``arr`` lies in [0, 1]; NaN or Inf raises :class:`NonFiniteDataError`."""
     lo, hi = (float(x) for x in extrema(arr))
     if not (lo >= 0.0 and hi <= 1.0):
-        raise RejectedInputError(f"{what} outside [0, 1]: min {lo}, max {hi}")
+        error = RejectedInputError if np.isfinite((lo, hi)).all() else NonFiniteDataError
+        raise error(f"{what} outside [0, 1]: min {lo}, max {hi}")
 
 
 class Grid:
@@ -261,7 +280,7 @@ class Volume3D(Grid):
 
     def _checked(self, arr: np.ndarray) -> np.ndarray:
         if not np.isfinite(extrema(arr)).all():  # NaN propagates; Inf is an extreme
-            raise RejectedInputError("intensities contain NaN or Inf")
+            raise NonFiniteDataError("intensities contain NaN or Inf")
         return arr
 
 

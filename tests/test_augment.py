@@ -110,6 +110,8 @@ class TestSpatialTransforms:
         assert np.array_equal(m2.labels, m.labels)
         with pytest.raises(ConfigError, match=r"\(0, 2, 0\)"):
             flip_volume(v, m, (0, 2, 0))
+        same_v, same_m = flip_volume(v, m, ())
+        assert same_v is v and same_m is m
 
     def test_zero_rotation_identity(self, rng):
         v = Volume3D(rng.normal(0, 1, (16, 16, 16)))
@@ -144,8 +146,8 @@ class TestSpatialTransforms:
     def test_zero_elastic_identity(self, rng):
         v = Volume3D(rng.normal(0, 1, (16, 16, 16)))
         m = LabelMask(np.zeros((16, 16, 16), dtype=np.uint8))
-        out, _, params = elastic_deform(v, m, 32.0, 0.0, seed=1)
-        assert np.abs(out.intensities - v.intensities).max() < 1e-6
+        out, out_m, params = elastic_deform(v, m, 32.0, 0.0, seed=1)
+        assert out is v and out_m is m
         assert params["displacement_mm"] == 0.0
 
     def test_rotation_moves_mask_with_image(self):

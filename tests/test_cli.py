@@ -263,22 +263,22 @@ class TestSegmentCommand:
     FROZEN = {
         "clean-oracle": (
             ("--segmenter", "oracle", "--gt-dir", "{data}/gt_masks"),
-            "389b8a0b9613cf2b85f76838b58e28479548cf922d03ab2c0b5080056c6a70d9",
+            "b9ff4214cbe33660681110408790c424aff37acb833cd6f20225dd48979c57a8",
             "32ecdc6f2291f664b8fc2d454845db0693f0278bf815b1897be37cb5f0ab5e2a",
         ),
         "corrupted-oracle": (
             ("--segmenter", "oracle", "--gt-dir", "{data}/gt_masks", "--corruption-rate", "0.2", "--oracle-seed", "4"),
-            "c4748798e51dcdab5834f769f3295a6d902013f1b371f043da38509413fcdcc3",
+            "9960d169994f2df7379f28cfaa8cc91bad785c14d27ff2f7909daa4c0a971a6f",
             "e314d407953b9115b6de1cfaddf88d6d2695d4def6b436a66ce3ffacd34d7424",
         ),
         "reference": (
             ("--tau", "0.05"),
-            "a1bdd46b76420c577bf4449692ca3d6bf189e8f1a8ec717be300671252dd8aa1",
+            "a7d9fd1342852894debcf1b6d05dc73881b2e452b88c1c1704a30a3574c1559d",
             "06d444ad15eaba1b419c663969bbf4e79dd58b4df44833cffcd034ad6513012a",
         ),
         "external": (
             ("--segmenter", "external", "--prob-dir", "{maps}"),
-            "2b3bf711fb3440e01b49c133c7885ddd01322af39bc094939539476ae6481a5e",
+            "d3e51eecc6c041f6e3ef1936e23a813d8023831c022f3a69466eb036154a4fa9",
             "dd365692ebb58dc922b7271205912b8ef1d4a169d36fd92ab10f428da22e2100",
         ),
     }
@@ -296,8 +296,9 @@ class TestSegmentCommand:
         reference score became the band-pass alone, without the
         radial-symmetry vote. The file digests were taken again when the
         writer moved to run-length deflate with an index of its pieces in
-        the gzip header; the digests of the gunzipped bytes, taken just
-        before that change, show that the data did not move.
+        the gzip header, and again when each piece became a gzip member of
+        its own; the digests of the gunzipped bytes, taken just before the
+        first of these changes, show that the data did not move.
         """
         data, maps = segment_data
         flags, digest, decoded = self.FROZEN[case]

@@ -7,6 +7,7 @@ first-call caches are not counted. Arrays the call returns are counted:
 they are allocated while tracing.
 """
 
+import gzip
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,16 @@ def test_read_volume_casts_and_reorients_in_one_copy(tmp_path):
     n = 128
     path = tmp_path / "vol.nii.gz"
     write_volume(_noise_volume(n), path, "float32")
+    peak = traced_peak_bytes(lambda: read_volume(path))
+    assert peak < 1.55 * n**3 * np.dtype(np.float64).itemsize
+
+
+def test_read_volume_inflates_a_foreign_member_into_one_buffer(tmp_path):
+    """A single gzip member of another writer is inflated a chunk at a time into one buffer of its ISIZE."""
+    n = 128
+    ours, path = tmp_path / "ours.nii.gz", tmp_path / "vol.nii.gz"
+    write_volume(_noise_volume(n), ours, "float32")
+    path.write_bytes(gzip.compress(gzip.decompress(ours.read_bytes())))
     peak = traced_peak_bytes(lambda: read_volume(path))
     assert peak < 1.55 * n**3 * np.dtype(np.float64).itemsize
 

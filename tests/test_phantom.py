@@ -207,6 +207,15 @@ def test_vessel_is_a_tube():
     assert vol.intensities[24, 24, 40] == pytest.approx(100.0, rel=1e-6)
 
 
+def test_vessel_from_a_point_to_itself_is_a_blob():
+    """A vessel whose start is its end dips like a calcification of its diameter and contrast at that point."""
+    point, base = WorldPoint(20.0, 17.5, 23.0), dict(dims=(40, 40, 40), background=BackgroundSpec(100.0, 0.0, 0.0))
+    vessel, _, _ = generate_phantom(PhantomSpec(**base, vessels=(VesselSpec(point, point, 3.0, 0.6),)))
+    blob, _, _ = generate_phantom(PhantomSpec(**base, calcifications=(CalcificationSpec(point, 3.0, 0.6),)))
+    assert vessel.intensities.min() < 60.0
+    assert np.array_equal(vessel.intensities, blob.intensities)
+
+
 def test_random_spec_respects_separation():
     spec = random_phantom_spec(9, dims=(128, 128, 128), n_cmbs=8)
     for i, a in enumerate(spec.cmbs):

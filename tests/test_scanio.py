@@ -14,6 +14,7 @@ from cmbpipe.errors import (
     NonFiniteDataError,
     ObliqueOrientationWarning,
     QuantizationOverflowError,
+    RejectedInputError,
     TruncatedPayloadError,
     UnsupportedDatatypeError,
     VolumeLoadError,
@@ -31,6 +32,7 @@ from cmbpipe.scanio import (
     write_volume,
 )
 from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint
+from cmbpipe.volume import extrema as volume_extrema
 
 
 def make_volume(rng, dims=(12, 10, 14), spacing=(0.93, 0.93, 1.75), origin=(-5.0, 3.0, 0.0)):
@@ -139,15 +141,42 @@ class TestNiftiHeaderHandling:
         with pytest.raises(BadMagicError, match="magic"):
             read_volume(path)
 
-    def test_non_finite_payload(self, tmp_path, rng):
-        v = make_volume(rng, dims=(4, 4, 4))
+    @pytest.mark.parametrize(
+        "write, read, bad, error, message",
+        [
+            (write_volume, read_volume, np.nan, NonFiniteDataError, "intensities contain NaN or Inf"),
+            (write_volume, read_volume, -np.inf, NonFiniteDataError, "intensities contain NaN or Inf"),
+            (write_probability, read_probability, np.nan, NonFiniteDataError, r"probabilities outside \[0, 1\]"),
+            (write_probability, read_probability, np.inf, NonFiniteDataError, r"probabilities outside \[0, 1\]"),
+            (write_probability, read_probability, 1.5, RejectedInputError, r"probabilities outside \[0, 1\]"),
+            (write_mask, read_mask, 2, RejectedInputError, "labels must be binary"),
+        ],
+        ids=["volume-nan", "volume-inf", "probability-nan", "probability-inf", "probability-1.5", "mask-2"],
+    )
+    def test_bad_payload_value_names_the_file(self, tmp_path, write, read, bad, error, message):
+        """The grid's check of the values raises, naming the file."""
+        grid = {write_volume: Volume3D, write_probability: ProbabilityVolume, write_mask: LabelMask}[write]
         path = tmp_path / "vol.nii"
-        write_volume(v, path, "float32")
+        write(grid(np.zeros((4, 4, 4), dtype=np.uint8)), path)
         blob = self._raw_header_and_payload(path)
-        struct.pack_into("<f", blob, 352, np.nan)
+        np.frombuffer(blob, np.uint8 if write is write_mask else "<f4", 1, 352)[...] = bad
         path.write_bytes(bytes(blob))
-        with pytest.raises(NonFiniteDataError):
-            read_volume(path)
+        with pytest.raises(error, match=f"^{path}: {message}"):
+            read(path)
+
+    def test_read_checks_the_values_once(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "vol.nii.gz"
+        write_volume(make_volume(rng), path)
+        calls = []
+
+        def counted(arr):
+            calls.append(arr.shape)
+            return volume_extrema(arr)
+
+        monkeypatch.setattr(volume, "extrema", counted)
+        monkeypatch.setattr(scanio, "extrema", counted)
+        read_volume(path)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("vox_offset", [np.nan, np.inf])
     def test_non_finite_vox_offset(self, rng, tmp_path, vox_offset):
@@ -251,12 +280,33 @@ def write_frozen(kind, path):
         write_volume(Volume3D((FROZEN_INDEX * 7919 % 65521) / 8.0 - 1000.0, *FROZEN_GEOMETRY), path, kind)
 
 
-def gunzip_one_member(blob):
-    """The decoded stream of ``blob``, which must be exactly one gzip member."""
+def member_lengths(blob):
+    """The length in ``blob`` of each of its gzip members, from the 4 bytes after each member's ``GZIP_HEADER``."""
+    lengths, pos = [], 0
+    while pos < len(blob):
+        assert blob[pos : pos + 16] == scanio.GZIP_HEADER
+        lengths.append(int.from_bytes(blob[pos + 16 : pos + 20], "little"))
+        pos += lengths[-1]
+    assert pos == len(blob)  # the lengths lead from member to member, and the last ends the file
+    return lengths
+
+
+def members(blob):
+    """The gzip members of ``blob``, cut where their lengths say."""
+    lengths = member_lengths(blob)
+    return [blob[end - length : end] for end, length in zip(np.cumsum(lengths), lengths)]
+
+
+def gunzip_member(member):
+    """The decoded data of ``member``, which must be exactly one gzip member."""
     d = zlib.decompressobj(wbits=31)
-    out = d.decompress(blob)
+    out = d.decompress(member)
     assert d.eof and d.unused_data == b""
     return out
+
+
+def gunzip_members(blob):
+    return b"".join(gunzip_member(m) for m in members(blob))
 
 
 class TestGzipWriter:
@@ -265,8 +315,9 @@ class TestGzipWriter:
         path = tmp_path / "vol.nii.gz"
         write_frozen(kind, path)
         blob = path.read_bytes()
-        assert blob[:10] == b"\x1f\x8b\x08\x04\x00\x00\x00\x00\x04\xff"  # FEXTRA only (no name), mtime 0, XFL 4
-        decoded = gunzip_one_member(blob)
+        # FEXTRA only (no name), mtime 0, XFL 4, OS unknown; an 8-byte extra field, one 4-byte subfield CM
+        assert blob[:16] == b"\x1f\x8b\x08\x04\x00\x00\x00\x00\x04\xff\x08\x00CM\x04\x00"
+        decoded = gunzip_members(blob)
         assert hashlib.sha256(decoded).hexdigest() == FROZEN_DECODED_SHA256[kind]
         with gzip.open(path) as fh:
             assert fh.read() == decoded
@@ -280,20 +331,9 @@ class TestGzipWriter:
         m = LabelMask((rng.uniform(0, 1, dims) > 0.7).astype(np.uint8))
         path = tmp_path / "mask.nii.gz"
         write_mask(m, path)
-        assert len(gunzip_one_member(path.read_bytes())) == 352 + int(np.prod(dims))
+        assert len(gunzip_members(path.read_bytes())) == 352 + int(np.prod(dims))
+        assert len(members(path.read_bytes())) == 1 + -(-int(np.prod(dims)) // scanio.GZIP_CHUNK)
         assert np.array_equal(read_mask(path).labels, m.labels)
-
-    def test_payload_past_the_index_capacity_is_written_without_index(self, tmp_path, monkeypatch):
-        """A payload of more pieces than the header's extra field can index is one plain gzip member."""
-        indexed, path = tmp_path / "indexed.nii.gz", tmp_path / "vol.nii.gz"
-        write_frozen("float32", indexed)
-        monkeypatch.setattr(scanio, "GZIP_MAX_PIECES", 3)  # the frozen float32 volume is 4 pieces
-        write_frozen("float32", path)
-        blob = path.read_bytes()
-        assert blob[:10] == b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"  # no flags
-        assert gunzip_one_member(blob) == gunzip_one_member(indexed.read_bytes())
-        assert scanio._inflate_indexed(blob) is None
-        assert np.array_equal(read_volume(path).intensities, read_volume(indexed).intensities)
 
     def test_bytes_independent_of_worker_count(self, tmp_path):
         blobs = []
@@ -317,32 +357,27 @@ def entry(scan_id="s1", subject="p1", centers=(), p_cmb=None):
     )
 
 
-def piece_lengths(blob):
-    """The (pieces, 2) compressed and uncompressed lengths that the gzip header of ``blob`` indexes."""
-    assert blob[3] == 4 and blob[12:14] == scanio.GZIP_INDEX_ID  # FLG FEXTRA, then the index subfield
-    return np.frombuffer(blob, "<u4", int.from_bytes(blob[14:16], "little") // 4, 16).reshape(-1, 2).astype(np.int64)
-
-
-def with_piece_lengths(blob, lengths):
-    index = lengths.astype("<u4").tobytes()
-    return blob[:16] + index + blob[16 + len(index) :]
+def with_member_lengths(blob, lengths):
+    """``blob`` with the header of its ``i``-th gzip member giving the length ``lengths[i]``; no member moves."""
+    out = bytearray(blob)
+    for at, length in zip(np.cumsum([0] + member_lengths(blob)[:-1]), lengths):
+        struct.pack_into("<I", out, int(at) + 16, length)
+    return bytes(out)
 
 
 class TestGzipReader:
-    def test_index_gives_each_piece(self, tmp_path):
+    def test_each_member_inflates_alone_to_its_slice(self, tmp_path):
         path = tmp_path / "vol.nii.gz"
         write_frozen("float32", path)
         blob = path.read_bytes()
-        lengths = piece_lengths(blob)
-        decoded = gunzip_one_member(blob)
-        start = 12 + int.from_bytes(blob[10:12], "little")
-        assert lengths[:, 0].sum() == len(blob) - start - 8 and lengths[:, 1].sum() == len(decoded)
-        assert lengths[0, 1] == 352 and len(lengths) == 4  # the NIfTI header, then 256 KiB chunks of the payload
-        pieces = np.cumsum(lengths, axis=0) - lengths
-        for (c0, u0), (csize, usize) in zip(pieces, lengths):
-            piece = zlib.decompressobj(-15).decompress(blob[start + c0 : start + c0 + csize])
-            assert piece == decoded[u0 : u0 + usize]
-        assert bytes(scanio._inflate_indexed(blob)) == decoded
+        decoded = gzip.decompress(blob)
+        pieces = [gunzip_member(m) for m in members(blob)]
+        # the NIfTI header, then 256 KiB chunks of the payload
+        assert [len(p) for p in pieces] == [352, scanio.GZIP_CHUNK, scanio.GZIP_CHUNK, len(decoded) - 352 - 2 * scanio.GZIP_CHUNK]
+        assert b"".join(pieces) == decoded
+        with gzip.open(path) as fh:
+            assert fh.read() == decoded
+        assert bytes(scanio._inflate(blob, scanio._member_bounds(blob))) == decoded
 
     def test_reads_the_same_on_any_thread_count(self, tmp_path):
         path = tmp_path / "vol.nii.gz"
@@ -354,54 +389,58 @@ class TestGzipReader:
         assert np.array_equal(arrays[0], arrays[1])
 
     def test_foreign_single_member_file_reads(self, tmp_path):
-        """A gzip member without the index, as `gzip` writes it, is inflated as one stream."""
+        """A gzip member without member lengths, as `gzip` writes it, is inflated as one member of its ISIZE."""
         one = tmp_path / "one.nii.gz"
         write_frozen("float32", one)
         foreign = tmp_path / "foreign.nii.gz"
-        foreign.write_bytes(gzip.compress(gunzip_one_member(one.read_bytes())))
-        assert scanio._inflate_indexed(foreign.read_bytes()) is None
+        foreign.write_bytes(gzip.compress(gzip.decompress(one.read_bytes())))
+        blob = foreign.read_bytes()
+        assert scanio._member_bounds(blob) == [0, len(blob)]
+        assert bytes(scanio._inflate(blob, [0, len(blob)])) == gzip.decompress(blob)
         assert np.array_equal(read_volume(foreign).intensities, read_volume(one).intensities)
 
     @pytest.mark.parametrize(
-        "column, deltas",
+        "lengths",
         [
-            (0, {1: +1, 2: -1}),  # one piece's cut moves a byte: the lengths still add up
-            (1, {1: +1, 2: -1}),
-            (0, {2: +1}),  # the pieces outrun the stream
-            (1, {0: -1}),  # the pieces fall short of ISIZE
+            {1: +1, 2: -1},  # a member boundary moves a byte: the lengths still lead to the end
+            {1: -1, 2: +1},
+            {3: +1},  # the lengths lead past the end
+            {0: -1},  # the lengths stop short of the end
         ],
-        ids=["compressed-off-by-one", "uncompressed-off-by-one", "compressed-sum", "uncompressed-sum"],
+        ids=["boundary-later", "boundary-earlier", "sum-past-the-end", "sum-short-of-the-end"],
     )
-    def test_damaged_index_reads_through_the_stream(self, tmp_path, column, deltas):
+    def test_damaged_member_length_reads_through_gzip(self, tmp_path, lengths):
+        """The members of a file whose lengths are wrong do not inflate alone: gzip reads the right data."""
         path = tmp_path / "vol.nii.gz"
         write_frozen("float32", path)
         expected = read_volume(path).intensities
-        lengths = piece_lengths(path.read_bytes())
-        for piece, delta in deltas.items():
-            lengths[piece, column] += delta
-        path.write_bytes(with_piece_lengths(path.read_bytes(), lengths))
-        assert scanio._inflate_indexed(path.read_bytes()) is None
+        blob = path.read_bytes()
+        damaged = member_lengths(blob)
+        for member, delta in lengths.items():
+            damaged[member] += delta
+        blob = with_member_lengths(blob, damaged)
+        path.write_bytes(blob)
+        with pytest.raises(zlib.error):
+            scanio._inflate(blob, scanio._member_bounds(blob))
         assert np.array_equal(read_volume(path).intensities, expected)
 
-    def test_index_over_corrupt_pieces_is_corrupt(self, tmp_path):
-        """Pieces that match their index but not the trailer's CRC-32 are an error, not data."""
+    def test_member_with_a_bad_crc_is_corrupt(self, tmp_path):
+        """A member whose data inflates to its length but not to its CRC-32 is an error, not data."""
         path = tmp_path / "mask.nii.gz"
         write_frozen("mask", path)
-        blob = path.read_bytes()
-        lengths = piece_lengths(blob)
-        start = 12 + int.from_bytes(blob[10:12], "little")
+        first, *rest = members(path.read_bytes())
         ones = zlib.compressobj(1, zlib.DEFLATED, -15)
-        ones = ones.compress(b"\x01" * 352) + ones.flush(zlib.Z_SYNC_FLUSH)  # in place of the NIfTI header
-        rest = blob[start + lengths[0, 0] :]
-        lengths[0, 0] = len(ones)
-        path.write_bytes(with_piece_lengths(blob[:start], lengths) + ones + rest)
+        ones = ones.compress(b"\x01" * 352) + ones.flush()  # in place of the NIfTI header
+        first = scanio.GZIP_HEADER + struct.pack("<I", 20 + len(ones) + 8) + ones + first[-8:]
+        path.write_bytes(first + b"".join(rest))
+        assert member_lengths(path.read_bytes())[1:] == [len(m) for m in rest]
         with pytest.raises(VolumeLoadError, match="corrupt gzip stream"):
             read_mask(path)
 
     def test_multi_member_file_reads_like_one_member(self, tmp_path):
         one = tmp_path / "one.nii.gz"
         write_frozen("float32", one)
-        decoded = gunzip_one_member(one.read_bytes())
+        decoded = gzip.decompress(one.read_bytes())
         two = tmp_path / "two.nii.gz"
         two.write_bytes(gzip.compress(decoded[:1000]) + gzip.compress(decoded[1000:]))
         assert np.array_equal(read_volume(two).intensities, read_volume(one).intensities)

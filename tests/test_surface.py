@@ -143,6 +143,13 @@ def test_every_scan_on_its_own_grid():
     assert [p.name for p in cli.COMMANDS["segment"].params if p.name.startswith("target_")] == []
 
 
+def test_one_gzip_inflater():
+    """A `.nii.gz` read inflates its members in `scanio._inflate` or falls back to `gzip`; zlib checks every CRC-32."""
+    gone = ("_inflate_indexed", "_inflate_one_member", "GZIP_INDEX_ID", "GZIP_MAX_PIECES", "_cast")
+    assert [n for n in gone if hasattr(scanio, n)] == []
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "crc32" in p.read_text()] == []
+
+
 def test_reference_score_is_the_band_pass():
     """No radial-symmetry vote in the segmenter or its oracle, and no default intensity window."""
     import oracles
@@ -163,7 +170,7 @@ def test_masks_are_bool(tmp_path):
         "binarize_fused": triplanar.binarize_fused(volume.ProbabilityVolume(gt.labels)),
         "synthesize_mask": annotation.synthesize_mask(v, [annotation.CMBAnnotation(volume.WorldPoint(8.0, 8.0, 8.0))]),
         "read_mask": scanio.read_mask(tmp_path / "gt.nii.gz"),
-        "_warp": augment._warp(v, gt, None)[1],
+        "_warp": augment._warp(v, gt, np.zeros((3, *v.dims), dtype=np.float32))[1],
         "rotate_volume": augment.rotate_volume(v, gt, (0.0, 0.0, 30.0))[1],
         "flip_volume": augment.flip_volume(v, gt, (0,))[1],
     }
