@@ -108,18 +108,18 @@ def _inflate(raw: bytes, bounds: list[int]) -> memoryview:
     outgrows its ISIZE, ends early or is followed by more data raises
     ``zlib.error``.
     """
-    ends = np.cumsum([0] + [int.from_bytes(raw[b - 4 : b], "little") for b in bounds[1:]])
-    if ends[-1] > _MAX_INFLATION * len(raw):
-        raise zlib.error(f"ISIZE {ends[-1]} is more than DEFLATE can expand {len(raw)} bytes to")
-    data = np.empty(ends[-1], dtype=np.uint8)
+    offsets = np.cumsum([0] + [int.from_bytes(raw[b - 4 : b], "little") for b in bounds[1:]])
+    if offsets[-1] > _MAX_INFLATION * len(raw):
+        raise zlib.error(f"ISIZE {offsets[-1]} is more than DEFLATE can expand {len(raw)} bytes to")
+    data = np.empty(offsets[-1], dtype=np.uint8)
     view, stream = memoryview(data), memoryview(raw)
 
     def inflate(i: int) -> None:
-        inflater, pos, member = zlib.decompressobj(31), ends[i], stream[bounds[i] : bounds[i + 1]]
+        inflater, pos, member = zlib.decompressobj(31), offsets[i], stream[bounds[i] : bounds[i + 1]]
         for at in range(0, len(member), GZIP_CHUNK):
             piece = inflater.decompress(member[at : at + GZIP_CHUNK], GZIP_CHUNK)
             while piece:  # until the chunk is used up and no output is pending
-                if pos + len(piece) > ends[i + 1]:
+                if pos + len(piece) > offsets[i + 1]:
                     raise zlib.error(f"member {i} outgrows its ISIZE")
                 view[pos : pos + len(piece)] = piece
                 pos += len(piece)
