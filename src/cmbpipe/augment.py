@@ -36,6 +36,13 @@ from .volume import LabelMask, Volume3D, extrema, plane_blocks, require_same_geo
 AXES = (0, 1, 2)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer; a float or a bool is a ConfigError, as in a spec."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Individual transforms
 # ---------------------------------------------------------------------------
@@ -186,7 +193,7 @@ def rotate_volume(v: Volume3D, m: LabelMask, angles_deg):
 def flip_volume(v: Volume3D, m: LabelMask, axes):
     """Mirror along the given axes; an involution for any fixed axis set."""
     require_same_geometry(v, m, "image and mask")
-    axes = tuple(int(a) for a in axes)
+    axes = tuple(_integer(a, "flip axis") for a in axes)
     if any(a not in AXES for a in axes) or len(set(axes)) != len(axes):
         raise ConfigError(f"flip axes must be distinct values in {AXES}, got {axes}")
     if not axes:
@@ -196,7 +203,7 @@ def flip_volume(v: Volume3D, m: LabelMask, axes):
 
 def bias_field(v: Volume3D, order: int = 3, amplitude: float = 0.2, seed: int = 0) -> Volume3D:
     """Multiplicative low-order polynomial field, spatial mean exactly 1."""
-    require(order, "[1, inf)", "bias field order")
+    order = require(_integer(order, "bias field order"), "[1, inf)", "bias field order")
     require(amplitude, "[0, inf)", "bias field amplitude")
     if amplitude == 0.0:
         return v
@@ -257,9 +264,9 @@ def motion_ghost(v: Volume3D, n_ghosts: int, intensity: float, axis: int = 2) ->
     block of planes across another axis is transformed, scaled and inverted
     in one complex buffer.
     """
-    require(n_ghosts, "[2, inf)", "n_ghosts")
+    n_ghosts = require(_integer(n_ghosts, "n_ghosts"), "[2, inf)", "n_ghosts")
     require(intensity, "[0, 1]", "ghost intensity")
-    if axis not in AXES:
+    if _integer(axis, "axis") not in AXES:
         raise ConfigError(f"axis must be in {AXES}, got {axis}")
     if intensity == 0.0:
         return v

@@ -169,14 +169,16 @@ def _convert(command: str, p: Param, value, source: str):
 
 
 def _json_object(path: str, what: str) -> dict:
-    """The JSON object in the file at ``path``; a missing or unreadable file or other JSON is a config error."""
+    """The JSON object in the UTF-8 file at ``path``; a missing or unreadable file or other JSON is a config error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} not found: {path}") from exc
     except OSError as exc:
         raise ConfigError(f"{what} {path} cannot be read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
@@ -232,22 +234,28 @@ def _entry_volume_path(entry: scanio.ScanManifestEntry, manifest_path: str) -> P
 
 
 def _read_detections_file(path: str) -> dict[str, detect.Detections]:
-    """Per-scan detections from a `detect` output file, by scan id in file order."""
+    """Per-scan detections from a UTF-8 `detect` output file, by scan id in file order."""
     per_scan = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                scan_id, dets = record["scan_id"], detect.Detections.from_records(record["detections"])
-                if not isinstance(scan_id, str):
-                    raise TypeError(f"scan_id must be a string, got {scan_id!r}")
-            except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
-                raise DataError(f"{path} line {lineno}: bad detections record ({exc})") from exc
-            if scan_id in per_scan:
-                raise DataError(f"{path} line {lineno}: scan_id {scan_id!r} appears twice")
-            per_scan[scan_id] = dets
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:  # a missing file, a directory, a permission, a failing device
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            scan_id, dets = record["scan_id"], detect.Detections.from_records(record["detections"])
+            if not isinstance(scan_id, str):
+                raise TypeError(f"scan_id must be a string, got {scan_id!r}")
+        except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+            raise DataError(f"{path} line {lineno}: bad detections record ({exc})") from exc
+        if scan_id in per_scan:
+            raise DataError(f"{path} line {lineno}: scan_id {scan_id!r} appears twice")
+        per_scan[scan_id] = dets
     return per_scan
 
 
@@ -454,7 +462,7 @@ def cmd_augment(params: dict) -> list[Path]:
     Param("prob_dir", str, help="external: directory of <scan_id>_<view>.nii.gz probabilities"),
     Param("lo_pct", float, 0.0, help="reference: intensity percentile mapped to 0", bound=volume.PERCENTILE_BOUND),
     Param("hi_pct", float, 100.0, help="reference: intensity percentile mapped to 1", bound=volume.PERCENTILE_BOUND),
-    Param("tau", float, 0.125, help="threshold on the fused probability (0.125 = 0.5^3)", bound=triplanar.TAU_BOUND),
+    Param("tau", float, triplanar.DEFAULT_TAU, help="threshold on the fused probability", bound=triplanar.TAU_BOUND),
     JOBS,
 )
 def cmd_segment(params: dict) -> list[Path]:

@@ -7,11 +7,17 @@ rather than traced by hand. Mimics (dark vessel tubes and calcification
 blobs) are planted the same way but excluded from the ground truth — they
 exist to create false positives.
 
+Every planted object is a capsule: a segment, with a Gaussian profile of
+the distance to it. A vessel's segment runs between its ends, and a blob's
+from its center to itself. The same distance measures the clearance that
+:func:`validate_spec` and :func:`random_phantom_spec` keep between objects.
+
 A phantom is rendered in blocks of axis-0 planes, in two passes that
 :func:`volume.run_blocks` pools share. In the first, each block writes
 its unscaled smooth field into its own planes of the output and keeps
 their min and max, which give the field's scale. In the second, each
-block scales its field, adds the base, applies the dips, then adds
+block scales its field, adds the base, applies the dips and writes each
+CMB's ground truth from the squared distance of its dip, then adds
 ``noise_sigma`` times the noise of each of its planes: plane ``k`` draws
 from its own stream, ``derive_rng(seed, "noise", k)``. The output
 depends on neither the thread count nor the block size.
@@ -35,6 +41,7 @@ MIN_CMB_SEPARATION_MM = 4.0  # surface-to-surface
 ALPHA_GT_THRESHOLD = 0.65
 CONTRAST_BOUND = "(0, 1]"  # fractional dip depth
 BACKGROUND_BOUNDS = {"base": "(-inf, inf)", "smooth_amplitude": "[0, inf)", "noise_sigma": "[0, inf)"}
+FACE_MARGIN_MM = 8.0  # every randomly placed object keeps this far inside each face
 
 # alpha(r) = exp(-r^2 / (2 sigma^2)) for the planted profile, so the
 # alpha > t isosurface is the sphere r < sigma * sqrt(2 ln(1/t)).
@@ -91,7 +98,14 @@ class PhantomSpec:
     seed: int = 0
 
 
+def _segment(obj) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of the object's segment: a vessel's start and end, or a blob's center twice."""
+    ends = (obj.start, obj.end) if isinstance(obj, VesselSpec) else (obj.center, obj.center)
+    return tuple(np.asarray(p, dtype=np.float64) for p in ends)
+
+
 def _segment_point_distance(p0: np.ndarray, p1: np.ndarray, x: np.ndarray) -> float:
+    """Distance from ``x`` to the segment p0-p1, a point when p0 is p1."""
     seg = p1 - p0
     denom = float(seg @ seg)
     t = 0.0 if denom == 0 else float(np.clip((x - p0) @ seg / denom, 0.0, 1.0))
@@ -106,78 +120,59 @@ def validate_spec(spec: PhantomSpec) -> None:
     for name, bound in BACKGROUND_BOUNDS.items():
         require(getattr(spec.background, name), bound, name)
     extent = np.asarray(spec.dims) * spec.spacing
-    for idx, cmb in enumerate(spec.cmbs):
-        if not (DIAMETER_RANGE_MM[0] <= cmb.diameter_mm <= DIAMETER_RANGE_MM[1]):
+    objects = [("cmb", i, c) for i, c in enumerate(spec.cmbs)]
+    objects += [("calcification", i, c) for i, c in enumerate(spec.calcifications)]
+    objects += [("vessel", i, v) for i, v in enumerate(spec.vessels)]
+    for kind, i, obj in objects:
+        name = f"{kind} {i}"
+        if kind == "cmb" and not (DIAMETER_RANGE_MM[0] <= obj.diameter_mm <= DIAMETER_RANGE_MM[1]):
             raise PhantomSpecError(
-                f"cmb {idx}: diameter {cmb.diameter_mm} mm outside the clinical range {DIAMETER_RANGE_MM}"
+                f"{name}: diameter {obj.diameter_mm} mm outside the clinical range {DIAMETER_RANGE_MM}"
             )
-    objects = [(f"cmb {i}", c, {"center": c.center}) for i, c in enumerate(spec.cmbs)]
-    objects += [(f"calcification {i}", c, {"center": c.center}) for i, c in enumerate(spec.calcifications)]
-    objects += [(f"vessel {i}", v, {"start": v.start, "end": v.end}) for i, v in enumerate(spec.vessels)]
-    for name, obj, points in objects:
         try:
             require(obj.contrast, CONTRAST_BOUND, f"{name}: contrast")
             require(obj.diameter_mm, "(0, inf)", f"{name}: diameter_mm")
         except ConfigError as exc:
             raise PhantomSpecError(str(exc)) from None
+        points = {"start": obj.start, "end": obj.end} if kind == "vessel" else {"center": obj.center}
         for where, p in points.items():
             if not np.all((np.asarray(p) >= 0) & (np.asarray(p) <= extent)):  # NaN fails too
                 raise PhantomSpecError(f"{name}: {where} {tuple(p)} outside the volume")
-    for i, a in enumerate(spec.cmbs):
-        for j in range(i + 1, len(spec.cmbs)):
-            b = spec.cmbs[j]
-            gap = (
-                float(np.linalg.norm(np.asarray(a.center) - np.asarray(b.center)))
-                - a.diameter_mm / 2.0
-                - b.diameter_mm / 2.0
-            )
-            if gap < MIN_CMB_SEPARATION_MM:
+    # Each object against every blob listed before it: vessels come last, so vessel pairs go unchecked.
+    for b, (kind_b, j, obj_b) in enumerate(objects):
+        for kind_a, i, obj_a in objects[:b]:
+            if kind_a == "vessel":
+                break
+            distance = _segment_point_distance(*_segment(obj_b), np.asarray(obj_a.center, dtype=np.float64))
+            gap = distance - obj_b.diameter_mm / 2.0 - obj_a.diameter_mm / 2.0
+            if kind_b == "cmb" and gap < MIN_CMB_SEPARATION_MM:
                 raise PhantomSpecError(
                     f"cmbs {i} and {j} are {gap:.2f} mm apart surface-to-surface "
                     f"(minimum {MIN_CMB_SEPARATION_MM} mm)"
                 )
-    # Mimics must not overlap CMBs (or each other, for blobs).
-    blobs = [(np.asarray(c.center), c.diameter_mm / 2.0, f"cmb {i}") for i, c in enumerate(spec.cmbs)]
-    calcs = [(np.asarray(c.center), c.diameter_mm / 2.0, f"calcification {i}") for i, c in enumerate(spec.calcifications)]
-    for i, (cc, cr, cname) in enumerate(calcs):
-        for oc, orad, oname in blobs + calcs[:i]:
-            if float(np.linalg.norm(cc - oc)) - cr - orad <= 0.0:
-                raise PhantomSpecError(f"{cname} overlaps {oname}")
-    for vi, vessel in enumerate(spec.vessels):
-        p0, p1 = np.asarray(vessel.start, float), np.asarray(vessel.end, float)
-        vr = vessel.diameter_mm / 2.0
-        for oc, orad, oname in blobs + calcs:
-            if _segment_point_distance(p0, p1, oc) - vr - orad <= 0.0:
-                raise PhantomSpecError(f"vessel {vi} overlaps {oname}")
-
-
-def _axis_coords(spec: PhantomSpec):
-    return [np.arange(n, dtype=np.float64) * spec.spacing for n in spec.dims]
+            if gap <= 0.0:
+                raise PhantomSpecError(f"{kind_b} {j} overlaps {kind_a} {i}")
 
 
 def _smooth_field(spec: PhantomSpec, blocks: list[slice], arr: np.ndarray) -> float:
     """Write the unscaled low-frequency field into ``arr``; return the factor that scales it to ``smooth_amplitude``.
 
     The factor takes the field's largest magnitude to ``smooth_amplitude``
-    (0 when that is 0, 1 for a flat field). The field is a 3x3x3 cosine
+    (1 for a field that is 0 everywhere). The field is a 3x3x3 cosine
     series. Its p and q sums are taken once into an (I, J, 3) table, and
     each of the axis-0 ``blocks``, which one pool shares, is one matmul of
     its rows against the k basis, written into its planes of ``arr``
     while their min and max are taken.
     """
-    amp = spec.background.smooth_amplitude
-    if amp == 0.0:
-        run_blocks(lambda planes: arr[planes].fill(0.0), blocks)
-        return 0.0
     rng = derive_rng(spec.seed, "background")
     coeff = rng.standard_normal((3, 3, 3))
     coeff[0, 0, 0] = 0.0  # DC belongs to `base`
-    xs = _axis_coords(spec)
+    xs = _box_coords(spec, tuple(slice(0, n) for n in spec.dims))
     basis = []
     for axis in range(3):
         extent = spec.dims[axis] * spec.spacing
         freq = np.arange(3)[:, None] * np.pi / extent
-        basis.append(np.cos(freq * xs[axis][None, :]))
+        basis.append(np.cos(freq * xs[axis].reshape(1, -1)))
     pq = np.tensordot(basis[0], coeff, axes=(0, 0))  # (I, q, r): the sum over p
     table = np.tensordot(pq, basis[1], axes=(1, 0)).transpose(0, 2, 1).copy()  # (I, J, r): then over q
     lows, highs = np.empty(len(blocks)), np.empty(len(blocks))
@@ -190,7 +185,7 @@ def _smooth_field(spec: PhantomSpec, blocks: list[slice], arr: np.ndarray) -> fl
 
     run_blocks(field, range(len(blocks)))
     peak = max(highs.max(), -lows.min())  # the largest |value|, without an np.abs copy
-    return amp / peak if peak > 0 else 1.0
+    return spec.background.smooth_amplitude / peak if peak > 0 else 1.0
 
 
 def _box(spec: PhantomSpec, lo_mm, hi_mm) -> tuple[slice, ...] | None:
@@ -210,59 +205,38 @@ def _box_coords(spec: PhantomSpec, box: tuple[slice, ...]) -> list[np.ndarray]:
     return [(np.arange(s.start, s.stop, dtype=np.float64) * spec.spacing).reshape(sh) for s, sh in zip(box, shapes)]
 
 
-# A dip is a pair ``(box, factor)``: the box of voxels it reaches, and ``factor(rows)``, the factor
-# that multiplies the box's axis-0 ``rows`` (counted from the box's first plane). Both are set up
-# once per dip, and each block of planes evaluates only its own rows.
+def _dip(spec: PhantomSpec, obj: CMBSpec | VesselSpec | CalcificationSpec) -> tuple | None:
+    """The object's dip ``(box, factor)``; None if it reaches no voxel.
 
-
-def _gaussian_dip(spec: PhantomSpec, blob: CMBSpec | CalcificationSpec) -> tuple | None:
-    """The blob's dip (1 - contrast * exp(-r^2 / 2 sigma^2)), sigma its profile width; None if it reaches no voxel."""
-    sigma = profile_sigma_mm(blob.diameter_mm)
+    The dip is 1 - contrast * exp(-d^2 / 2 sigma^2), d the distance to the
+    object's segment and sigma its profile width, out to 4 sigma: ``box``.
+    ``factor(rows)`` gives the dip of the box's axis-0 ``rows`` (counted
+    from its first plane) and, for a CMB, its ground truth d < gt radius
+    (None for a mimic). The box and coordinates are set up once per dip;
+    each block of planes evaluates only its own rows.
+    """
+    p0, p1 = _segment(obj)
+    sigma = profile_sigma_mm(obj.diameter_mm)
     reach = 4.0 * sigma
-    box = _box(spec, [c - reach for c in blob.center], [c + reach for c in blob.center])
-    if box is None:
-        return None
-    sq = [(x - c) ** 2 for x, c in zip(_box_coords(spec, box), blob.center)]
-
-    def factor(rows: slice) -> np.ndarray:
-        return 1.0 - blob.contrast * np.exp(-(sq[0][rows] + sq[1] + sq[2]) / (2.0 * sigma**2))
-
-    return box, factor
-
-
-def _tube_dip(spec: PhantomSpec, vessel: VesselSpec) -> tuple | None:
-    """The vessel's tube profile, a Gaussian of the distance to its segment; None if it reaches no voxel."""
-    sigma = profile_sigma_mm(vessel.diameter_mm)
-    reach = 4.0 * sigma
-    ends = list(zip(vessel.start, vessel.end))
-    box = _box(spec, [min(e) - reach for e in ends], [max(e) + reach for e in ends])
+    box = _box(spec, np.minimum(p0, p1) - reach, np.maximum(p0, p1) + reach)
     if box is None:
         return None
     xs = _box_coords(spec, box)
-    p0 = np.asarray(vessel.start, dtype=np.float64)
-    seg = np.asarray(vessel.end, dtype=np.float64) - p0
+    seg = p1 - p0
     denom = float(seg @ seg)
+    gt_r2 = gt_radius_mm(obj.diameter_mm) ** 2 if isinstance(obj, CMBSpec) else None
 
-    def factor(rows: slice) -> np.ndarray:
+    def factor(rows: slice) -> tuple[np.ndarray, np.ndarray | None]:
         x = (xs[0][rows], *xs[1:])
-        terms = [(x[a] - p0[a]) * seg[a] for a in range(3)]
-        t = np.clip(sum(terms[1:], terms[0]) / denom, 0.0, 1.0) if denom > 0 else 0.0  # start == end: a point
-        nearest = [p0[a] + t * seg[a] for a in range(3)]
+        nearest = p0  # a blob's segment is its center
+        if denom > 0:
+            terms = [(x[a] - p0[a]) * seg[a] for a in range(3)]
+            t = np.clip(sum(terms[1:], terms[0]) / denom, 0.0, 1.0)
+            nearest = [p0[a] + t * seg[a] for a in range(3)]
         d2 = (x[0] - nearest[0]) ** 2 + (x[1] - nearest[1]) ** 2 + (x[2] - nearest[2]) ** 2
-        return 1.0 - vessel.contrast * np.exp(-d2 / (2.0 * sigma**2))
+        return 1.0 - obj.contrast * np.exp(-d2 / (2.0 * sigma**2)), None if gt_r2 is None else d2 < gt_r2
 
     return box, factor
-
-
-def _gt_sphere(labels: np.ndarray, spec: PhantomSpec, cmb: CMBSpec) -> None:
-    radius = gt_radius_mm(cmb.diameter_mm)
-    c = np.asarray(cmb.center, dtype=np.float64)
-    box = _box(spec, c - radius, c + radius)
-    if box is None:
-        return
-    xs = [x - c[a] for a, x in enumerate(_box_coords(spec, box))]
-    r2 = xs[0] ** 2 + xs[1] ** 2 + xs[2] ** 2
-    labels[box] |= r2 < radius**2
 
 
 def generate_phantom(
@@ -274,20 +248,23 @@ def generate_phantom(
     blocks = [planes for (planes,) in plane_blocks(spec.dims)]
     base, sigma = float(spec.background.base), spec.background.noise_sigma
     scale = _smooth_field(spec, blocks, arr)
-    dips = [_gaussian_dip(spec, blob) for blob in spec.cmbs + spec.calcifications]
-    dips = [dip for dip in dips + [_tube_dip(spec, v) for v in spec.vessels] if dip is not None]
+    labels = np.zeros(spec.dims, dtype=bool)
+    dips = [_dip(spec, obj) for obj in spec.cmbs + spec.calcifications + spec.vessels]
+    dips = [dip for dip in dips if dip is not None]
 
     def render(planes: slice) -> None:
-        """Scale the block's field in ``arr``, add the base and dips, then add ``sigma`` times each plane's own draw."""
+        """Scale the block's field, add the base, apply the dips and their ground truth, then add each plane's noise."""
         out = arr[planes]
         out *= scale
         out += base
         for box, factor in dips:
             lo, hi = max(box[0].start, planes.start), min(box[0].stop, planes.stop)
             if lo < hi:
-                out[(slice(lo - planes.start, hi - planes.start), *box[1:])] *= factor(
-                    slice(lo - box[0].start, hi - box[0].start)
-                )
+                here = (slice(lo, hi), *box[1:])
+                dip, inside = factor(slice(lo - box[0].start, hi - box[0].start))
+                arr[here] *= dip
+                if inside is not None:
+                    labels[here] |= inside
         if sigma > 0:
             noise = np.empty_like(out)
             for k, plane in zip(range(planes.start, planes.stop), noise):
@@ -296,10 +273,6 @@ def generate_phantom(
             out += noise
 
     run_blocks(render, blocks)
-
-    labels = np.zeros(spec.dims, dtype=bool)
-    for cmb in spec.cmbs:
-        _gt_sphere(labels, spec, cmb)
 
     spacing3 = (spec.spacing,) * 3
     volume = Volume3D(arr, spacing3, (0.0, 0.0, 0.0))
@@ -355,59 +328,44 @@ def random_phantom_spec(
         n_cmbs = int(rng.integers(n_cmbs_range[0], n_cmbs_range[1] + 1))
     extent = np.asarray(dims) * spacing
 
-    placed: list[tuple[np.ndarray, float]] = []
+    placed: list[tuple[np.ndarray, float]] = []  # the center and radius of each blob placed so far
 
-    def try_place(radius: float, margin: float) -> np.ndarray | None:
+    def clear(p0: np.ndarray, p1: np.ndarray, radius: float) -> bool:
+        """Whether a capsule of ``radius`` on the segment p0-p1 keeps the CMB separation from every placed blob."""
+        return all(_segment_point_distance(p0, p1, pc) - radius - pr >= MIN_CMB_SEPARATION_MM for pc, pr in placed)
+
+    def place_blob(kind, d: float):
+        """A ``kind`` of diameter ``d`` on a clear voxel center; None if it cannot fit or 200 draws find none."""
+        margin = d / 2.0 + FACE_MARGIN_MM
         if np.any(extent - 2.0 * margin <= 0):
-            return None  # object cannot fit this volume at all
+            return None
         for _ in range(200):
             c = np.rint(rng.uniform(margin, extent - margin) / spacing) * spacing
-            if all(np.linalg.norm(c - pc) - radius - pr >= MIN_CMB_SEPARATION_MM for pc, pr in placed):
-                return c
+            if clear(c, c, d / 2.0):
+                placed.append((c, d / 2.0))
+                return kind(WorldPoint(*map(float, c)), d, float(rng.uniform(*contrast_range)))
         return None
 
     cmbs = []
     for _ in range(n_cmbs):
-        d = float(rng.uniform(*diameter_range))
-        c = try_place(d / 2.0, d / 2.0 + 8.0)
-        if c is None:
+        cmb = place_blob(CMBSpec, float(rng.uniform(*diameter_range)))
+        if cmb is None:
             break
-        placed.append((c, d / 2.0))
-        cmbs.append(CMBSpec(WorldPoint(*(float(x) for x in c)), d, float(rng.uniform(*contrast_range))))
-
-    calcs = []
-    for _ in range(n_calcifications):
-        d = float(rng.uniform(2.0, 6.0))
-        c = try_place(d / 2.0, d / 2.0 + 8.0)
-        if c is None:
-            continue
-        placed.append((c, d / 2.0))
-        calcs.append(CalcificationSpec(WorldPoint(*(float(x) for x in c)), d, float(rng.uniform(*contrast_range))))
+        cmbs.append(cmb)
+    calcs = [place_blob(CalcificationSpec, float(rng.uniform(2.0, 6.0))) for _ in range(n_calcifications)]
+    calcs = [c for c in calcs if c is not None]
 
     vessels = []
-    fits = bool(np.all(extent >= 16.0))  # a vessel keeps 8 mm from every face, like the blobs' margin
-    for _ in range(n_vessels if fits else 0):
+    for _ in range(n_vessels if np.all(extent >= 2.0 * FACE_MARGIN_MM) else 0):
         d = float(rng.uniform(1.0, 2.0))
         axis = int(rng.integers(0, 3))
         for _ in range(200):
-            p0 = rng.uniform(8.0, extent - 8.0)
+            p0 = rng.uniform(FACE_MARGIN_MM, extent - FACE_MARGIN_MM)
             p1 = p0.copy()
-            p1[axis] = extent[axis] - 8.0
-            p0a = p0.copy()
-            p0a[axis] = 8.0
-            clear = all(
-                _segment_point_distance(p0a, p1, pc) - d / 2.0 - pr >= MIN_CMB_SEPARATION_MM
-                for pc, pr in placed
-            )
-            if clear:
-                vessels.append(
-                    VesselSpec(
-                        WorldPoint(*(float(x) for x in p0a)),
-                        WorldPoint(*(float(x) for x in p1)),
-                        d,
-                        float(rng.uniform(0.4, 0.7)),
-                    )
-                )
+            p0[axis], p1[axis] = FACE_MARGIN_MM, extent[axis] - FACE_MARGIN_MM
+            if clear(p0, p1, d / 2.0):
+                ends = (WorldPoint(*map(float, p0)), WorldPoint(*map(float, p1)))
+                vessels.append(VesselSpec(*ends, d, float(rng.uniform(0.4, 0.7))))
                 break
 
     return replace(grid, cmbs=tuple(cmbs), vessels=tuple(vessels), calcifications=tuple(calcs))

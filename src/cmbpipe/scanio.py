@@ -500,22 +500,28 @@ def _entry_from_json(rec: dict, lineno: int) -> ScanManifestEntry:
 
 
 def read_manifest(path: str | Path) -> list[ScanManifestEntry]:
-    """Parse a JSON-lines manifest; schema violations carry the line number."""
+    """Parse a UTF-8 JSON-lines manifest; schema violations carry the line number."""
     entries: list[ScanManifestEntry] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            entry = _entry_from_json(rec, lineno)
-            if entry.scan_id in seen:
-                raise ManifestError(f"line {lineno}: duplicate scan_id '{entry.scan_id}'")
-            seen.add(entry.scan_id)
-            entries.append(entry)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:  # a missing file, a directory, a permission, a failing device
+        raise ManifestError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        entry = _entry_from_json(rec, lineno)
+        if entry.scan_id in seen:
+            raise ManifestError(f"line {lineno}: duplicate scan_id '{entry.scan_id}'")
+        seen.add(entry.scan_id)
+        entries.append(entry)
     return entries
 
 

@@ -24,6 +24,7 @@ from .volume import LabelMask, ProbabilityVolume, Volume3D, plane_blocks, requir
 VIEWS = ("axial", "sagittal", "coronal")
 VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
 TAU_BOUND = "(0, 1)"
+DEFAULT_TAU = 0.5**3  # each of the three views at 0.5
 
 
 def view_axis(view: str) -> int:
@@ -84,8 +85,8 @@ def fuse_views(p_ax: ProbabilityVolume, p_sag: ProbabilityVolume, p_cor: Probabi
     return ProbabilityVolume(fused, p_ax.spacing, p_ax.origin)
 
 
-def binarize_fused(p: ProbabilityVolume, tau: float = 0.125) -> LabelMask:
-    """Label voxels with fused probability strictly above tau (default 0.5^3)."""
+def binarize_fused(p: ProbabilityVolume, tau: float = DEFAULT_TAU) -> LabelMask:
+    """Label voxels with fused probability strictly above tau."""
     require(tau, TAU_BOUND, "tau")
     return LabelMask(np.greater(p.values, tau), p.spacing, p.origin)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -389,6 +391,23 @@ class TestTransformParameters:
         v = Volume3D(np.full((8, 8, 8), 10.0))
         with pytest.raises(ConfigError):
             call(v, LabelMask(np.zeros((8, 8, 8), dtype=np.uint8)), bad)
+
+    INTEGER_PARAMETERS = {
+        "flip_axis": lambda v, m, x: flip_volume(v, m, (x,))[0],
+        "bias_order": lambda v, m, x: bias_field(v, order=x),
+        "n_ghosts": lambda v, m, x: motion_ghost(v, x, 0.3),
+        "ghost_axis": lambda v, m, x: motion_ghost(v, 2, 0.3, axis=x),
+    }
+
+    @pytest.mark.parametrize("call", INTEGER_PARAMETERS.values(), ids=INTEGER_PARAMETERS.keys())
+    def test_integer_parameter_is_an_integer(self, rng, call):
+        """A float or a bool is a config error, as in a spec, not read as the integer it rounds or compares to."""
+        v, m = Volume3D(rng.normal(10.0, 1.0, (8, 8, 8))), LabelMask(np.zeros((8, 8, 8), dtype=bool))
+        for bad in (1.5, 2.0, True, np.float64(2.0)):
+            with pytest.raises(ConfigError, match=re.escape(f"must be an integer, got {bad!r}")):
+                call(v, m, bad)
+        for good in (np.int64(2), np.int8(2)):
+            assert np.array_equal(call(v, m, good).intensities, call(v, m, 2).intensities)
 
 
 class TestApplyAugmentation:

@@ -543,6 +543,15 @@ def write_config(tmp_path, cfg):
 MISSING = "<missing>"  # stands for a path that does not exist
 
 
+def unreadable(path, damage):
+    """``path`` made a directory, or a file of JSON whose one Latin-1 byte is not UTF-8."""
+    if damage == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"scan_id": "caf\xe9"}\n')
+    return path
+
+
 def outside(p):
     """Flag texts of values just outside ``p.bound`` at each finite end, plus NaN and +-inf for a float."""
     lo, hi = (float(end) for end in p.bound[1:-1].split(","))
@@ -658,6 +667,31 @@ class TestConfigAndErrors:
             )
             == 2
         )
+
+    @pytest.mark.parametrize("damage", ["directory", "not-utf8"])
+    def test_unreadable_manifest_exit_2(self, tmp_path, capsys, damage):
+        manifest = unreadable(tmp_path / "manifest.jsonl", damage)
+        assert run("mask-synth", "--manifest", manifest, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(manifest) in err
+
+    @pytest.mark.parametrize("damage", ["directory", "not-utf8"])
+    def test_unreadable_detections_file_exit_2(self, tmp_path, capsys, damage):
+        good = tmp_path / "b.jsonl"
+        write_detections(good, [1, 2], ["s0", "s1"])
+        bad = unreadable(tmp_path / "a.jsonl", damage)
+        assert run("compare-groups", "--detections-a", bad, "--detections-b", good, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--spec"])
+    def test_json_file_not_utf8_exit_1(self, tmp_path, capsys, flag):
+        """A config or augment spec file that is not UTF-8 is a config error, as one that is not JSON."""
+        path = unreadable(tmp_path / "run.json", "not-utf8")
+        args = ("--manifest", tmp_path / "missing.jsonl", "--masks-dir", tmp_path, "--out", tmp_path / "out")
+        assert run("augment", *args, flag, path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
 
     @pytest.mark.parametrize("damage", ["truncated", "bad-crc"])
     def test_corrupt_gzip_volume_exit_2(self, tmp_path, capsys, damage):

@@ -216,6 +216,25 @@ def test_vessel_from_a_point_to_itself_is_a_blob():
     assert np.array_equal(vessel.intensities, blob.intensities)
 
 
+@pytest.mark.parametrize("spacing", [1.0, 0.7])
+@pytest.mark.parametrize("block_voxels", [1, None], ids=["one-plane-blocks", "default-blocks"])
+def test_ground_truth_is_the_union_of_the_cmb_balls(monkeypatch, spacing, block_voxels):
+    """The render pool writes each CMB's analytic ball and nothing of a mimic, with any blocks and threads."""
+    if block_voxels is not None:
+        monkeypatch.setattr("cmbpipe.volume.POOL_BLOCK_VOXELS", block_voxels)
+    dims = (64, 60, 56)
+    for seed in range(3):
+        spec = random_phantom_spec(seed, dims=dims, spacing=spacing, n_vessels=2, n_calcifications=2)
+        assert spec.cmbs and spec.vessels and spec.calcifications
+        want = np.zeros(dims, dtype=bool)
+        for cmb in spec.cmbs:
+            want |= alpha_ball_voxels(dims, spacing, cmb.center, gt_radius_mm(cmb.diameter_mm)).astype(bool)
+        for jobs in (1, 2):
+            with threads(jobs):
+                _, gt, _ = generate_phantom(spec)
+            assert np.array_equal(gt.labels, want)
+
+
 def test_random_spec_respects_separation():
     spec = random_phantom_spec(9, dims=(128, 128, 128), n_cmbs=8)
     for i, a in enumerate(spec.cmbs):

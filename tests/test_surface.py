@@ -9,6 +9,7 @@ sets, one table type and a mask for every spatial transform, every
 scan is segmented on its own grid: nothing resamples it to a cube,
 each JSON record the CLI writes holds exactly its dataclass's fields,
 a mask is a bool array everywhere but in its NIfTI file,
+every planted phantom object is rendered by one dip,
 and the reference score is the band-pass alone, on a window each caller states.
 """
 
@@ -148,6 +149,12 @@ def test_one_gzip_inflater():
     gone = ("_inflate_indexed", "_inflate_one_member", "GZIP_INDEX_ID", "GZIP_MAX_PIECES", "_cast")
     assert [n for n in gone if hasattr(scanio, n)] == []
     assert [p.name for p in sorted(SRC.glob("*.py")) if "crc32" in p.read_text()] == []
+
+
+def test_one_phantom_dip():
+    """Every planted object is a capsule: one dip renders it and, for a CMB, writes its ground truth."""
+    gone = ("_gaussian_dip", "_tube_dip", "_gt_sphere", "_axis_coords")
+    assert [n for n in gone if hasattr(phantom, n)] == []
 
 
 def test_reference_score_is_the_band_pass():
