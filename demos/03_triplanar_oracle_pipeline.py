@@ -11,7 +11,7 @@ proof.
 from cmbpipe import detect
 from cmbpipe.phantom import generate_phantom, random_phantom_spec
 from cmbpipe.segmenter import OracleSegmenter
-from cmbpipe.triplanar import binarize_fused, fuse_views, segment_volume
+from cmbpipe.triplanar import predict
 
 spec = random_phantom_spec(seed=3, dims=(128, 128, 128), n_cmbs=5, diameter_range=(4.0, 10.0))
 volume, gt_mask, _ = generate_phantom(spec)
@@ -21,9 +21,7 @@ n_slices = sum(volume.dims)  # one thick slice per plane of each view
 print(f"Thick slices across the three views: {n_slices}")
 
 oracle = OracleSegmenter(gt_mask)
-probs = segment_volume(volume, oracle)  # one segmenter, told each view in turn
-fused = fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
-pred_mask = binarize_fused(fused, tau=0.125)
+fused, pred_mask = predict(volume, oracle)  # one segmenter, told each view in turn; tau 0.125
 print(f"Fused probability volume: max {fused.values.max():.2f}")
 
 metrics, pred, gt = detect.evaluate_scan(pred_mask, gt_mask, min_volume_mm3=4.2)

@@ -9,8 +9,8 @@ clinical size filter cleans up the speckle.
 
 from cmbpipe import detect
 from cmbpipe.phantom import BackgroundSpec, generate_phantom, random_phantom_spec
-from cmbpipe.segmenter import ReferenceConfig, ReferenceSegmenter
-from cmbpipe.triplanar import binarize_fused, fuse_views, segment_volume
+from cmbpipe.segmenter import REFERENCE_WINDOW, ReferenceConfig, ReferenceSegmenter
+from cmbpipe.triplanar import predict
 from cmbpipe.volume import normalize_intensity
 
 
@@ -25,11 +25,8 @@ def run_scan(seed, n_vessels):
         background=BackgroundSpec(base=100.0, smooth_amplitude=2.0, noise_sigma=4.0),
     )
     volume, gt_mask, _ = generate_phantom(spec)
-    volume = normalize_intensity(volume, 0.0, 100.0)
-    segmenter = ReferenceSegmenter(ReferenceConfig())
-    probs = segment_volume(volume, segmenter)  # all three views, each on every CPU
-    fused = fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
-    pred_mask = binarize_fused(fused, 0.125)
+    volume = normalize_intensity(volume, *REFERENCE_WINDOW)
+    _, pred_mask = predict(volume, ReferenceSegmenter(ReferenceConfig()))  # all three views, each on every CPU
     filtered, _, _ = detect.evaluate_scan(pred_mask, gt_mask, min_volume_mm3=4.2)
     raw, _, _ = detect.evaluate_scan(pred_mask, gt_mask, min_volume_mm3=0.0)
     return filtered, raw

@@ -31,6 +31,7 @@ from .triplanar import (
     ViewSegmenter,
     binarize_fused,
     fuse_views,
+    predict,
     segment_volume,
 )
 from .volume import (

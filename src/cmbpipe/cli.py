@@ -460,8 +460,6 @@ def cmd_augment(params: dict) -> list[Path]:
     Param("score_offset", float, ReferenceConfig.score_offset, help="reference: logistic offset",
           bound=REFERENCE_BOUNDS["score_offset"]),
     Param("prob_dir", str, help="external: directory of <scan_id>_<view>.nii.gz probabilities"),
-    Param("lo_pct", float, 0.0, help="reference: intensity percentile mapped to 0", bound=volume.PERCENTILE_BOUND),
-    Param("hi_pct", float, 100.0, help="reference: intensity percentile mapped to 1", bound=volume.PERCENTILE_BOUND),
     Param("tau", float, triplanar.DEFAULT_TAU, help="threshold on the fused probability", bound=triplanar.TAU_BOUND),
     JOBS,
 )
@@ -470,8 +468,6 @@ def cmd_segment(params: dict) -> list[Path]:
     needed = {"oracle": "gt_dir", "external": "prob_dir"}.get(kind)
     if needed and not params[needed]:
         raise ConfigError(f"segment: --{needed.replace('_', '-')} is required for the {kind} segmenter")
-    if params["lo_pct"] >= params["hi_pct"]:
-        raise ConfigError("segment: lo_pct must be below hi_pct")
     # the scale order is checked here, whichever segmenter the run uses
     reference = ReferenceSegmenter(ReferenceConfig(**{f.name: params[f.name] for f in fields(ReferenceConfig)}))
     out = Path(params["out"])
@@ -483,20 +479,18 @@ def cmd_segment(params: dict) -> list[Path]:
             gt = scanio.read_mask(Path(params["gt_dir"]) / f"{entry.scan_id}.nii.gz")
             seg = OracleSegmenter(gt, params["corruption_rate"], params["oracle_seed"])
         elif kind == "reference":
-            vol = volume.normalize_intensity(vol, params["lo_pct"], params["hi_pct"])
+            vol = volume.normalize_intensity(vol, *segmenter.REFERENCE_WINDOW)
             seg = reference
         else:
             prob_dir = Path(params["prob_dir"])
             seg = ExternalSegmenter(
                 {view: scanio.read_probability(prob_dir / f"{entry.scan_id}_{view}.nii.gz") for view in VIEWS}
             )
-        probs = triplanar.segment_volume(vol, seg)
-        fused = triplanar.fuse_views(*(probs[view] for view in VIEWS))
-        del probs  # before the writes: only the fused volume is kept
+        fused, mask = triplanar.predict(vol, seg, params["tau"])
         fused_path = out / "fused" / f"{entry.scan_id}.nii.gz"
         mask_path = out / "pred_masks" / f"{entry.scan_id}.nii.gz"
         scanio.write_probability(fused, fused_path)
-        scanio.write_mask(triplanar.binarize_fused(fused, params["tau"]), mask_path)
+        scanio.write_mask(mask, mask_path)
         outputs += [fused_path, mask_path]
     print(f"segment: wrote fused volumes and masks for {len(entries)} scans under {out}")
     return outputs

@@ -18,14 +18,14 @@ class ConfigError(CMBPipeError):
 
 
 def require(value, bound: str, name: str):
-    """``value`` if it is a finite number in ``bound``, an interval such as "[0, inf)" or "(0, 1]".
+    """``value`` if it is a finite number, not a bool, in ``bound``, an interval such as "[0, inf)" or "(0, 1]".
 
     Else a :class:`ConfigError` names the parameter ``name`` and the bound.
     """
     lo, hi = (float(end) for end in bound[1:-1].split(","))
     above = lo < value if bound[0] == "(" else lo <= value
     below = value < hi if bound[-1] == ")" else value <= hi
-    if not (above and below and (isinstance(value, int) or math.isfinite(value))):
+    if isinstance(value, bool) or not (above and below and (isinstance(value, int) or math.isfinite(value))):
         raise ConfigError(f"{name} must lie in {bound}, got {value!r}")
     return value
 

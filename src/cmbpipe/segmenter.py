@@ -36,6 +36,9 @@ from .volume import (
 # put fused background at the 0.125 threshold.
 DEFAULT_LOGISTIC_GAIN = 40.0
 DEFAULT_SCORE_OFFSET = 0.05
+# The percentile window of volume.normalize_intensity for the reference's input: the full range, which the
+# offset was tuned for (on the CLI's own 96^3 phantoms a 1/99 window gives about 2,800 false positives per scan).
+REFERENCE_WINDOW = (0.0, 100.0)
 CORRUPTION_RATE_BOUND = "[0, 1)"
 REFERENCE_BOUNDS = {  # each ReferenceConfig field's bound; the scales must also be in order
     "scale_min_mm": "(0, inf)", "scale_max_mm": "(0, inf)", "logistic_gain": "(0, inf)", "score_offset": "[0, inf)",

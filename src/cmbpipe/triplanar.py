@@ -8,7 +8,7 @@ them have non-square pixels. A segmenter turns each view into one
 probability volume in a single call (a per-slice model plugs in through
 :class:`SliceAdapter`), and the three are fused voxel-wise by
 multiplication: a detection survives only where all three views agree, so
-any view near zero vetoes it.
+any view near zero vetoes it. :func:`predict` runs the whole chain.
 """
 
 from __future__ import annotations
@@ -159,3 +159,10 @@ def segment_view(v: Volume3D, view: str, segmenter: ViewSegmenter) -> Probabilit
 def segment_volume(v: Volume3D, segmenter: ViewSegmenter) -> dict:
     """Per-view probability volumes, keyed by view, from one segmenter that is told each view."""
     return {view: segment_view(v, view, segmenter) for view in VIEWS}
+
+
+def predict(v: Volume3D, segmenter: ViewSegmenter, tau: float = DEFAULT_TAU) -> tuple[ProbabilityVolume, LabelMask]:
+    """``v``'s three views fused by product, and the mask of the fused voxels above ``tau``: the one scan path."""
+    require(tau, TAU_BOUND, "tau")  # before any view is segmented
+    fused = fuse_views(*segment_volume(v, segmenter).values())  # the views are dropped here, before the mask
+    return fused, binarize_fused(fused, tau)

@@ -586,7 +586,6 @@ MORE_CASES = [
     ("mask-synth", ("--alpha-threshold", "2"), True),
     ("mask-synth", ("--snap-radius-mm", "-1"), True),
     ("compare-groups", ("--illness-threshold", "-3"), True),
-    ("segment", ("--lo-pct", "50", "--hi-pct", "10"), False),
     ("segment", ("--scale-min-mm", "4", "--scale-max-mm", "1"), False),
     ("segment", ("--segmenter", "oracle"), False),
     ("segment", ("--segmenter", "external"), False),
@@ -616,6 +615,16 @@ class TestConfigAndErrors:
         out = tmp_path / "out"
         assert run(command, *args, "--out", out) == 1
         assert not out.exists() if bounded else not any(out.iterdir())
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_segment_takes_no_intensity_window(self, tmp_path, where):
+        """The reference always sees the full-range window: a ``lo_pct`` exits 1, reads nothing, writes nothing."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"segment": {"lo_pct": 1}}))
+        window = ("--lo-pct", "1") if where == "flag" else ("--config", config)
+        out = tmp_path / "out"
+        assert run("segment", "--manifest", tmp_path / "missing", *window, "--out", out) == 1
+        assert not out.exists()
 
     def test_usage_error_exit_1(self, capsys):
         assert run("segment") == 1  # missing required params

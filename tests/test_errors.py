@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cmbpipe import augment
 from cmbpipe.errors import ConfigError, require
+from cmbpipe.phantom import BackgroundSpec, PhantomSpec, generate_phantom
+from cmbpipe.volume import Volume3D
 
 
 @pytest.mark.parametrize(
@@ -30,3 +33,24 @@ def test_ends_and_non_finite_values(bound, inside, outside):
 def test_message_names_the_parameter_and_the_bound():
     with pytest.raises(ConfigError, match=r"^segment: tau must lie in \(0, 1\), got nan$"):
         require(math.nan, "(0, 1)", "segment: tau")
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_not_a_number(value):
+    """``isinstance(True, int)`` holds, but no parameter takes ``True`` as 1 or ``False`` as 0."""
+    with pytest.raises(ConfigError, match=rf"x must lie in \[0, inf\), got {value}$"):
+        require(value, "[0, inf)", "x")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: augment.blur_volume(v, True),
+        lambda v: augment.noise_add_mult(v, True, 0.0),
+        lambda v: generate_phantom(PhantomSpec(dims=(8, 8, 8), background=BackgroundSpec(True, False, False))),
+    ],
+    ids=["blur_volume", "noise_add_mult", "BackgroundSpec"],
+)
+def test_library_calls_reject_a_bool(call):
+    with pytest.raises(ConfigError):
+        call(Volume3D(np.full((8, 8, 8), 100.0)))

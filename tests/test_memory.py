@@ -17,9 +17,9 @@ from cmbpipe.augment import bias_field, blur_volume, elastic_deform, gibbs_ringi
 from cmbpipe.detect import evaluate_scan
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
 from cmbpipe.scanio import read_mask, read_probability, read_volume, write_mask, write_probability, write_volume
-from cmbpipe.segmenter import ReferenceSegmenter
-from cmbpipe.triplanar import binarize_fused, fuse_views
-from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint
+from cmbpipe.segmenter import REFERENCE_WINDOW, ReferenceSegmenter
+from cmbpipe.triplanar import binarize_fused, fuse_views, predict
+from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, normalize_intensity, threads
 
 
 def traced_peak_bytes(fn) -> int:
@@ -96,6 +96,21 @@ def test_binarize_fused_makes_one_byte_mask():
     fused = ProbabilityVolume(np.linspace(0, 1, n**3, dtype=np.float32).reshape((n,) * 3))
     peak = traced_peak_bytes(lambda: binarize_fused(fused, 0.125))
     assert peak < 1.5 * n**3
+
+
+def test_predict_drops_the_views_before_the_mask():
+    """The three float32 views and the fused volume are 2x the float64 volume: the views go before the mask is made."""
+    n = 96
+    spec = PhantomSpec(
+        dims=(n,) * 3,
+        background=BackgroundSpec(100.0, 2.0, 4.0),
+        cmbs=(CMBSpec(WorldPoint(48.0, 48.0, 48.0), 6.0, 0.8),),
+        seed=3,
+    )
+    v = normalize_intensity(generate_phantom(spec)[0], *REFERENCE_WINDOW)
+    with threads(1):
+        peak = traced_peak_bytes(lambda: predict(v, ReferenceSegmenter()))
+    assert peak < 2.1 * n**3 * np.dtype(np.float64).itemsize
 
 
 def _noise_volume(n):

@@ -10,7 +10,8 @@ scan is segmented on its own grid: nothing resamples it to a cube,
 each JSON record the CLI writes holds exactly its dataclass's fields,
 a mask is a bool array everywhere but in its NIfTI file,
 every planted phantom object is rendered by one dip,
-and the reference score is the band-pass alone, on a window each caller states.
+the reference score is the band-pass alone, on a window each caller states,
+and one scan path segments, fuses and binarizes a scan for every caller.
 """
 
 import importlib
@@ -91,11 +92,19 @@ def test_one_form_per_call():
     ]
     assert [p.name for p in cli.COMMANDS["segment"].params] == [
         "manifest", "out", "segmenter", "gt_dir", "corruption_rate", "oracle_seed", "scale_min_mm", "scale_max_mm",
-        "logistic_gain", "score_offset", "prob_dir", "lo_pct", "hi_pct", "tau", "jobs",
+        "logistic_gain", "score_offset", "prob_dir", "tau", "jobs",
     ]
     assert not hasattr(volume, "adjust_contrast") and not hasattr(cmbpipe, "adjust_contrast")
     for fn in (augment._warp, augment.elastic_deform, augment.rotate_volume, augment.flip_volume):
         assert typing.get_type_hints(fn)["m"] is volume.LabelMask
+
+
+def test_one_scan_path():
+    """The CLI and the demos segment a scan through ``triplanar.predict``; ``segment`` takes no intensity window."""
+    callers = [SRC / "cli.py", *sorted((SRC.parents[1] / "demos").glob("0[34]_*.py"))]
+    assert len(callers) == 3
+    assert [p.name for p in callers if re.search(r"fuse_views|binarize_fused", p.read_text())] == []
+    assert [p.name for p in cli.COMMANDS["segment"].params if p.name.endswith("_pct")] == []
 
 
 def test_no_module_reads_the_jobs_environment_variable():

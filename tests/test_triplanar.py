@@ -9,7 +9,14 @@ from oracles import per_plane_view
 
 from cmbpipe import volume
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
-from cmbpipe.segmenter import ReferenceConfig, ReferenceSegmenter
+from cmbpipe.phantom import CMBSpec, PhantomSpec, generate_phantom
+from cmbpipe.segmenter import (
+    REFERENCE_WINDOW,
+    ExternalSegmenter,
+    OracleSegmenter,
+    ReferenceConfig,
+    ReferenceSegmenter,
+)
 from cmbpipe.triplanar import (
     VIEW_AXIS,
     VIEWS,
@@ -17,9 +24,11 @@ from cmbpipe.triplanar import (
     ThickSlice,
     binarize_fused,
     fuse_views,
+    predict,
     segment_view,
+    segment_volume,
 )
-from cmbpipe.volume import ProbabilityVolume, Volume3D, plane_blocks
+from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, normalize_intensity, plane_blocks
 
 
 @pytest.fixture
@@ -241,3 +250,50 @@ def test_fusion_algebra_pointwise(a, b, c):
     eps = np.float32(max(a, b, c)) * 1e-6
     assert fused <= min(np.float32(a), np.float32(b), np.float32(c)) + eps
     assert fused == fuse_views(mk(c), mk(a), mk(b)).values[0, 0, 0]
+
+
+def scan_and_truth(grid: str) -> tuple[Volume3D, LabelMask]:
+    """A phantom with two CMBs on a 24^3 cube, or cut to a (24, 20, 12) thick-slice grid: every other axial plane."""
+    cmbs = (CMBSpec(WorldPoint(8.0, 12.0, 8.0), 8.0, 0.8), CMBSpec(WorldPoint(16.0, 12.0, 16.0), 6.0, 0.8))
+    vol, gt, _ = generate_phantom(PhantomSpec(dims=(24, 24, 24), cmbs=cmbs, seed=3))
+    if grid == "cube":
+        return vol, gt
+    thick, spacing = np.s_[:, 2:22, ::2], (0.7, 0.9, 2.0)
+    return Volume3D(vol.intensities[thick].copy(), spacing), LabelMask(gt.labels[thick].copy(), spacing)
+
+
+def scan_and_segmenter(kind: str, grid: str):
+    vol, gt = scan_and_truth(grid)
+    if kind == "reference":
+        return normalize_intensity(vol, *REFERENCE_WINDOW), ReferenceSegmenter()
+    if kind == "external":
+        rng = np.random.default_rng(8)
+        maps = {view: rng.uniform(0.3, 0.7, vol.dims).astype(np.float32) for view in VIEWS}
+        return vol, ExternalSegmenter({view: ProbabilityVolume(p, vol.spacing) for view, p in maps.items()})
+    return vol, OracleSegmenter(gt, {"oracle": 0.0, "oracle-0.2": 0.2}[kind], seed=4)
+
+
+class TestPredict:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("grid", ["cube", "thick"])
+    @pytest.mark.parametrize("kind", ["oracle", "oracle-0.2", "reference", "external"])
+    def test_equals_the_hand_chain(self, kind, grid, jobs):
+        """``predict`` at its default tau is segment -> fuse -> binarize at 0.125, bit for bit."""
+        vol, seg = scan_and_segmenter(kind, grid)
+        with volume.threads(jobs):
+            fused, mask = predict(vol, seg)
+            views = segment_volume(vol, seg)
+            want = fuse_views(views["axial"], views["sagittal"], views["coronal"])
+            want_mask = binarize_fused(want, 0.125)
+        assert (fused.values.dtype, mask.labels.dtype) == (np.float32, bool)
+        assert fused.values.tobytes() == want.values.tobytes()
+        assert mask.labels.tobytes() == want_mask.labels.tobytes()
+        assert {(g.dims, g.spacing, g.origin) for g in (fused, mask)} == {(vol.dims, vol.spacing, vol.origin)}
+        assert 0 < mask.labels.sum() < mask.labels.size
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -1.0, 2.0, float("nan")])
+    def test_tau_outside_the_unit_interval_is_rejected_before_any_view(self, cube, tau):
+        model = _Recorder()
+        with pytest.raises(ConfigError, match="tau must lie in"):
+            predict(cube, SliceAdapter(model), tau)
+        assert model.calls == []
