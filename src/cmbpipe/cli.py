@@ -455,9 +455,9 @@ def cmd_augment(params: dict) -> list[Path]:
           bound=REFERENCE_BOUNDS["scale_min_mm"]),
     Param("scale_max_mm", float, ReferenceConfig.scale_max_mm, help="reference: outer band-pass scale",
           bound=REFERENCE_BOUNDS["scale_max_mm"]),
-    Param("logistic_gain", float, ReferenceConfig.logistic_gain, help="reference: logistic gain",
+    Param("logistic_gain", float, ReferenceConfig.logistic_gain, help="reference: logistic gain per noise unit",
           bound=REFERENCE_BOUNDS["logistic_gain"]),
-    Param("score_offset", float, ReferenceConfig.score_offset, help="reference: logistic offset",
+    Param("score_offset", float, ReferenceConfig.score_offset, help="reference: logistic offset, in noise units",
           bound=REFERENCE_BOUNDS["score_offset"]),
     Param("prob_dir", str, help="external: directory of <scan_id>_<view>.nii.gz probabilities"),
     Param("tau", float, triplanar.DEFAULT_TAU, help="threshold on the fused probability", bound=triplanar.TAU_BOUND),
@@ -479,7 +479,6 @@ def cmd_segment(params: dict) -> list[Path]:
             gt = scanio.read_mask(Path(params["gt_dir"]) / f"{entry.scan_id}.nii.gz")
             seg = OracleSegmenter(gt, params["corruption_rate"], params["oracle_seed"])
         elif kind == "reference":
-            vol = volume.normalize_intensity(vol, *segmenter.REFERENCE_WINDOW)
             seg = reference
         else:
             prob_dir = Path(params["prob_dir"])

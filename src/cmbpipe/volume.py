@@ -216,14 +216,6 @@ def cast(src: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-def require_unit_interval(arr: np.ndarray, what: str) -> None:
-    """Raise :class:`RejectedInputError` unless every value of ``arr`` lies in [0, 1]; NaN or Inf raises :class:`NonFiniteDataError`."""
-    lo, hi = (float(x) for x in extrema(arr))
-    if not (lo >= 0.0 and hi <= 1.0):
-        error = RejectedInputError if np.isfinite((lo, hi)).all() else NonFiniteDataError
-        raise error(f"{what} outside [0, 1]: min {lo}, max {hi}")
-
-
 class Grid:
     """A non-empty 3D array with physical voxel spacing and world origin.
 
@@ -320,7 +312,10 @@ class ProbabilityVolume(Grid):
     _dtype = np.float32
 
     def _checked(self, arr: np.ndarray) -> np.ndarray:
-        require_unit_interval(arr, "probabilities")
+        lo, hi = (float(x) for x in extrema(arr))
+        if not (lo >= 0.0 and hi <= 1.0):  # NaN or Inf is a NonFiniteDataError
+            error = RejectedInputError if np.isfinite((lo, hi)).all() else NonFiniteDataError
+            raise error(f"probabilities outside [0, 1]: min {lo}, max {hi}")
         return arr
 
 

@@ -165,8 +165,8 @@ def match_oracle(pred, gt, max_dist_mm, overlaps=frozenset()):
 VIEW_AXIS = {"axial": 2, "sagittal": 0, "coronal": 1}
 
 
-def reference_plane_oracle(plane, cfg, px=(1.0, 1.0)):
-    """The reference segmenter's probability for one plane of ``px`` = (h, w) mm pixels, computed on that plane alone.
+def reference_band_oracle(plane, cfg, px=(1.0, 1.0)):
+    """The reference segmenter's band-pass of one plane of ``px`` = (h, w) mm pixels, computed on that plane alone.
 
     Every mm scale becomes pixels along each axis on its own: a scale
     ``s`` smooths by ``(s / h, s / w)`` pixels.
@@ -177,7 +177,25 @@ def reference_plane_oracle(plane, cfg, px=(1.0, 1.0)):
     ph, pw = px
     band = ndimage.gaussian_filter(plane, (cfg.scale_max_mm / ph, cfg.scale_max_mm / pw))
     band -= ndimage.gaussian_filter(plane, (cfg.scale_min_mm / ph, cfg.scale_min_mm / pw))
-    return 1.0 / (1.0 + np.exp(-cfg.logistic_gain * (band - cfg.score_offset)))
+    return band
+
+
+def reference_view_oracle(band, cfg):
+    """A view's probabilities from its float32 band-pass volume ``band``, in one pass over the whole view.
+
+    The centre and scale are the median and ``MAD_TO_SIGMA`` * MAD of the
+    voxels at every ``NOISE_STRIDE``-th index of each axis from index 1,
+    picked by index grids. The logistic of ``t = gain * (z - offset)`` is
+    written as ``(1 + tanh(t / 2)) / 2`` in float32, the segmenter's
+    arithmetic, so the two agree bit for bit.
+    """
+    from cmbpipe.segmenter import MAD_TO_SIGMA, NOISE_STRIDE
+
+    sample = band[np.ix_(*(np.arange(1, n, NOISE_STRIDE) for n in band.shape))]
+    centre = float(np.median(sample))
+    scale = MAD_TO_SIGMA * float(np.median(np.abs(sample - centre)))
+    edge = centre + cfg.score_offset * scale  # the band-pass at z = offset
+    return 0.5 + 0.5 * np.tanh((band - edge) * (0.5 * cfg.logistic_gain / scale))
 
 
 def oracle_plane(labels, view, index, corruption_rate=0.0, seed=0):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from cmbpipe import volume
 from cmbpipe.augment import TRANSFORM_ORDER, TRANSFORMS
@@ -273,8 +274,8 @@ class TestSegmentCommand:
         ),
         "reference": (
             ("--tau", "0.05"),
-            "a7d9fd1342852894debcf1b6d05dc73881b2e452b88c1c1704a30a3574c1559d",
-            "06d444ad15eaba1b419c663969bbf4e79dd58b4df44833cffcd034ad6513012a",
+            "67655e22a27b9166022bae2b09bbf27c73655b03b7829a531d20521dcc3735e1",
+            "01fc4b7a857b3beeae148d5236eeaa38095047d969c697dd9598615089cedead",
         ),
         "external": (
             ("--segmenter", "external", "--prob-dir", "{maps}"),
@@ -298,7 +299,9 @@ class TestSegmentCommand:
         writer moved to run-length deflate with an index of its pieces in
         the gzip header, and again when each piece became a gzip member of
         its own; the digests of the gunzipped bytes, taken just before the
-        first of these changes, show that the data did not move.
+        first of these changes, show that the data did not move. Both
+        reference digests were taken again when the score moved to noise
+        units on the raw scan, with no intensity window.
         """
         data, maps = segment_data
         flags, digest, decoded = self.FROZEN[case]
@@ -321,6 +324,47 @@ class TestSegmentCommand:
         assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out) == 2
         assert "got dims (16, 16, 1)" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    def test_constant_scan_exit_2(self, tmp_path, capsys):
+        """A constant scan's band-pass has no noise to scale by: a data error naming the view, and nothing written."""
+        data = make_phantom_data(tmp_path, count=1, dims=16)
+        e = read_manifest(data / "manifest.jsonl")[0]
+        write_volume(Volume3D(np.full((16, 16, 16), 100.0)), data / e.path)
+        out = tmp_path / "out"
+        assert run("segment", "--manifest", data / "manifest.jsonl", "--out", out) == 2
+        assert "the axial band-pass has no noise to scale by" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_one_dark_voxel_moves_no_other_detection(self, tmp_path):
+        """One voxel at -1000 far from every object leaves every detection more than 6 mm from it as it was.
+
+        The reference measures each view's noise scale itself, so one
+        extreme voxel barely moves it; a min-max window would rescale the
+        whole scan by that voxel.
+        """
+        data = make_phantom_data(tmp_path, count=1, dims=48)
+        manifest = data / "manifest.jsonl"
+        e = read_manifest(manifest)[0]
+        vol, gt = read_volume(data / e.path), read_mask(data / "gt_masks" / f"{e.scan_id}.nii.gz")
+        inner = np.zeros(vol.dims, dtype=bool)
+        inner[8:-8, 8:-8, 8:-8] = True
+        far = ndimage.distance_transform_edt(~gt.labels)
+        dark = np.unravel_index(np.argmax(np.where(inner, far, 0.0)), vol.dims)  # the inner voxel farthest from a CMB
+        assert far[dark] > 12.0
+        detections = []
+        for step in ("as drawn", "dark voxel"):
+            if step == "dark voxel":
+                arr = vol.intensities.copy()
+                arr[dark] = -1000.0
+                write_volume(vol.with_array(arr), data / e.path)
+            work = tmp_path / step.replace(" ", "-")
+            assert run("segment", "--manifest", manifest, "--out", work) == 0
+            assert run("detect", "--manifest", manifest, "--masks-dir", work / "pred_masks", "--out", work) == 0
+            rows = json.loads((work / "detections.jsonl").read_text())["detections"]
+            detections.append([{k: v for k, v in d.items() if k != "id"} for d in rows])  # ids follow the scan order
+        near = lambda d: math.dist(d["centroid_mm"], dark) <= 6.0  # spacing 1 mm, origin 0
+        assert detections[0] and not any(map(near, detections[0]))
+        assert [d for d in detections[1] if not near(d)] == detections[0]
 
     def test_external_maps_on_another_grid_exit_2(self, tmp_path, capsys, segment_data):
         """Maps at 2 mm spacing and a 50 mm origin do not fit a 1 mm phantom at origin 0, though the dims agree."""
@@ -525,12 +569,8 @@ class TestThickSlice:
         assert 0 < len(z) <= 10
         assert [c for c in z if c < 1.5 or c > last - 1.5] == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 17: the one CMB of seed 8 falls between the kept 2 mm planes, so nothing dark sets the "
-        "min-max intensity window and the reference keeps hundreds of noise detections (765 at 2 mm)",
-    )
     def test_reference_on_a_scan_with_nothing_dark(self, thick_slice_runs):
+        """The one CMB of seed 8 falls between the kept 2 mm planes; a min-max window once made that 765 detections."""
         assert len(thick_slice_runs(2)["reference"][1]["s8"]) <= 10
 
 
@@ -618,7 +658,7 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_segment_takes_no_intensity_window(self, tmp_path, where):
-        """The reference always sees the full-range window: a ``lo_pct`` exits 1, reads nothing, writes nothing."""
+        """The reference needs no window: a ``lo_pct`` exits 1, reads nothing, writes nothing."""
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"segment": {"lo_pct": 1}}))
         window = ("--lo-pct", "1") if where == "flag" else ("--config", config)

@@ -17,9 +17,9 @@ from cmbpipe.augment import bias_field, blur_volume, elastic_deform, gibbs_ringi
 from cmbpipe.detect import evaluate_scan
 from cmbpipe.phantom import BackgroundSpec, CMBSpec, PhantomSpec, generate_phantom
 from cmbpipe.scanio import read_mask, read_probability, read_volume, write_mask, write_probability, write_volume
-from cmbpipe.segmenter import REFERENCE_WINDOW, ReferenceSegmenter
+from cmbpipe.segmenter import ReferenceSegmenter
 from cmbpipe.triplanar import binarize_fused, fuse_views, predict
-from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, normalize_intensity, threads
+from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, threads
 
 
 def traced_peak_bytes(fn) -> int:
@@ -107,7 +107,7 @@ def test_predict_drops_the_views_before_the_mask():
         cmbs=(CMBSpec(WorldPoint(48.0, 48.0, 48.0), 6.0, 0.8),),
         seed=3,
     )
-    v = normalize_intensity(generate_phantom(spec)[0], *REFERENCE_WINDOW)
+    v = generate_phantom(spec)[0]
     with threads(1):
         peak = traced_peak_bytes(lambda: predict(v, ReferenceSegmenter()))
     assert peak < 2.1 * n**3 * np.dtype(np.float64).itemsize
@@ -213,8 +213,8 @@ def test_elastic_deform_builds_no_coordinate_volume():
 
 
 def test_reference_block_working_set():
-    """One reference block's working set, in units of its float64 size: every thread holds one at a time."""
+    """One reference band-pass block's working set, in units of its float64 size: each thread holds one at a time."""
     block = np.random.default_rng(7).uniform(0.0, 1.0, (4, 128, 128))  # a gradient at almost every pixel
     segmenter = ReferenceSegmenter()
-    peak = traced_peak_bytes(lambda: segmenter._probability(block, (1.0, 1.0)))
+    peak = traced_peak_bytes(lambda: segmenter._band(block, (1.0, 1.0)))
     assert peak < 13.5 * block.nbytes

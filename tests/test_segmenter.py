@@ -1,18 +1,20 @@
 import math
+import warnings
 from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import oracle_plane, per_plane_view, reference_plane_oracle
+from oracles import oracle_plane, per_plane_view, reference_band_oracle, reference_view_oracle
 
 from cmbpipe import volume
+from cmbpipe.detect import evaluate_scan
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
 from cmbpipe.phantom import BackgroundSpec, generate_phantom, random_phantom_spec
 from cmbpipe.scanio import read_probability, write_probability
-from cmbpipe.segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
+from cmbpipe.segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter, noise_scale
 from cmbpipe.triplanar import VIEW_AXIS, VIEWS, SliceAdapter, binarize_fused, fuse_views, segment_view, segment_volume
-from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, normalize_intensity
+from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D
 
 
 def plane_of(seg, arr, view="axial", index=None):
@@ -89,15 +91,26 @@ class TestOracle:
 
 
 class TestReference:
-    def test_constant_plane_uniform_below_fusion_threshold(self):
-        cfg = ReferenceConfig()
-        seg = ReferenceSegmenter(cfg)
-        plane = plane_of(seg, np.full((24, 24, 24), 0.5))
-        vals = np.unique(plane)
-        assert len(vals) == 1
-        expected = 1.0 / (1.0 + np.exp(cfg.logistic_gain * cfg.score_offset))
-        assert vals[0] == np.float32(expected)  # the seam returns the stored float32 values
-        assert vals[0] ** 3 <= 0.125
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_constant_volume_has_no_noise_unit(self, view):
+        """A constant volume's band-pass has MAD 0: each view is rejected by name, not scored."""
+        with pytest.raises(RejectedInputError, match=f"the {view} band-pass has no noise"):
+            ReferenceSegmenter().segment(Volume3D(np.full((24, 24, 24), 0.5)), view)
+
+    @pytest.mark.parametrize("case", ["noiseless-phantom", "scale-1e-9"])
+    def test_tiny_noise_scale_scores_without_a_warning(self, case):
+        """A noiseless phantom's scale comes from its smooth field alone; a 1e-9 one makes each z huge."""
+        background = BackgroundSpec(100.0, 2.0, 0.0)
+        spec = random_phantom_spec(7, dims=(48, 48, 48), n_cmbs=3, n_vessels=1, background=background)
+        vol, gt, _ = generate_phantom(spec)
+        if case == "scale-1e-9":
+            vol = vol.with_array(1e-9 * vol.intensities)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = segment_volume(vol, ReferenceSegmenter())
+        fused = fuse_views(probs["axial"], probs["sagittal"], probs["coronal"])
+        metrics, _, _ = evaluate_scan(binarize_fused(fused, 0.125), gt, min_volume_mm3=0.0)
+        assert (metrics.tp, metrics.fn) == (3, 0)
 
     def test_dark_disc_scores_high_bright_disc_low(self, rng):
         n = 64
@@ -115,10 +128,34 @@ class TestReference:
         p_bright = plane_of(seg, vol_inv, "axial", 1)
         assert p_bright[r < 2.0].max() <= 0.1
 
-    def test_rejects_out_of_range_intensities(self, rng):
+    def test_accepts_raw_intensities(self, rng):
+        """Scanner intensities far outside [0, 1] are scored as they are: as the same scan mapped to [0, 1] is."""
+        raw = rng.normal(100, 10, (16, 16, 16))
         seg = ReferenceSegmenter(ReferenceConfig())
-        with pytest.raises(RejectedInputError):
-            plane_of(seg, rng.normal(100, 10, (16, 16, 16)))
+        got = plane_of(seg, raw)
+        unit = plane_of(seg, (raw - raw.min()) / np.ptp(raw))
+        assert np.abs(got - unit).max() < 1e-5  # float32 rounding of each band-pass
+        assert 0.0 < got.max()
+
+    @pytest.mark.parametrize("sigma", [2.0, 4.0])
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_noise_scale_of_white_noise_is_the_closed_form(self, view, sigma):
+        """White noise sigma has band-pass std sigma * sqrt(1/(4 pi s1^2) + 1/(4 pi s2^2) - 1/(pi (s1^2 + s2^2))).
+
+        With s1 = 1 and s2 = 4 pixels that is 0.2566 sigma. The stride
+        holds 32^3 voxels of a 128^3 view, off its reflected border planes,
+        so the MAD scale has a relative standard error of about 0.6 %; the
+        tolerance, 2 %, is three of them.
+        """
+        cfg = ReferenceConfig()
+        vol = Volume3D(np.random.default_rng(23).normal(100.0, sigma, (128, 128, 128)))
+        s1, s2 = cfg.scale_min_mm, cfg.scale_max_mm
+        closed = sigma * math.sqrt(
+            1 / (4 * math.pi * s1**2) + 1 / (4 * math.pi * s2**2) - 1 / (math.pi * (s1**2 + s2**2))
+        )
+        centre, scale = noise_scale(ReferenceSegmenter(cfg).band_pass(vol, view))
+        assert scale == pytest.approx(closed, rel=0.02)
+        assert abs(centre) < 0.02 * closed
 
     @pytest.mark.parametrize("dims", [(16, 16, 1), (1, 16, 16), (16, 1, 16)])
     @pytest.mark.parametrize("view", VIEWS)
@@ -220,7 +257,7 @@ class TestOracleEndToEnd:
 
 
 def reference_style_phantom(dims):
-    """A ``reference-128``-style phantom (CMBs, vessel and calcification mimics), normalized to [0, 1]."""
+    """A ``reference-128``-style phantom (CMBs, vessel and calcification mimics), in its raw intensities."""
     spec = random_phantom_spec(
         501,
         dims=(dims,) * 3,
@@ -232,11 +269,22 @@ def reference_style_phantom(dims):
         background=BackgroundSpec(100.0, 2.0, 4.0),
     )
     vol, gt, _ = generate_phantom(spec)
-    return normalize_intensity(vol, 0.0, 100.0), gt
+    return vol, gt
+
+
+def reference_oracle_view(v, view, cfg):
+    """The view's probabilities from its per-plane band-passes and their view-level noise scale."""
+    px = tuple(np.delete(v.spacing, VIEW_AXIS[view]))  # (h, w): the spacings of the two axes left in the plane
+    band = per_plane_view(lambda plane, k: reference_band_oracle(plane, cfg, px), v.intensities, view)
+    return reference_view_oracle(band, cfg)
 
 
 class TestWholeViewEqualsPerPlane:
-    """Each whole-view segmenter against the per-plane definition it replaced, bit for bit."""
+    """Each whole-view segmenter against the per-plane definition it replaced, bit for bit.
+
+    The reference's noise scale belongs to the whole view, so its oracle
+    computes each plane's band-pass alone and then scores the stacked view.
+    """
 
     CASES = {
         "random-24-px0.7": lambda rng: Volume3D(rng.uniform(0, 1, (24, 24, 24)), (0.7, 0.7, 0.7)),
@@ -250,26 +298,30 @@ class TestWholeViewEqualsPerPlane:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("view", VIEWS)
     def test_reference(self, rng, monkeypatch, case, view, planes_per_block, jobs):
+        """Bit for bit; a constant volume has a constant band-pass, so no noise scale, and every view is rejected."""
         v = self.CASES[case](rng)
         axis = VIEW_AXIS[view]
         if planes_per_block is not None:  # several blocks, the last one short at 5
             monkeypatch.setattr(volume, "POOL_BLOCK_VOXELS", planes_per_block * v.intensities.size // v.dims[axis])
         cfg = ReferenceConfig()
+        if case == "constant-24":
+            band = per_plane_view(lambda plane, k: reference_band_oracle(plane, cfg), v.intensities, view)
+            assert np.ptp(band) == 0.0
+            with volume.threads(jobs), pytest.raises(RejectedInputError, match=f"the {view} band-pass has no noise"):
+                segment_view(v, view, ReferenceSegmenter(cfg))
+            return
         with volume.threads(jobs):
             got = segment_view(v, view, ReferenceSegmenter(cfg)).values
-        px = tuple(np.delete(v.spacing, axis))  # (h, w): the spacings of the two axes left in the plane
-        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg, px), v.intensities, view)
         assert got.dtype == np.float32 and got.flags.c_contiguous
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, reference_oracle_view(v, view, cfg))
 
     def test_reference_pixel_spacing_comes_from_the_volume(self, rng):
         """A default config scores a 0.5 mm volume with 0.5 mm pixels, not with 1 mm ones."""
-        values = rng.uniform(0, 1, (20, 20, 20))
+        v = Volume3D(rng.uniform(0, 1, (20, 20, 20)), (0.5, 0.5, 0.5))
         seg = ReferenceSegmenter(ReferenceConfig())
-        got = segment_view(Volume3D(values, (0.5, 0.5, 0.5)), "axial", seg).values
-        want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, seg.cfg, (0.5, 0.5)), values, "axial")
-        assert np.array_equal(got, want)
-        assert not np.array_equal(got, segment_view(Volume3D(values), "axial", seg).values)
+        got = segment_view(v, "axial", seg).values
+        assert np.array_equal(got, reference_oracle_view(v, "axial", seg.cfg))
+        assert not np.array_equal(got, segment_view(Volume3D(v.intensities), "axial", seg).values)
 
     def test_reference_on_128_phantom(self):
         vol, _ = reference_style_phantom(128)
@@ -280,9 +332,16 @@ class TestWholeViewEqualsPerPlane:
             with volume.threads(jobs):
                 runs.append(segment_volume(vol, seg))
         for view in VIEWS:
-            want = per_plane_view(lambda plane, k: reference_plane_oracle(plane, cfg), vol.intensities, view)
+            want = reference_oracle_view(vol, view, cfg)
             for probs in runs:  # every CPU, 1 and 2 threads
                 assert np.array_equal(probs[view].values, want)
+            # the tanh form is the logistic of gain * (z - offset), to float32 rounding
+            band = seg.band_pass(vol, view)
+            centre, scale = noise_scale(band)
+            band = band.astype(np.float64)
+            with np.errstate(over="ignore"):
+                logistic = 1.0 / (1.0 + np.exp(-cfg.logistic_gain * ((band - centre) / scale - cfg.score_offset)))
+            assert np.abs(want - logistic).max() < 1e-6
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("rate", [0.0, 0.2])

@@ -10,7 +10,7 @@ scan is segmented on its own grid: nothing resamples it to a cube,
 each JSON record the CLI writes holds exactly its dataclass's fields,
 a mask is a bool array everywhere but in its NIfTI file,
 every planted phantom object is rendered by one dip,
-the reference score is the band-pass alone, on a window each caller states,
+the reference score is the band-pass alone, in noise units on the raw scan,
 and one scan path segments, fuses and binarizes a scan for every caller.
 """
 
@@ -167,11 +167,13 @@ def test_one_phantom_dip():
 
 
 def test_reference_score_is_the_band_pass():
-    """No radial-symmetry vote in the segmenter or its oracle, and no default intensity window."""
+    """No radial-symmetry vote in the segmenter or its oracle, and no intensity window before the reference."""
     import oracles
 
     assert [n for n in ("_radial_symmetry", "_vote_coordinate", "SYMMETRY_RADII_MM") if hasattr(segmenter, n)] == []
     assert not hasattr(oracles, "radial_symmetry_oracle")
+    assert [n for n in dir(segmenter) if n.endswith("_WINDOW")] == []
+    assert "normalize_intensity" not in inspect.getsource(cli.cmd_segment)
     params = inspect.signature(volume.normalize_intensity).parameters.values()
     assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
 

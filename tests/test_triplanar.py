@@ -10,13 +10,7 @@ from oracles import per_plane_view
 from cmbpipe import volume
 from cmbpipe.errors import ConfigError, GeometryMismatchError, RejectedInputError
 from cmbpipe.phantom import CMBSpec, PhantomSpec, generate_phantom
-from cmbpipe.segmenter import (
-    REFERENCE_WINDOW,
-    ExternalSegmenter,
-    OracleSegmenter,
-    ReferenceConfig,
-    ReferenceSegmenter,
-)
+from cmbpipe.segmenter import ExternalSegmenter, OracleSegmenter, ReferenceConfig, ReferenceSegmenter
 from cmbpipe.triplanar import (
     VIEW_AXIS,
     VIEWS,
@@ -28,7 +22,7 @@ from cmbpipe.triplanar import (
     segment_view,
     segment_volume,
 )
-from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, normalize_intensity, plane_blocks
+from cmbpipe.volume import LabelMask, ProbabilityVolume, Volume3D, WorldPoint, plane_blocks
 
 
 @pytest.fixture
@@ -265,7 +259,7 @@ def scan_and_truth(grid: str) -> tuple[Volume3D, LabelMask]:
 def scan_and_segmenter(kind: str, grid: str):
     vol, gt = scan_and_truth(grid)
     if kind == "reference":
-        return normalize_intensity(vol, *REFERENCE_WINDOW), ReferenceSegmenter()
+        return vol, ReferenceSegmenter()
     if kind == "external":
         rng = np.random.default_rng(8)
         maps = {view: rng.uniform(0.3, 0.7, vol.dims).astype(np.float32) for view in VIEWS}
@@ -290,6 +284,16 @@ class TestPredict:
         assert mask.labels.tobytes() == want_mask.labels.tobytes()
         assert {(g.dims, g.spacing, g.origin) for g in (fused, mask)} == {(vol.dims, vol.spacing, vol.origin)}
         assert 0 < mask.labels.sum() < mask.labels.size
+
+    @pytest.mark.parametrize("grid", ["cube", "thick"])
+    @pytest.mark.parametrize("a, b", [(1 / 250, 0.1), (12.5, 300.0), (0.5, -40.0)])
+    def test_reference_mask_is_the_same_under_a_positive_affine_map(self, grid, a, b):
+        """The reference scores in noise units, so ``a * v + b`` (a > 0), raw scanner ranges too, keeps the mask."""
+        vol, seg = scan_and_segmenter("reference", grid)
+        _, want = predict(vol, seg)
+        _, got = predict(vol.with_array(a * vol.intensities + b), seg)
+        assert np.array_equal(got.labels, want.labels)
+        assert want.labels.any()
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, -1.0, 2.0, float("nan")])
     def test_tau_outside_the_unit_interval_is_rejected_before_any_view(self, cube, tau):
